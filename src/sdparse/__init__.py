@@ -15,14 +15,14 @@ from .errors import CapacityError, ConfigError, DataError, NumericError
 from .exact import ExactResult, exact_infer, exact_map
 from .graph import (CandidateEdgeSet, PartList, SemGraph, Sentence, Token,
                     build_candidate_edges, decode, enumerate_parts, has_cycle)
-from .lbp import MessageState, lbp_backward, lbp_init, lbp_run, lbp_step, neighbor_sets
+from .lbp import MessageState, lbp_init, lbp_run, lbp_step, neighbor_sets
 from .metrics import EvalReport, bucket_f1, cycle_rate, evaluate, f1, top_f1
-from .mf import (BeliefState, mf_backward, mf_init, mf_run,
-                 mf_second_order_field, mf_step)
-from .model import (ModelConfig, ParserModel, ScoreSet, biaffine,
+from .mf import BeliefState, FactoredBeliefState, mf_init, mf_run, mf_step
+from .model import (ModelConfig, ParserModel, ScoreFactors, ScoreSet, biaffine,
                     diagonal_biaffine, trilinear)
 from .pipeline import parse_sentence, run_inference, trace_sentence
-from .potentials import LogPotentials, assemble, from_arrays, joint_log_score
+from .potentials import (LogPotentials, assemble, from_arrays, joint_log_score,
+                         potential_grads)
 from .sdp_io import (Vocabulary, build_vocab, format_sdp, load_pretrained,
                      parse_sdp, parse_sdp_lines, write_sdp)
 from .training import (GradCheckResult, Optimizer, TrainConfig, TrainResult,

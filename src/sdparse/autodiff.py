@@ -12,7 +12,8 @@ which is what lets a batch sum per-sentence gradients.
 
 The op set is exactly what the parser needs: elementwise arithmetic with
 broadcasting, matmul, gather/scatter (take / segment_sum), reductions,
-and the handful of stable nonlinearities used by scoring and inference.
+running sums (cumsum), and the handful of stable nonlinearities used by
+scoring and inference.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 __all__ = [
     "Tensor", "constant", "parameter", "backward",
     "add", "sub", "mul", "div", "neg", "matmul", "transpose",
-    "reshape", "concat", "stack", "take", "segment_sum", "tensor_sum",
+    "reshape", "concat", "stack", "take", "segment_sum", "tensor_sum", "cumsum",
     "exp", "log", "tanh", "sigmoid", "softplus", "leaky_relu",
     "logaddexp", "logsumexp", "clamp",
 ]
@@ -307,6 +308,17 @@ def tensor_sum(a, axis=None, keepdims=False):
         return (np.broadcast_to(gg, shape).copy(),)
 
     return _op(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+
+
+def cumsum(a, axis):
+    """Inclusive running sum along ``axis``; backward is the running sum
+    taken in the reverse direction."""
+    a = _wrap(a)
+
+    def vjp(g):
+        return (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),)
+
+    return _op(np.cumsum(a.data, axis=axis), (a,), vjp)
 
 
 # ------------------------------------------------------------- nonlinearities

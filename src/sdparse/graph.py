@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DataError
 
 __all__ = [
@@ -89,14 +91,24 @@ class SemGraph:
 
 
 class CandidateEdgeSet:
-    """All n^2 candidate edges of a length-n sentence, in a fixed order."""
+    """All n^2 candidate edges of a length-n sentence, in a fixed order.
 
-    __slots__ = ("n", "edges", "index")
+    ``heads`` and ``deps`` hold the edges' endpoints and ``flat`` their
+    positions in a row-major (n+1) x (n+1) head-by-dependent matrix; the
+    arrays are read-only because one edge set is shared per length.
+    """
+
+    __slots__ = ("n", "edges", "index", "heads", "deps", "flat")
 
     def __init__(self, n, edges):
         self.n = n
         self.edges = edges
         self.index = {e: k for k, e in enumerate(edges)}
+        self.heads = np.array([h for h, _ in edges], dtype=np.intp)
+        self.deps = np.array([d for _, d in edges], dtype=np.intp)
+        self.flat = self.heads * (n + 1) + self.deps
+        for arr in (self.heads, self.deps, self.flat):
+            arr.setflags(write=False)
 
     def __len__(self):
         return len(self.edges)

@@ -25,8 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DataError
 
-__all__ = ["MessageState", "neighbor_sets", "lbp_init", "lbp_step",
-           "lbp_run", "lbp_backward"]
+__all__ = ["MessageState", "neighbor_sets", "lbp_init", "lbp_step", "lbp_run"]
 
 
 def neighbor_sets(parts):
@@ -180,15 +179,3 @@ def lbp_run(pot, iterations=3):
     for _ in range(iterations):
         lbp_step(state)
     return state
-
-
-def lbp_backward(upstream, state):
-    """Gradients of <upstream, Q^(T)> w.r.t. the potential scores."""
-    pot = state.pot
-    ad.backward([state.marginal_tensor], [np.asarray(upstream, dtype=np.float64)])
-    unary_grad = pot.unary.grad
-    pair_grad = pot.pair_scores.grad
-    return {
-        "unary": np.zeros(pot.edge_count) if unary_grad is None else unary_grad,
-        "pairs": np.zeros(pot.pair_count) if pair_grad is None else pair_grad,
-    }

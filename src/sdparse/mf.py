@@ -10,6 +10,27 @@ partner's current on-probability times the part score. Updates are
 Jacobi-style (all edges from the same snapshot), which makes the result
 independent of edge order. Logits are clamped to +-clamp before the
 sigmoid; the whole trajectory is kept and is differentiable end to end.
+
+The field is computed in one of two ways, with the same result:
+
+* From a pair list (``LogPotentials``): gather each partner's Q, scale by
+  the part score, scatter-add; O(P) = O(n^3) per iteration. Hand-built
+  instances, ``trace`` and the tests use this form.
+* From the scorer's factors (``ScoreFactors``). Every part score is the
+  rank-d form sum_m g1[a,m] g2[b,m] g3[c,m] over the part's first edge
+  (a, b) and third node c, so the field factorises over m. With Q an
+  (n+1) x (n+1) head-by-dependent matrix that is 0 off the candidate
+  edges (column 0 and the diagonal):
+
+    sib  field(i,j) = sum_m g1[i,m] (g2[j,m] sum_{k>j} Q[i,k] g3[k,m]
+                                     + g3[j,m] sum_{k<j} Q[i,k] g2[k,m])
+    cop  field(h,j) = sum_m g2[j,m] (g1[h,m] sum_{k>h} Q[k,j] g3[k,m]
+                                     + g3[h,m] sum_{i<h} Q[i,j] g1[i,m])
+    gp   field      = g1 (g2 * Q g3)^T + (g2 * Q^T g1) g3^T - Q^T * (C + C^T)
+
+  where C = (g1 * g3) g2^T removes the two-cycle chains i -> j -> i that
+  are not parts. The strict prefix and suffix sums are running sums, so
+  an iteration costs O(n^2 d) and no part is ever enumerated.
 """
 
 from __future__ import annotations
@@ -20,9 +41,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .potentials import LogPotentials
 
-__all__ = ["BeliefState", "mf_init", "mf_step", "mf_run",
-           "mf_second_order_field", "mf_backward", "DEFAULT_CLAMP"]
+__all__ = ["BeliefState", "FactoredBeliefState", "mf_init", "mf_step", "mf_run",
+           "DEFAULT_CLAMP"]
 
 DEFAULT_CLAMP = 30.0
 
@@ -49,16 +71,20 @@ class BeliefState:
         return self.qs[t].data
 
     def marginals(self, t=-1):
-        q = self.qs[t].data
+        q = self.q1(t)
         return {e: float(q[k]) for k, e in enumerate(self.pot.edges)}
+
+    def _on_edges(self, t):
+        """A trajectory tensor as an (E,) vector in edge order."""
+        return t
 
     @property
     def marginal_tensor(self):
-        return self.qs[-1]
+        return self._on_edges(self.qs[-1])
 
     def final_log_marginals(self):
         """(log Q(0), log Q(1)) as tensors, stable for extreme logits."""
-        logit = self.logits[-1]
+        logit = self._on_edges(self.logits[-1])
         return ad.neg(ad.softplus(logit)), ad.neg(ad.softplus(ad.neg(logit)))
 
     def coupling_terms(self, t):
@@ -76,27 +102,127 @@ class BeliefState:
             yield pot.edges[b], pot.edges[a], kind, part, float(q[b] * s[p])
             yield pot.edges[a], pot.edges[b], kind, part, float(q[a] * s[p])
 
+    @property
+    def unary(self):
+        return self.pot.unary
+
+    def field(self, q):
+        """Field Q induces on every edge, summed over the pair list."""
+        pot = self.pot
+        if not pot.pair_count:
+            return ad.constant(np.zeros(pot.edge_count))
+        to_e1 = ad.mul(ad.take(q, pot.pair_e2), pot.pair_scores)
+        to_e2 = ad.mul(ad.take(q, pot.pair_e1), pot.pair_scores)
+        return ad.add(ad.segment_sum(to_e1, pot.pair_e1, pot.edge_count),
+                      ad.segment_sum(to_e2, pot.pair_e2, pot.edge_count))
+
+    def push(self, raw_logit):
+        """Append the iterate for one raw (unclamped) logit tensor."""
+        logit = _clamped(raw_logit, self.clamp)
+        self.logits.append(logit)
+        self.qs.append(ad.sigmoid(logit))
+
+
+@dataclass
+class FactoredBeliefState(BeliefState):
+    """Mean-field trajectory over a ``ScoreFactors``' dense grid.
+
+    logits[t] and qs[t] are (n+1) x (n+1) head-by-dependent matrices; qs
+    is held at 0 off the candidate edges so padding never enters a field.
+    The accessors return edge-order vectors, as ``BeliefState``'s do.
+    """
+
+    mask: Tensor = field(init=False, default=None)      # 1 on candidate edges
+    gp_cycle: Tensor = field(init=False, default=None)  # C + C^T of the gp factors
+
+    def __post_init__(self):
+        n1 = self.pot.edge_set.n + 1
+        mask = np.zeros(n1 * n1)
+        mask[self.pot.edge_set.flat] = 1.0
+        self.mask = ad.constant(mask.reshape(n1, n1))
+        if "gp" in self.pot.tri:
+            g1, g2, g3 = self.pot.tri["gp"]
+            cycle = ad.matmul(ad.mul(g1, g3), ad.transpose(g2))
+            self.gp_cycle = ad.add(cycle, ad.transpose(cycle))
+
+    def q1(self, t=-1):
+        return self.qs[t].data.reshape(-1)[self.pot.edge_set.flat]
+
+    def _on_edges(self, t):
+        return ad.take(ad.reshape(t, (-1,)), self.pot.edge_set.flat)
+
+    @property
+    def unary(self):
+        return self.pot.edge_scores
+
+    def field(self, q):
+        """Field Q induces on every (head, dep) cell, from running sums and
+        matrix products over the part factors; O(n^2 d)."""
+        n1 = q.shape[0]
+        cells = ad.reshape(q, (n1, n1, 1))
+        terms = []
+        tri = self.pot.tri
+        if "sib" in tri:
+            # partners of (i, j) share head i: rows of Q, summed over k > j, k < j
+            g1, g2, g3 = tri["sib"]
+            inner = ad.add(ad.mul(g2, _after(ad.mul(cells, g3), axis=1)),
+                           ad.mul(g3, _before(ad.mul(cells, g2), axis=1)))
+            terms.append(ad.tensor_sum(ad.mul(_column(g1), inner), axis=2))
+        if "cop" in tri:
+            # partners of (h, j) share dependent j: columns of Q, over k > h, i < h
+            g1, g2, g3 = tri["cop"]
+            g1, g3 = _column(g1), _column(g3)
+            inner = ad.add(ad.mul(g1, _after(ad.mul(cells, g3), axis=0)),
+                           ad.mul(g3, _before(ad.mul(cells, g1), axis=0)))
+            terms.append(ad.tensor_sum(ad.mul(g2, inner), axis=2))
+        if "gp" in tri:
+            g1, g2, g3 = tri["gp"]
+            q_t = ad.transpose(q)
+            as_first = ad.matmul(g1, ad.transpose(ad.mul(g2, ad.matmul(q, g3))))
+            as_second = ad.matmul(ad.mul(g2, ad.matmul(q_t, g1)), ad.transpose(g3))
+            terms.append(ad.sub(ad.add(as_first, as_second), ad.mul(q_t, self.gp_cycle)))
+        if not terms:
+            return ad.constant(np.zeros((n1, n1)))
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
+        return total
+
+    def push(self, raw_logit):
+        super().push(raw_logit)
+        self.qs[-1] = ad.mul(self.qs[-1], self.mask)
+
+
+def _column(g):
+    """(n+1, d) factor as (n+1, 1, d), to broadcast along dependents."""
+    return ad.reshape(g, (g.shape[0], 1, g.shape[1]))
+
+
+def _after(x, axis):
+    """Strict suffix sums along ``axis``: out[k] = sum of x[l] for l > k."""
+    return ad.sub(ad.tensor_sum(x, axis=axis, keepdims=True), ad.cumsum(x, axis))
+
+
+def _before(x, axis):
+    """Strict prefix sums along ``axis``: out[k] = sum of x[l] for l < k."""
+    return ad.sub(ad.cumsum(x, axis), x)
+
 
 def mf_init(pot, clamp=DEFAULT_CLAMP):
-    """Iteration 0: posterior logits are just the unary scores."""
-    logit = _clamped(pot.unary, clamp)
-    return BeliefState(pot, clamp, [logit], [ad.sigmoid(logit)])
+    """Iteration 0: posterior logits are just the unary scores.
+
+    ``pot`` is a pair-list ``LogPotentials`` or the scorer's
+    ``ScoreFactors``; the latter runs on the factored field.
+    """
+    state_type = BeliefState if isinstance(pot, LogPotentials) else FactoredBeliefState
+    state = state_type(pot, clamp)
+    state.push(state.unary)
+    return state
 
 
 def mf_step(state):
     """Append one synchronous update to the trajectory."""
-    pot = state.pot
-    E = pot.edge_count
-    q_prev = state.qs[-1]
-    field_vec = ad.constant(np.zeros(E))
-    if pot.pair_count:
-        to_e1 = ad.mul(ad.take(q_prev, pot.pair_e2), pot.pair_scores)
-        to_e2 = ad.mul(ad.take(q_prev, pot.pair_e1), pot.pair_scores)
-        field_vec = ad.add(ad.segment_sum(to_e1, pot.pair_e1, E),
-                           ad.segment_sum(to_e2, pot.pair_e2, E))
-    logit = _clamped(ad.add(pot.unary, field_vec), state.clamp)
-    state.logits.append(logit)
-    state.qs.append(ad.sigmoid(logit))
+    state.push(ad.add(state.unary, state.field(state.qs[-1])))
     return state
 
 
@@ -107,34 +233,3 @@ def mf_run(pot, iterations=3, clamp=DEFAULT_CLAMP):
     for _ in range(iterations):
         mf_step(state)
     return state
-
-
-def mf_second_order_field(state, edge):
-    """Field the latest iterate induces on one edge (scalar, by direct
-    summation over the parts containing it)."""
-    pot = state.pot
-    k = pot.index[tuple(edge)]
-    q = state.qs[-1].data
-    s = pot.pair_scores.data
-    total = 0.0
-    for p in range(pot.pair_count):
-        if pot.pair_e1[p] == k:
-            total += q[pot.pair_e2[p]] * s[p]
-        elif pot.pair_e2[p] == k:
-            total += q[pot.pair_e1[p]] * s[p]
-    return total
-
-
-def mf_backward(upstream, state):
-    """Gradients of <upstream, Q^(T)> w.r.t. the potential scores.
-
-    Also propagates further down if the potentials came from the scorer.
-    """
-    pot = state.pot
-    ad.backward([state.marginal_tensor], [np.asarray(upstream, dtype=np.float64)])
-    unary_grad = pot.unary.grad
-    pair_grad = pot.pair_scores.grad
-    return {
-        "unary": np.zeros(pot.edge_count) if unary_grad is None else unary_grad,
-        "pairs": np.zeros(pot.pair_count) if pair_grad is None else pair_grad,
-    }

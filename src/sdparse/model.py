@@ -19,6 +19,12 @@ and each second-order part type has its own rank-decomposed trilinear
 
 Sibling parts read (head_i, dep_j, dep_k), co-parent parts
 (head_i, dep_j, head_k), grandparent parts (head_i, head_dep_j, dep_k).
+
+``score_factors`` stops before any part is enumerated: it returns the
+edge scores as a dense head-by-dependent matrix and, per part type, the
+factor matrices g1 = role1 U1^T, g2 = role2 U2^T, g3 = role3 U3^T whose
+row products make up every part score. ``score_sentence`` gathers those
+rows into one score per enumerated part.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .graph import build_candidate_edges
 from .sdp_io import Vocabulary
 
 __all__ = [
-    "ModelConfig", "ParserModel", "ScoreSet",
+    "ModelConfig", "ParserModel", "ScoreSet", "ScoreFactors",
     "biaffine", "diagonal_biaffine", "trilinear",
     "ROLES",
 ]
@@ -49,6 +55,12 @@ ROLES = (
     "gp_head", "gp_dep", "gp_head_dep",
 )
 _UNARY_ROLES = {"edge_head", "edge_dep", "label_head", "label_dep"}
+# the roles read by the factors (g1, g2, g3) of each part type's trilinear form
+TRI_ROLES = {
+    "sib": ("sib_head", "sib_dep", "sib_dep"),
+    "cop": ("cop_head", "cop_dep", "cop_head"),
+    "gp": ("gp_head", "gp_head_dep", "gp_dep"),
+}
 
 
 @dataclass
@@ -153,6 +165,37 @@ class ScoreSet:
 
     def gp_score(self, grand, mid, dep):
         return float(self.s_gp.data[self._gp_index[(grand, mid, dep)]])
+
+
+@dataclass
+class ScoreFactors:
+    """Scores of one sentence with no second-order part enumerated.
+
+    ``edge_scores[h, d]`` is s_edge(h, d) on the whole (n+1) x (n+1)
+    head-by-dependent grid; cells that are not candidate edges (column 0
+    and the diagonal) are never read. ``tri`` maps each part type enabled
+    in the config to its factors (g1, g2, g3), each (n+1, binary_dim): a
+    part whose first edge is (a, b) and whose third node is c scores
+    sum_m g1[a,m] g2[b,m] g3[c,m] (first edges: (i, j) of sib (i, j, k),
+    cop (i, k, j) and gp (i, j, k)).
+    """
+
+    edge_set: object
+    edge_scores: Tensor   # (n+1, n+1)
+    s_label: Tensor       # (E, num_labels), candidate edge order
+    tri: dict
+
+    @property
+    def edges(self):
+        return self.edge_set.edges
+
+    @property
+    def index(self):
+        return self.edge_set.index
+
+    @property
+    def edge_count(self):
+        return len(self.edge_set)
 
 
 def biaffine(v1, v2, U, b):
@@ -370,53 +413,60 @@ class ParserModel:
             out[role] = h
         return out
 
+    def score_factors(self, sentence, train=False, rng=None):
+        """ScoreFactors for one sentence: dense edge scores, label scores
+        per candidate edge, and the trilinear factors of each part type
+        enabled in the config."""
+        edge_set = build_candidate_edges(sentence.n)
+        context = self.encode(self.embed(sentence, train, rng), train, rng)
+        roles = self.project_roles(context, train, rng)
+        p = self.params
+
+        # s_edge(h, d) = dep(d)^T U head(h) + b for every (h, d) at once
+        edge_scores = ad.matmul(roles["edge_head"],
+                                ad.transpose(ad.matmul(roles["edge_dep"], p["edge_U"])))
+        edge_scores = edge_scores + p["edge_b"]
+
+        lab_dep = ad.take(roles["label_dep"], edge_set.deps)
+        lab_head = ad.take(roles["label_head"], edge_set.heads)
+        s_label = ad.matmul(ad.mul(lab_dep, lab_head), p["label_W"]) + p["label_b"]
+
+        tri = {}
+        for kind, role_names in TRI_ROLES.items():
+            if getattr(self.config, f"use_{kind}"):
+                tri[kind] = tuple(
+                    ad.matmul(roles[role], ad.transpose(p[f"tri_{kind}_{slot}"]))
+                    for role, slot in zip(role_names, ("U1", "U2", "U3")))
+        return ScoreFactors(edge_set, edge_scores, s_label, tri)
+
     def score_sentence(self, sentence, parts, train=False, rng=None):
         """ScoreSet for one sentence; part types disabled in the config are
         dropped from the returned part list."""
-        n = sentence.n
-        edge_set = build_candidate_edges(n)
         cfg = self.config
         parts = parts.filter(cfg.use_sib, cfg.use_cop, cfg.use_gp)
-        if parts.n != n:
-            raise DataError(f"part list built for n={parts.n}, sentence has n={n}")
+        if parts.n != sentence.n:
+            raise DataError(f"part list built for n={parts.n}, sentence has n={sentence.n}")
 
-        context = self.encode(self.embed(sentence, train, rng), train, rng)
-        roles = self.project_roles(context, train, rng)
+        factors = self.score_factors(sentence, train, rng)
+        edge_set = factors.edge_set
+        s_edge = ad.take(ad.reshape(factors.edge_scores, (-1,)), edge_set.flat)
 
-        heads = np.array([h for h, _ in edge_set.edges], dtype=np.intp)
-        deps = np.array([d for _, d in edge_set.edges], dtype=np.intp)
-
-        dep_vecs = ad.take(roles["edge_dep"], deps)
-        head_vecs = ad.take(roles["edge_head"], heads)
-        s_edge = ad.tensor_sum(
-            ad.mul(ad.matmul(dep_vecs, self.params["edge_U"]), head_vecs),
-            axis=1) + self.params["edge_b"]
-
-        lab_dep = ad.take(roles["label_dep"], deps)
-        lab_head = ad.take(roles["label_head"], heads)
-        s_label = ad.matmul(ad.mul(lab_dep, lab_head), self.params["label_W"])
-        s_label = s_label + self.params["label_b"]
-
-        def tri_scores(kind, role1, role2, role3, triples, order):
+        def tri_scores(kind, triples, order):
             if not triples:
                 return ad.constant(np.zeros(0))
-            g1 = ad.matmul(roles[role1], ad.transpose(self.params[f"tri_{kind}_U1"]))
-            g2 = ad.matmul(roles[role2], ad.transpose(self.params[f"tri_{kind}_U2"]))
-            g3 = ad.matmul(roles[role3], ad.transpose(self.params[f"tri_{kind}_U3"]))
+            g1, g2, g3 = factors.tri[kind]
             a = np.array([t[order[0]] for t in triples], dtype=np.intp)
             b = np.array([t[order[1]] for t in triples], dtype=np.intp)
             c = np.array([t[order[2]] for t in triples], dtype=np.intp)
             prod = ad.mul(ad.mul(ad.take(g1, a), ad.take(g2, b)), ad.take(g3, c))
             return ad.tensor_sum(prod, axis=1)
 
-        # sib (i, j, k): head i, deps j and k
-        s_sib = tri_scores("sib", "sib_head", "sib_dep", "sib_dep", parts.sib, (0, 1, 2))
-        # cop (i, k, j): heads i and k, dep j -- stored order is (i, k, j)
-        s_cop = tri_scores("cop", "cop_head", "cop_dep", "cop_head", parts.cop, (0, 2, 1))
-        # gp (i, j, k): grandparent i, middle j, dependent k
-        s_gp = tri_scores("gp", "gp_head", "gp_head_dep", "gp_dep", parts.gp, (0, 1, 2))
+        # stored orders: sib (i, j, k), cop (i, k, j), gp (i, j, k)
+        s_sib = tri_scores("sib", parts.sib, (0, 1, 2))
+        s_cop = tri_scores("cop", parts.cop, (0, 2, 1))
+        s_gp = tri_scores("gp", parts.gp, (0, 1, 2))
 
-        return ScoreSet(edge_set, parts, s_edge, s_label, s_sib, s_cop, s_gp)
+        return ScoreSet(edge_set, parts, s_edge, factors.s_label, s_sib, s_cop, s_gp)
 
     def score_backward(self, scoreset, grads):
         """Push upstream gradients on score arrays into parameter .grad.

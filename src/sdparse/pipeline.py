@@ -1,11 +1,17 @@
-"""Glue that runs one sentence through scoring, inference, and decoding."""
+"""Glue that runs one sentence through scoring, inference, and decoding.
+
+Mean-field runs on the scorer's factors (``ParserModel.score_factors``)
+and never enumerates a second-order part, so a parse costs O(T n^2 d).
+Loopy BP and ``trace_sentence`` enumerate the parts, score each one
+(``ParserModel.score_sentence``) and assemble the O(n^3) pair list.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import lbp, mf
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .graph import build_candidate_edges, decode, enumerate_parts
 from .potentials import assemble
 
@@ -20,18 +26,34 @@ def run_inference(pot, engine="mf", iterations=3, clamp=mf.DEFAULT_CLAMP):
     raise ConfigError(f"unknown inference engine {engine!r} (expected 'mf' or 'lbp')")
 
 
-def sentence_potentials(model, sentence, train=False, rng=None):
-    """ScoreSet and assembled LogPotentials for one sentence."""
+def pair_potentials(model, sentence, train=False, rng=None):
+    """ScoreSet and the assembled pair-list LogPotentials for one sentence."""
     parts = enumerate_parts(build_candidate_edges(sentence.n))
     scores = model.score_sentence(sentence, parts, train=train, rng=rng)
     return scores, assemble(scores, scores.parts)
 
 
+def sentence_potentials(model, sentence, engine="mf", train=False, rng=None):
+    """(scores, potentials) to run ``engine`` on: for mean-field both are
+    the scorer's ScoreFactors, otherwise ``pair_potentials``."""
+    if engine == "mf":
+        factors = model.score_factors(sentence, train=train, rng=rng)
+        return factors, factors
+    return pair_potentials(model, sentence, train=train, rng=rng)
+
+
 def parse_sentence(model, sentence, engine="mf", iterations=3, threshold=0.5,
                    clamp=mf.DEFAULT_CLAMP):
-    """Parse one sentence; returns (SemGraph, inference state, ScoreSet)."""
-    scores, pot = sentence_potentials(model, sentence)
+    """Parse one sentence; returns (SemGraph, inference state, scores).
+
+    Raises NumericError when a final marginal is not finite, rather than
+    decoding it as an absent edge.
+    """
+    scores, pot = sentence_potentials(model, sentence, engine)
     state = run_inference(pot, engine, iterations, clamp)
+    if not np.all(np.isfinite(state.q1())):
+        raise NumericError(f"non-finite edge marginals from {engine} (T={iterations}) "
+                           f"on a {sentence.n}-token sentence")
     probs = state.marginals()
     label_ids = np.argmax(scores.s_label.data, axis=1)
     labels = {edge: model.vocab.label_of(int(label_ids[k]))
@@ -48,7 +70,7 @@ def trace_sentence(model, sentence, engine="mf", iterations=3,
     source edge sends its partner; belief propagation reports the
     log-odds log m(1) - log m(0) of each directed message.
     """
-    scores, pot = sentence_potentials(model, sentence)
+    _, pot = pair_potentials(model, sentence)
     state = run_inference(pot, engine, iterations, clamp)
 
     def name(edge):

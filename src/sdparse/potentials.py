@@ -20,7 +20,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
 
-__all__ = ["LogPotentials", "assemble", "from_arrays", "joint_log_score"]
+__all__ = ["LogPotentials", "assemble", "from_arrays", "joint_log_score",
+           "potential_grads"]
 
 PART_TYPE_ORDER = ("sib", "cop", "gp")
 
@@ -125,3 +126,19 @@ def joint_log_score(pot, on_edges):
     both = on[pot.pair_e1] & on[pot.pair_e2]
     total += float(pot.pair_scores.data[both].sum())
     return total
+
+
+def potential_grads(upstream, state):
+    """Gradients of <upstream, Q^(T)> w.r.t. the unary and pair scores of
+    the LogPotentials an inference state ran on (either engine).
+
+    Also propagates further down if the potentials came from the scorer.
+    """
+    pot = state.pot
+    ad.backward([state.marginal_tensor], [np.asarray(upstream, dtype=np.float64)])
+    unary_grad = pot.unary.grad
+    pair_grad = pot.pair_scores.grad
+    return {
+        "unary": np.zeros(pot.edge_count) if unary_grad is None else unary_grad,
+        "pairs": np.zeros(pot.pair_count) if pair_grad is None else pair_grad,
+    }

@@ -130,7 +130,7 @@ def combined_loss(edge_term, label_term, interpolation):
 
 def sentence_loss(model, sentence, gold, cfg, train=False, rng=None, clamp="cfg"):
     """Combined loss of one sentence under the configured engine."""
-    scores, pot = sentence_potentials(model, sentence, train=train, rng=rng)
+    scores, pot = sentence_potentials(model, sentence, cfg.inference, train=train, rng=rng)
     clamp_val = cfg.logit_clamp if clamp == "cfg" else clamp
     state = run_inference(pot, cfg.inference, cfg.iterations, clamp_val)
     return combined_loss(edge_loss(state, gold),

@@ -115,6 +115,16 @@ def test_reductions(rng):
     _check(lambda x: ad.logsumexp(x, axis=0), a)
 
 
+def test_cumsum_matches_numpy_and_finite_differences(rng):
+    a = rng.normal(size=(3, 4))
+    cube = rng.normal(size=(3, 4, 2))
+    for axis in (0, 1):
+        np.testing.assert_array_equal(ad.cumsum(ad.constant(a), axis).data,
+                                      np.cumsum(a, axis=axis))
+        _check(lambda x: ad.cumsum(x, axis), a)
+        _check(lambda x: ad.cumsum(x, axis), cube)
+
+
 def test_nonlinearities(rng):
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sdparse.cli as cli
-from sdparse.checkpoint import load_checkpoint
+from sdparse.checkpoint import load_checkpoint, save_checkpoint
 from sdparse.config import parse_config_file
 from sdparse.errors import NumericError
 from sdparse.sdp_io import parse_sdp, write_sdp
@@ -97,6 +97,21 @@ def test_numeric_failure_exits_4(monkeypatch, capsys):
     rc = cli.main(["train", "--out", "unused"])
     assert rc == 4
     assert "nan" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_parse_with_nan_weight_exits_4(tmp_path, trained, corpus_path, capsys, engine):
+    model, cfg, vocab = load_checkpoint(trained / "checkpoint.npz")
+    model.params["tri_sib_U2"].data[0, 0] = np.nan
+    broken = tmp_path / "broken.npz"
+    save_checkpoint(broken, model, cfg, vocab)
+    out = tmp_path / "pred.sdp"
+    rc = cli.main(["parse", "--checkpoint", str(broken), "--input", corpus_path,
+                   "--output", str(out), "--engine", engine])
+    assert rc == 4
+    assert "non-finite edge marginals" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_length_mismatch_exits_3(tmp_path, corpus_path, capsys):

@@ -10,9 +10,9 @@ import pytest
 
 from sdparse.errors import DataError
 from sdparse.exact import exact_infer
-from sdparse.lbp import lbp_backward, lbp_init, lbp_run, lbp_step, neighbor_sets
+from sdparse.lbp import lbp_init, lbp_run, lbp_step, neighbor_sets
 from sdparse.graph import build_candidate_edges, enumerate_parts
-from sdparse.potentials import from_arrays
+from sdparse.potentials import from_arrays, potential_grads
 from sdparse.synthetic import random_potentials, two_edge_instance
 
 from conftest import numeric_grad
@@ -211,7 +211,7 @@ def test_backward_matches_finite_differences(iterations):
 
     pot = rebuild(unary0, scores0, grad=True)
     state = lbp_run(pot, iterations=iterations)
-    got = lbp_backward(upstream, state)
+    got = potential_grads(upstream, state)
 
     def value():
         q = naive_lbp(rebuild(unary0, scores0), iterations)[-1]

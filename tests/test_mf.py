@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from sdparse.mf import DEFAULT_CLAMP, mf_backward, mf_init, mf_run, mf_second_order_field, mf_step
-from sdparse.potentials import from_arrays
+from sdparse.mf import DEFAULT_CLAMP, mf_init, mf_run, mf_step
+from sdparse.potentials import from_arrays, potential_grads
 from sdparse.synthetic import random_potentials, two_edge_instance
 
 from conftest import numeric_grad
@@ -39,6 +39,22 @@ def naive_mf(pot, iterations, clamp=DEFAULT_CLAMP):
             field[b] += q[a] * scores[p]
         qs.append(expit(clip(unary + field)))
     return qs
+
+
+def mf_second_order_field(state, edge):
+    """Field the latest iterate induces on one edge (scalar, by direct
+    summation over the parts containing it)."""
+    pot = state.pot
+    k = pot.index[tuple(edge)]
+    q = state.qs[-1].data
+    s = pot.pair_scores.data
+    total = 0.0
+    for p in range(pot.pair_count):
+        if pot.pair_e1[p] == k:
+            total += q[pot.pair_e2[p]] * s[p]
+        elif pot.pair_e2[p] == k:
+            total += q[pot.pair_e1[p]] * s[p]
+    return total
 
 
 def test_init_is_sigmoid_of_unary():
@@ -189,7 +205,7 @@ def test_backward_matches_finite_differences(iterations):
 
     pot = rebuild(unary0, scores0, grad=True)
     state = mf_run(pot, iterations=iterations)
-    got = mf_backward(upstream, state)
+    got = potential_grads(upstream, state)
 
     def value():
         q = naive_mf(rebuild(unary0, scores0), iterations)[-1]
