@@ -15,7 +15,7 @@ from .errors import CapacityError, ConfigError, DataError, NumericError
 from .exact import ExactResult, exact_infer, exact_map
 from .graph import (CandidateEdgeSet, PartList, SemGraph, Sentence, Token,
                     build_candidate_edges, decode, enumerate_parts, has_cycle)
-from .lbp import MessageState, lbp_init, lbp_run, lbp_step, neighbor_sets
+from .lbp import MessageState, lbp_init, lbp_run, lbp_step
 from .metrics import EvalReport, bucket_f1, cycle_rate, evaluate, f1, top_f1
 from .mf import BeliefState, FactoredBeliefState, mf_init, mf_run, mf_step
 from .model import (ModelConfig, ParserModel, ScoreFactors, ScoreSet, biaffine,

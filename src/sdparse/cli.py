@@ -145,6 +145,11 @@ def cmd_trace(args):
 
 
 def cmd_oracle_compare(args):
+    # a length-n instance has n^2 edge variables; refuse before building any
+    if args.length ** 2 > exact.ENUMERATION_CAP:
+        raise CapacityError(
+            f"length {args.length} gives {args.length ** 2} edge variables, over the "
+            f"enumeration cap of {exact.ENUMERATION_CAP}")
     rng = np.random.default_rng(args.seed)
     instances = [
         synthetic.random_potentials(args.length, rng, args.unary_scale,

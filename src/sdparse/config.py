@@ -30,52 +30,14 @@ MODEL_STRUCTURE_KEYS = (
 
 
 @dataclass
-class RunConfig:
-    """Every tunable of a run: paths, model dimensions, training knobs."""
+class _RunConfigBase:
+    """The data paths and vocabulary cut-off of a run, and the methods of
+    ``RunConfig``, which adds every field of ModelConfig and TrainConfig."""
 
-    # data
     train_path: str = ""
     dev_path: str = ""
     pretrained_path: str = ""
     min_count: int = 7
-    # model
-    word_dim: int = 16
-    pos_dim: int = 8
-    use_pretrained: bool = False
-    pretrained_proj_dim: int = 125
-    encoder_layers: int = 1
-    encoder_hidden: int = 32
-    unary_dim: int = 32
-    binary_dim: int = 16
-    leaky_slope: float = 0.1
-    use_sib: bool = True
-    use_cop: bool = True
-    use_gp: bool = True
-    dropout_embed: float = 0.0
-    dropout_lstm_ff: float = 0.0
-    dropout_lstm_recur: float = 0.0
-    dropout_unary: float = 0.0
-    dropout_label: float = 0.0
-    dropout_binary: float = 0.0
-    # training / inference
-    interpolation: float = 0.07
-    learning_rate: float = 1e-2
-    beta1: float = 0.0
-    beta2: float = 0.95
-    epsilon: float = 1e-8
-    lr_decay: float = 0.5
-    decay_every_steps: int = 10000
-    amsgrad_patience_steps: int = 5000
-    early_stop_steps: int = 10000
-    max_steps: int = 5000
-    batch_token_budget: int = 500
-    iterations: int = 3
-    inference: str = "mf"
-    l2: float = None
-    seed: int = 1
-    max_sentence_length: int = 60
-    threshold: float = 0.5
-    logit_clamp: float = 30.0
 
     def model_config(self):
         names = {f.name for f in dataclasses.fields(ModelConfig)}
@@ -105,6 +67,18 @@ class RunConfig:
         cfg.train_config().validate()
         return cfg
 
+
+# the model and training fields, with their defaults, are the config
+# classes' own; RunConfig() leaves l2 at None, rendered as "auto"
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, dataclasses.field(default=f.default))
+     for config in (ModelConfig, TrainConfig) for f in dataclasses.fields(config)],
+    bases=(_RunConfigBase,),
+    namespace={"__doc__": "Every tunable of a run: paths, model dimensions, "
+                          "training knobs.",
+               "__module__": __name__},
+)
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 

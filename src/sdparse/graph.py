@@ -14,6 +14,10 @@ Three families of second-order parts tie candidate edges together:
 No unordered pair of edges is joined by more than one part (shared head +
 shared dependent would force the two edges to coincide, and a two-cycle
 chain would need k == i).
+
+``enumerate_parts`` returns each family as an integer index array with one
+part triple per row. The arrays are built on every call and never cached,
+so memory held between sentences does not grow with the lengths seen.
 """
 
 from __future__ import annotations
@@ -122,14 +126,27 @@ def build_candidate_edges(n):
     return CandidateEdgeSet(n, edges)
 
 
-@dataclass(frozen=True)
+# columns of each part type's stored triple that hold its first and its
+# second edge, as (head, dep)
+PART_EDGE_COLUMNS = {
+    "sib": ((0, 1), (0, 2)),
+    "cop": ((0, 2), (1, 2)),
+    "gp": ((0, 1), (1, 2)),
+}
+
+
+@dataclass(frozen=True, eq=False)
 class PartList:
-    """Enumerated second-order parts over a candidate edge set."""
+    """Enumerated second-order parts over a candidate edge set.
+
+    Each part type is a read-only (P_kind, 3) integer array with one part
+    per row, in lexicographic row order of its stored triple.
+    """
 
     n: int
-    sib: tuple  # (i, j, k) with j < k; edges (i,j), (i,k)
-    cop: tuple  # (i, k, j) with i < k; edges (i,j), (k,j)
-    gp: tuple   # (i, j, k); edges (i,j), (j,k)
+    sib: np.ndarray  # (i, j, k) with j < k; edges (i,j), (i,k)
+    cop: np.ndarray  # (i, k, j) with i < k; edges (i,j), (k,j)
+    gp: np.ndarray   # (i, j, k); edges (i,j), (j,k)
 
     def total(self):
         return len(self.sib) + len(self.cop) + len(self.gp)
@@ -137,46 +154,31 @@ class PartList:
     def filter(self, use_sib=True, use_cop=True, use_gp=True):
         return PartList(
             self.n,
-            self.sib if use_sib else (),
-            self.cop if use_cop else (),
-            self.gp if use_gp else (),
+            self.sib if use_sib else _NO_PARTS,
+            self.cop if use_cop else _NO_PARTS,
+            self.gp if use_gp else _NO_PARTS,
         )
 
-    def edge_pairs(self):
-        """Yield (edge1, edge2, type, part) for every part."""
-        for i, j, k in self.sib:
-            yield (i, j), (i, k), "sib", (i, j, k)
-        for i, k, j in self.cop:
-            yield (i, j), (k, j), "cop", (i, k, j)
-        for i, j, k in self.gp:
-            yield (i, j), (j, k), "gp", (i, j, k)
+
+def _read_only(rows):
+    rows.setflags(write=False)
+    return rows
 
 
-@lru_cache(maxsize=None)
-def _parts_for_n(n):
-    rng_all = range(n + 1)
-    words = range(1, n + 1)
-    sib = tuple(
-        (i, j, k)
-        for i in rng_all for j in words for k in words
-        if j < k and j != i and k != i
-    )
-    cop = tuple(
-        (i, k, j)
-        for i in rng_all for k in rng_all for j in words
-        if i < k and j != i and j != k
-    )
-    gp = tuple(
-        (i, j, k)
-        for i in rng_all for j in words for k in words
-        if i != j and j != k and k != i
-    )
-    return sib, cop, gp
+_NO_PARTS = _read_only(np.empty((0, 3), dtype=np.intp))
 
 
 def enumerate_parts(edge_set):
-    sib, cop, gp = _parts_for_n(edge_set.n)
-    return PartList(edge_set.n, sib, cop, gp)
+    """Every part of a length-n sentence, built afresh from boolean masks
+    over the (n+1)^3 node triples; nothing is cached."""
+    a, b, c = np.ogrid[:edge_set.n + 1, :edge_set.n + 1, :edge_set.n + 1]
+    distinct = (a != b) & (b != c) & (a != c)
+    return PartList(
+        edge_set.n,
+        sib=_read_only(np.argwhere(distinct & (b >= 1) & (b < c))),
+        cop=_read_only(np.argwhere(distinct & (a < b) & (c >= 1))),
+        gp=_read_only(np.argwhere(distinct & (b >= 1) & (c >= 1))),
+    )
 
 
 def decode(n, edge_prob, label_argmax, threshold=0.5):

@@ -23,29 +23,8 @@ from math import log
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError
 
-__all__ = ["MessageState", "neighbor_sets", "lbp_init", "lbp_step", "lbp_run"]
-
-
-def neighbor_sets(parts):
-    """Map each edge to the (neighbor edge, part type, part) list induced
-    by the second-order parts.
-
-    Every unordered edge pair must be coupled by at most one part; the
-    part definitions guarantee this, and a duplicate is a hard error.
-    """
-    seen = {}
-    neighbors = {}
-    for edge_a, edge_b, kind, part in parts.edge_pairs():
-        key = (edge_a, edge_b) if edge_a <= edge_b else (edge_b, edge_a)
-        if key in seen:
-            raise DataError(
-                f"edge pair {key} coupled by both {seen[key]} and {kind} parts")
-        seen[key] = kind
-        neighbors.setdefault(edge_a, []).append((edge_b, kind, part))
-        neighbors.setdefault(edge_b, []).append((edge_a, kind, part))
-    return neighbors
+__all__ = ["MessageState", "lbp_init", "lbp_step", "lbp_run"]
 
 
 @dataclass
@@ -74,11 +53,9 @@ class MessageState:
     def q1(self, t=-1):
         return np.exp(self.log_b1[t].data)
 
-    def beliefs(self, t=-1):
+    def marginals(self, t=-1):
         q = self.q1(t)
         return {e: float(q[k]) for k, e in enumerate(self.pot.edges)}
-
-    marginals = beliefs
 
     @property
     def marginal_tensor(self):
@@ -94,12 +71,8 @@ class MessageState:
     def directed_messages(self):
         """(src_edge, dst_edge, part_type, part) per direction index."""
         pot = self.pot
-        out = []
-        for d in range(len(self.src)):
-            p = self.pair_of[d]
-            out.append((pot.edges[self.src[d]], pot.edges[self.dst[d]],
-                        pot.pair_types[p], pot.pair_parts[p]))
-        return out
+        return [(pot.edges[src], pot.edges[dst]) + pot.pair_part(p)
+                for src, dst, p in zip(self.src, self.dst, self.pair_of)]
 
 
 def _beliefs(pot, dst, lm0, lm1):

@@ -98,7 +98,7 @@ class BeliefState:
         s = pot.pair_scores.data
         for p in range(pot.pair_count):
             a, b = pot.pair_e1[p], pot.pair_e2[p]
-            kind, part = pot.pair_types[p], pot.pair_parts[p]
+            kind, part = pot.pair_part(p)
             yield pot.edges[b], pot.edges[a], kind, part, float(q[b] * s[p])
             yield pot.edges[a], pot.edges[b], kind, part, float(q[a] * s[p])
 

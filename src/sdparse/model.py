@@ -30,7 +30,7 @@ rows into one score per enumerated part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -88,10 +88,6 @@ class ModelConfig:
     dropout_binary: float = 0.0
 
     @classmethod
-    def desk(cls, **overrides):
-        return cls(**overrides)
-
-    @classmethod
     def full(cls, **overrides):
         base = dict(
             word_dim=100, pos_dim=50, use_pretrained=True,
@@ -140,31 +136,6 @@ class ScoreSet:
     s_sib: Tensor         # (|sib|,)
     s_cop: Tensor         # (|cop|,)
     s_gp: Tensor          # (|gp|,)
-    _sib_index: dict = field(default_factory=dict)
-    _cop_index: dict = field(default_factory=dict)
-    _gp_index: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self._sib_index = {p: k for k, p in enumerate(self.parts.sib)}
-        self._cop_index = {p: k for k, p in enumerate(self.parts.cop)}
-        self._gp_index = {p: k for k, p in enumerate(self.parts.gp)}
-
-    def edge_score(self, head, dep):
-        return float(self.s_edge.data[self.edge_set.index[(head, dep)]])
-
-    def label_scores(self, head, dep):
-        return self.s_label.data[self.edge_set.index[(head, dep)]]
-
-    def sib_score(self, head, dep1, dep2):
-        j, k = min(dep1, dep2), max(dep1, dep2)
-        return float(self.s_sib.data[self._sib_index[(head, j, k)]])
-
-    def cop_score(self, head1, head2, dep):
-        i, k = min(head1, head2), max(head1, head2)
-        return float(self.s_cop.data[self._cop_index[(i, k, dep)]])
-
-    def gp_score(self, grand, mid, dep):
-        return float(self.s_gp.data[self._gp_index[(grand, mid, dep)]])
 
 
 @dataclass
@@ -452,12 +423,10 @@ class ParserModel:
         s_edge = ad.take(ad.reshape(factors.edge_scores, (-1,)), edge_set.flat)
 
         def tri_scores(kind, triples, order):
-            if not triples:
+            if not len(triples):
                 return ad.constant(np.zeros(0))
             g1, g2, g3 = factors.tri[kind]
-            a = np.array([t[order[0]] for t in triples], dtype=np.intp)
-            b = np.array([t[order[1]] for t in triples], dtype=np.intp)
-            c = np.array([t[order[2]] for t in triples], dtype=np.intp)
+            a, b, c = (triples[:, col] for col in order)
             prod = ad.mul(ad.mul(ad.take(g1, a), ad.take(g2, b)), ad.take(g3, c))
             return ad.tensor_sum(prod, axis=1)
 
@@ -467,18 +436,3 @@ class ParserModel:
         s_gp = tri_scores("gp", parts.gp, (0, 1, 2))
 
         return ScoreSet(edge_set, parts, s_edge, factors.s_label, s_sib, s_cop, s_gp)
-
-    def score_backward(self, scoreset, grads):
-        """Push upstream gradients on score arrays into parameter .grad.
-
-        ``grads`` maps any of s_edge/s_label/s_sib/s_cop/s_gp to an array
-        of the matching shape.
-        """
-        outs, seeds = [], []
-        for name, g in grads.items():
-            t = getattr(scoreset, name)
-            if t.shape != np.shape(g):
-                raise ValueError(f"{name}: upstream shape {np.shape(g)} != {t.shape}")
-            outs.append(t)
-            seeds.append(g)
-        ad.backward(outs, seeds)

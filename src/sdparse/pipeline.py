@@ -2,8 +2,10 @@
 
 Mean-field runs on the scorer's factors (``ParserModel.score_factors``)
 and never enumerates a second-order part, so a parse costs O(T n^2 d).
-Loopy BP and ``trace_sentence`` enumerate the parts, score each one
-(``ParserModel.score_sentence``) and assemble the O(n^3) pair list.
+Loopy BP and ``trace_sentence`` enumerate the parts as index arrays,
+score each one (``ParserModel.score_sentence``) and assemble the O(n^3)
+pair arrays; nothing part-shaped is cached between sentences. Decoding
+looks up labels only for the edges whose marginal clears the threshold.
 """
 
 from __future__ import annotations
@@ -54,10 +56,12 @@ def parse_sentence(model, sentence, engine="mf", iterations=3, threshold=0.5,
     if not np.all(np.isfinite(state.q1())):
         raise NumericError(f"non-finite edge marginals from {engine} (T={iterations}) "
                            f"on a {sentence.n}-token sentence")
-    probs = state.marginals()
-    label_ids = np.argmax(scores.s_label.data, axis=1)
-    labels = {edge: model.vocab.label_of(int(label_ids[k]))
-              for k, edge in enumerate(pot.edges)}
+    q = state.q1()
+    kept = np.flatnonzero(q > threshold)
+    label_ids = np.argmax(scores.s_label.data[kept], axis=1)
+    probs = {pot.edges[k]: float(q[k]) for k in kept}
+    labels = {pot.edges[k]: model.vocab.label_of(int(label))
+              for k, label in zip(kept, label_ids)}
     graph = decode(sentence.n, probs, labels, threshold)
     return graph, state, scores
 

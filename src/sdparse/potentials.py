@@ -8,6 +8,10 @@ otherwise. Everything stays in log space.
 ``LogPotentials`` carries an explicit edge list rather than just n, so
 small hand-built instances (two edges, one part) can be run through the
 same inference and enumeration code as full candidate sets.
+
+Pairs are held as parallel index arrays: the two member edges' positions
+and the part type per pair. No per-part Python object is kept; the part
+triple behind a pair is rebuilt from its two edges when a trace asks.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
+from .graph import PART_EDGE_COLUMNS
 
-__all__ = ["LogPotentials", "assemble", "from_arrays", "joint_log_score",
-           "potential_grads"]
+__all__ = ["LogPotentials", "assemble", "pair_table", "from_arrays",
+           "joint_log_score", "potential_grads"]
 
 PART_TYPE_ORDER = ("sib", "cop", "gp")
 
@@ -33,8 +38,7 @@ class LogPotentials:
     pair_e1: np.ndarray   # (P,) edge indices, first member of each part
     pair_e2: np.ndarray   # (P,) second member
     pair_scores: Tensor   # (P,) log phi(1,1); other cells are 0
-    pair_types: tuple     # (P,) part type name per pair
-    pair_parts: tuple     # (P,) originating part tuple per pair
+    pair_kind: np.ndarray  # (P,) part type per pair, as an index into PART_TYPE_ORDER
 
     def __post_init__(self):
         self.index = {e: k for k, e in enumerate(self.edges)}
@@ -45,7 +49,7 @@ class LogPotentials:
 
     @property
     def pair_count(self):
-        return len(self.pair_types)
+        return len(self.pair_e1)
 
     def unary_log(self, edge, value):
         if value not in (0, 1):
@@ -57,36 +61,56 @@ class LogPotentials:
             return float(self.pair_scores.data[pair_idx])
         return 0.0
 
+    def pair_part(self, pair_idx):
+        """(type name, part triple) of one pair, rebuilt from its edges
+        (a0, a1) and (b0, b1): sib and gp (a0, a1, b1), cop (a0, b0, a1)."""
+        kind = PART_TYPE_ORDER[self.pair_kind[pair_idx]]
+        a0, a1 = self.edges[self.pair_e1[pair_idx]]
+        b0, b1 = self.edges[self.pair_e2[pair_idx]]
+        return kind, ((a0, b0, a1) if kind == "cop" else (a0, a1, b1))
+
+
+def pair_table(edge_set, parts):
+    """(pair_e1, pair_e2, pair_kind) of a part list over a candidate edge
+    set: one pair per part, in PART_TYPE_ORDER blocks of part-list rows.
+
+    A dense (n+1) x (n+1) lookup maps each part's two (head, dep) columns
+    to candidate edge positions.
+    """
+    n1 = edge_set.n + 1
+    position = np.zeros((n1, n1), dtype=np.intp)
+    position[edge_set.heads, edge_set.deps] = np.arange(len(edge_set))
+    blocks = [getattr(parts, kind) for kind in PART_TYPE_ORDER]
+    e1, e2 = [], []
+    for kind, rows in zip(PART_TYPE_ORDER, blocks):
+        (a0, a1), (b0, b1) = PART_EDGE_COLUMNS[kind]
+        e1.append(position[rows[:, a0], rows[:, a1]])
+        e2.append(position[rows[:, b0], rows[:, b1]])
+    kinds = np.repeat(np.arange(len(PART_TYPE_ORDER)), [len(rows) for rows in blocks])
+    return np.concatenate(e1), np.concatenate(e2), kinds
+
 
 def assemble(scores, parts):
     """LogPotentials from a sentence ScoreSet and its part list."""
-    if parts is not scores.parts and (parts.sib, parts.cop, parts.gp) != (
-            scores.parts.sib, scores.parts.cop, scores.parts.gp):
+    if parts is not scores.parts and not all(
+            np.array_equal(getattr(parts, kind), getattr(scores.parts, kind))
+            for kind in PART_TYPE_ORDER):
         raise DataError("part list does not match the one the scores were built for")
-    expected = {"sib": len(parts.sib), "cop": len(parts.cop), "gp": len(parts.gp)}
     for kind in PART_TYPE_ORDER:
-        got = getattr(scores, f"s_{kind}").shape[0]
-        if got != expected[kind]:
-            raise DataError(f"{kind} scores: {got} values for {expected[kind]} parts")
+        got, want = getattr(scores, f"s_{kind}").shape[0], len(getattr(parts, kind))
+        if got != want:
+            raise DataError(f"{kind} scores: {got} values for {want} parts")
     if scores.s_edge.shape[0] != len(scores.edge_set.edges):
         raise DataError("edge scores do not cover the candidate edge set")
 
-    index = scores.edge_set.index
-    e1, e2, types, origins = [], [], [], []
-    for edge_a, edge_b, kind, part in parts.edge_pairs():
-        e1.append(index[edge_a])
-        e2.append(index[edge_b])
-        types.append(kind)
-        origins.append(part)
-    pair_scores = ad.concat([scores.s_sib, scores.s_cop, scores.s_gp])
+    e1, e2, kinds = pair_table(scores.edge_set, parts)
     return LogPotentials(
         edges=scores.edge_set.edges,
         unary=scores.s_edge,
-        pair_e1=np.asarray(e1, dtype=np.intp),
-        pair_e2=np.asarray(e2, dtype=np.intp),
-        pair_scores=pair_scores,
-        pair_types=tuple(types),
-        pair_parts=tuple(origins),
+        pair_e1=e1,
+        pair_e2=e2,
+        pair_scores=ad.concat([scores.s_sib, scores.s_cop, scores.s_gp]),
+        pair_kind=kinds,
     )
 
 
@@ -98,22 +122,23 @@ def from_arrays(edges, unary, pairs, requires_grad=True):
     unary = np.asarray(unary, dtype=np.float64)
     if unary.shape != (len(edges),):
         raise DataError(f"unary scores must have shape ({len(edges)},)")
-    e1, e2, svals, types = [], [], [], []
+    e1, e2, svals, kinds = [], [], [], []
     for edge_a, edge_b, score, kind in pairs:
         if tuple(edge_a) not in index or tuple(edge_b) not in index:
             raise DataError(f"pair ({edge_a}, {edge_b}) references an unknown edge")
+        if kind not in PART_TYPE_ORDER:
+            raise DataError(f"unknown part type {kind!r} (expected one of {PART_TYPE_ORDER})")
         e1.append(index[tuple(edge_a)])
         e2.append(index[tuple(edge_b)])
         svals.append(float(score))
-        types.append(kind)
+        kinds.append(PART_TYPE_ORDER.index(kind))
     return LogPotentials(
         edges=edges,
         unary=Tensor(unary, requires_grad=requires_grad),
         pair_e1=np.asarray(e1, dtype=np.intp),
         pair_e2=np.asarray(e2, dtype=np.intp),
         pair_scores=Tensor(np.asarray(svals), requires_grad=requires_grad),
-        pair_types=tuple(types),
-        pair_parts=tuple((tuple(a), tuple(b)) for a, b, _, _ in pairs),
+        pair_kind=np.asarray(kinds, dtype=np.intp),
     )
 
 

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import Tensor
 from .graph import SemGraph, Sentence, Token, build_candidate_edges, enumerate_parts
-from .potentials import from_arrays
+from .potentials import LogPotentials, from_arrays, pair_table
 
 __all__ = [
     "random_potentials", "two_edge_instance", "toy_corpus",
@@ -32,13 +33,12 @@ def random_potentials(n, rng, unary_scale=1.0, coupling_scale=0.1,
                       requires_grad=False):
     """Full candidate-set potentials with Gaussian scores."""
     edge_set = build_candidate_edges(n)
-    parts = enumerate_parts(edge_set)
+    e1, e2, kinds = pair_table(edge_set, enumerate_parts(edge_set))
     unary = rng.normal(0.0, unary_scale, size=len(edge_set.edges))
-    pairs = [
-        (a, b, rng.normal(0.0, coupling_scale), kind)
-        for a, b, kind, _ in parts.edge_pairs()
-    ]
-    return from_arrays(edge_set.edges, unary, pairs, requires_grad=requires_grad)
+    scores = rng.normal(0.0, coupling_scale, size=len(e1))
+    return LogPotentials(
+        edge_set.edges, Tensor(unary, requires_grad=requires_grad), e1, e2,
+        Tensor(scores, requires_grad=requires_grad), kinds)
 
 
 def two_edge_instance(coupling, unaries=(0.0, 0.0), requires_grad=False):

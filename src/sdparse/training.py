@@ -39,8 +39,7 @@ __all__ = [
 
 @dataclass
 class TrainConfig:
-    """Optimization hyperparameters. Defaults are desk scale; ``full()``
-    restores the full-scale budgets."""
+    """Optimization hyperparameters, at desk scale by default."""
 
     interpolation: float = 0.07   # weight on the label loss
     learning_rate: float = 1e-2
@@ -64,16 +63,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.l2 is None:
             self.l2 = 3e-9 if self.inference == "mf" else 3e-8
-
-    @classmethod
-    def desk(cls, **overrides):
-        return cls(**overrides)
-
-    @classmethod
-    def full(cls, **overrides):
-        base = dict(batch_token_budget=6000, max_steps=100000)
-        base.update(overrides)
-        return cls(**base)
 
     def validate(self):
         if not 0.0 <= self.interpolation <= 1.0:

@@ -29,6 +29,16 @@ def numeric_grad(fn, arrays, step=1e-6):
     return grads
 
 
+def pair_list(pot, scores=None):
+    """A potential's pairs as ``from_arrays`` entries
+    (edge_a, edge_b, score, type_name), in pair order."""
+    from sdparse.potentials import PART_TYPE_ORDER
+
+    scores = pot.pair_scores.data if scores is None else scores
+    return [(pot.edges[a], pot.edges[b], float(s), PART_TYPE_ORDER[k])
+            for a, b, s, k in zip(pot.pair_e1, pot.pair_e2, scores, pot.pair_kind)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

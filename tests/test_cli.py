@@ -15,6 +15,7 @@ import sdparse.cli as cli
 from sdparse.checkpoint import load_checkpoint, save_checkpoint
 from sdparse.config import parse_config_file
 from sdparse.errors import NumericError
+from sdparse.graph import build_candidate_edges, enumerate_parts
 from sdparse.sdp_io import parse_sdp, write_sdp
 from sdparse.synthetic import toy_corpus
 
@@ -235,6 +236,39 @@ def test_trace_lbp_reports_message_log_odds(tmp_path, trained, corpus_path):
     assert doc["steps"][-1]["q"]
 
 
+def _member_edges(kind, part):
+    """The two edges a part couples, under its type's stored order."""
+    if kind == "sib":
+        i, j, k = part
+        return {f"{i}->{j}", f"{i}->{k}"}
+    if kind == "cop":
+        i, k, j = part
+        return {f"{i}->{j}", f"{k}->{j}"}
+    i, j, k = part
+    return {f"{i}->{j}", f"{j}->{k}"}
+
+
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_trace_messages_run_between_the_member_edges_of_their_part(
+        tmp_path, trained, corpus_path, engine):
+    out = tmp_path / f"trace_{engine}.json"
+    rc = cli.main(["trace", "--checkpoint", str(trained / "checkpoint.npz"),
+                   "--input", corpus_path, "--sentence", "2", "--engine", engine,
+                   "--iterations", "2", "--out", str(out)])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    n = doc["n"]
+    parts = enumerate_parts(build_candidate_edges(n))
+    for step in doc["steps"][1:]:
+        msgs = step["messages"]
+        assert len(msgs) == 2 * parts.total()
+        for msg in msgs:
+            assert msg["src"] != msg["dst"]
+            assert {msg["src"], msg["dst"]} == _member_edges(msg["type"], msg["part"])
+        directed = {(m["src"], m["dst"]) for m in msgs}
+        assert len(directed) == len(msgs)
+
+
 def test_trace_sentence_index_out_of_range_exits_3(trained, corpus_path,
                                                    capsys):
     rc = cli.main(["trace", "--checkpoint", str(trained / "checkpoint.npz"),
@@ -261,6 +295,23 @@ def test_oracle_compare_small_coupling_reports_small_error(capsys):
     out = capsys.readouterr().out
     worst = float(out.rsplit("worst_max_abs_err=", 1)[1])
     assert 0.0 < worst < 0.05
+
+
+def test_oracle_compare_accepts_length_at_the_enumeration_cap(capsys):
+    # length 4 gives 16 edge variables, within the cap of 20
+    rc = cli.main(["oracle-compare", "--instances", "1", "--length", "4"])
+    assert rc == 0
+    assert "length=4" in capsys.readouterr().out
+
+
+def test_oracle_compare_over_the_cap_exits_3_before_building(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("random_potentials built an instance over the cap")
+
+    monkeypatch.setattr(cli.synthetic, "random_potentials", refuse)
+    rc = cli.main(["oracle-compare", "--length", "5"])
+    assert rc == 3
+    assert "enumeration cap" in capsys.readouterr().err
 
 
 def test_gradcheck_command_reports_tiny_error(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from sdparse.errors import ConfigError, DataError
 from sdparse.model import ModelConfig, ParserModel
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import toy_corpus
+from sdparse.training import TrainConfig
 
 # ----------------------------------------------------------- file parsing
 
@@ -145,6 +148,33 @@ def test_structure_keys_are_a_subset_of_config_fields():
     assert set(MODEL_STRUCTURE_KEYS) <= fields
 
 
+# The resolved-config echo of the defaults, as written to resolved.cfg; its
+# lines are the key set. RunConfig takes its model and training fields from
+# ModelConfig and TrainConfig, so a default changed there shows up here.
+DEFAULT_ECHO = (
+    "amsgrad_patience_steps=5000\nbatch_token_budget=500\nbeta1=0.0\nbeta2=0.95\n"
+    "binary_dim=16\ndecay_every_steps=10000\ndev_path=\ndropout_binary=0.0\n"
+    "dropout_embed=0.0\ndropout_label=0.0\ndropout_lstm_ff=0.0\n"
+    "dropout_lstm_recur=0.0\ndropout_unary=0.0\nearly_stop_steps=10000\n"
+    "encoder_hidden=32\nencoder_layers=1\nepsilon=1e-08\ninference=mf\n"
+    "interpolation=0.07\niterations=3\nl2=auto\nleaky_slope=0.1\n"
+    "learning_rate=0.01\nlogit_clamp=30.0\nlr_decay=0.5\nmax_sentence_length=60\n"
+    "max_steps=5000\nmin_count=7\npos_dim=8\npretrained_path=\n"
+    "pretrained_proj_dim=125\nseed=1\nthreshold=0.5\ntrain_path=\nunary_dim=32\n"
+    "use_cop=true\nuse_gp=true\nuse_pretrained=false\nuse_sib=true\nword_dim=16\n"
+)
+
+
+def test_default_echo_and_field_defaults_are_pinned():
+    cfg = RunConfig()
+    assert cfg.to_text() == DEFAULT_ECHO
+    assert list(cfg.to_dict())[:4] == ["train_path", "dev_path", "pretrained_path",
+                                       "min_count"]
+    assert cfg.l2 is None
+    assert cfg.model_config() == ModelConfig()
+    assert cfg.train_config() == TrainConfig()
+
+
 # ------------------------------------------------------------- checkpoints
 
 
@@ -171,6 +201,26 @@ def test_checkpoint_round_trips_params_config_and_vocab(tmp_path):
         np.testing.assert_array_equal(loaded.params[name].data, p.data)
 
 
+def test_checkpoint_config_echo_is_pinned(tmp_path):
+    model, run_cfg, vocab = _small_model()
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, model, run_cfg, vocab)
+    meta = json.loads(str(np.load(path, allow_pickle=False)["__meta__"]))
+    assert json.dumps(meta["config"], sort_keys=True) == (
+        '{"amsgrad_patience_steps": 5000, "batch_token_budget": 500, "beta1": 0.0, '
+        '"beta2": 0.95, "binary_dim": 3, "decay_every_steps": 10000, "dev_path": "", '
+        '"dropout_binary": 0.0, "dropout_embed": 0.0, "dropout_label": 0.0, '
+        '"dropout_lstm_ff": 0.0, "dropout_lstm_recur": 0.0, "dropout_unary": 0.0, '
+        '"early_stop_steps": 10000, "encoder_hidden": 32, "encoder_layers": 0, '
+        '"epsilon": 1e-08, "inference": "mf", "interpolation": 0.07, "iterations": 3, '
+        '"l2": null, "leaky_slope": 0.1, "learning_rate": 0.01, "logit_clamp": 30.0, '
+        '"lr_decay": 0.5, "max_sentence_length": 60, "max_steps": 5000, '
+        '"min_count": 1, "pos_dim": 3, "pretrained_path": "", '
+        '"pretrained_proj_dim": 125, "seed": 1, "threshold": 0.5, "train_path": "", '
+        '"unary_dim": 5, "use_cop": true, "use_gp": true, "use_pretrained": false, '
+        '"use_sib": true, "word_dim": 4}')
+
+
 def test_checkpoint_refuses_structural_mismatch(tmp_path):
     model, run_cfg, vocab = _small_model()
     path = tmp_path / "model.npz"
@@ -192,8 +242,6 @@ def test_checkpoint_refuses_structural_mismatch(tmp_path):
 
 
 def test_checkpoint_version_gate(tmp_path):
-    import json
-
     model, run_cfg, vocab = _small_model()
     path = tmp_path / "model.npz"
     save_checkpoint(path, model, run_cfg, vocab)

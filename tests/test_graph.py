@@ -45,12 +45,44 @@ def brute_force_pairs(n):
     return sib, cop, gp
 
 
+def tuple_parts(n):
+    """Reference enumeration as Python tuples, in the loop order whose
+    rows ``enumerate_parts`` must reproduce: sib (i, j, k) with j < k,
+    cop (i, k, j) with i < k, gp (i, j, k) with all three distinct."""
+    rng_all = range(n + 1)
+    words = range(1, n + 1)
+    sib = [
+        (i, j, k)
+        for i in rng_all for j in words for k in words
+        if j < k and j != i and k != i
+    ]
+    cop = [
+        (i, k, j)
+        for i in rng_all for k in rng_all for j in words
+        if i < k and j != i and j != k
+    ]
+    gp = [
+        (i, j, k)
+        for i in rng_all for j in words for k in words
+        if i != j and j != k and k != i
+    ]
+    return sib, cop, gp
+
+
+def reference_edge_pairs(n):
+    """(edge1, edge2, type, part) for every part of a length-n sentence,
+    in pair order: the sib, then the cop, then the gp reference rows."""
+    sib, cop, gp = tuple_parts(n)
+    return ([((i, j), (i, k), "sib", (i, j, k)) for i, j, k in sib]
+            + [((i, j), (k, j), "cop", (i, k, j)) for i, k, j in cop]
+            + [((i, j), (j, k), "gp", (i, j, k)) for i, j, k in gp])
+
+
 def part_pair_sets(n):
-    parts = enumerate_parts(build_candidate_edges(n))
     by_type = {"sib": set(), "cop": set(), "gp": set()}
-    for e1, e2, kind, _ in parts.edge_pairs():
+    for e1, e2, kind, _ in reference_edge_pairs(n):
         by_type[kind].add(frozenset((e1, e2)))
-    return parts, by_type
+    return by_type
 
 
 def test_candidate_edges_exclude_root_as_dependent():
@@ -86,10 +118,19 @@ def test_part_counts_match_closed_forms(n):
     assert parts.total() == len(parts.sib) + len(parts.cop) + len(parts.gp)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_part_arrays_equal_tuple_reference(n):
+    parts = enumerate_parts(build_candidate_edges(n))
+    for got, want in zip((parts.sib, parts.cop, parts.gp), tuple_parts(n)):
+        assert got.dtype == np.intp and got.shape == (len(want), 3)
+        assert not got.flags.writeable
+        assert [tuple(row) for row in got.tolist()] == want
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_parts_match_brute_force_classification(n):
     want_sib, want_cop, want_gp = brute_force_pairs(n)
-    _, got = part_pair_sets(n)
+    got = part_pair_sets(n)
     assert got["sib"] == want_sib
     assert got["cop"] == want_cop
     assert got["gp"] == want_gp
@@ -97,9 +138,9 @@ def test_parts_match_brute_force_classification(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_no_edge_pair_is_coupled_twice(n):
-    parts, by_type = part_pair_sets(n)
+    by_type = part_pair_sets(n)
     seen = []
-    for e1, e2, _, _ in parts.edge_pairs():
+    for e1, e2, _, _ in reference_edge_pairs(n):
         seen.append(frozenset((e1, e2)))
     assert len(seen) == len(set(seen))
     assert len(by_type["sib"] & by_type["cop"]) == 0

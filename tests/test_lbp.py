@@ -8,14 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from sdparse.errors import DataError
 from sdparse.exact import exact_infer
-from sdparse.lbp import lbp_init, lbp_run, lbp_step, neighbor_sets
-from sdparse.graph import build_candidate_edges, enumerate_parts
+from sdparse.lbp import lbp_init, lbp_run, lbp_step
 from sdparse.potentials import from_arrays, potential_grads
 from sdparse.synthetic import random_potentials, two_edge_instance
 
-from conftest import numeric_grad
+from conftest import numeric_grad, pair_list
 
 
 def naive_lbp(pot, iterations):
@@ -59,23 +57,6 @@ def naive_lbp(pot, iterations):
         b0, b1 = beliefs(lm0, lm1)
         trail.append(np.exp(b1))
     return trail
-
-
-def test_neighbor_sets_for_two_words():
-    parts = enumerate_parts(build_candidate_edges(2))
-    nbrs = neighbor_sets(parts)
-    got = {(e, kind) for e, kind, _ in nbrs[(0, 1)]}
-    assert got == {((0, 2), "sib"), ((2, 1), "cop"), ((1, 2), "gp")}
-
-
-def test_duplicate_coupling_of_a_pair_is_rejected():
-    # a well-formed part list never couples the same unordered pair twice;
-    # a hand-built one that does must be refused loudly
-    from sdparse.graph import PartList
-
-    broken = PartList(n=2, sib=((0, 1, 2), (0, 1, 2)), cop=(), gp=())
-    with pytest.raises(DataError):
-        neighbor_sets(broken)
 
 
 def test_initial_beliefs_are_sigmoid_of_unary():
@@ -167,11 +148,7 @@ def test_permutation_equivariance(rng):
     pot = random_potentials(3, rng, coupling_scale=0.5)
     order = rng.permutation(pot.edge_count)
     edges = tuple(pot.edges[i] for i in order)
-    pairs = [
-        (pot.pair_parts[p][0], pot.pair_parts[p][1],
-         pot.pair_scores.data[p], pot.pair_types[p])
-        for p in reversed(range(pot.pair_count))
-    ]
+    pairs = pair_list(pot)[::-1]
     shuffled = from_arrays(edges, pot.unary.data[order], pairs)
     a = lbp_run(pot, iterations=3).q1(3)
     b = lbp_run(shuffled, iterations=3).q1(3)
@@ -192,8 +169,8 @@ def test_directed_messages_list_both_directions_per_part():
     state = lbp_run(pot, iterations=1)
     dirs = state.directed_messages()
     assert len(dirs) == 2
-    assert dirs[0][:2] == ((0, 2), (0, 1))
-    assert dirs[1][:2] == ((0, 1), (0, 2))
+    assert dirs[0] == ((0, 2), (0, 1), "sib", (0, 1, 2))
+    assert dirs[1] == ((0, 1), (0, 2), "sib", (0, 1, 2))
 
 
 @pytest.mark.parametrize("iterations", [1, 3])
@@ -203,11 +180,8 @@ def test_backward_matches_finite_differences(iterations):
     upstream = rng.normal(size=base.edge_count)
     unary0 = base.unary.data.copy()
     scores0 = base.pair_scores.data.copy()
-    pairs_meta = [(a, b, k) for (a, b), k in zip(base.pair_parts, base.pair_types)]
-
     def rebuild(unary, scores, grad=False):
-        pairs = [(a, b, s, k) for (a, b, k), s in zip(pairs_meta, scores)]
-        return from_arrays(base.edges, unary, pairs, requires_grad=grad)
+        return from_arrays(base.edges, unary, pair_list(base, scores), requires_grad=grad)
 
     pot = rebuild(unary0, scores0, grad=True)
     state = lbp_run(pot, iterations=iterations)

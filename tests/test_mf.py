@@ -12,7 +12,7 @@ from sdparse.mf import DEFAULT_CLAMP, mf_init, mf_run, mf_step
 from sdparse.potentials import from_arrays, potential_grads
 from sdparse.synthetic import random_potentials, two_edge_instance
 
-from conftest import numeric_grad
+from conftest import numeric_grad, pair_list
 
 # the two-edge instance with coupling log 2, iterated to convergence
 TWO_EDGE_FIXED_POINT = 0.6029962210857664
@@ -71,11 +71,11 @@ def test_update_field_collects_every_coupled_neighbor():
     idx = {e: k for k, e in enumerate(pot.edges)}
     q0 = state.q1(0)
     partner_and_score = {}
-    for p, (ea, eb) in enumerate(pot.pair_parts):
+    for ea, eb, score, kind in pair_list(pot):
         if ea == (0, 1):
-            partner_and_score[pot.pair_types[p]] = (eb, pot.pair_scores.data[p])
+            partner_and_score[kind] = (eb, score)
         elif eb == (0, 1):
-            partner_and_score[pot.pair_types[p]] = (ea, pot.pair_scores.data[p])
+            partner_and_score[kind] = (ea, score)
     assert set(partner_and_score) == {"sib", "cop", "gp"}
     assert partner_and_score["sib"][0] == (0, 2)
     assert partner_and_score["cop"][0] == (2, 1)
@@ -142,11 +142,7 @@ def test_permutation_equivariance(rng):
     pot = random_potentials(3, rng, coupling_scale=0.5)
     order = rng.permutation(pot.edge_count)
     edges = tuple(pot.edges[i] for i in order)
-    pairs = [
-        (pot.pair_parts[p][0], pot.pair_parts[p][1],
-         pot.pair_scores.data[p], pot.pair_types[p])
-        for p in reversed(range(pot.pair_count))
-    ]
+    pairs = pair_list(pot)[::-1]
     shuffled = from_arrays(edges, pot.unary.data[order], pairs)
     a = mf_run(pot, iterations=3).q1(3)
     b = mf_run(shuffled, iterations=3).q1(3)
@@ -187,6 +183,7 @@ def test_coupling_terms_name_both_directions():
     assert srcs == {((0, 1), (0, 2)), ((0, 2), (0, 1))}
     for _, _, kind, part, value in terms:
         assert kind == "sib"
+        assert part == (0, 1, 2)
         assert value == pytest.approx(0.5 * math.log(2.0))
 
 
@@ -197,11 +194,8 @@ def test_backward_matches_finite_differences(iterations):
     upstream = rng.normal(size=base.edge_count)
     unary0 = base.unary.data.copy()
     scores0 = base.pair_scores.data.copy()
-    pairs_meta = [(a, b, k) for (a, b), k in zip(base.pair_parts, base.pair_types)]
-
     def rebuild(unary, scores, grad=False):
-        pairs = [(a, b, s, k) for (a, b, k), s in zip(pairs_meta, scores)]
-        return from_arrays(base.edges, unary, pairs, requires_grad=grad)
+        return from_arrays(base.edges, unary, pair_list(base, scores), requires_grad=grad)
 
     pot = rebuild(unary0, scores0, grad=True)
     state = mf_run(pot, iterations=iterations)

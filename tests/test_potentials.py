@@ -18,6 +18,8 @@ from sdparse.potentials import (
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import toy_corpus, two_edge_instance
 
+from test_graph import reference_edge_pairs
+
 
 @pytest.fixture
 def scored():
@@ -39,15 +41,15 @@ def test_assemble_preserves_scores_and_pair_wiring(scored):
     assert pot.edge_count == len(pot.edges)
     assert pot.pair_count == parts.total()
     # typed blocks appear in the documented order
-    kinds = list(pot.pair_types)
-    boundaries = [kinds.index(k) for k in PART_TYPE_ORDER if k in kinds]
-    assert boundaries == sorted(boundaries)
+    np.testing.assert_array_equal(pot.pair_kind, np.sort(pot.pair_kind))
     index = {e: i for i, e in enumerate(pot.edges)}
-    for p, (e1, e2, kind, part) in enumerate(parts.edge_pairs()):
+    want_pairs = reference_edge_pairs(parts.n)
+    assert pot.pair_count == len(want_pairs)
+    for p, (e1, e2, kind, part) in enumerate(want_pairs):
         assert pot.pair_e1[p] == index[e1]
         assert pot.pair_e2[p] == index[e2]
-        assert pot.pair_types[p] == kind
-        assert pot.pair_parts[p] == part
+        assert PART_TYPE_ORDER[pot.pair_kind[p]] == kind
+        assert pot.pair_part(p) == (kind, part)
 
 
 def test_assemble_rejects_foreign_part_list(scored):
@@ -63,6 +65,8 @@ def test_from_arrays_validates_lengths():
         from_arrays(edges, np.zeros(3), [])
     with pytest.raises(DataError):
         from_arrays(edges, np.zeros(2), [((0, 1), (0, 5), 1.0, "sib")])
+    with pytest.raises(DataError):
+        from_arrays(edges, np.zeros(2), [((0, 1), (0, 2), 1.0, "sibling")])
 
 
 def test_joint_log_score_enumerates_two_edges():

@@ -25,6 +25,8 @@ from sdparse.synthetic import (
     two_edge_instance,
 )
 
+from test_graph import reference_edge_pairs
+
 
 # ------------------------------------------------ coupling-signal corpus
 
@@ -160,8 +162,8 @@ def test_two_edge_instance_structure():
     assert pot.unary_log((0, 2), 1) == pytest.approx(-0.5)
     assert pot.unary_log((0, 1), 0) == 0.0
     assert pot.pair_count == 1
-    assert pot.pair_parts == (((0, 1), (0, 2)),)
-    assert pot.pair_types == ("sib",)
+    assert (pot.pair_e1.tolist(), pot.pair_e2.tolist()) == ([0], [1])
+    assert pot.pair_part(0) == ("sib", (0, 1, 2))
     assert pot.pair_log(0, 1, 1) == pytest.approx(np.log(2.0))
     assert pot.pair_log(0, 1, 0) == 0.0
 
@@ -171,8 +173,12 @@ def test_random_potentials_cover_every_part():
     pot = random_potentials(3, rng, unary_scale=1.0, coupling_scale=0.1)
     # heads 0..3 x deps 1..3 minus the three self-loops
     assert len(pot.edges) == 9
-    assert set(pot.pair_types) == {"sib", "cop", "gp"}
-    assert pot.pair_count == len(pot.pair_parts) == len(pot.pair_e1)
+    want = reference_edge_pairs(3)
+    assert {kind for _, _, kind, _ in want} == {"sib", "cop", "gp"}
+    assert pot.pair_count == len(want) == len(pot.pair_e2) == len(pot.pair_kind)
+    for p, (e1, e2, kind, part) in enumerate(want):
+        assert (pot.edges[pot.pair_e1[p]], pot.edges[pot.pair_e2[p]]) == (e1, e2)
+        assert pot.pair_part(p) == (kind, part)
     # every pair score lands only on the both-on cell
     for p in range(pot.pair_count):
         assert pot.pair_log(p, 1, 1) == pot.pair_scores.data[p]
