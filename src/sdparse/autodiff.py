@@ -341,12 +341,10 @@ def tanh(a):
 
 
 def _expit(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function: 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)
+    below, so no exponent overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a):
@@ -358,7 +356,9 @@ def sigmoid(a):
 def softplus(a):
     """log(1 + e^x), computed stably; gradient is the logistic."""
     a = _wrap(a)
-    return _op(np.logaddexp(0.0, a.data), (a,), lambda g: (g * _expit(a.data),))
+    x = a.data
+    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    return _op(out, (a,), lambda g: (g * _expit(x),))
 
 
 def leaky_relu(a, slope=0.1):

@@ -4,6 +4,8 @@ version, resolved config echo, vocabulary) plus one array per parameter."""
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -36,9 +38,18 @@ def load_checkpoint(path, expected_config=None):
     the stored echo; any disagreement is listed in the raised error.
     """
     try:
-        archive = np.load(path, allow_pickle=False)
+        loaded = np.load(path, allow_pickle=False)
+        archive = {}  # a bare .npy array has no meta record
+        if isinstance(loaded, np.lib.npyio.NpzFile):
+            with loaded:
+                archive = {key: loaded[key] for key in loaded.files}
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
+    except (EOFError, ValueError, NotImplementedError, zipfile.BadZipFile,
+            zlib.error) as exc:
+        # truncated or corrupted: a bad zip directory, a CRC mismatch, or a
+        # member whose header or data does not parse
+        raise DataError(f"checkpoint {path} is damaged: {exc}") from None
     if "__meta__" not in archive:
         raise DataError(f"{path} is not a checkpoint (missing meta record)")
     meta = json.loads(str(archive["__meta__"]))
@@ -56,7 +67,7 @@ def load_checkpoint(path, expected_config=None):
     table = archive["pretrained_table"] if "pretrained_table" in archive else None
     model = ParserModel(run_config.model_config(), vocab,
                         np.random.default_rng(0), pretrained_table=table)
-    arrays = {key[len("param:"):]: archive[key]
-              for key in archive.files if key.startswith("param:")}
+    arrays = {key[len("param:"):]: value
+              for key, value in archive.items() if key.startswith("param:")}
     model.load_state_arrays(arrays)
     return model, run_config, vocab

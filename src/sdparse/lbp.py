@@ -2,23 +2,28 @@
 
 Because every pairwise factor touches exactly two edge variables,
 factor-to-variable and variable-to-factor messages collapse into a single
-directed variable-to-variable message per factor direction. For the
-message from edge u into edge v through a part with score s:
+directed variable-to-variable message per factor direction. Every message
+is normalized, so it is carried as its log-odds r = log m(1) - log m(0).
+With l the belief logit of each edge, the message from edge u into edge v
+through a part with score s is
 
-    cavity(x)   = belief_u(x) - incoming message v->u        (log space)
-    m_new(v=0)  = logaddexp(cavity(0), cavity(1))
-    m_new(v=1)  = logaddexp(cavity(0), cavity(1) + s)
+    cavity      c     = l[u] - r[v->u]
+    message     r_new = softplus(c + s) - softplus(c)
 
-Messages are renormalized to sum to one after every update; beliefs are
-the unary potential plus all incoming messages, renormalized. All
-signals live in log space throughout, so no probability floors are
-needed; updates are synchronous from the previous iteration's snapshot.
+and the beliefs are
+
+    l      = unary + sum of the incoming r_new
+    log b1 = -softplus(-l),   log b0 = -softplus(l).
+
+This is the normalized log-space recipe (m(0) = logaddexp(cav0, cav1),
+m(1) = logaddexp(cav0, cav1 + s)) with the common cav0 divided out, so no
+probability floors are needed. Updates are synchronous from the previous
+iteration's snapshot, and the per-direction coupling is gathered once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log
 
 import numpy as np
 
@@ -29,11 +34,13 @@ __all__ = ["MessageState", "lbp_init", "lbp_step", "lbp_run"]
 
 @dataclass
 class MessageState:
-    """Directed messages and beliefs per iteration, in log space.
+    """Message log-odds and beliefs per iteration.
 
     Directed message 2p runs from the second edge of pair p into the
     first; message 2p+1 runs the other way. ``rev`` maps a direction to
-    its opposite.
+    its opposite and ``coupling`` holds each direction's part score.
+    ``logit[t]`` is each edge's belief logit and ``log_b0[t]``/``log_b1[t]``
+    its normalized log beliefs.
     """
 
     pot: object
@@ -41,9 +48,10 @@ class MessageState:
     dst: np.ndarray
     rev: np.ndarray
     pair_of: np.ndarray
-    log_m0: list = field(default_factory=list)  # Tensors, (D,)
-    log_m1: list = field(default_factory=list)
-    log_b0: list = field(default_factory=list)  # Tensors, (E,)
+    coupling: object      # Tensor, (D,)
+    log_odds: list = field(default_factory=list)  # Tensors, (D,)
+    logit: list = field(default_factory=list)     # Tensors, (E,)
+    log_b0: list = field(default_factory=list)
     log_b1: list = field(default_factory=list)
 
     @property
@@ -66,7 +74,7 @@ class MessageState:
 
     def message_log_ratios(self, t=-1):
         """log m(1) - log m(0) per directed message at iteration t."""
-        return self.log_m1[t].data - self.log_m0[t].data
+        return self.log_odds[t].data
 
     def directed_messages(self):
         """(src_edge, dst_edge, part_type, part) per direction index."""
@@ -74,19 +82,10 @@ class MessageState:
         return [(pot.edges[src], pot.edges[dst]) + pot.pair_part(p)
                 for src, dst, p in zip(self.src, self.dst, self.pair_of)]
 
-
-def _beliefs(pot, dst, lm0, lm1):
-    E = pot.edge_count
-    if pot.pair_count:
-        sum0 = ad.segment_sum(lm0, dst, E)
-        sum1 = ad.segment_sum(lm1, dst, E)
-    else:
-        sum0 = ad.constant(np.zeros(E))
-        sum1 = ad.constant(np.zeros(E))
-    raw0 = sum0
-    raw1 = ad.add(pot.unary, sum1)
-    z = ad.logaddexp(raw0, raw1)
-    return ad.sub(raw0, z), ad.sub(raw1, z)
+    def _push_beliefs(self, logit):
+        self.logit.append(logit)
+        self.log_b0.append(ad.neg(ad.softplus(logit)))
+        self.log_b1.append(ad.neg(ad.softplus(ad.neg(logit))))
 
 
 def _directions(pot):
@@ -107,15 +106,12 @@ def _directions(pot):
 
 
 def lbp_init(pot):
-    """Uniform messages; initial beliefs are the normalized unaries."""
+    """Uniform messages (log-odds 0); initial beliefs are the normalized
+    unaries."""
     src, dst, rev, pair_of = _directions(pot)
-    state = MessageState(pot, src, dst, rev, pair_of)
-    uniform = ad.constant(np.full(2 * pot.pair_count, log(0.5)))
-    state.log_m0.append(uniform)
-    state.log_m1.append(uniform)
-    b0, b1 = _beliefs(pot, dst, uniform, uniform)
-    state.log_b0.append(b0)
-    state.log_b1.append(b1)
+    state = MessageState(pot, src, dst, rev, pair_of, ad.take(pot.pair_scores, pair_of))
+    state.log_odds.append(ad.constant(np.zeros(2 * pot.pair_count)))
+    state._push_beliefs(pot.unary)
     return state
 
 
@@ -123,25 +119,11 @@ def lbp_step(state):
     """One synchronous sweep: all messages from the previous snapshot,
     then fresh beliefs."""
     pot = state.pot
-    if pot.pair_count == 0:
-        state.log_m0.append(state.log_m0[-1])
-        state.log_m1.append(state.log_m1[-1])
-        state.log_b0.append(state.log_b0[-1])
-        state.log_b1.append(state.log_b1[-1])
-        return state
-    lb0, lb1 = state.log_b0[-1], state.log_b1[-1]
-    lm0, lm1 = state.log_m0[-1], state.log_m1[-1]
-    cav0 = ad.sub(ad.take(lb0, state.src), ad.take(lm0, state.rev))
-    cav1 = ad.sub(ad.take(lb1, state.src), ad.take(lm1, state.rev))
-    coupl = ad.take(pot.pair_scores, state.pair_of)
-    new0 = ad.logaddexp(cav0, cav1)
-    new1 = ad.logaddexp(cav0, ad.add(cav1, coupl))
-    z = ad.logaddexp(new0, new1)
-    state.log_m0.append(ad.sub(new0, z))
-    state.log_m1.append(ad.sub(new1, z))
-    b0, b1 = _beliefs(pot, state.dst, state.log_m0[-1], state.log_m1[-1])
-    state.log_b0.append(b0)
-    state.log_b1.append(b1)
+    cavity = ad.sub(ad.take(state.logit[-1], state.src),
+                    ad.take(state.log_odds[-1], state.rev))
+    ratio = ad.sub(ad.softplus(ad.add(cavity, state.coupling)), ad.softplus(cavity))
+    state.log_odds.append(ratio)
+    state._push_beliefs(ad.add(pot.unary, ad.segment_sum(ratio, state.dst, pot.edge_count)))
     return state
 
 

@@ -23,8 +23,9 @@ Sibling parts read (head_i, dep_j, dep_k), co-parent parts
 ``score_factors`` stops before any part is enumerated: it returns the
 edge scores as a dense head-by-dependent matrix and, per part type, the
 factor matrices g1 = role1 U1^T, g2 = role2 U2^T, g3 = role3 U3^T whose
-row products make up every part score. ``score_sentence`` gathers those
-rows into one score per enumerated part.
+row products make up every part score. ``score_sentence`` turns each
+part type's factors into its dense (n+1)^3 score table with one matrix
+product and reads one score per enumerated part from it.
 """
 
 from __future__ import annotations
@@ -412,7 +413,14 @@ class ParserModel:
 
     def score_sentence(self, sentence, parts, train=False, rng=None):
         """ScoreSet for one sentence; part types disabled in the config are
-        dropped from the returned part list."""
+        dropped from the returned part list.
+
+        Each part type's scores come from its full table over node triples,
+        T[a, b, c] = sum_m g1[a,m] g2[b,m] g3[c,m], built as one
+        (N^2, d) @ (d, N) product (N = n+1) and read at the flat index
+        (a*N + b)*N + c of each part's (a, b, c) columns, so the backward
+        pass has no per-part (P, d) gathers or scatters.
+        """
         cfg = self.config
         parts = parts.filter(cfg.use_sib, cfg.use_cop, cfg.use_gp)
         if parts.n != sentence.n:
@@ -426,9 +434,11 @@ class ParserModel:
             if not len(triples):
                 return ad.constant(np.zeros(0))
             g1, g2, g3 = factors.tri[kind]
+            N, d = g1.shape
+            pairs = ad.mul(ad.reshape(g1, (N, 1, d)), ad.reshape(g2, (1, N, d)))
+            table = ad.matmul(ad.reshape(pairs, (N * N, d)), ad.transpose(g3))
             a, b, c = (triples[:, col] for col in order)
-            prod = ad.mul(ad.mul(ad.take(g1, a), ad.take(g2, b)), ad.take(g3, c))
-            return ad.tensor_sum(prod, axis=1)
+            return ad.take(ad.reshape(table, (-1,)), (a * N + b) * N + c)
 
         # stored orders: sib (i, j, k), cop (i, k, j), gp (i, j, k)
         s_sib = tri_scores("sib", parts.sib, (0, 1, 2))

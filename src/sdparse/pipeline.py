@@ -3,9 +3,12 @@
 Mean-field runs on the scorer's factors (``ParserModel.score_factors``)
 and never enumerates a second-order part, so a parse costs O(T n^2 d).
 Loopy BP and ``trace_sentence`` enumerate the parts as index arrays,
-score each one (``ParserModel.score_sentence``) and assemble the O(n^3)
-pair arrays; nothing part-shaped is cached between sentences. Decoding
-looks up labels only for the edges whose marginal clears the threshold.
+read each one's score from the dense per-type tables of
+``ParserModel.score_sentence`` and assemble the O(n^3) pair arrays;
+nothing part-shaped is cached between sentences. That path refuses a
+sentence longer than ``PAIR_LENGTH_CAP`` with a CapacityError before it
+enumerates anything. Decoding looks up labels only for the edges whose
+marginal clears the threshold.
 """
 
 from __future__ import annotations
@@ -13,11 +16,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import lbp, mf
-from .errors import ConfigError, NumericError
+from .errors import CapacityError, ConfigError, NumericError
 from .graph import build_candidate_edges, decode, enumerate_parts
 from .potentials import assemble
 
-__all__ = ["run_inference", "parse_sentence", "trace_sentence"]
+__all__ = ["run_inference", "parse_sentence", "trace_sentence", "PAIR_LENGTH_CAP"]
+
+# Longest sentence the pair-list path accepts. It holds about 1.96 n^3
+# pairs, and an LBP training step (loss and backward) peaks at about 800
+# traced bytes per pair (790 at n = 45 and at n = 60, desk dims), so
+# n = 90 (1.43M pairs) peaks near 1.1 GiB. Mean-field is O(n^2) and uncapped.
+PAIR_LENGTH_CAP = 90
 
 
 def run_inference(pot, engine="mf", iterations=3, clamp=mf.DEFAULT_CLAMP):
@@ -29,7 +38,15 @@ def run_inference(pot, engine="mf", iterations=3, clamp=mf.DEFAULT_CLAMP):
 
 
 def pair_potentials(model, sentence, train=False, rng=None):
-    """ScoreSet and the assembled pair-list LogPotentials for one sentence."""
+    """ScoreSet and the assembled pair-list LogPotentials for one sentence.
+
+    Raises CapacityError above PAIR_LENGTH_CAP tokens, before any part is
+    enumerated.
+    """
+    if sentence.n > PAIR_LENGTH_CAP:
+        raise CapacityError(
+            f"{sentence.n}-token sentence exceeds the pair-list length cap of "
+            f"{PAIR_LENGTH_CAP} (engine 'lbp' and trace); mean-field has no cap")
     parts = enumerate_parts(build_candidate_edges(sentence.n))
     scores = model.score_sentence(sentence, parts, train=train, rng=rng)
     return scores, assemble(scores, scores.parts)

@@ -7,11 +7,14 @@ artifacts are checked exactly as a shell user would see them.
 from __future__ import annotations
 
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 
 import sdparse.cli as cli
+from sdparse import pipeline
 from sdparse.checkpoint import load_checkpoint, save_checkpoint
 from sdparse.config import parse_config_file
 from sdparse.errors import NumericError
@@ -113,6 +116,40 @@ def test_parse_with_nan_weight_exits_4(tmp_path, trained, corpus_path, capsys, e
     assert rc == 4
     assert "non-finite edge marginals" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _parse_checkpoint(path, tmp_path, corpus_path):
+    out = tmp_path / "pred.sdp"
+    rc = cli.main(["parse", "--checkpoint", str(path), "--input", corpus_path,
+                   "--output", str(out)])
+    assert not out.exists()
+    return rc
+
+
+@pytest.mark.parametrize("percent", [50, 90, 99])
+def test_parse_with_truncated_checkpoint_exits_3(tmp_path, trained, corpus_path,
+                                                 capsys, percent):
+    raw = (trained / "checkpoint.npz").read_bytes()
+    cut = tmp_path / "cut.npz"
+    cut.write_bytes(raw[:len(raw) * percent // 100])
+    assert _parse_checkpoint(cut, tmp_path, corpus_path) == 3
+    assert "checkpoint" in capsys.readouterr().err
+
+
+def test_parse_with_byte_flipped_checkpoint_exits_3(tmp_path, trained, corpus_path,
+                                                    capsys):
+    path = trained / "checkpoint.npz"
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("param:edge_U.npy")
+    raw = bytearray(path.read_bytes())
+    # local header: 30 fixed bytes, then the name and extra field lengths
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    last = info.header_offset + 30 + name_len + extra_len + info.compress_size - 1
+    raw[last] ^= 0xFF  # the member's last data byte
+    flipped = tmp_path / "flipped.npz"
+    flipped.write_bytes(bytes(raw))
+    assert _parse_checkpoint(flipped, tmp_path, corpus_path) == 3
+    assert "damaged" in capsys.readouterr().err
 
 
 def test_eval_length_mismatch_exits_3(tmp_path, corpus_path, capsys):
@@ -267,6 +304,44 @@ def test_trace_messages_run_between_the_member_edges_of_their_part(
             assert {msg["src"], msg["dst"]} == _member_edges(msg["type"], msg["part"])
         directed = {(m["src"], m["dst"]) for m in msgs}
         assert len(directed) == len(msgs)
+
+
+def _five_token_corpus(tmp_path):
+    path = tmp_path / "five.sdp"
+    write_sdp(toy_corpus(np.random.default_rng(5), size=1, min_len=5, max_len=5), path)
+    return str(path)
+
+
+def _pair_list_command(command, tmp_path, trained, corpus):
+    """``parse --engine lbp`` or ``trace``: the two CLI users of the pair list."""
+    base = ["--checkpoint", str(trained / "checkpoint.npz"), "--input", corpus]
+    if command == "parse":
+        return ["parse", *base, "--engine", "lbp", "--output", str(tmp_path / "pred.sdp")]
+    return ["trace", *base, "--engine", "mf", "--out", str(tmp_path / "trace.json")]
+
+
+@pytest.mark.parametrize("command", ["parse", "trace"])
+def test_pair_list_accepts_length_at_the_cap(monkeypatch, tmp_path, trained, command):
+    monkeypatch.setattr(pipeline, "PAIR_LENGTH_CAP", 5)
+    corpus = _five_token_corpus(tmp_path)
+    assert cli.main(_pair_list_command(command, tmp_path, trained, corpus)) == 0
+
+
+@pytest.mark.parametrize("command", ["parse", "trace"])
+def test_pair_list_over_the_cap_exits_3_before_enumerating(monkeypatch, tmp_path,
+                                                          trained, capsys, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_parts ran over the length cap")
+
+    corpus = _five_token_corpus(tmp_path)
+    monkeypatch.setattr(pipeline, "PAIR_LENGTH_CAP", 4)
+    monkeypatch.setattr(pipeline, "enumerate_parts", refuse)
+    assert cli.main(_pair_list_command(command, tmp_path, trained, corpus)) == 3
+    assert "length cap of 4" in capsys.readouterr().err
+    # mean-field parsing never builds the pair list and has no cap
+    mf = ["parse", "--checkpoint", str(trained / "checkpoint.npz"), "--input", corpus,
+          "--engine", "mf", "--output", str(tmp_path / "mf.sdp")]
+    assert cli.main(mf) == 0
 
 
 def test_trace_sentence_index_out_of_range_exits_3(trained, corpus_path,

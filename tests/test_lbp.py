@@ -19,7 +19,8 @@ from conftest import numeric_grad, pair_list
 def naive_lbp(pot, iterations):
     """Slow reference: explicit directed messages in probability space
     would underflow, so this follows the same log-space recipe with plain
-    loops instead of vectorized gathers."""
+    loops instead of vectorized gathers. Returns the per-iteration edge
+    marginals and log m(1) - log m(0) of every directed message."""
     E, P = pot.edge_count, pot.pair_count
     unary = pot.unary.data
     scores = pot.pair_scores.data
@@ -44,6 +45,7 @@ def naive_lbp(pot, iterations):
     lm1 = np.full(2 * P, math.log(0.5))
     b0, b1 = beliefs(lm0, lm1)
     trail = [np.exp(b1)]
+    ratios = [lm1 - lm0]
     for _ in range(iterations):
         n0, n1 = np.empty_like(lm0), np.empty_like(lm1)
         for d in range(2 * P):
@@ -56,7 +58,8 @@ def naive_lbp(pot, iterations):
         lm0, lm1 = n0, n1
         b0, b1 = beliefs(lm0, lm1)
         trail.append(np.exp(b1))
-    return trail
+        ratios.append(lm1 - lm0)
+    return trail, ratios
 
 
 def test_initial_beliefs_are_sigmoid_of_unary():
@@ -65,12 +68,12 @@ def test_initial_beliefs_are_sigmoid_of_unary():
     np.testing.assert_allclose(state.q1(0), 1.0 / (1.0 + np.exp(-pot.unary.data)), atol=1e-14)
 
 
-def test_messages_stay_normalized():
+def test_message_log_odds_match_normalized_reference():
     pot = random_potentials(3, np.random.default_rng(2), coupling_scale=0.8)
     state = lbp_run(pot, iterations=4)
+    _, want = naive_lbp(pot, 4)
     for t in range(1, 5):
-        total = np.logaddexp(state.log_m0[t].data, state.log_m1[t].data)
-        np.testing.assert_allclose(total, 0.0, atol=1e-12)
+        np.testing.assert_allclose(state.message_log_ratios(t), want[t], atol=1e-12)
 
 
 def test_beliefs_stay_normalized():
@@ -85,8 +88,9 @@ def test_two_edge_hand_messages_and_beliefs():
     # coupling log 2, zero unaries: after one round each direction sends
     # (2/5, 3/5) and both beliefs land exactly on the true marginal 0.6
     state = lbp_run(two_edge_instance(math.log(2.0)), iterations=3)
-    np.testing.assert_allclose(np.exp(state.log_m0[1].data), 0.4, atol=1e-14)
-    np.testing.assert_allclose(np.exp(state.log_m1[1].data), 0.6, atol=1e-14)
+    ratio = state.message_log_ratios(1)
+    np.testing.assert_allclose(1.0 / (1.0 + np.exp(ratio)), 0.4, atol=1e-14)
+    np.testing.assert_allclose(1.0 / (1.0 + np.exp(-ratio)), 0.6, atol=1e-14)
     np.testing.assert_allclose(state.message_log_ratios(1), math.log(1.5), atol=1e-14)
     for t in (1, 2, 3):
         np.testing.assert_allclose(state.q1(t), 0.6, atol=1e-14)
@@ -133,7 +137,7 @@ def test_zero_coupling_reduces_to_independent_sigmoids(rng):
 def test_matches_naive_reference(seed):
     pot = random_potentials(3, np.random.default_rng(seed), coupling_scale=0.6)
     state = lbp_run(pot, iterations=4)
-    want = naive_lbp(pot, 4)
+    want, _ = naive_lbp(pot, 4)
     for t in range(5):
         np.testing.assert_allclose(state.q1(t), want[t], atol=1e-12)
 
@@ -188,7 +192,7 @@ def test_backward_matches_finite_differences(iterations):
     got = potential_grads(upstream, state)
 
     def value():
-        q = naive_lbp(rebuild(unary0, scores0), iterations)[-1]
+        q = naive_lbp(rebuild(unary0, scores0), iterations)[0][-1]
         return float(np.dot(upstream, q))
 
     want_unary, want_scores = numeric_grad(value, [unary0, scores0], step=1e-6)

@@ -225,6 +225,84 @@ def test_disabled_part_types_are_dropped(vocab, sentence):
     assert scores.s_gp.data.shape == (len(parts.gp),)
 
 
+# each part type switched off in turn, and all of them on
+PART_SWITCHES = [{}, {"use_sib": False}, {"use_cop": False}, {"use_gp": False}]
+
+
+def gathered_part_scores(factors, parts):
+    """Reference part scores: gather the factor rows of every part and sum
+    their product, sum_m g1[a,m] g2[b,m] g3[c,m], one (P, d) row per part.
+    Keyed by the ScoreSet field names; a disabled type gets no entry."""
+    out = {}
+    # stored orders: sib (i, j, k), cop (i, k, j), gp (i, j, k)
+    for kind, order in (("sib", (0, 1, 2)), ("cop", (0, 2, 1)), ("gp", (0, 1, 2))):
+        triples = getattr(parts, kind)
+        if kind not in factors.tri or not len(triples):
+            continue
+        g1, g2, g3 = factors.tri[kind]
+        a, b, c = (triples[:, col] for col in order)
+        prod = ad.mul(ad.mul(ad.take(g1, a), ad.take(g2, b)), ad.take(g3, c))
+        out[f"s_{kind}"] = ad.tensor_sum(prod, axis=1)
+    return out
+
+
+def _scaled_model(vocab, seed, **switches):
+    """Encoder on and every parameter redrawn at 0.42, so part scores are
+    of order 1."""
+    cfg = ModelConfig(word_dim=4, pos_dim=3, encoder_hidden=4, unary_dim=8,
+                      binary_dim=6, **switches)
+    m = ParserModel(cfg, vocab, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for p in m.params.values():
+        p.data = rng.normal(0.0, 0.42, size=p.data.shape)
+    return m
+
+
+def _sentence_of_length(n, seed):
+    return toy_corpus(np.random.default_rng(seed), size=1, min_len=n, max_len=n)[0][0]
+
+
+@pytest.mark.parametrize("switches", PART_SWITCHES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 25])
+def test_dense_part_scores_match_per_part_gathers(vocab, n, switches):
+    m = _scaled_model(vocab, seed=n, **switches)
+    sent = _sentence_of_length(n, seed=50 + n)
+    scores = m.score_sentence(sent, enumerate_parts(build_candidate_edges(n)))
+    want = gathered_part_scores(m.score_factors(sent), scores.parts)
+    for kind in ("sib", "cop", "gp"):
+        got = getattr(scores, f"s_{kind}").data
+        enabled = switches.get(f"use_{kind}", True)
+        assert (f"s_{kind}" in want) == (enabled and n > 1)
+        if f"s_{kind}" in want:
+            np.testing.assert_allclose(got, want[f"s_{kind}"].data, rtol=0, atol=1e-12)
+        else:
+            assert got.shape == (0,)
+
+
+@pytest.mark.parametrize("switches", PART_SWITCHES)
+@pytest.mark.parametrize("n", [7, 25])
+def test_dense_part_score_gradients_match_per_part_gathers(vocab, n, switches):
+    m = _scaled_model(vocab, seed=n, **switches)
+    sent = _sentence_of_length(n, seed=50 + n)
+    scores = m.score_sentence(sent, enumerate_parts(build_candidate_edges(n)))
+    reference = gathered_part_scores(m.score_factors(sent), scores.parts)
+    rng = np.random.default_rng(n)
+    upstream = {name: rng.normal(size=t.shape) for name, t in reference.items()}
+
+    def param_grads(outputs):
+        m.zero_grad()
+        ad.backward(list(outputs.values()), list(upstream.values()))
+        return {name: p.grad for name, p in m.params.items()}
+
+    got = param_grads({name: getattr(scores, name) for name in reference})
+    want = param_grads(reference)
+    assert [name for name, g in got.items() if g is not None] == \
+        [name for name, g in want.items() if g is not None]
+    for name, g in want.items():
+        if g is not None:
+            assert np.abs(got[name] - g).max() <= 1e-9 * np.abs(g).max(), name
+
+
 def test_part_list_length_mismatch_is_an_error(model, sentence):
     wrong = enumerate_parts(build_candidate_edges(sentence.n + 1))
     with pytest.raises(DataError):
