@@ -12,8 +12,9 @@ which is what lets a batch sum per-sentence gradients.
 
 The op set is exactly what the parser needs: elementwise arithmetic with
 broadcasting, matmul, gather/scatter (take / segment_sum), reductions,
-running sums (cumsum), and the handful of stable nonlinearities used by
-scoring and inference.
+running sums (cumsum), the handful of stable nonlinearities used by
+scoring and inference, and ``lstm``: a whole LSTM direction as one node,
+so the encoder's tape has no per-token entries.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 __all__ = [
     "Tensor", "constant", "parameter", "backward",
     "add", "sub", "mul", "div", "neg", "matmul", "transpose",
-    "reshape", "concat", "stack", "take", "segment_sum", "tensor_sum", "cumsum",
-    "exp", "log", "tanh", "sigmoid", "softplus", "leaky_relu",
+    "reshape", "concat", "take", "segment_sum", "tensor_sum", "cumsum",
+    "exp", "log", "tanh", "sigmoid", "softplus", "leaky_relu", "lstm",
     "logaddexp", "logsumexp", "clamp",
 ]
 
@@ -253,15 +254,6 @@ def concat(tensors, axis=0):
     return _op(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
 
 
-def stack(tensors, axis=0):
-    tensors = [_wrap(t) for t in tensors]
-
-    def vjp(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return _op(np.stack([t.data for t in tensors], axis=axis), tensors, vjp)
-
-
 def _getitem(a, key):
     a = _wrap(a)
     shape = a.data.shape
@@ -354,11 +346,71 @@ def sigmoid(a):
 
 
 def softplus(a):
-    """log(1 + e^x), computed stably; gradient is the logistic."""
+    """log(1 + e^x), computed stably; gradient is the logistic,
+    e^x / (1 + e^x) = exp(x - out), read off the node's own output."""
     a = _wrap(a)
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return _op(out, (a,), lambda g: (g * _expit(x),))
+    return _op(out, (a,), lambda g: (g * np.exp(x - out),))
+
+
+def lstm(x, Wx, Wh, b, recur_mask=None):
+    """One LSTM direction over the rows of ``x`` (T, in), as one tape node.
+
+    Gates are stacked i, f, g, o in the 4h rows of ``Wx`` (4h, in), ``Wh``
+    (4h, h) and ``b`` (4h,); h_0 = c_0 = 0, and ``recur_mask`` (an (h,)
+    array), when given, scales h_{t-1} before it enters ``Wh``. The input
+    projection of every row is one matrix product; only the recurrence
+    loops. Returns H (T, h). The backward loop fills the (T, 4h) gate
+    gradients, after which every parameter gradient is one product.
+    """
+    x, Wx, Wh, b = _wrap(x), _wrap(Wx), _wrap(Wh), _wrap(b)
+    xd, Wxd, Whd = x.data, Wx.data, Wh.data
+    T, h = xd.shape[0], Whd.shape[1]
+    pre = xd @ Wxd.T + b.data
+    acts = np.empty_like(pre)           # sigmoid(i, f, o) and tanh(g)
+    cells = np.empty((T, h))
+    tanh_c = np.empty((T, h))
+    H = np.empty((T, h))
+    H_in = np.zeros((T, h))             # h_{t-1}, masked, as fed to Wh
+    c = np.zeros(h)
+
+    def gates(row):
+        return row[:h], row[h:2 * h], row[2 * h:3 * h], row[3 * h:]
+
+    for t in range(T):
+        if t:
+            H_in[t] = H[t - 1] * recur_mask if recur_mask is not None else H[t - 1]
+        z = pre[t] + Whd @ H_in[t]
+        acts[t] = _expit(z)
+        acts[t, 2 * h:3 * h] = np.tanh(z[2 * h:3 * h])
+        i, f, g, o = gates(acts[t])
+        c = f * c + i * g
+        cells[t] = c
+        tanh_c[t] = np.tanh(c)
+        H[t] = o * tanh_c[t]
+
+    def vjp(gH):
+        dG = np.empty_like(acts)
+        dh_rec = np.zeros(h)
+        dc = np.zeros(h)
+        for t in range(T - 1, -1, -1):
+            i, f, g, o = gates(acts[t])
+            di, df, dg, do = gates(dG[t])
+            dh = gH[t] + dh_rec
+            dc = dh * o * (1.0 - tanh_c[t] * tanh_c[t]) + dc
+            di[:] = dc * g * i * (1.0 - i)
+            df[:] = dc * (cells[t - 1] if t else 0.0) * f * (1.0 - f)
+            dg[:] = dc * i * (1.0 - g * g)
+            do[:] = dh * tanh_c[t] * o * (1.0 - o)
+            dc = dc * f
+            dh_rec = dG[t] @ Whd
+            if recur_mask is not None:
+                dh_rec *= recur_mask
+        dx = dG @ Wxd if x.requires_grad else None
+        return dx, dG.T @ xd, dG.T @ H_in, dG.sum(axis=0)
+
+    return _op(H, (x, Wx, Wh, b), vjp)
 
 
 def leaky_relu(a, slope=0.1):

@@ -7,6 +7,11 @@ Pipeline for one sentence (root node included as position 0):
     r_0..r_n = BiLSTM(o_0..o_n)                  (identity when layers=0)
     role vectors = single-layer FNNs over r_i, leaky-ReLU activation
 
+Each direction of each BiLSTM layer is one ``autodiff.lstm`` node: the
+input projection of all positions is one matrix product, and the
+backward pass forms every weight gradient with one product, so the tape
+holds no per-token entries.
+
 Edge existence scores use a full bilinear form with the dependent's
 vector first,
 
@@ -330,41 +335,31 @@ class ParserModel:
             channels.append(proj)
         return ad.concat(channels, axis=1)
 
-    def _lstm_direction(self, rows, prefix, train, rng):
-        h_dim = self.config.encoder_hidden
-        Wx = self.params[f"{prefix}_Wx"]
-        Wh = self.params[f"{prefix}_Wh"]
-        b = self.params[f"{prefix}_b"]
-        h = ad.constant(np.zeros(h_dim))
-        cell = ad.constant(np.zeros(h_dim))
-        recur_mask = None
-        if train and self.config.dropout_lstm_recur > 0.0:
-            p = self.config.dropout_lstm_recur
-            recur_mask = ad.constant((rng.random(h_dim) >= p) / (1.0 - p))
-        outs = []
-        for x in rows:
-            h_in = ad.mul(h, recur_mask) if recur_mask is not None else h
-            gates = ad.matmul(Wx, x) + ad.matmul(Wh, h_in) + b
-            i = ad.sigmoid(gates[0:h_dim])
-            f = ad.sigmoid(gates[h_dim:2 * h_dim])
-            g = ad.tanh(gates[2 * h_dim:3 * h_dim])
-            o = ad.sigmoid(gates[3 * h_dim:4 * h_dim])
-            cell = ad.add(ad.mul(f, cell), ad.mul(i, g))
-            h = ad.mul(o, ad.tanh(cell))
-            outs.append(h)
-        return outs
+    def _lstm(self, prefix, rows, recur_mask):
+        p = self.params
+        return ad.lstm(rows, p[f"{prefix}_Wx"], p[f"{prefix}_Wh"], p[f"{prefix}_b"], recur_mask)
 
     def encode(self, inputs, train=False, rng=None):
-        """Bidirectional LSTM over positions 0..n; identity when layers=0."""
+        """Bidirectional LSTM over positions 0..n; identity when layers=0.
+
+        Each direction of each layer is one ``autodiff.lstm`` node; the
+        backward direction runs over the reversed rows. Dropout masks are
+        drawn per layer in the order: feed-forward mask over the inputs,
+        forward recurrent mask, backward recurrent mask.
+        """
+        cfg = self.config
         current = inputs
-        for layer in range(self.config.encoder_layers):
+        for layer in range(cfg.encoder_layers):
             if train:
-                current = _dropout(current, self.config.dropout_lstm_ff, rng)
-            rows = [current[t] for t in range(current.shape[0])]
-            fw = self._lstm_direction(rows, f"lstm{layer}_fw", train, rng)
-            bw = self._lstm_direction(list(reversed(rows)), f"lstm{layer}_bw", train, rng)
-            bw.reverse()
-            current = ad.stack([ad.concat([f, bk]) for f, bk in zip(fw, bw)], axis=0)
+                current = _dropout(current, cfg.dropout_lstm_ff, rng)
+            fw_mask = bw_mask = None
+            if train and cfg.dropout_lstm_recur > 0.0:
+                p = cfg.dropout_lstm_recur
+                fw_mask, bw_mask = ((rng.random(cfg.encoder_hidden) >= p) / (1.0 - p)
+                                    for _ in range(2))
+            fw = self._lstm(f"lstm{layer}_fw", current, fw_mask)
+            bw = self._lstm(f"lstm{layer}_bw", current[::-1], bw_mask)
+            current = ad.concat([fw, bw[::-1]], axis=1)
         return current
 
     def project_roles(self, context, train=False, rng=None):

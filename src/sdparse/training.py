@@ -165,22 +165,54 @@ class Optimizer:
             if not np.all(np.isfinite(g)):
                 raise NumericError(
                     f"non-finite gradient in parameter {name!r} at step {t}")
-            if c.l2:
-                g = g + c.l2 * p.data
-            m = self.m[name]
-            v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            m_hat = m / (1.0 - c.beta1 ** t)
+            # update a block of rows at a time so the intermediate values
+            # stay in cache; atleast_1d views a 0-d parameter as one row
+            arrays = [np.atleast_1d(a) for a in (p.data, g, self.m[name], self.v[name])]
             if self.mode == "amsgrad":
-                np.maximum(self.v_max[name], v, out=self.v_max[name])
-                v_eff = self.v_max[name]
-            else:
-                v_eff = v
-            v_hat = v_eff / (1.0 - c.beta2 ** t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + c.epsilon)
+                arrays.append(np.atleast_1d(self.v_max[name]))
+            w = arrays[0]
+            rows = max(1, _UPDATE_BLOCK * len(w) // max(w.size, 1))
+            scratch = np.empty((2, rows) + w.shape[1:])
+            for r in range(0, len(w), rows):
+                block = [a[r:r + rows] for a in arrays]
+                k = len(block[0])
+                _adam_block(c, lr, t, scratch[0, :k], scratch[1, :k], *block)
+
+
+# elements per block of an optimizer update (256 KiB of float64)
+_UPDATE_BLOCK = 1 << 15
+
+
+def _adam_block(c, lr, t, s, u, w, g, m, v, v_max=None):
+    """Adam (AMSGrad when ``v_max`` is given) on one block of rows, in
+    place, with the scratch blocks ``s`` and ``u`` for every intermediate;
+    ``g`` is not modified. Each value is rounded as in the plain formula
+
+        g' = g + l2 w;  m = b1 m + (1 - b1) g';  v = b2 v + (1 - b2) g'^2
+        w -= lr m_hat / (sqrt(v_hat) + eps)
+    """
+    if c.l2:
+        np.multiply(w, c.l2, out=s)
+        s += g
+    else:
+        np.copyto(s, g)
+    np.multiply(s, 1.0 - c.beta1, out=u)
+    m *= c.beta1
+    m += u
+    np.multiply(s, 1.0 - c.beta2, out=u)
+    u *= s
+    v *= c.beta2
+    v += u
+    if v_max is not None:
+        np.maximum(v_max, v, out=v_max)
+        v = v_max
+    np.divide(m, 1.0 - c.beta1 ** t, out=u)
+    u *= lr
+    np.divide(v, 1.0 - c.beta2 ** t, out=s)
+    np.sqrt(s, out=s)
+    s += c.epsilon
+    u /= s
+    w -= u
 
 
 # ----------------------------------------------------------------- batching
@@ -241,9 +273,14 @@ def train(model, train_data, dev_data, cfg, log=None):
 
     optimizer = Optimizer(model.params, cfg)
     result = TrainResult(best_score=-1.0, best_step=0, steps=0)
-    best_arrays = model.state_arrays()
+    # the best parameters are copied only when an epoch is about to move
+    # the model past them, so a run whose last epoch is its best copies
+    # and restores nothing
+    best_arrays, at_best = None, False
 
     while optimizer.step_count < cfg.max_steps:
+        if at_best:
+            best_arrays, at_best = model.state_arrays(), False
         epoch_losses = []
         for batch in make_batches(usable, cfg.batch_token_budget, batch_rng):
             model.zero_grad()
@@ -274,7 +311,7 @@ def train(model, train_data, dev_data, cfg, log=None):
         if score > result.best_score:
             result.best_score = score
             result.best_step = optimizer.step_count
-            best_arrays = model.state_arrays()
+            at_best = True
         else:
             stalled = optimizer.step_count - result.best_step
             if stalled >= cfg.amsgrad_patience_steps and optimizer.mode == "adam":
@@ -286,7 +323,8 @@ def train(model, train_data, dev_data, cfg, log=None):
         if dev_data and result.best_score >= 1.0:
             break
 
-    model.load_state_arrays(best_arrays)
+    if not at_best:
+        model.load_state_arrays(best_arrays)
     return result
 
 

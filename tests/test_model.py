@@ -95,6 +95,88 @@ def test_encoder_enabled_changes_shape_and_values(vocab, sentence):
     np.testing.assert_array_equal(ctx.data, rerun.data)
 
 
+def reference_encode(model, inputs, train=False, rng=None):
+    """The encoder as per-token autodiff ops: one gate matmul, slice and
+    nonlinearity per position and direction, rows re-stacked at the end.
+    Draws dropout masks in the order ``ParserModel.encode`` does."""
+    cfg = model.config
+    h_dim = cfg.encoder_hidden
+
+    def direction(rows, prefix):
+        Wx, Wh, b = (model.params[f"{prefix}_{w}"] for w in ("Wx", "Wh", "b"))
+        h = ad.constant(np.zeros(h_dim))
+        cell = ad.constant(np.zeros(h_dim))
+        recur_mask = None
+        if train and cfg.dropout_lstm_recur > 0.0:
+            p = cfg.dropout_lstm_recur
+            recur_mask = ad.constant((rng.random(h_dim) >= p) / (1.0 - p))
+        outs = []
+        for x in rows:
+            h_in = ad.mul(h, recur_mask) if recur_mask is not None else h
+            gates = ad.matmul(Wx, x) + ad.matmul(Wh, h_in) + b
+            i = ad.sigmoid(gates[0:h_dim])
+            f = ad.sigmoid(gates[h_dim:2 * h_dim])
+            g = ad.tanh(gates[2 * h_dim:3 * h_dim])
+            o = ad.sigmoid(gates[3 * h_dim:4 * h_dim])
+            cell = ad.add(ad.mul(f, cell), ad.mul(i, g))
+            h = ad.mul(o, ad.tanh(cell))
+            outs.append(h)
+        return outs
+
+    current = inputs
+    for layer in range(cfg.encoder_layers):
+        if train and cfg.dropout_lstm_ff > 0.0:
+            p = cfg.dropout_lstm_ff
+            current = ad.mul(current, ad.constant((rng.random(current.shape) >= p) / (1.0 - p)))
+        rows = [current[t] for t in range(current.shape[0])]
+        fw = direction(rows, f"lstm{layer}_fw")
+        bw = direction(list(reversed(rows)), f"lstm{layer}_bw")
+        bw.reverse()
+        current = ad.concat([ad.reshape(ad.concat([f, bk]), (1, -1))
+                             for f, bk in zip(fw, bw)], axis=0)
+    return current
+
+
+DROPPED = dict(dropout_embed=0.5, dropout_lstm_ff=0.5, dropout_lstm_recur=0.5,
+               dropout_unary=0.5, dropout_label=0.5, dropout_binary=0.5)
+
+
+@pytest.mark.parametrize("n", [1, 9])
+def test_fused_encoder_matches_per_token_reference(vocab, n):
+    cfg = ModelConfig(word_dim=4, pos_dim=3, encoder_layers=2, encoder_hidden=5,
+                      unary_dim=5, binary_dim=3, **DROPPED)
+    m = ParserModel(cfg, vocab, np.random.default_rng(9))
+    sent = _sentence_of_length(n, seed=70 + n)
+    upstream = np.random.default_rng(n).normal(size=(n + 1, 10))
+
+    def run(encode):
+        rng = np.random.default_rng(4)
+        m.zero_grad()
+        out = encode(m.embed(sent, train=True, rng=rng), train=True, rng=rng)
+        ad.backward([out], [upstream])
+        grads = {name: p.grad for name, p in m.params.items() if p.grad is not None}
+        return out.data, grads, rng.random(4)
+
+    got, got_grads, got_next = run(m.encode)
+    want, want_grads, want_next = run(lambda x, **kw: reference_encode(m, x, **kw))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert sorted(got_grads) == sorted(want_grads)
+    assert any(name.startswith("lstm1_bw") for name in got_grads)
+    for name, g in want_grads.items():
+        assert np.abs(got_grads[name] - g).max() <= 1e-9 * np.abs(g).max(), name
+    # the same masks were drawn in the same order, so the rng ends in step
+    np.testing.assert_array_equal(got_next, want_next)
+
+
+def test_fused_encoder_matches_reference_in_eval_mode(vocab, sentence):
+    cfg = ModelConfig(word_dim=4, pos_dim=3, encoder_layers=2, encoder_hidden=3,
+                      unary_dim=5, binary_dim=3, **DROPPED)
+    m = ParserModel(cfg, vocab, np.random.default_rng(2))
+    emb = m.embed(sentence)
+    np.testing.assert_allclose(m.encode(emb).data, reference_encode(m, emb).data,
+                               rtol=0, atol=1e-12)
+
+
 def test_role_projections_shapes_and_values(model, sentence):
     ctx = model.encode(model.embed(sentence), train=False, rng=None)
     roles = model.project_roles(ctx, train=False, rng=None)

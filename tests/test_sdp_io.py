@@ -215,3 +215,57 @@ def test_random_graph_round_trip(data):
     sent2, graph2 = back[0]
     assert [t.form for t in sent2.tokens] == [t.form for t in tokens]
     assert graph2 == graph
+
+
+# hostile input: cells that are nearly right (ids off by one, flags with a
+# stray CR, empty labels) mixed with arbitrary unicode, and lines ending
+# in LF, CRLF, a bare CR or nothing
+_cell = st.one_of(
+    st.sampled_from(["1", "2", "3", "0", "-1", "01", " 1", "+", "-", "+\r", "_", "_\r",
+                     "ARG1", "TOP", "", " ", "\u00e9", "\u200b", "\ufeff1", "#"]),
+    st.text(max_size=4),
+)
+_ending = st.sampled_from(["", "\n", "\r\n", "\r"])
+_free_line = st.builds(lambda cells, end: "\t".join(cells) + end,
+                       st.lists(_cell, max_size=9), _ending)
+
+
+@st.composite
+def _token_rows(draw):
+    """A block whose ids are mostly in order and whose flag and argument
+    columns are drawn from valid and near-valid values, so the parser's
+    later checks (predicate count, self edges, labels) are reached."""
+    lines = []
+    for i in range(draw(st.integers(1, 5))):
+        token_id = draw(st.sampled_from([str(i + 1)] * 4 + ["0", str(i + 2), "x"]))
+        flags = [draw(st.sampled_from(["+", "-", "+", "-", "*", "+\r"])) for _ in range(2)]
+        args = draw(st.lists(st.sampled_from(["_", "_", "A", "B", "TOP", "_\r", ""]), max_size=4))
+        words = [draw(_cell) for _ in range(3)]
+        lines.append("\t".join([token_id, *words, *flags, *args]) + draw(_ending))
+    return lines
+
+
+_sdp_input = st.one_of(
+    st.lists(st.one_of(_free_line, st.sampled_from(["\n", "\r\n", "# note\n", "\t\n"])),
+             max_size=12),
+    st.lists(_token_rows(), min_size=1, max_size=3).map(
+        lambda blocks: [line for block in blocks for line in block + ["\n"]]),
+    st.text(max_size=80).map(lambda text: text.splitlines(keepends=True)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sdp_input)
+def test_hostile_lines_raise_only_data_error(lines):
+    try:
+        data = parse_sdp_lines(lines)
+    except DataError:
+        return
+    for sent, graph in data:
+        assert graph.n == sent.n >= 1
+        assert all(0 <= h <= sent.n and 1 <= d <= sent.n and h != d for h, d, _ in graph.edges)
+
+
+def test_empty_input_parses_to_nothing():
+    assert parse_sdp_lines([]) == []
+    assert parse_sdp_lines(["\n", "# only a comment\n", "\r\n"]) == []

@@ -226,6 +226,39 @@ def test_l2_shrinks_parameters_even_with_zero_gradient():
     assert 0.0 < float(params["p0"].data) < 5.0
 
 
+@pytest.mark.parametrize("amsgrad", [False, True])
+def test_updates_follow_the_textbook_formula(rng, amsgrad):
+    """Three Adam or AMSGrad steps with l2 on a 0-d parameter, a small
+    matrix, and a matrix and a vector that span several update blocks."""
+    cfg = TrainConfig(learning_rate=3e-2, beta1=0.3, beta2=0.9, epsilon=1e-8, l2=0.05)
+    start = {"w": rng.normal(size=(3, 4)), "b": np.array(0.7),
+             "big": rng.normal(size=(300, 250)), "vec": rng.normal(size=70001)}
+    params = {k: ad.parameter(v.copy()) for k, v in start.items()}
+    opt = Optimizer(params, cfg)
+    if amsgrad:
+        opt.switch_to_amsgrad()
+    want = {k: v.copy() for k, v in start.items()}
+    m = {k: np.zeros_like(v) for k, v in start.items()}
+    v2 = {k: np.zeros_like(v) for k, v in start.items()}
+    v_max = {k: np.zeros_like(v) for k, v in start.items()}
+    for t in (1, 2, 3):
+        grads = {k: rng.normal(size=v.shape) * 10.0 ** (2 - t) for k, v in start.items()}
+        for k, p in params.items():
+            p.grad = grads[k].copy()
+            g = grads[k] + cfg.l2 * want[k]
+            m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
+            v2[k] = cfg.beta2 * v2[k] + (1 - cfg.beta2) * g ** 2
+            v_max[k] = np.maximum(v_max[k], v2[k])
+            m_hat = m[k] / (1 - cfg.beta1 ** t)
+            v_hat = (v_max[k] if amsgrad else v2[k]) / (1 - cfg.beta2 ** t)
+            want[k] = want[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        opt.apply()
+        for k, p in params.items():
+            assert isinstance(p.data, np.ndarray) and p.data.shape == start[k].shape
+            np.testing.assert_allclose(p.data, want[k], rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(p.grad, grads[k])   # gradients are not touched
+
+
 def test_l2_default_depends_on_inference_engine():
     assert TrainConfig(inference="mf").l2 == pytest.approx(3e-9)
     assert TrainConfig(inference="lbp").l2 == pytest.approx(3e-8)
@@ -283,6 +316,22 @@ def test_training_restores_best_snapshot():
              for s, _ in data]
     score = f1(preds, [g for _, g in data])[2]
     assert score == pytest.approx(res.best_score, abs=1e-12)
+
+
+def test_training_returns_the_best_epoch_parameters_after_a_worse_one():
+    data = toy_corpus(np.random.default_rng(42), size=6)
+    model = _tiny_model(data)
+    best = {"score": -1.0}
+
+    def log(row):
+        if row["dev_labeled_f1"] > best["score"]:
+            best.update(score=row["dev_labeled_f1"], arrays=model.state_arrays())
+
+    res = train(model, data, data, TrainConfig(max_steps=27, seed=3, batch_token_budget=20),
+                log=log)
+    assert res.history[-1]["dev_labeled_f1"] < res.best_score == best["score"]
+    for name, arr in best["arrays"].items():
+        np.testing.assert_array_equal(model.params[name].data, arr)
 
 
 def test_training_drops_overlong_sentences():
