@@ -18,10 +18,10 @@ from .graph import (CandidateEdgeSet, PartList, SemGraph, Sentence, Token,
 from .lbp import MessageState, lbp_init, lbp_run, lbp_step
 from .metrics import EvalReport, bucket_f1, cycle_rate, evaluate, f1, top_f1
 from .mf import BeliefState, FactoredBeliefState, mf_init, mf_run, mf_step
-from .model import (ModelConfig, ParserModel, ScoreFactors, ScoreSet, biaffine,
-                    diagonal_biaffine, trilinear)
+from .model import (ModelConfig, ParserModel, ScoreFactors, biaffine, diagonal_biaffine,
+                    trilinear)
 from .pipeline import parse_sentence, run_inference, trace_sentence
-from .potentials import (LogPotentials, assemble, from_arrays, joint_log_score,
+from .potentials import (LogPotentials, from_arrays, from_factors, joint_log_score,
                          potential_grads)
 from .sdp_io import (Vocabulary, build_vocab, format_sdp, load_pretrained,
                      parse_sdp, parse_sdp_lines, write_sdp)

@@ -10,11 +10,11 @@ nodes are reset at the start of every sweep; gradients of leaves (the
 actual parameters) accumulate across sweeps until the caller clears them,
 which is what lets a batch sum per-sentence gradients.
 
-The op set is exactly what the parser needs: elementwise arithmetic with
-broadcasting, matmul, gather/scatter (take / segment_sum), reductions,
-running sums (cumsum), the handful of stable nonlinearities used by
-scoring and inference, and ``lstm``: a whole LSTM direction as one node,
-so the encoder's tape has no per-token entries.
+The op set is what the parser needs: elementwise arithmetic with
+broadcasting, matmul, axis permutations, gathers (take), reductions,
+running sums (cumsum), stable nonlinearities, and two fused nodes:
+``lstm``, a whole LSTM direction (no per-token tape entries), and
+``softplus_shift``, the loopy-BP message update.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 __all__ = [
     "Tensor", "constant", "parameter", "backward",
     "add", "sub", "mul", "div", "neg", "matmul", "transpose",
-    "reshape", "concat", "take", "segment_sum", "tensor_sum", "cumsum",
-    "exp", "log", "tanh", "sigmoid", "softplus", "leaky_relu", "lstm",
+    "reshape", "concat", "take", "tensor_sum", "cumsum",
+    "exp", "log", "tanh", "sigmoid", "softplus", "softplus_shift", "leaky_relu", "lstm",
     "logaddexp", "logsumexp", "clamp",
 ]
 
@@ -45,65 +45,23 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
     def item(self):
         return float(self.data)
 
-    def numpy(self):
-        return self.data
-
     def backward(self, seed=None):
         if seed is None:
             seed = np.ones_like(self.data)
         backward([self], [seed])
 
-    # arithmetic sugar
+    # the operator sugar the parser uses
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
     def __getitem__(self, key):
         return _getitem(self, key)
-
-    @property
-    def T(self):
-        return transpose(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -230,11 +188,12 @@ def matmul(a, b):
     return _op(out, (a, b), vjp)
 
 
-def transpose(a):
+def transpose(a, axes=None):
+    """Permute the axes (reverse them when ``axes`` is None); the result
+    is a view, and the backward pass applies the inverse permutation."""
     a = _wrap(a)
-    if a.data.ndim != 2:
-        raise ValueError("transpose expects a 2D tensor")
-    return _op(a.data.T, (a,), lambda g: (g.T,))
+    inverse = None if axes is None else np.argsort(axes)
+    return _op(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
 def reshape(a, shape):
@@ -278,15 +237,6 @@ def take(a, indices):
         return (full,)
 
     return _op(a.data[idx], (a,), vjp)
-
-
-def segment_sum(a, segment_ids, num_segments):
-    """out[s] = sum of a rows with segment_ids == s. Backward is a gather."""
-    a = _wrap(a)
-    idx = np.asarray(segment_ids, dtype=np.intp)
-    out = np.zeros((num_segments,) + a.data.shape[1:], dtype=np.float64)
-    np.add.at(out, idx, a.data)
-    return _op(out, (a,), lambda g: (g[idx],))
 
 
 def tensor_sum(a, axis=None, keepdims=False):
@@ -346,12 +296,42 @@ def sigmoid(a):
 
 
 def softplus(a):
-    """log(1 + e^x), computed stably; gradient is the logistic,
-    e^x / (1 + e^x) = exp(x - out), read off the node's own output."""
+    """log(1 + e^x), computed stably; the gradient is the logistic."""
     a = _wrap(a)
-    x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return _op(out, (a,), lambda g: (g * np.exp(x - out),))
+    out, logistic = _softplus_and_logistic(a.data)
+    return _op(out, (a,), lambda g: (g * logistic,))
+
+
+def _softplus_and_logistic(x):
+    """(softplus(x), logistic(x)), stably, from one shared e^-|x|."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    soft = np.log1p(e)
+    soft += np.maximum(x, 0.0)
+    logistic = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    logistic /= e
+    return soft, logistic
+
+
+def softplus_shift(c, s):
+    """softplus(c + s) - softplus(c), broadcasting ``c`` against ``s``, as
+    one node. The forward keeps the logistic of c + s and of c, so the
+    backward, d/dc = logistic(c + s) - logistic(c) and d/ds =
+    logistic(c + s), computes no exponential."""
+    c, s = _wrap(c), _wrap(s)
+    soft_shifted, logistic_shifted = _softplus_and_logistic(c.data + s.data)
+    soft, logistic = _softplus_and_logistic(c.data)
+    soft_shifted -= soft
+
+    def vjp(g):
+        ds = g * logistic_shifted
+        dc = g * logistic
+        np.subtract(ds, dc, out=dc)
+        return _unbroadcast(dc, c.data.shape), _unbroadcast(ds, s.data.shape)
+
+    return _op(soft_shifted, (c, s), vjp)
 
 
 def lstm(x, Wx, Wh, b, recur_mask=None):

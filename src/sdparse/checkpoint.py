@@ -35,7 +35,9 @@ def load_checkpoint(path, expected_config=None):
     """Rebuild (model, run_config, vocab) from a checkpoint file.
 
     If ``expected_config`` is given, its structural keys must agree with
-    the stored echo; any disagreement is listed in the raised error.
+    the stored echo; any disagreement is listed in the raised error. A
+    meta record that is not a JSON object with a config and a vocabulary
+    raises DataError, a config echo with unknown keys ConfigError.
     """
     try:
         loaded = np.load(path, allow_pickle=False)
@@ -52,17 +54,25 @@ def load_checkpoint(path, expected_config=None):
         raise DataError(f"checkpoint {path} is damaged: {exc}") from None
     if "__meta__" not in archive:
         raise DataError(f"{path} is not a checkpoint (missing meta record)")
-    meta = json.loads(str(archive["__meta__"]))
-    version = meta.get("format_version")
+    try:
+        meta = json.loads(str(archive["__meta__"]))
+        version = meta.get("format_version")
+    except (ValueError, AttributeError) as exc:
+        raise DataError(f"checkpoint {path} meta record is not a JSON object: {exc}") from None
     if version != FORMAT_VERSION:
         raise ConfigError(
             f"checkpoint format version {version} unsupported (expected {FORMAT_VERSION})")
-
-    stored = meta["config"]
+    try:
+        stored, vocab = dict(meta["config"]), Vocabulary.from_dict(meta["vocab"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path} meta record lacks a config or vocabulary: "
+                        f"{exc!r}") from None
+    unknown = sorted(set(stored) - set(RunConfig.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(f"checkpoint {path} config has unknown keys {unknown}")
     if expected_config is not None:
         ensure_structure_match(stored, expected_config.to_dict())
     run_config = RunConfig(**stored)
-    vocab = Vocabulary.from_dict(meta["vocab"])
 
     table = archive["pretrained_table"] if "pretrained_table" in archive else None
     model = ParserModel(run_config.model_config(), vocab,

@@ -27,20 +27,25 @@ class ExactResult:
     map_log_score: float
 
 
+_BLOCK = 1 << 12  # assignments scored at a time
+
+
 def _assignment_scores(pot):
-    """(masks, scores): bit matrix of all assignments and their log scores."""
+    """Log score of every assignment (bit k of its index is edge k), in
+    blocks of rows x: x @ unary plus sum(x * (x @ W)) for the (E, E)
+    matrix W holding each pair's score at (first edge, second edge)."""
     E = pot.edge_count
     if E > ENUMERATION_CAP:
         raise CapacityError(
             f"{E} edge variables exceed the enumeration cap of {ENUMERATION_CAP}")
-    count = 1 << E
-    masks = ((np.arange(count, dtype=np.int64)[:, None] >> np.arange(E)) & 1
-             ).astype(np.float64)
-    scores = masks @ pot.unary.data
-    if pot.pair_count:
-        both = masks[:, pot.pair_e1] * masks[:, pot.pair_e2]
-        scores += both @ pot.pair_scores.data
-    return masks, scores
+    coupling = np.zeros((E, E))
+    coupling[pot.pair_edges()] = pot.part_scores()
+    scores = np.empty(1 << E)
+    for start in range(0, len(scores), _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, len(scores)))
+        x = ((rows[:, None] >> np.arange(E)) & 1).astype(np.float64)
+        scores[rows] = x @ pot.unary.data + np.sum(x * (x @ coupling), axis=1)
+    return scores
 
 
 def _logsumexp(x):
@@ -49,26 +54,24 @@ def _logsumexp(x):
 
 
 def exact_infer(pot):
-    masks, scores = _assignment_scores(pot)
+    scores = _assignment_scores(pot)
     log_z = _logsumexp(scores)
-    marginals = {}
-    for k, edge in enumerate(pot.edges):
-        on = masks[:, k] == 1.0
-        marginals[edge] = float(np.exp(_logsumexp(scores[on]) - log_z))
-    map_edges, map_score = _map_from_scores(pot, masks, scores)
+    index = np.arange(len(scores))
+    marginals = {edge: float(np.exp(_logsumexp(scores[(index >> k) & 1 == 1]) - log_z))
+                 for k, edge in enumerate(pot.edges)}
+    map_edges, map_score = _map_from_scores(pot, scores)
     return ExactResult(log_z, marginals, map_edges, map_score)
 
 
-def _map_from_scores(pot, masks, scores):
+def _map_from_scores(pot, scores):
     best = np.max(scores)
     # ties broken by the lexicographically smallest on-edge set
     candidates = np.nonzero(scores == best)[0]
-    sets = [tuple(pot.edges[k] for k in range(pot.edge_count) if masks[i, k] == 1.0)
+    sets = [tuple(pot.edges[k] for k in range(pot.edge_count) if (i >> k) & 1)
             for i in candidates]
     return min(sets), float(best)
 
 
 def exact_map(pot):
-    masks, scores = _assignment_scores(pot)
-    edges, _ = _map_from_scores(pot, masks, scores)
+    edges, _ = _map_from_scores(pot, _assignment_scores(pot))
     return edges

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
-    "Token", "Sentence", "SemGraph", "CandidateEdgeSet", "PartList",
-    "build_candidate_edges", "enumerate_parts", "decode", "has_cycle",
+    "Token", "Sentence", "SemGraph", "CandidateEdgeSet", "OnEdges", "PartList",
+    "build_candidate_edges", "enumerate_parts", "part_mask", "decode", "has_cycle",
     "TOP_LABEL",
 ]
 
@@ -95,7 +95,9 @@ class SemGraph:
 
 
 class CandidateEdgeSet:
-    """All n^2 candidate edges of a length-n sentence, in a fixed order.
+    """Candidate edges over the nodes 0..n, in a fixed order: all n^2 of
+    a length-n sentence from ``build_candidate_edges``, or the edges of a
+    hand-built instance.
 
     ``heads`` and ``deps`` hold the edges' endpoints and ``flat`` their
     positions in a row-major (n+1) x (n+1) head-by-dependent matrix; the
@@ -116,6 +118,14 @@ class CandidateEdgeSet:
 
     def __len__(self):
         return len(self.edges)
+
+
+class OnEdges:
+    """Edge accessors of a score holder with a CandidateEdgeSet ``edge_set``."""
+
+    edges = property(lambda self: self.edge_set.edges)
+    index = property(lambda self: self.edge_set.index)
+    edge_count = property(lambda self: len(self.edge_set))
 
 
 @lru_cache(maxsize=None)
@@ -168,17 +178,19 @@ def _read_only(rows):
 _NO_PARTS = _read_only(np.empty((0, 3), dtype=np.intp))
 
 
+def part_mask(n, kind):
+    """Boolean (n+1)^3 mask of a part type's stored triples (sib (i, j, k),
+    cop (i, k, j), gp (i, j, k)) for a length-n sentence."""
+    a, b, c = np.ogrid[:n + 1, :n + 1, :n + 1]
+    geometry = {"sib": (b >= 1) & (b < c), "cop": (a < b) & (c >= 1), "gp": (b >= 1) & (c >= 1)}
+    return geometry[kind] & (a != b) & (b != c) & (a != c)
+
+
 def enumerate_parts(edge_set):
-    """Every part of a length-n sentence, built afresh from boolean masks
-    over the (n+1)^3 node triples; nothing is cached."""
-    a, b, c = np.ogrid[:edge_set.n + 1, :edge_set.n + 1, :edge_set.n + 1]
-    distinct = (a != b) & (b != c) & (a != c)
-    return PartList(
-        edge_set.n,
-        sib=_read_only(np.argwhere(distinct & (b >= 1) & (b < c))),
-        cop=_read_only(np.argwhere(distinct & (a < b) & (c >= 1))),
-        gp=_read_only(np.argwhere(distinct & (b >= 1) & (c >= 1))),
-    )
+    """Every part of a length-n sentence, built afresh from the boolean
+    masks over the (n+1)^3 node triples; nothing is cached."""
+    return PartList(edge_set.n, *(_read_only(np.argwhere(part_mask(edge_set.n, kind)))
+                                  for kind in ("sib", "cop", "gp")))
 
 
 def decode(n, edge_prob, label_argmax, threshold=0.5):

@@ -17,8 +17,23 @@ and the beliefs are
 
 This is the normalized log-space recipe (m(0) = logaddexp(cav0, cav1),
 m(1) = logaddexp(cav0, cav1 + s)) with the common cav0 divided out, so no
-probability floors are needed. Updates are synchronous from the previous
-iteration's snapshot, and the per-direction coupling is gathered once.
+probability floors are needed.
+
+l is an (n+1) x (n+1) head-by-dependent grid, and the messages are dense
+(n+1)^3 tensors, one per direction of each part type
+(``potentials.MESSAGES``):
+
+    type     tensor      carries          reverse message   incoming sum
+    sib      r[i,j,k]    (i,j) -> (i,k)   r[i,k,j]          over axis 1
+    cop      r[i,k,j]    (i,j) -> (k,j)   r[k,i,j]          over axis 0
+    gp down  d[i,j,k]    (i,j) -> (j,k)   u                 over axis 0
+    gp up    u[i,j,k]    (j,k) -> (i,j)   d                 over axis 2
+
+Each update is one ``softplus_shift`` node of the cavity (the source grid
+broadcast along one axis minus the aligned reverse tensor) against the
+type's score tensor. A score tensor is 0 off its type's geometry, and
+softplus(c + 0) - softplus(c) is exactly 0, so no message needs a mask.
+Updates are synchronous; messages start at 0.
 """
 
 from __future__ import annotations
@@ -28,30 +43,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .potentials import FORWARD, MESSAGES, aligned, on_grid
 
 __all__ = ["MessageState", "lbp_init", "lbp_step", "lbp_run"]
 
 
 @dataclass
 class MessageState:
-    """Message log-odds and beliefs per iteration.
-
-    Directed message 2p runs from the second edge of pair p into the
-    first; message 2p+1 runs the other way. ``rev`` maps a direction to
-    its opposite and ``coupling`` holds each direction's part score.
-    ``logit[t]`` is each edge's belief logit and ``log_b0[t]``/``log_b1[t]``
-    its normalized log beliefs.
-    """
+    """Message log-odds and beliefs per iteration: ``messages[t]`` maps
+    each name of ``potentials.MESSAGES`` to its (n+1)^3 log-odds tensor
+    ({} at t = 0, when every message is 0), ``logit[t]`` is the grid of
+    belief logits and ``log_b0[t]``/``log_b1[t]`` the edges' normalized
+    log beliefs, in edge order."""
 
     pot: object
-    src: np.ndarray
-    dst: np.ndarray
-    rev: np.ndarray
-    pair_of: np.ndarray
-    coupling: object      # Tensor, (D,)
-    log_odds: list = field(default_factory=list)  # Tensors, (D,)
-    logit: list = field(default_factory=list)     # Tensors, (E,)
-    log_b0: list = field(default_factory=list)
+    messages: list = field(default_factory=list)  # dicts of Tensors, (n+1)^3
+    logit: list = field(default_factory=list)     # Tensors, (n+1, n+1)
+    log_b0: list = field(default_factory=list)    # Tensors, (E,)
     log_b1: list = field(default_factory=list)
 
     @property
@@ -73,45 +81,38 @@ class MessageState:
         return self.log_b0[-1], self.log_b1[-1]
 
     def message_log_ratios(self, t=-1):
-        """log m(1) - log m(0) per directed message at iteration t."""
-        return self.log_odds[t].data
+        """log m(1) - log m(0) per directed message at iteration t: for
+        each pair in the potentials' reporting order, first the message
+        from its second edge into its first, then the reverse."""
+        messages, out = self.messages[t], []
+        for kind, rows in self.pot.blocks():
+            pair = np.zeros((len(rows), 2))
+            if messages and len(rows):
+                cells, forward = tuple(rows.T), FORWARD[kind]
+                pair[:, 0] = aligned(messages[MESSAGES[forward][3]].data, kind)[cells]
+                pair[:, 1] = messages[forward].data[cells]
+            out.append(pair.reshape(-1))
+        return np.concatenate(out)
 
     def directed_messages(self):
-        """(src_edge, dst_edge, part_type, part) per direction index."""
-        pot = self.pot
-        return [(pot.edges[src], pot.edges[dst]) + pot.pair_part(p)
-                for src, dst, p in zip(self.src, self.dst, self.pair_of)]
+        """(src_edge, dst_edge, part_type, part) per direction, in the
+        order of ``message_log_ratios``."""
+        return [message for a, b, kind, part in self.pot.pairs()
+                for message in ((b, a, kind, part), (a, b, kind, part))]
 
     def _push_beliefs(self, logit):
         self.logit.append(logit)
-        self.log_b0.append(ad.neg(ad.softplus(logit)))
-        self.log_b1.append(ad.neg(ad.softplus(ad.neg(logit))))
-
-
-def _directions(pot):
-    P = pot.pair_count
-    src = np.empty(2 * P, dtype=np.intp)
-    dst = np.empty(2 * P, dtype=np.intp)
-    rev = np.empty(2 * P, dtype=np.intp)
-    pair_of = np.empty(2 * P, dtype=np.intp)
-    src[0::2] = pot.pair_e2
-    dst[0::2] = pot.pair_e1
-    src[1::2] = pot.pair_e1
-    dst[1::2] = pot.pair_e2
-    rev[0::2] = np.arange(1, 2 * P, 2)
-    rev[1::2] = np.arange(0, 2 * P, 2)
-    pair_of[0::2] = np.arange(P)
-    pair_of[1::2] = np.arange(P)
-    return src, dst, rev, pair_of
+        on_edges = ad.take(ad.reshape(logit, (-1,)), self.pot.edge_set.flat)
+        self.log_b0.append(ad.neg(ad.softplus(on_edges)))
+        self.log_b1.append(ad.neg(ad.softplus(ad.neg(on_edges))))
 
 
 def lbp_init(pot):
     """Uniform messages (log-odds 0); initial beliefs are the normalized
     unaries."""
-    src, dst, rev, pair_of = _directions(pot)
-    state = MessageState(pot, src, dst, rev, pair_of, ad.take(pot.pair_scores, pair_of))
-    state.log_odds.append(ad.constant(np.zeros(2 * pot.pair_count)))
-    state._push_beliefs(pot.unary)
+    state = MessageState(pot)
+    state.messages.append({})
+    state._push_beliefs(pot.edge_scores)
     return state
 
 
@@ -119,11 +120,19 @@ def lbp_step(state):
     """One synchronous sweep: all messages from the previous snapshot,
     then fresh beliefs."""
     pot = state.pot
-    cavity = ad.sub(ad.take(state.logit[-1], state.src),
-                    ad.take(state.log_odds[-1], state.rev))
-    ratio = ad.sub(ad.softplus(ad.add(cavity, state.coupling)), ad.softplus(cavity))
-    state.log_odds.append(ratio)
-    state._push_beliefs(ad.add(pot.unary, ad.segment_sum(ratio, state.dst, pot.edge_count)))
+    logit, previous = state.logit[-1], state.messages[-1]
+    messages = {}
+    total = pot.edge_scores
+    for name, (kind, source, target, reverse) in MESSAGES.items():
+        if kind not in pot.scores:
+            continue
+        cavity = on_grid(logit, source)
+        if previous:
+            cavity = ad.sub(cavity, aligned(previous[reverse], kind))
+        messages[name] = ad.softplus_shift(cavity, pot.scores[kind])
+        total = ad.add(total, ad.tensor_sum(messages[name], axis=target))
+    state.messages.append(messages)
+    state._push_beliefs(total)
     return state
 
 

@@ -13,14 +13,13 @@ sigmoid; the whole trajectory is kept and is differentiable end to end.
 
 The field is computed in one of two ways, with the same result:
 
-* From a pair list (``LogPotentials``): gather each partner's Q, scale by
-  the part score, scatter-add; O(P) = O(n^3) per iteration. Hand-built
-  instances, ``trace`` and the tests use this form.
+* From a ``LogPotentials``' dense score tensors: per message tensor of
+  ``potentials.MESSAGES``, the source edges' Q times the part scores,
+  summed into the targets; O(n^3) per iteration. Hand-built instances,
+  ``trace`` and the tests use this form.
 * From the scorer's factors (``ScoreFactors``). Every part score is the
   rank-d form sum_m g1[a,m] g2[b,m] g3[c,m] over the part's first edge
-  (a, b) and third node c, so the field factorises over m. With Q an
-  (n+1) x (n+1) head-by-dependent matrix that is 0 off the candidate
-  edges (column 0 and the diagonal):
+  (a, b) and third node c, so the field factorises over m:
 
     sib  field(i,j) = sum_m g1[i,m] (g2[j,m] sum_{k>j} Q[i,k] g3[k,m]
                                      + g3[j,m] sum_{k<j} Q[i,k] g2[k,m])
@@ -41,7 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .potentials import LogPotentials
+from .potentials import MESSAGES, LogPotentials, on_grid
 
 __all__ = ["BeliefState", "FactoredBeliefState", "mf_init", "mf_step", "mf_run",
            "DEFAULT_CLAMP"]
@@ -55,28 +54,38 @@ def _clamped(t, clamp):
 
 @dataclass
 class BeliefState:
-    """Posterior trajectory: logits[t] and qs[t] = sigmoid(logits[t]) for
-    t = 0..T, aligned with the potential's edge order."""
+    """Posterior trajectory over a ``LogPotentials``' dense grid.
+
+    logits[t] and qs[t] = sigmoid(logits[t]) for t = 0..T are (n+1) x (n+1)
+    head-by-dependent matrices; qs is held at 0 off the candidate edges so
+    padding never enters a field. The accessors return edge-order vectors.
+    """
 
     pot: object
     clamp: float
-    logits: list = field(default_factory=list)  # Tensors, (E,)
-    qs: list = field(default_factory=list)      # Tensors, (E,)
+    logits: list = field(default_factory=list)  # Tensors, (n+1, n+1)
+    qs: list = field(default_factory=list)      # Tensors, (n+1, n+1)
+    mask: Tensor = field(init=False, default=None)  # 1 on candidate edges
+
+    def __post_init__(self):
+        mask = np.zeros((self.pot.edge_set.n + 1,) * 2)
+        mask.flat[self.pot.edge_set.flat] = 1.0
+        self.mask = ad.constant(mask)
 
     @property
     def iterations(self):
         return len(self.logits) - 1
 
     def q1(self, t=-1):
-        return self.qs[t].data
+        return self.qs[t].data.reshape(-1)[self.pot.edge_set.flat]
 
     def marginals(self, t=-1):
         q = self.q1(t)
         return {e: float(q[k]) for k, e in enumerate(self.pot.edges)}
 
     def _on_edges(self, t):
-        """A trajectory tensor as an (E,) vector in edge order."""
-        return t
+        """A trajectory grid as an (E,) vector in edge order."""
+        return ad.take(ad.reshape(t, (-1,)), self.pot.edge_set.flat)
 
     @property
     def marginal_tensor(self):
@@ -91,69 +100,44 @@ class BeliefState:
         """Signed per-part field contributions that built iteration t.
 
         Yields (src_edge, dst_edge, part_type, part, value) with
-        value = Q^{t-1}(src) * s_part, for t in 1..T.
+        value = Q^{t-1}(src) * s_part, for t in 1..T, in the potentials'
+        reporting order.
         """
-        pot = self.pot
-        q = self.qs[t - 1].data
-        s = pot.pair_scores.data
-        for p in range(pot.pair_count):
-            a, b = pot.pair_e1[p], pot.pair_e2[p]
-            kind, part = pot.pair_part(p)
-            yield pot.edges[b], pot.edges[a], kind, part, float(q[b] * s[p])
-            yield pot.edges[a], pot.edges[b], kind, part, float(q[a] * s[p])
-
-    @property
-    def unary(self):
-        return self.pot.unary
+        q, index = self.q1(t - 1), self.pot.index
+        for (edge_a, edge_b, kind, part), s in zip(self.pot.pairs(), self.pot.part_scores()):
+            yield edge_b, edge_a, kind, part, float(q[index[edge_b]] * s)
+            yield edge_a, edge_b, kind, part, float(q[index[edge_a]] * s)
 
     def field(self, q):
-        """Field Q induces on every edge, summed over the pair list."""
-        pot = self.pot
-        if not pot.pair_count:
-            return ad.constant(np.zeros(pot.edge_count))
-        to_e1 = ad.mul(ad.take(q, pot.pair_e2), pot.pair_scores)
-        to_e2 = ad.mul(ad.take(q, pot.pair_e1), pot.pair_scores)
-        return ad.add(ad.segment_sum(to_e1, pot.pair_e1, pot.edge_count),
-                      ad.segment_sum(to_e2, pot.pair_e2, pot.edge_count))
+        """Field Q induces on every (head, dep) cell, from the dense score
+        tensors; O(n^3)."""
+        total = ad.constant(np.zeros(q.shape))
+        for kind, source, target, _ in MESSAGES.values():
+            if kind in self.pot.scores:
+                terms = ad.mul(self.pot.scores[kind], on_grid(q, source))
+                total = ad.add(total, ad.tensor_sum(terms, axis=target))
+        return total
 
     def push(self, raw_logit):
         """Append the iterate for one raw (unclamped) logit tensor."""
         logit = _clamped(raw_logit, self.clamp)
         self.logits.append(logit)
-        self.qs.append(ad.sigmoid(logit))
+        self.qs.append(ad.mul(ad.sigmoid(logit), self.mask))
 
 
 @dataclass
 class FactoredBeliefState(BeliefState):
-    """Mean-field trajectory over a ``ScoreFactors``' dense grid.
+    """Mean-field trajectory over a ``ScoreFactors``' dense grid, with the
+    factored field."""
 
-    logits[t] and qs[t] are (n+1) x (n+1) head-by-dependent matrices; qs
-    is held at 0 off the candidate edges so padding never enters a field.
-    The accessors return edge-order vectors, as ``BeliefState``'s do.
-    """
-
-    mask: Tensor = field(init=False, default=None)      # 1 on candidate edges
     gp_cycle: Tensor = field(init=False, default=None)  # C + C^T of the gp factors
 
     def __post_init__(self):
-        n1 = self.pot.edge_set.n + 1
-        mask = np.zeros(n1 * n1)
-        mask[self.pot.edge_set.flat] = 1.0
-        self.mask = ad.constant(mask.reshape(n1, n1))
+        super().__post_init__()
         if "gp" in self.pot.tri:
             g1, g2, g3 = self.pot.tri["gp"]
             cycle = ad.matmul(ad.mul(g1, g3), ad.transpose(g2))
             self.gp_cycle = ad.add(cycle, ad.transpose(cycle))
-
-    def q1(self, t=-1):
-        return self.qs[t].data.reshape(-1)[self.pot.edge_set.flat]
-
-    def _on_edges(self, t):
-        return ad.take(ad.reshape(t, (-1,)), self.pot.edge_set.flat)
-
-    @property
-    def unary(self):
-        return self.pot.edge_scores
 
     def field(self, q):
         """Field Q induces on every (head, dep) cell, from running sums and
@@ -188,10 +172,6 @@ class FactoredBeliefState(BeliefState):
             total = ad.add(total, term)
         return total
 
-    def push(self, raw_logit):
-        super().push(raw_logit)
-        self.qs[-1] = ad.mul(self.qs[-1], self.mask)
-
 
 def _column(g):
     """(n+1, d) factor as (n+1, 1, d), to broadcast along dependents."""
@@ -211,18 +191,18 @@ def _before(x, axis):
 def mf_init(pot, clamp=DEFAULT_CLAMP):
     """Iteration 0: posterior logits are just the unary scores.
 
-    ``pot`` is a pair-list ``LogPotentials`` or the scorer's
-    ``ScoreFactors``; the latter runs on the factored field.
+    ``pot`` is a ``LogPotentials`` or the scorer's ``ScoreFactors``; the
+    latter runs on the factored field.
     """
     state_type = BeliefState if isinstance(pot, LogPotentials) else FactoredBeliefState
     state = state_type(pot, clamp)
-    state.push(state.unary)
+    state.push(pot.edge_scores)
     return state
 
 
 def mf_step(state):
     """Append one synchronous update to the trajectory."""
-    state.push(ad.add(state.unary, state.field(state.qs[-1])))
+    state.push(ad.add(state.pot.edge_scores, state.field(state.qs[-1])))
     return state
 
 

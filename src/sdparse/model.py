@@ -25,12 +25,12 @@ and each second-order part type has its own rank-decomposed trilinear
 Sibling parts read (head_i, dep_j, dep_k), co-parent parts
 (head_i, dep_j, head_k), grandparent parts (head_i, head_dep_j, dep_k).
 
-``score_factors`` stops before any part is enumerated: it returns the
-edge scores as a dense head-by-dependent matrix and, per part type, the
-factor matrices g1 = role1 U1^T, g2 = role2 U2^T, g3 = role3 U3^T whose
-row products make up every part score. ``score_sentence`` turns each
-part type's factors into its dense (n+1)^3 score table with one matrix
-product and reads one score per enumerated part from it.
+``score_factors`` is the scorer's output. It enumerates no part: it
+returns the edge scores as a dense head-by-dependent matrix and, per part
+type, the factor matrices g1 = role1 U1^T, g2 = role2 U2^T, g3 = role3
+U3^T whose row products make up every part score. Mean-field runs on the
+factors directly; ``potentials.from_factors`` turns them into the dense
+(n+1)^3 score tensors that loopy BP and ``trace`` read.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError
-from .graph import build_candidate_edges
+from .errors import ConfigError
+from .graph import OnEdges, build_candidate_edges
 from .sdp_io import Vocabulary
 
 __all__ = [
-    "ModelConfig", "ParserModel", "ScoreSet", "ScoreFactors",
+    "ModelConfig", "ParserModel", "ScoreFactors",
     "biaffine", "diagonal_biaffine", "trilinear",
     "ROLES",
 ]
@@ -131,21 +131,7 @@ class ModelConfig:
 
 
 @dataclass
-class ScoreSet:
-    """All scores of one sentence, aligned with the candidate edge order
-    and the (possibly part-type-filtered) part list."""
-
-    edge_set: object
-    parts: object
-    s_edge: Tensor        # (E,)
-    s_label: Tensor       # (E, num_labels)
-    s_sib: Tensor         # (|sib|,)
-    s_cop: Tensor         # (|cop|,)
-    s_gp: Tensor          # (|gp|,)
-
-
-@dataclass
-class ScoreFactors:
+class ScoreFactors(OnEdges):
     """Scores of one sentence with no second-order part enumerated.
 
     ``edge_scores[h, d]`` is s_edge(h, d) on the whole (n+1) x (n+1)
@@ -161,18 +147,6 @@ class ScoreFactors:
     edge_scores: Tensor   # (n+1, n+1)
     s_label: Tensor       # (E, num_labels), candidate edge order
     tri: dict
-
-    @property
-    def edges(self):
-        return self.edge_set.edges
-
-    @property
-    def index(self):
-        return self.edge_set.index
-
-    @property
-    def edge_count(self):
-        return len(self.edge_set)
 
 
 def biaffine(v1, v2, U, b):
@@ -205,7 +179,7 @@ def _dropout(x, p, rng):
 
 
 class ParserModel:
-    """Holds all parameters and computes a ScoreSet per sentence."""
+    """Holds all parameters and computes a ScoreFactors per sentence."""
 
     def __init__(self, config, vocab, rng, pretrained=None, pretrained_table=None):
         config.validate()
@@ -405,39 +379,3 @@ class ParserModel:
                     ad.matmul(roles[role], ad.transpose(p[f"tri_{kind}_{slot}"]))
                     for role, slot in zip(role_names, ("U1", "U2", "U3")))
         return ScoreFactors(edge_set, edge_scores, s_label, tri)
-
-    def score_sentence(self, sentence, parts, train=False, rng=None):
-        """ScoreSet for one sentence; part types disabled in the config are
-        dropped from the returned part list.
-
-        Each part type's scores come from its full table over node triples,
-        T[a, b, c] = sum_m g1[a,m] g2[b,m] g3[c,m], built as one
-        (N^2, d) @ (d, N) product (N = n+1) and read at the flat index
-        (a*N + b)*N + c of each part's (a, b, c) columns, so the backward
-        pass has no per-part (P, d) gathers or scatters.
-        """
-        cfg = self.config
-        parts = parts.filter(cfg.use_sib, cfg.use_cop, cfg.use_gp)
-        if parts.n != sentence.n:
-            raise DataError(f"part list built for n={parts.n}, sentence has n={sentence.n}")
-
-        factors = self.score_factors(sentence, train, rng)
-        edge_set = factors.edge_set
-        s_edge = ad.take(ad.reshape(factors.edge_scores, (-1,)), edge_set.flat)
-
-        def tri_scores(kind, triples, order):
-            if not len(triples):
-                return ad.constant(np.zeros(0))
-            g1, g2, g3 = factors.tri[kind]
-            N, d = g1.shape
-            pairs = ad.mul(ad.reshape(g1, (N, 1, d)), ad.reshape(g2, (1, N, d)))
-            table = ad.matmul(ad.reshape(pairs, (N * N, d)), ad.transpose(g3))
-            a, b, c = (triples[:, col] for col in order)
-            return ad.take(ad.reshape(table, (-1,)), (a * N + b) * N + c)
-
-        # stored orders: sib (i, j, k), cop (i, k, j), gp (i, j, k)
-        s_sib = tri_scores("sib", parts.sib, (0, 1, 2))
-        s_cop = tri_scores("cop", parts.cop, (0, 2, 1))
-        s_gp = tri_scores("gp", parts.gp, (0, 1, 2))
-
-        return ScoreSet(edge_set, parts, s_edge, factors.s_label, s_sib, s_cop, s_gp)

@@ -2,13 +2,13 @@
 
 Mean-field runs on the scorer's factors (``ParserModel.score_factors``)
 and never enumerates a second-order part, so a parse costs O(T n^2 d).
-Loopy BP and ``trace_sentence`` enumerate the parts as index arrays,
-read each one's score from the dense per-type tables of
-``ParserModel.score_sentence`` and assemble the O(n^3) pair arrays;
-nothing part-shaped is cached between sentences. That path refuses a
-sentence longer than ``PAIR_LENGTH_CAP`` with a CapacityError before it
-enumerates anything. Decoding looks up labels only for the edges whose
-marginal clears the threshold.
+Loopy BP and ``trace_sentence`` run on the dense (n+1)^3 layout that
+``potentials.from_factors`` builds from the same factors; nothing
+part-shaped is cached between sentences. That path refuses a sentence
+longer than ``PAIR_LENGTH_CAP`` with a CapacityError before it builds any
+(n+1)^3 tensor. Only ``trace_sentence`` enumerates the parts, to report
+messages in part-list order. Decoding looks up labels only for the edges
+whose marginal clears the threshold.
 """
 
 from __future__ import annotations
@@ -17,16 +17,17 @@ import numpy as np
 
 from . import lbp, mf
 from .errors import CapacityError, ConfigError, NumericError
-from .graph import build_candidate_edges, decode, enumerate_parts
-from .potentials import assemble
+from .graph import decode
+from .potentials import from_factors
 
 __all__ = ["run_inference", "parse_sentence", "trace_sentence", "PAIR_LENGTH_CAP"]
 
-# Longest sentence the pair-list path accepts. It holds about 1.96 n^3
-# pairs, and an LBP training step (loss and backward) peaks at about 800
-# traced bytes per pair (790 at n = 45 and at n = 60, desk dims), so
-# n = 90 (1.43M pairs) peaks near 1.1 GiB. Mean-field is O(n^2) and uncapped.
-PAIR_LENGTH_CAP = 90
+# Longest sentence the dense (n+1)^3 path accepts. An LBP training step
+# (loss and backward, T = 3) peaks at about 760 traced bytes per (n+1)^3
+# cell (759 at n = 45, 739 at n = 60, desk dims), so n = 113 (1.48M cells)
+# peaks near 1.05 GiB, the budget the pair list had at n = 90.
+# Mean-field is O(n^2) and uncapped.
+PAIR_LENGTH_CAP = 113
 
 
 def run_inference(pot, engine="mf", iterations=3, clamp=mf.DEFAULT_CLAMP):
@@ -37,28 +38,18 @@ def run_inference(pot, engine="mf", iterations=3, clamp=mf.DEFAULT_CLAMP):
     raise ConfigError(f"unknown inference engine {engine!r} (expected 'mf' or 'lbp')")
 
 
-def pair_potentials(model, sentence, train=False, rng=None):
-    """ScoreSet and the assembled pair-list LogPotentials for one sentence.
-
-    Raises CapacityError above PAIR_LENGTH_CAP tokens, before any part is
-    enumerated.
-    """
-    if sentence.n > PAIR_LENGTH_CAP:
-        raise CapacityError(
-            f"{sentence.n}-token sentence exceeds the pair-list length cap of "
-            f"{PAIR_LENGTH_CAP} (engine 'lbp' and trace); mean-field has no cap")
-    parts = enumerate_parts(build_candidate_edges(sentence.n))
-    scores = model.score_sentence(sentence, parts, train=train, rng=rng)
-    return scores, assemble(scores, scores.parts)
-
-
 def sentence_potentials(model, sentence, engine="mf", train=False, rng=None):
-    """(scores, potentials) to run ``engine`` on: for mean-field both are
-    the scorer's ScoreFactors, otherwise ``pair_potentials``."""
-    if engine == "mf":
-        factors = model.score_factors(sentence, train=train, rng=rng)
-        return factors, factors
-    return pair_potentials(model, sentence, train=train, rng=rng)
+    """(scores, potentials) to run ``engine`` on: the scorer's ScoreFactors
+    and, for mean-field, the factors again, otherwise the dense
+    LogPotentials built from them. The dense path raises CapacityError
+    above PAIR_LENGTH_CAP tokens, before any (n+1)^3 tensor is built."""
+    dense = engine != "mf"
+    if dense and sentence.n > PAIR_LENGTH_CAP:
+        raise CapacityError(
+            f"{sentence.n}-token sentence exceeds the length cap of "
+            f"{PAIR_LENGTH_CAP} (engine 'lbp' and trace); mean-field has no cap")
+    factors = model.score_factors(sentence, train=train, rng=rng)
+    return factors, from_factors(factors) if dense else factors
 
 
 def parse_sentence(model, sentence, engine="mf", iterations=3, threshold=0.5,
@@ -91,7 +82,8 @@ def trace_sentence(model, sentence, engine="mf", iterations=3,
     source edge sends its partner; belief propagation reports the
     log-odds log m(1) - log m(0) of each directed message.
     """
-    _, pot = pair_potentials(model, sentence)
+    # both engines run on the dense layout, which names every part
+    _, pot = sentence_potentials(model, sentence, engine="lbp")
     state = run_inference(pot, engine, iterations, clamp)
 
     def name(edge):

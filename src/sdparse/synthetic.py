@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
 from .graph import SemGraph, Sentence, Token, build_candidate_edges, enumerate_parts
-from .potentials import LogPotentials, from_arrays, pair_table
+from .potentials import from_parts, from_arrays
 
 __all__ = [
     "random_potentials", "two_edge_instance", "toy_corpus",
@@ -31,14 +30,13 @@ __all__ = [
 
 def random_potentials(n, rng, unary_scale=1.0, coupling_scale=0.1,
                       requires_grad=False):
-    """Full candidate-set potentials with Gaussian scores."""
+    """Full candidate-set potentials with Gaussian scores: the unaries in
+    edge order, then the parts in ``enumerate_parts`` order."""
     edge_set = build_candidate_edges(n)
-    e1, e2, kinds = pair_table(edge_set, enumerate_parts(edge_set))
-    unary = rng.normal(0.0, unary_scale, size=len(edge_set.edges))
-    scores = rng.normal(0.0, coupling_scale, size=len(e1))
-    return LogPotentials(
-        edge_set.edges, Tensor(unary, requires_grad=requires_grad), e1, e2,
-        Tensor(scores, requires_grad=requires_grad), kinds)
+    parts = enumerate_parts(edge_set)
+    unary = rng.normal(0.0, unary_scale, size=len(edge_set))
+    scores = rng.normal(0.0, coupling_scale, size=parts.total())
+    return from_parts(edge_set, unary, parts, scores, requires_grad)
 
 
 def two_edge_instance(coupling, unaries=(0.0, 0.0), requires_grad=False):

@@ -31,12 +31,17 @@ def numeric_grad(fn, arrays, step=1e-6):
 
 def pair_list(pot, scores=None):
     """A potential's pairs as ``from_arrays`` entries
-    (edge_a, edge_b, score, type_name), in pair order."""
-    from sdparse.potentials import PART_TYPE_ORDER
+    (edge_a, edge_b, score, type_name), in reporting order."""
+    scores = pot.part_scores() if scores is None else scores
+    return [(a, b, float(s), kind) for (a, b, kind, _), s in zip(pot.pairs(), scores)]
 
-    scores = pot.pair_scores.data if scores is None else scores
-    return [(pot.edges[a], pot.edges[b], float(s), PART_TYPE_ORDER[k])
-            for a, b, s, k in zip(pot.pair_e1, pot.pair_e2, scores, pot.pair_kind)]
+
+def pair_arrays(pot):
+    """(first edge, second edge) index arrays and the scores of a
+    potential's pairs, in reporting order: the pair list the dense layout
+    replaced."""
+    first, second = pot.pair_edges()
+    return first, second, pot.part_scores()
 
 
 @pytest.fixture

@@ -74,6 +74,11 @@ def test_structural_ops(rng):
     _check(lambda x: ad.reshape(x, (3, 4)), a)
     _check(lambda x: ad.transpose(x), a)
     _check(lambda x, y: ad.concat([x, y], axis=0), a, b)
+    cube = rng.normal(size=(2, 3, 4))
+    for axes in ((0, 2, 1), (1, 0, 2), (2, 0, 1)):
+        np.testing.assert_array_equal(ad.transpose(ad.constant(cube), axes).data,
+                                      np.transpose(cube, axes))
+        _check(lambda x: ad.transpose(x, axes), cube)
 
 
 def test_getitem_and_take(rng):
@@ -86,23 +91,6 @@ def test_getitem_and_take(rng):
     out = ad.tensor_sum(ad.take(p, np.array([1, 1, 1])))
     ad.backward([out], [np.ones(())])
     np.testing.assert_array_equal(p.grad, [[0, 0], [3, 3], [0, 0]])
-
-
-def test_segment_sum_forward_and_grad(rng):
-    a = rng.normal(size=(6, 2))
-    ids = np.array([0, 2, 0, 1, 2, 2])
-    out = ad.segment_sum(ad.constant(a), ids, 4)
-    want = np.zeros((4, 2))
-    np.add.at(want, ids, a)
-    np.testing.assert_allclose(out.data, want)
-    _check(lambda x: ad.segment_sum(x, ids, 4), a)
-
-
-def test_segment_sum_empty_segment_gets_zero(rng):
-    a = rng.normal(size=(2, 3))
-    out = ad.segment_sum(ad.constant(a), np.array([0, 3]), 5)
-    np.testing.assert_array_equal(out.data[1], 0.0)
-    np.testing.assert_array_equal(out.data[2], 0.0)
 
 
 def test_reductions(rng):
@@ -162,6 +150,42 @@ def test_softplus_gradient_is_the_logistic_at_every_scale():
     want = np.exp(-np.logaddexp(0.0, -vals))
     np.testing.assert_allclose(x.grad, want, rtol=1e-14, atol=1e-300)
     assert x.grad[-1] == 1.0 and x.grad[0] == 0.0
+
+
+# every (c, s) pair of these, as a full grid and with c broadcast along s
+SHIFT_VALUES = np.array([0.0, 1.0, -1.0, 40.0, -40.0, 800.0, -800.0])
+SHIFT_SHAPES = [((7, 7), (7, 7)), ((7, 1), (7, 7))]
+
+
+def _shift_inputs(c_shape):
+    c = np.broadcast_to(SHIFT_VALUES[:, None], (7, 7)).copy()
+    s = np.broadcast_to(SHIFT_VALUES[None, :], (7, 7)).copy()
+    return (c if c_shape == (7, 7) else SHIFT_VALUES[:, None].copy()), s
+
+
+@pytest.mark.parametrize("c_shape,s_shape", SHIFT_SHAPES)
+def test_softplus_shift_matches_the_unfused_formula(c_shape, s_shape):
+    c0, s0 = _shift_inputs(c_shape)
+    upstream = np.arange(1.0, 50.0).reshape(7, 7) / 7.0
+
+    def run(build):
+        c, s = ad.parameter(c0), ad.parameter(s0)
+        out = build(c, s)
+        ad.backward([out], [upstream])
+        return out.data, c.grad, s.grad
+
+    got = run(ad.softplus_shift)
+    want = run(lambda c, s: ad.sub(ad.softplus(ad.add(c, s)), ad.softplus(c)))
+    np.testing.assert_array_equal(got[0], want[0])
+    for g, w in zip(got[1:], want[1:]):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-300)
+
+
+@pytest.mark.parametrize("c_shape,s_shape", SHIFT_SHAPES)
+def test_softplus_shift_matches_finite_differences(c_shape, s_shape):
+    c, s = _shift_inputs(c_shape)
+    _check(ad.softplus_shift, c, s, step=1e-4)
 
 
 @pytest.mark.parametrize("steps", [1, 5])

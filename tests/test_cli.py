@@ -152,6 +152,34 @@ def test_parse_with_byte_flipped_checkpoint_exits_3(tmp_path, trained, corpus_pa
     assert "damaged" in capsys.readouterr().err
 
 
+def _rewrite_meta(tmp_path, trained, edit):
+    """A copy of the trained checkpoint whose meta record is ``edit`` of
+    the stored one: a string replaces it, a callable changes the dict."""
+    with np.load(trained / "checkpoint.npz") as loaded:
+        arrays = {key: loaded[key] for key in loaded.files}
+    if callable(edit):
+        meta = json.loads(str(arrays["__meta__"]))
+        edit(meta)
+        edit = json.dumps(meta)
+    arrays["__meta__"] = np.array(edit)
+    path = tmp_path / "meta.npz"
+    np.savez(path, **arrays)
+    return path
+
+
+@pytest.mark.parametrize("edit,code,message", [
+    ("{format_version: 1", 3, "not a JSON object"),
+    ("[1, 2]", 3, "not a JSON object"),
+    (lambda meta: meta.pop("config"), 3, "lacks a config"),
+    (lambda meta: meta["config"].update(bogus_key=1), 2, "bogus_key"),
+], ids=["not-json", "json-list", "no-config", "unknown-config-key"])
+def test_parse_with_malformed_checkpoint_meta_exits_with_its_code(
+        tmp_path, trained, corpus_path, capsys, edit, code, message):
+    path = _rewrite_meta(tmp_path, trained, edit)
+    assert _parse_checkpoint(path, tmp_path, corpus_path) == code
+    assert message in capsys.readouterr().err
+
+
 def test_eval_length_mismatch_exits_3(tmp_path, corpus_path, capsys):
     short = tmp_path / "short.sdp"
     write_sdp(toy_corpus(np.random.default_rng(1), size=2), short)
@@ -313,7 +341,8 @@ def _five_token_corpus(tmp_path):
 
 
 def _pair_list_command(command, tmp_path, trained, corpus):
-    """``parse --engine lbp`` or ``trace``: the two CLI users of the pair list."""
+    """``parse --engine lbp`` or ``trace``: the two CLI users of the dense
+    (n+1)^3 layout."""
     base = ["--checkpoint", str(trained / "checkpoint.npz"), "--input", corpus]
     if command == "parse":
         return ["parse", *base, "--engine", "lbp", "--output", str(tmp_path / "pred.sdp")]
@@ -331,14 +360,14 @@ def test_pair_list_accepts_length_at_the_cap(monkeypatch, tmp_path, trained, com
 def test_pair_list_over_the_cap_exits_3_before_enumerating(monkeypatch, tmp_path,
                                                           trained, capsys, command):
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_parts ran over the length cap")
+        raise AssertionError("the dense layout was built over the length cap")
 
     corpus = _five_token_corpus(tmp_path)
     monkeypatch.setattr(pipeline, "PAIR_LENGTH_CAP", 4)
-    monkeypatch.setattr(pipeline, "enumerate_parts", refuse)
+    monkeypatch.setattr(pipeline, "from_factors", refuse)
     assert cli.main(_pair_list_command(command, tmp_path, trained, corpus)) == 3
     assert "length cap of 4" in capsys.readouterr().err
-    # mean-field parsing never builds the pair list and has no cap
+    # mean-field parsing never builds the dense layout and has no cap
     mf = ["parse", "--checkpoint", str(trained / "checkpoint.npz"), "--input", corpus,
           "--engine", "mf", "--output", str(tmp_path / "mf.sdp")]
     assert cli.main(mf) == 0

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from sdparse import exact
 from sdparse.errors import CapacityError
 from sdparse.exact import ENUMERATION_CAP, exact_infer, exact_map
 from sdparse.potentials import from_arrays, joint_log_score
@@ -121,3 +122,18 @@ def test_raising_a_unary_raises_its_marginal():
     base = from_arrays(((0, 1), (0, 2)), np.array([0.2, -0.3]), [((0, 1), (0, 2), 0.4, "sib")])
     bumped = from_arrays(((0, 1), (0, 2)), np.array([1.2, -0.3]), [((0, 1), (0, 2), 0.4, "sib")])
     assert exact_infer(bumped).marginals[(0, 1)] > exact_infer(base).marginals[(0, 1)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 20])
+def test_block_size_does_not_change_the_result(monkeypatch, block):
+    # 512 assignments of the 9 edges of a three-word sentence, scored in
+    # blocks that do and do not divide them
+    pot = random_potentials(3, np.random.default_rng(4), coupling_scale=0.8)
+    monkeypatch.setattr(exact, "_BLOCK", block)
+    res = exact_infer(pot)
+    log_z, marg, best, best_edges = slow_enumerate(pot)
+    assert res.log_partition == pytest.approx(log_z, abs=1e-12)
+    for e in pot.edges:
+        assert res.marginals[e] == pytest.approx(marg[e], abs=1e-12)
+    assert res.map_log_score == pytest.approx(best, abs=1e-12)
+    assert set(res.map_assignment) == best_edges == set(exact_map(pot))

@@ -12,7 +12,7 @@ from sdparse.mf import DEFAULT_CLAMP, mf_init, mf_run, mf_step
 from sdparse.potentials import from_arrays, potential_grads
 from sdparse.synthetic import random_potentials, two_edge_instance
 
-from conftest import numeric_grad, pair_list
+from conftest import numeric_grad, pair_arrays, pair_list
 
 # the two-edge instance with coupling log 2, iterated to convergence
 TWO_EDGE_FIXED_POINT = 0.6029962210857664
@@ -28,13 +28,13 @@ def naive_mf(pot, iterations, clamp=DEFAULT_CLAMP):
         return 1.0 / (1.0 + np.exp(-x))
 
     unary = pot.unary.data
-    scores = pot.pair_scores.data
+    first, second, scores = pair_arrays(pot)
     qs = [expit(clip(unary.copy()))]
     for _ in range(iterations):
         field = np.zeros_like(unary)
         q = qs[-1]
         for p in range(pot.pair_count):
-            a, b = pot.pair_e1[p], pot.pair_e2[p]
+            a, b = first[p], second[p]
             field[a] += q[b] * scores[p]
             field[b] += q[a] * scores[p]
         qs.append(expit(clip(unary + field)))
@@ -46,14 +46,14 @@ def mf_second_order_field(state, edge):
     summation over the parts containing it)."""
     pot = state.pot
     k = pot.index[tuple(edge)]
-    q = state.qs[-1].data
-    s = pot.pair_scores.data
+    q = state.q1()
+    first, second, s = pair_arrays(pot)
     total = 0.0
     for p in range(pot.pair_count):
-        if pot.pair_e1[p] == k:
-            total += q[pot.pair_e2[p]] * s[p]
-        elif pot.pair_e2[p] == k:
-            total += q[pot.pair_e1[p]] * s[p]
+        if first[p] == k:
+            total += q[second[p]] * s[p]
+        elif second[p] == k:
+            total += q[first[p]] * s[p]
     return total
 
 
@@ -82,7 +82,7 @@ def test_update_field_collects_every_coupled_neighbor():
     assert partner_and_score["gp"][0] == (1, 2)
     field = sum(q0[idx[e]] * s for e, s in partner_and_score.values())
     want = pot.unary.data[idx[(0, 1)]] + field
-    assert state.logits[1].data[idx[(0, 1)]] == pytest.approx(want, abs=1e-12)
+    assert state.logits[1].data[0, 1] == pytest.approx(want, abs=1e-12)
 
 
 def test_two_edge_trajectory_matches_scalar_recurrence():
@@ -126,11 +126,11 @@ def test_matches_naive_reference(seed):
 def test_clamp_saturates_and_none_disables():
     pot = from_arrays(((0, 1),), np.array([100.0]), [])
     clamped = mf_run(pot, iterations=1)
-    assert clamped.logits[0].data[0] == pytest.approx(30.0)
-    assert clamped.logits[1].data[0] == pytest.approx(30.0)
+    assert clamped.logits[0].data[0, 1] == pytest.approx(30.0)
+    assert clamped.logits[1].data[0, 1] == pytest.approx(30.0)
     pot2 = from_arrays(((0, 1),), np.array([100.0]), [])
     free = mf_run(pot2, iterations=1, clamp=None)
-    assert free.logits[1].data[0] == pytest.approx(100.0)
+    assert free.logits[1].data[0, 1] == pytest.approx(100.0)
 
 
 def test_iterations_must_be_positive():
@@ -163,15 +163,12 @@ def test_second_order_field_matches_vectorized_update(rng):
     state = mf_run(pot, iterations=2)
     idx = {e: k for k, e in enumerate(pot.edges)}
     q = state.q1(2)
-    for e in pot.edges[:4]:
-        want = 0.0
-        for p in range(pot.pair_count):
-            a, b = pot.pair_e1[p], pot.pair_e2[p]
-            if a == idx[e]:
-                want += q[b] * pot.pair_scores.data[p]
-            elif b == idx[e]:
-                want += q[a] * pot.pair_scores.data[p]
+    field = state.field(state.qs[-1]).data
+    for e in pot.edges:
+        want = sum(q[idx[b if a == e else a]] * s
+                   for a, b, s, _ in pair_list(pot) if e in (a, b))
         assert mf_second_order_field(state, e) == pytest.approx(want, abs=1e-12)
+        assert field[e] == pytest.approx(want, abs=1e-12)
 
 
 def test_coupling_terms_name_both_directions():
@@ -193,7 +190,8 @@ def test_backward_matches_finite_differences(iterations):
     base = random_potentials(3, rng, coupling_scale=0.3)
     upstream = rng.normal(size=base.edge_count)
     unary0 = base.unary.data.copy()
-    scores0 = base.pair_scores.data.copy()
+    scores0 = base.part_scores()
+
     def rebuild(unary, scores, grad=False):
         return from_arrays(base.edges, unary, pair_list(base, scores), requires_grad=grad)
 

@@ -1,6 +1,7 @@
-"""Mean-field on the scorer's factors, checked against the pair-list
-mean-field it replaces: every iterate, end-to-end gradients, and the
-marginals `sdparse parse` writes."""
+"""Mean-field on the scorer's factors, checked against mean-field on the
+enumerated parts (the dense (n+1)^3 layout of ``potentials.from_factors``,
+whose field sums over every part): every iterate, end-to-end gradients,
+and the marginals `sdparse parse` writes."""
 
 from __future__ import annotations
 
@@ -50,8 +51,12 @@ def _sentence(n, seed):
     return toy_corpus(np.random.default_rng(seed), size=1, min_len=n, max_len=n)[0]
 
 
+_sentence_potentials = pipeline.sentence_potentials
+
+
 def _pair_list(model, sentence, engine="mf", train=False, rng=None):
-    return pipeline.pair_potentials(model, sentence, train=train, rng=rng)
+    """The dense LogPotentials of every part, whatever the engine."""
+    return _sentence_potentials(model, sentence, "lbp", train=train, rng=rng)
 
 
 @pytest.mark.parametrize("clamp", [30.0, None])
@@ -60,7 +65,7 @@ def _pair_list(model, sentence, engine="mf", train=False, rng=None):
 def test_every_iterate_matches_the_pair_list(n, switches, clamp):
     model, _ = _model(_vocab(), seed=n, **switches)
     sentence, _ = _sentence(n, seed=100 + n)
-    _, pot = pipeline.pair_potentials(model, sentence)
+    _, pot = _pair_list(model, sentence)
     want = mf_run(pot, ITERATIONS, clamp)
     got = mf_run(model.score_factors(sentence), ITERATIONS, clamp)
     assert isinstance(got, FactoredBeliefState)

@@ -17,6 +17,7 @@ from sdparse.model import (
     diagonal_biaffine,
     trilinear,
 )
+from sdparse.potentials import from_factors, from_parts
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import toy_corpus
 
@@ -232,39 +233,39 @@ def test_trilinear_equals_full_tensor_contraction():
 
 
 def _scores_and_roles(model, sentence):
-    parts = enumerate_parts(build_candidate_edges(sentence.n))
-    scores = model.score_sentence(sentence, parts)
+    factors = model.score_factors(sentence)
     ctx = model.encode(model.embed(sentence), train=False, rng=None)
     roles = {k: v.data for k, v in model.project_roles(ctx, train=False, rng=None).items()}
-    return scores, roles
+    return factors, from_factors(factors), roles
 
 
 def test_score_counts_for_two_words(model, corpus):
     sent = Sentence(tokens=corpus[0][0].tokens[:2])
-    scores, _ = _scores_and_roles(model, sent)
-    assert scores.s_edge.data.shape == (4,)
-    assert scores.s_label.data.shape == (4, len(model.vocab.label2id))
-    assert scores.s_sib.data.shape == (1,)
-    assert scores.s_cop.data.shape == (2,)
-    assert scores.s_gp.data.shape == (2,)
+    factors, pot, _ = _scores_and_roles(model, sent)
+    assert pot.unary.data.shape == (4,)
+    assert factors.s_label.data.shape == (4, len(model.vocab.label2id))
+    assert [len(rows) for _, rows in pot.blocks()] == [1, 2, 2]
+    assert {kind: s.shape for kind, s in pot.scores.items()} == {
+        "sib": (3, 3, 3), "cop": (3, 3, 3), "gp": (3, 3, 3)}
 
 
 def test_edge_scores_match_direct_biaffine(model, sentence):
-    scores, roles = _scores_and_roles(model, sentence)
+    factors, pot, roles = _scores_and_roles(model, sentence)
     U = model.params["edge_U"].data
     b = model.params["edge_b"].data
-    for pos, (h, d) in enumerate(scores.edge_set.edges):
+    for pos, (h, d) in enumerate(pot.edges):
         want = roles["edge_dep"][d] @ U @ roles["edge_head"][h] + b
-        assert scores.s_edge.data[pos] == pytest.approx(float(want), abs=1e-12)
+        assert pot.unary.data[pos] == pytest.approx(float(want), abs=1e-12)
+        assert factors.edge_scores.data[h, d] == pot.unary.data[pos]
 
 
 def test_label_scores_match_direct_product(model, sentence):
-    scores, roles = _scores_and_roles(model, sentence)
+    factors, _, roles = _scores_and_roles(model, sentence)
     W = model.params["label_W"].data
     b = model.params["label_b"].data
-    for pos, (h, d) in enumerate(scores.edge_set.edges):
+    for pos, (h, d) in enumerate(factors.edge_set.edges):
         want = (roles["label_dep"][d] * roles["label_head"][h]) @ W + b
-        np.testing.assert_allclose(scores.s_label.data[pos], want, atol=1e-12)
+        np.testing.assert_allclose(factors.s_label.data[pos], want, atol=1e-12)
 
 
 def _tri(roles, model, kind, r1, r2, r3, nodes):
@@ -276,56 +277,73 @@ def _tri(roles, model, kind, r1, r2, r3, nodes):
 
 
 def test_sibling_scores_read_head_then_both_dependents(model, sentence):
-    scores, roles = _scores_and_roles(model, sentence)
-    for pos, (i, j, k) in enumerate(scores.parts.sib):
+    _, pot, roles = _scores_and_roles(model, sentence)
+    S = pot.scores["sib"].data
+    for i, j, k in dict(pot.blocks())["sib"]:
         want = _tri(roles, model, "sib", "sib_head", "sib_dep", "sib_dep", (i, j, k))
-        assert scores.s_sib.data[pos] == pytest.approx(want, abs=1e-10)
+        assert S[i, j, k] == pytest.approx(want, abs=1e-10)
+        assert S[i, k, j] == S[i, j, k]
 
 
 def test_coparent_scores_read_shared_dependent_in_the_middle(model, sentence):
-    scores, roles = _scores_and_roles(model, sentence)
-    for pos, (i, k, j) in enumerate(scores.parts.cop):
+    _, pot, roles = _scores_and_roles(model, sentence)
+    S = pot.scores["cop"].data
+    for i, k, j in dict(pot.blocks())["cop"]:
         want = _tri(roles, model, "cop", "cop_head", "cop_dep", "cop_head", (i, j, k))
-        assert scores.s_cop.data[pos] == pytest.approx(want, abs=1e-10)
+        assert S[i, k, j] == pytest.approx(want, abs=1e-10)
+        assert S[k, i, j] == S[i, k, j]
 
 
 def test_grandparent_scores_are_directional(model, sentence):
-    scores, roles = _scores_and_roles(model, sentence)
-    for pos, (i, j, k) in enumerate(scores.parts.gp):
+    _, pot, roles = _scores_and_roles(model, sentence)
+    S = pot.scores["gp"].data
+    for i, j, k in dict(pot.blocks())["gp"]:
         want = _tri(roles, model, "gp", "gp_head", "gp_head_dep", "gp_dep", (i, j, k))
-        assert scores.s_gp.data[pos] == pytest.approx(want, abs=1e-10)
+        assert S[i, j, k] == pytest.approx(want, abs=1e-10)
 
 
 def test_disabled_part_types_are_dropped(vocab, sentence):
     cfg = ModelConfig(word_dim=4, pos_dim=3, encoder_layers=0, unary_dim=5,
                       binary_dim=3, use_sib=False, use_cop=False, use_gp=True)
     m = ParserModel(cfg, vocab, np.random.default_rng(9))
-    parts = enumerate_parts(build_candidate_edges(sentence.n))
-    scores = m.score_sentence(sentence, parts)
-    assert scores.s_sib.data.shape == (0,)
-    assert scores.s_cop.data.shape == (0,)
-    assert scores.s_gp.data.shape == (len(parts.gp),)
+    pot = from_factors(m.score_factors(sentence))
+    assert set(pot.scores) == {"gp"}
+    parts = dict(pot.blocks())
+    assert len(parts["sib"]) == len(parts["cop"]) == 0
+    assert len(parts["gp"]) == len(enumerate_parts(build_candidate_edges(sentence.n)).gp)
 
 
 # each part type switched off in turn, and all of them on
 PART_SWITCHES = [{}, {"use_sib": False}, {"use_cop": False}, {"use_gp": False}]
+# stored triple (a, b, c) -> the factor rows of its first edge and third node
+FACTOR_ORDER = {"sib": (0, 1, 2), "cop": (0, 2, 1), "gp": (0, 1, 2)}
+# the permutation that maps a stored triple onto the second cell of a
+# symmetric type's score tensor
+MIRROR = {"sib": (0, 2, 1), "cop": (1, 0, 2)}
 
 
 def gathered_part_scores(factors, parts):
     """Reference part scores: gather the factor rows of every part and sum
     their product, sum_m g1[a,m] g2[b,m] g3[c,m], one (P, d) row per part.
-    Keyed by the ScoreSet field names; a disabled type gets no entry."""
+    A disabled or empty type gets no entry."""
     out = {}
-    # stored orders: sib (i, j, k), cop (i, k, j), gp (i, j, k)
-    for kind, order in (("sib", (0, 1, 2)), ("cop", (0, 2, 1)), ("gp", (0, 1, 2))):
+    for kind, order in FACTOR_ORDER.items():
         triples = getattr(parts, kind)
         if kind not in factors.tri or not len(triples):
             continue
         g1, g2, g3 = factors.tri[kind]
         a, b, c = (triples[:, col] for col in order)
         prod = ad.mul(ad.mul(ad.take(g1, a), ad.take(g2, b)), ad.take(g3, c))
-        out[f"s_{kind}"] = ad.tensor_sum(prod, axis=1)
+        out[kind] = ad.tensor_sum(prod, axis=1)
     return out
+
+
+def _cells(kind, triples):
+    """Index tuples of every cell a part type's triples fill."""
+    cells = [tuple(triples.T)]
+    if kind in MIRROR:
+        cells.append(tuple(triples[:, MIRROR[kind]].T))
+    return cells
 
 
 def _scaled_model(vocab, seed, **switches):
@@ -349,16 +367,20 @@ def _sentence_of_length(n, seed):
 def test_dense_part_scores_match_per_part_gathers(vocab, n, switches):
     m = _scaled_model(vocab, seed=n, **switches)
     sent = _sentence_of_length(n, seed=50 + n)
-    scores = m.score_sentence(sent, enumerate_parts(build_candidate_edges(n)))
-    want = gathered_part_scores(m.score_factors(sent), scores.parts)
+    factors = m.score_factors(sent)
+    pot = from_factors(factors)
+    parts = enumerate_parts(build_candidate_edges(n))
+    want = gathered_part_scores(factors, parts)
     for kind in ("sib", "cop", "gp"):
-        got = getattr(scores, f"s_{kind}").data
         enabled = switches.get(f"use_{kind}", True)
-        assert (f"s_{kind}" in want) == (enabled and n > 1)
-        if f"s_{kind}" in want:
-            np.testing.assert_allclose(got, want[f"s_{kind}"].data, rtol=0, atol=1e-12)
-        else:
-            assert got.shape == (0,)
+        assert (kind in want) == (kind in pot.scores) == (enabled and n > 1)
+        if kind not in want:
+            continue
+        # the part's score on each of its cells, 0 everywhere else
+        dense = np.zeros((n + 1,) * 3)
+        for cells in _cells(kind, getattr(parts, kind)):
+            dense[cells] = want[kind].data
+        np.testing.assert_allclose(pot.scores[kind].data, dense, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("switches", PART_SWITCHES)
@@ -366,18 +388,22 @@ def test_dense_part_scores_match_per_part_gathers(vocab, n, switches):
 def test_dense_part_score_gradients_match_per_part_gathers(vocab, n, switches):
     m = _scaled_model(vocab, seed=n, **switches)
     sent = _sentence_of_length(n, seed=50 + n)
-    scores = m.score_sentence(sent, enumerate_parts(build_candidate_edges(n)))
-    reference = gathered_part_scores(m.score_factors(sent), scores.parts)
+    pot = from_factors(m.score_factors(sent))
+    parts = enumerate_parts(build_candidate_edges(n))
+    reference = gathered_part_scores(m.score_factors(sent), parts)
     rng = np.random.default_rng(n)
-    upstream = {name: rng.normal(size=t.shape) for name, t in reference.items()}
+    upstream = {kind: rng.normal(size=s.shape) for kind, s in pot.scores.items()}
+    # a part's score sits on each of its cells, so its gradient sums theirs
+    per_part = {kind: sum(upstream[kind][cells] for cells in _cells(kind, getattr(parts, kind)))
+                for kind in reference}
 
-    def param_grads(outputs):
+    def param_grads(outputs, seeds):
         m.zero_grad()
-        ad.backward(list(outputs.values()), list(upstream.values()))
+        ad.backward(list(outputs.values()), [seeds[kind] for kind in outputs])
         return {name: p.grad for name, p in m.params.items()}
 
-    got = param_grads({name: getattr(scores, name) for name in reference})
-    want = param_grads(reference)
+    got = param_grads(pot.scores, upstream)
+    want = param_grads(reference, per_part)
     assert [name for name, g in got.items() if g is not None] == \
         [name for name, g in want.items() if g is not None]
     for name, g in want.items():
@@ -386,9 +412,11 @@ def test_dense_part_score_gradients_match_per_part_gathers(vocab, n, switches):
 
 
 def test_part_list_length_mismatch_is_an_error(model, sentence):
+    factors = model.score_factors(sentence)
     wrong = enumerate_parts(build_candidate_edges(sentence.n + 1))
     with pytest.raises(DataError):
-        model.score_sentence(sentence, wrong)
+        from_parts(factors.edge_set, factors.edge_scores.data.reshape(-1)[factors.edge_set.flat],
+                   wrong, np.zeros(wrong.total()), requires_grad=False)
 
 
 def test_eval_mode_ignores_dropout_config(vocab, sentence):
@@ -399,52 +427,28 @@ def test_eval_mode_ignores_dropout_config(vocab, sentence):
                                       dropout_binary=0.5, dropout_lstm_ff=0.5,
                                       dropout_lstm_recur=0.5, dropout_label=0.5),
                           vocab, np.random.default_rng(9))
-    parts = enumerate_parts(build_candidate_edges(sentence.n))
-    a = plain.score_sentence(sentence, parts, train=False)
-    b = dropped.score_sentence(sentence, parts, train=False)
-    np.testing.assert_array_equal(a.s_edge.data, b.s_edge.data)
+    a = plain.score_factors(sentence, train=False)
+    b = dropped.score_factors(sentence, train=False)
+    np.testing.assert_array_equal(a.edge_scores.data, b.edge_scores.data)
 
 
 def test_train_mode_dropout_is_seeded(vocab, sentence):
     cfg = ModelConfig(word_dim=4, pos_dim=3, encoder_layers=0, unary_dim=5,
                       binary_dim=3, dropout_unary=0.5)
     m = ParserModel(cfg, vocab, np.random.default_rng(9))
-    parts = enumerate_parts(build_candidate_edges(sentence.n))
-    a = m.score_sentence(sentence, parts, train=True, rng=np.random.default_rng(4))
-    b = m.score_sentence(sentence, parts, train=True, rng=np.random.default_rng(4))
-    c = m.score_sentence(sentence, parts, train=True, rng=np.random.default_rng(5))
-    np.testing.assert_array_equal(a.s_edge.data, b.s_edge.data)
-    assert not np.array_equal(a.s_edge.data, c.s_edge.data)
-
-
-def score_backward(scoreset, grads):
-    """Push upstream gradients on score arrays into parameter .grad.
-
-    ``grads`` maps any of s_edge/s_label/s_sib/s_cop/s_gp to an array
-    of the matching shape.
-    """
-    outs, seeds = [], []
-    for name, g in grads.items():
-        t = getattr(scoreset, name)
-        if t.shape != np.shape(g):
-            raise ValueError(f"{name}: upstream shape {np.shape(g)} != {t.shape}")
-        outs.append(t)
-        seeds.append(g)
-    ad.backward(outs, seeds)
+    a = m.score_factors(sentence, train=True, rng=np.random.default_rng(4))
+    b = m.score_factors(sentence, train=True, rng=np.random.default_rng(4))
+    c = m.score_factors(sentence, train=True, rng=np.random.default_rng(5))
+    np.testing.assert_array_equal(a.edge_scores.data, b.edge_scores.data)
+    assert not np.array_equal(a.edge_scores.data, c.edge_scores.data)
 
 
 def test_score_backward_reaches_every_group(model, sentence):
-    parts = enumerate_parts(build_candidate_edges(sentence.n))
-    scores = model.score_sentence(sentence, parts)
+    factors = model.score_factors(sentence)
+    pot = from_factors(factors)
     model.zero_grad()
-    grads = {
-        "s_edge": np.ones_like(scores.s_edge.data),
-        "s_label": np.ones_like(scores.s_label.data),
-        "s_sib": np.ones_like(scores.s_sib.data),
-        "s_cop": np.ones_like(scores.s_cop.data),
-        "s_gp": np.ones_like(scores.s_gp.data),
-    }
-    score_backward(scores, grads)
+    outputs = [pot.unary, factors.s_label, *pot.scores.values()]
+    ad.backward(outputs, [np.ones_like(t.data) for t in outputs])
     groups = model.param_groups()
     for name in ("embeddings", "projections", "edge_biaffine", "label_biaffine", "trilinear"):
         touched = [model.params[p].grad for p in groups[name]]
@@ -452,10 +456,9 @@ def test_score_backward_reaches_every_group(model, sentence):
 
 
 def test_edge_bias_gradient_is_edge_count(model, sentence):
-    parts = enumerate_parts(build_candidate_edges(sentence.n))
-    scores = model.score_sentence(sentence, parts)
+    pot = from_factors(model.score_factors(sentence))
     model.zero_grad()
-    ad.backward([ad.tensor_sum(scores.s_edge)], [np.ones(())])
+    ad.backward([ad.tensor_sum(pot.unary)], [np.ones(())])
     assert model.params["edge_b"].grad == pytest.approx(sentence.n ** 2)
 
 

@@ -162,8 +162,11 @@ def test_two_edge_instance_structure():
     assert pot.unary_log((0, 2), 1) == pytest.approx(-0.5)
     assert pot.unary_log((0, 1), 0) == 0.0
     assert pot.pair_count == 1
-    assert (pot.pair_e1.tolist(), pot.pair_e2.tolist()) == ([0], [1])
-    assert pot.pair_part(0) == ("sib", (0, 1, 2))
+    assert pot.pairs() == [((0, 1), (0, 2), "sib", (0, 1, 2))]
+    # the score sits on both orientations of the one sibling cell pair
+    sib = pot.scores["sib"].data
+    assert sib[0, 1, 2] == sib[0, 2, 1] == pytest.approx(np.log(2.0))
+    assert np.count_nonzero(sib) == 2 and set(pot.scores) == {"sib"}
     assert pot.pair_log(0, 1, 1) == pytest.approx(np.log(2.0))
     assert pot.pair_log(0, 1, 0) == 0.0
 
@@ -175,19 +178,24 @@ def test_random_potentials_cover_every_part():
     assert len(pot.edges) == 9
     want = reference_edge_pairs(3)
     assert {kind for _, _, kind, _ in want} == {"sib", "cop", "gp"}
-    assert pot.pair_count == len(want) == len(pot.pair_e2) == len(pot.pair_kind)
-    for p, (e1, e2, kind, part) in enumerate(want):
-        assert (pot.edges[pot.pair_e1[p]], pot.edges[pot.pair_e2[p]]) == (e1, e2)
-        assert pot.pair_part(p) == (kind, part)
+    assert pot.pair_count == len(want)
+    assert pot.pairs() == want
     # every pair score lands only on the both-on cell
+    scores = pot.part_scores()
     for p in range(pot.pair_count):
-        assert pot.pair_log(p, 1, 1) == pot.pair_scores.data[p]
+        assert pot.pair_log(p, 1, 1) == scores[p]
         assert pot.pair_log(p, 1, 0) == pot.pair_log(p, 0, 1) == 0.0
+    # in the dense layout a symmetric part fills its two mirrored cells and
+    # a gp part the one cell its down and up messages share
+    cells = {kind: np.count_nonzero(s.data) for kind, s in pot.scores.items()}
+    count = {kind: sum(k == kind for _, _, k, _ in want) for kind in cells}
+    assert cells == {"sib": 2 * count["sib"], "cop": 2 * count["cop"], "gp": count["gp"]}
 
 
 def test_random_potentials_scale_zero_kills_couplings():
     pot = random_potentials(3, np.random.default_rng(1), coupling_scale=0.0)
-    assert np.all(pot.pair_scores.data == 0.0)
+    assert np.all(pot.part_scores() == 0.0)
+    assert all(not s.data.any() for s in pot.scores.values())
 
 
 # ------------------------------------------------------- other corpora

@@ -10,7 +10,7 @@ import pytest
 
 import sdparse.autodiff as ad
 from sdparse.errors import ConfigError, NumericError
-from sdparse.graph import SemGraph, build_candidate_edges, enumerate_parts
+from sdparse.graph import SemGraph, build_candidate_edges
 from sdparse.mf import mf_run
 from sdparse.model import ModelConfig, ParserModel
 from sdparse.potentials import from_arrays
@@ -72,20 +72,14 @@ def test_edge_loss_gradient_is_marginal_minus_gold():
 # --------------------------------------------------------------- label loss
 
 def _label_fixture(scores_rows, labels=("TOP", "a", "b", "c")):
-    """A ScoreSet stand-in with controlled label scores for n=1."""
-    from sdparse.model import ScoreSet
-    from sdparse.graph import PartList
+    """A ScoreFactors stand-in with controlled label scores for n=1."""
+    from sdparse.model import ScoreFactors
 
-    edge_set = build_candidate_edges(1)
-    parts = PartList(n=1, sib=(), cop=(), gp=())
-    s = ScoreSet(
-        edge_set=edge_set,
-        parts=parts,
-        s_edge=ad.constant(np.zeros(1)),
+    s = ScoreFactors(
+        edge_set=build_candidate_edges(1),
+        edge_scores=ad.constant(np.zeros((2, 2))),
         s_label=ad.constant(np.asarray(scores_rows, dtype=np.float64)),
-        s_sib=ad.constant(np.zeros(0)),
-        s_cop=ad.constant(np.zeros(0)),
-        s_gp=ad.constant(np.zeros(0)),
+        tri={},
     )
 
     class Vocab:
