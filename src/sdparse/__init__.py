@@ -21,8 +21,7 @@ from .mf import BeliefState, FactoredBeliefState, mf_init, mf_run, mf_step
 from .model import (ModelConfig, ParserModel, ScoreFactors, biaffine, diagonal_biaffine,
                     trilinear)
 from .pipeline import parse_sentence, run_inference, trace_sentence
-from .potentials import (LogPotentials, from_arrays, from_factors, joint_log_score,
-                         potential_grads)
+from .potentials import LogPotentials, from_arrays, from_factors
 from .sdp_io import (Vocabulary, build_vocab, format_sdp, load_pretrained,
                      parse_sdp, parse_sdp_lines, write_sdp)
 from .training import (GradCheckResult, Optimizer, TrainConfig, TrainResult,

@@ -243,11 +243,10 @@ def tensor_sum(a, axis=None, keepdims=False):
     a = _wrap(a)
     shape = a.data.shape
 
+    # a read-only broadcast view: no vjp writes into its incoming gradient
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, shape),)
 
     return _op(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 

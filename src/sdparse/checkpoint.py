@@ -40,11 +40,13 @@ def load_checkpoint(path, expected_config=None):
     raises DataError, a config echo with unknown keys ConfigError.
     """
     try:
-        loaded = np.load(path, allow_pickle=False)
-        archive = {}  # a bare .npy array has no meta record
-        if isinstance(loaded, np.lib.npyio.NpzFile):
-            with loaded:
-                archive = {key: loaded[key] for key in loaded.files}
+        # np.load leaks a handle it opened itself on a bad zip directory
+        with open(path, "rb") as fh:
+            loaded = np.load(fh, allow_pickle=False)
+            archive = {}  # a bare .npy array has no meta record
+            if isinstance(loaded, np.lib.npyio.NpzFile):
+                with loaded:
+                    archive = {key: loaded[key] for key in loaded.files}
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
     except (EOFError, ValueError, NotImplementedError, zipfile.BadZipFile,

@@ -82,8 +82,10 @@ def cmd_parse(args):
                                      parse_overrides(args.set))
     model, cfg, _ = load_checkpoint(args.checkpoint, expected_config=expected)
     engine = args.engine or cfg.inference
-    iterations = args.iterations or cfg.iterations
+    iterations = cfg.iterations if args.iterations is None else args.iterations
     threshold = cfg.threshold if args.threshold is None else args.threshold
+    if not 0.0 <= threshold < 1.0:
+        raise ConfigError(f"--threshold must be in [0,1), got {threshold}")
 
     data = _load_corpus(args.input, "input")
     parsed = []
@@ -133,7 +135,7 @@ def cmd_trace(args):
                         f"(corpus has {len(data)})")
     sentence, _ = data[args.sentence]
     engine = args.engine or cfg.inference
-    iterations = args.iterations or cfg.iterations
+    iterations = cfg.iterations if args.iterations is None else args.iterations
     trace = trace_sentence(model, sentence, engine, iterations, cfg.logit_clamp)
     text = json.dumps(trace, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -145,6 +147,8 @@ def cmd_trace(args):
 
 
 def cmd_oracle_compare(args):
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
     # a length-n instance has n^2 edge variables; refuse before building any
     if args.length ** 2 > exact.ENUMERATION_CAP:
         raise CapacityError(
@@ -175,6 +179,8 @@ def cmd_oracle_compare(args):
 
 
 def cmd_gradcheck(args):
+    if args.length < 1:
+        raise ConfigError(f"--length must be >= 1, got {args.length}")
     rng = np.random.default_rng(args.seed)
     data = synthetic.toy_corpus(rng, size=1, min_len=args.length,
                                 max_len=args.length)

@@ -38,13 +38,14 @@ def _assignment_scores(pot):
     if E > ENUMERATION_CAP:
         raise CapacityError(
             f"{E} edge variables exceed the enumeration cap of {ENUMERATION_CAP}")
+    unary = pot.unary.data
     coupling = np.zeros((E, E))
     coupling[pot.pair_edges()] = pot.part_scores()
     scores = np.empty(1 << E)
     for start in range(0, len(scores), _BLOCK):
         rows = np.arange(start, min(start + _BLOCK, len(scores)))
         x = ((rows[:, None] >> np.arange(E)) & 1).astype(np.float64)
-        scores[rows] = x @ pot.unary.data + np.sum(x * (x @ coupling), axis=1)
+        scores[rows] = x @ unary + np.sum(x * (x @ coupling), axis=1)
     return scores
 
 
@@ -67,8 +68,8 @@ def _map_from_scores(pot, scores):
     best = np.max(scores)
     # ties broken by the lexicographically smallest on-edge set
     candidates = np.nonzero(scores == best)[0]
-    sets = [tuple(pot.edges[k] for k in range(pot.edge_count) if (i >> k) & 1)
-            for i in candidates]
+    edges = pot.edges
+    sets = [tuple(edges[k] for k in range(len(edges)) if (i >> k) & 1) for i in candidates]
     return min(sets), float(best)
 
 

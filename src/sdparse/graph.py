@@ -4,6 +4,12 @@ Words are indexed 1..n; index 0 is a virtual root node used as the head of
 top-predicate edges. It never appears as a dependent. The candidate edge
 set for a length-n sentence therefore has exactly n^2 members.
 
+Edge variables live on the (n+1) x (n+1) head-by-dependent grid: a
+``CandidateEdgeSet`` is a boolean mask of its cells, and edge order is
+the mask's row-major order. Per-edge vectors (marginals, label scores)
+are the grid gathered through the mask; the (head, dep) tuples and the
+position grid are built only where a caller asks for them.
+
 Three families of second-order parts tie candidate edges together:
 
 * sibling   (i; j, k)  j < k   -- edges (i,j) and (i,k) share head i
@@ -23,14 +29,13 @@ so memory held between sentences does not grow with the lengths seen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DataError
 
 __all__ = [
-    "Token", "Sentence", "SemGraph", "CandidateEdgeSet", "OnEdges", "PartList",
+    "Token", "Sentence", "SemGraph", "CandidateEdgeSet", "PartList",
     "build_candidate_edges", "enumerate_parts", "part_mask", "decode", "has_cycle",
     "TOP_LABEL",
 ]
@@ -95,45 +100,49 @@ class SemGraph:
 
 
 class CandidateEdgeSet:
-    """Candidate edges over the nodes 0..n, in a fixed order: all n^2 of
-    a length-n sentence from ``build_candidate_edges``, or the edges of a
-    hand-built instance.
-
-    ``heads`` and ``deps`` hold the edges' endpoints and ``flat`` their
-    positions in a row-major (n+1) x (n+1) head-by-dependent matrix; the
-    arrays are read-only because one edge set is shared per length.
+    """Edge variables over the nodes 0..n: the True cells of ``mask``, a
+    read-only (n+1) x (n+1) head-by-dependent boolean grid. Edge order is
+    the mask's row-major order, for a sentence (``build_candidate_edges``)
+    and for a hand-built instance alike.
     """
 
-    __slots__ = ("n", "edges", "index", "heads", "deps", "flat")
+    __slots__ = ("n", "mask")
 
-    def __init__(self, n, edges):
+    def __init__(self, n, mask):
         self.n = n
-        self.edges = edges
-        self.index = {e: k for k, e in enumerate(edges)}
-        self.heads = np.array([h for h, _ in edges], dtype=np.intp)
-        self.deps = np.array([d for _, d in edges], dtype=np.intp)
-        self.flat = self.heads * (n + 1) + self.deps
-        for arr in (self.heads, self.deps, self.flat):
-            arr.setflags(write=False)
+        self.mask = _read_only(mask)
 
     def __len__(self):
-        return len(self.edges)
+        return int(np.count_nonzero(self.mask))
+
+    @property
+    def edges(self):
+        """The (head, dep) tuples in edge order, built on each access: for
+        reports, never on the parse or training path."""
+        return tuple(map(tuple, np.argwhere(self.mask).tolist()))
+
+    def positions(self):
+        """(n+1) x (n+1) grid of each edge's position in edge order; cells
+        off the mask hold the edge count, which indexes no edge."""
+        grid = np.full(self.mask.shape, len(self), dtype=np.intp)
+        grid[self.mask] = np.arange(len(self))
+        return grid
 
 
-class OnEdges:
-    """Edge accessors of a score holder with a CandidateEdgeSet ``edge_set``."""
-
-    edges = property(lambda self: self.edge_set.edges)
-    index = property(lambda self: self.edge_set.index)
-    edge_count = property(lambda self: len(self.edge_set))
-
-
-@lru_cache(maxsize=None)
 def build_candidate_edges(n):
+    """The n^2 candidate edges of a length-n sentence: every cell but
+    column 0 (the root is nobody's dependent) and the diagonal. Built on
+    every call; nothing is cached."""
     if n < 1:
         raise DataError(f"sentence length must be >= 1, got {n}")
-    edges = tuple((i, j) for i in range(n + 1) for j in range(1, n + 1) if j != i)
-    return CandidateEdgeSet(n, edges)
+    mask = ~np.eye(n + 1, dtype=bool)
+    mask[:, 0] = False
+    return CandidateEdgeSet(n, mask)
+
+
+def _read_only(rows):
+    rows.setflags(write=False)
+    return rows
 
 
 # columns of each part type's stored triple that hold its first and its
@@ -168,11 +177,6 @@ class PartList:
             self.cop if use_cop else _NO_PARTS,
             self.gp if use_gp else _NO_PARTS,
         )
-
-
-def _read_only(rows):
-    rows.setflags(write=False)
-    return rows
 
 
 _NO_PARTS = _read_only(np.empty((0, 3), dtype=np.intp))

@@ -33,7 +33,9 @@ Each update is one ``softplus_shift`` node of the cavity (the source grid
 broadcast along one axis minus the aligned reverse tensor) against the
 type's score tensor. A score tensor is 0 off its type's geometry, and
 softplus(c + 0) - softplus(c) is exactly 0, so no message needs a mask.
-Updates are synchronous; messages start at 0.
+Updates are synchronous; messages start at 0. The state keeps the grid
+l of each iteration and reads the edges' beliefs from it through the
+edge mask (``potentials.InferenceState``), so b1 = exp(-softplus(-l)).
 """
 
 from __future__ import annotations
@@ -43,42 +45,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .potentials import FORWARD, MESSAGES, aligned, on_grid
+from .errors import ConfigError
+from .potentials import FORWARD, MESSAGES, InferenceState, aligned, on_grid
 
 __all__ = ["MessageState", "lbp_init", "lbp_step", "lbp_run"]
 
 
 @dataclass
-class MessageState:
+class MessageState(InferenceState):
     """Message log-odds and beliefs per iteration: ``messages[t]`` maps
     each name of ``potentials.MESSAGES`` to its (n+1)^3 log-odds tensor
-    ({} at t = 0, when every message is 0), ``logit[t]`` is the grid of
-    belief logits and ``log_b0[t]``/``log_b1[t]`` the edges' normalized
-    log beliefs, in edge order."""
+    ({} at t = 0, when every message is 0), and ``logits[t]`` is the grid
+    of belief logits."""
 
-    pot: object
     messages: list = field(default_factory=list)  # dicts of Tensors, (n+1)^3
-    logit: list = field(default_factory=list)     # Tensors, (n+1, n+1)
-    log_b0: list = field(default_factory=list)    # Tensors, (E,)
-    log_b1: list = field(default_factory=list)
 
-    @property
-    def iterations(self):
-        return len(self.log_b0) - 1
-
-    def q1(self, t=-1):
-        return np.exp(self.log_b1[t].data)
-
-    def marginals(self, t=-1):
-        q = self.q1(t)
-        return {e: float(q[k]) for k, e in enumerate(self.pot.edges)}
-
-    @property
-    def marginal_tensor(self):
-        return ad.exp(self.log_b1[-1])
-
-    def final_log_marginals(self):
-        return self.log_b0[-1], self.log_b1[-1]
+    @staticmethod
+    def _q(logit):
+        # b1 = exp(log b1), as the loss reads it
+        return np.exp(-ad.softplus(-logit).data)
 
     def message_log_ratios(self, t=-1):
         """log m(1) - log m(0) per directed message at iteration t: for
@@ -100,19 +85,13 @@ class MessageState:
         return [message for a, b, kind, part in self.pot.pairs()
                 for message in ((b, a, kind, part), (a, b, kind, part))]
 
-    def _push_beliefs(self, logit):
-        self.logit.append(logit)
-        on_edges = ad.take(ad.reshape(logit, (-1,)), self.pot.edge_set.flat)
-        self.log_b0.append(ad.neg(ad.softplus(on_edges)))
-        self.log_b1.append(ad.neg(ad.softplus(ad.neg(on_edges))))
-
 
 def lbp_init(pot):
     """Uniform messages (log-odds 0); initial beliefs are the normalized
     unaries."""
     state = MessageState(pot)
     state.messages.append({})
-    state._push_beliefs(pot.edge_scores)
+    state.logits.append(pot.edge_scores)
     return state
 
 
@@ -120,7 +99,7 @@ def lbp_step(state):
     """One synchronous sweep: all messages from the previous snapshot,
     then fresh beliefs."""
     pot = state.pot
-    logit, previous = state.logit[-1], state.messages[-1]
+    logit, previous = state.logits[-1], state.messages[-1]
     messages = {}
     total = pot.edge_scores
     for name, (kind, source, target, reverse) in MESSAGES.items():
@@ -132,13 +111,13 @@ def lbp_step(state):
         messages[name] = ad.softplus_shift(cavity, pot.scores[kind])
         total = ad.add(total, ad.tensor_sum(messages[name], axis=target))
     state.messages.append(messages)
-    state._push_beliefs(total)
+    state.logits.append(total)
     return state
 
 
 def lbp_run(pot, iterations=3):
     if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+        raise ConfigError(f"iterations must be >= 1, got {iterations}")
     state = lbp_init(pot)
     for _ in range(iterations):
         lbp_step(state)

@@ -9,7 +9,9 @@ so a part couples its two member edges symmetrically: each receives the
 partner's current on-probability times the part score. Updates are
 Jacobi-style (all edges from the same snapshot), which makes the result
 independent of edge order. Logits are clamped to +-clamp before the
-sigmoid; the whole trajectory is kept and is differentiable end to end.
+sigmoid; the whole trajectory is kept as (n+1) x (n+1) logit and Q grids
+(Q held at 0 off the edge mask, ``potentials.InferenceState``) and is
+differentiable end to end.
 
 The field is computed in one of two ways, with the same result:
 
@@ -40,7 +42,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .potentials import MESSAGES, LogPotentials, on_grid
+from .errors import ConfigError
+from .potentials import MESSAGES, InferenceState, LogPotentials, on_grid
 
 __all__ = ["BeliefState", "FactoredBeliefState", "mf_init", "mf_step", "mf_run",
            "DEFAULT_CLAMP"]
@@ -53,48 +56,23 @@ def _clamped(t, clamp):
 
 
 @dataclass
-class BeliefState:
-    """Posterior trajectory over a ``LogPotentials``' dense grid.
+class BeliefState(InferenceState):
+    """Mean-field trajectory over a ``LogPotentials``' dense grid.
 
-    logits[t] and qs[t] = sigmoid(logits[t]) for t = 0..T are (n+1) x (n+1)
-    head-by-dependent matrices; qs is held at 0 off the candidate edges so
-    padding never enters a field. The accessors return edge-order vectors.
+    Besides the clamped logit grids it keeps qs[t] = sigmoid(logits[t]),
+    held at 0 off the edge mask so padding never enters a field.
     """
 
-    pot: object
-    clamp: float
-    logits: list = field(default_factory=list)  # Tensors, (n+1, n+1)
+    clamp: float = DEFAULT_CLAMP
     qs: list = field(default_factory=list)      # Tensors, (n+1, n+1)
     mask: Tensor = field(init=False, default=None)  # 1 on candidate edges
 
     def __post_init__(self):
-        mask = np.zeros((self.pot.edge_set.n + 1,) * 2)
-        mask.flat[self.pot.edge_set.flat] = 1.0
-        self.mask = ad.constant(mask)
+        self.mask = ad.constant(self.pot.edge_set.mask.astype(np.float64))
 
-    @property
-    def iterations(self):
-        return len(self.logits) - 1
-
-    def q1(self, t=-1):
-        return self.qs[t].data.reshape(-1)[self.pot.edge_set.flat]
-
-    def marginals(self, t=-1):
-        q = self.q1(t)
-        return {e: float(q[k]) for k, e in enumerate(self.pot.edges)}
-
-    def _on_edges(self, t):
-        """A trajectory grid as an (E,) vector in edge order."""
-        return ad.take(ad.reshape(t, (-1,)), self.pot.edge_set.flat)
-
-    @property
-    def marginal_tensor(self):
-        return self._on_edges(self.qs[-1])
-
-    def final_log_marginals(self):
-        """(log Q(0), log Q(1)) as tensors, stable for extreme logits."""
-        logit = self._on_edges(self.logits[-1])
-        return ad.neg(ad.softplus(logit)), ad.neg(ad.softplus(ad.neg(logit)))
+    @staticmethod
+    def _q(logit):
+        return ad.sigmoid(logit).data
 
     def coupling_terms(self, t):
         """Signed per-part field contributions that built iteration t.
@@ -103,10 +81,10 @@ class BeliefState:
         value = Q^{t-1}(src) * s_part, for t in 1..T, in the potentials'
         reporting order.
         """
-        q, index = self.q1(t - 1), self.pot.index
+        q = self.qs[t - 1].data
         for (edge_a, edge_b, kind, part), s in zip(self.pot.pairs(), self.pot.part_scores()):
-            yield edge_b, edge_a, kind, part, float(q[index[edge_b]] * s)
-            yield edge_a, edge_b, kind, part, float(q[index[edge_a]] * s)
+            yield edge_b, edge_a, kind, part, float(q[edge_b] * s)
+            yield edge_a, edge_b, kind, part, float(q[edge_a] * s)
 
     def field(self, q):
         """Field Q induces on every (head, dep) cell, from the dense score
@@ -195,7 +173,7 @@ def mf_init(pot, clamp=DEFAULT_CLAMP):
     latter runs on the factored field.
     """
     state_type = BeliefState if isinstance(pot, LogPotentials) else FactoredBeliefState
-    state = state_type(pot, clamp)
+    state = state_type(pot, clamp=clamp)
     state.push(pot.edge_scores)
     return state
 
@@ -208,7 +186,7 @@ def mf_step(state):
 
 def mf_run(pot, iterations=3, clamp=DEFAULT_CLAMP):
     if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+        raise ConfigError(f"iterations must be >= 1, got {iterations}")
     state = mf_init(pot, clamp)
     for _ in range(iterations):
         mf_step(state)

@@ -43,7 +43,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .graph import OnEdges, build_candidate_edges
+from .graph import build_candidate_edges
 from .sdp_io import Vocabulary
 
 __all__ = [
@@ -131,7 +131,7 @@ class ModelConfig:
 
 
 @dataclass
-class ScoreFactors(OnEdges):
+class ScoreFactors:
     """Scores of one sentence with no second-order part enumerated.
 
     ``edge_scores[h, d]`` is s_edge(h, d) on the whole (n+1) x (n+1)
@@ -145,7 +145,7 @@ class ScoreFactors(OnEdges):
 
     edge_set: object
     edge_scores: Tensor   # (n+1, n+1)
-    s_label: Tensor       # (E, num_labels), candidate edge order
+    s_label: Tensor       # (E, num_labels), in edge order
     tri: dict
 
 
@@ -368,8 +368,9 @@ class ParserModel:
                                 ad.transpose(ad.matmul(roles["edge_dep"], p["edge_U"])))
         edge_scores = edge_scores + p["edge_b"]
 
-        lab_dep = ad.take(roles["label_dep"], edge_set.deps)
-        lab_head = ad.take(roles["label_head"], edge_set.heads)
+        heads, deps = np.nonzero(edge_set.mask)
+        lab_dep = ad.take(roles["label_dep"], deps)
+        lab_head = ad.take(roles["label_head"], heads)
         s_label = ad.matmul(ad.mul(lab_dep, lab_head), p["label_W"]) + p["label_b"]
 
         tri = {}

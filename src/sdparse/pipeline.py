@@ -8,7 +8,8 @@ part-shaped is cached between sentences. That path refuses a sentence
 longer than ``PAIR_LENGTH_CAP`` with a CapacityError before it builds any
 (n+1)^3 tensor. Only ``trace_sentence`` enumerates the parts, to report
 messages in part-list order. Decoding looks up labels only for the edges
-whose marginal clears the threshold.
+whose marginal clears the threshold, and builds no per-edge tuple or
+dict for the others.
 """
 
 from __future__ import annotations
@@ -61,15 +62,16 @@ def parse_sentence(model, sentence, engine="mf", iterations=3, threshold=0.5,
     """
     scores, pot = sentence_potentials(model, sentence, engine)
     state = run_inference(pot, engine, iterations, clamp)
-    if not np.all(np.isfinite(state.q1())):
+    q = state.q1()
+    if not np.all(np.isfinite(q)):
         raise NumericError(f"non-finite edge marginals from {engine} (T={iterations}) "
                            f"on a {sentence.n}-token sentence")
-    q = state.q1()
     kept = np.flatnonzero(q > threshold)
+    heads, deps = np.nonzero(pot.edge_set.mask)
+    edges = list(zip(heads[kept].tolist(), deps[kept].tolist()))
     label_ids = np.argmax(scores.s_label.data[kept], axis=1)
-    probs = {pot.edges[k]: float(q[k]) for k in kept}
-    labels = {pot.edges[k]: model.vocab.label_of(int(label))
-              for k, label in zip(kept, label_ids)}
+    probs = dict(zip(edges, q[kept].tolist()))
+    labels = {e: model.vocab.label_of(int(label)) for e, label in zip(edges, label_ids)}
     graph = decode(sentence.n, probs, labels, threshold)
     return graph, state, scores
 

@@ -13,27 +13,31 @@ tensor, indexed like the messages through that type (``MESSAGES``):
     cop  S[i,k,j] = s(min(i,k), max(i,k); j)   pair (i,j), (k,j)
     gp   S[i,j,k] = s(i, j, k)                 chain (i,j), (j,k)
 
-Every tensor is 0 off its type's geometry. An explicit edge list lets
-hand-built instances run through the same code as full candidate sets,
-and a PartList fixes the order pairs are reported in (sib, cop, then gp).
-``from_factors`` builds the layout from the scorer's factors without
-enumerating a part; ``from_arrays`` and ``from_parts`` scatter pairs in.
+Every tensor is 0 off its type's geometry. The edge variables are the
+cells of the edge set's mask (all n^2 for a sentence, the given edges
+for a hand-built instance), in its row-major order, and a PartList fixes
+the order pairs are reported in (sib, cop, then gp). ``from_factors``
+builds the layout from the scorer's factors without enumerating a part;
+``from_arrays`` and ``from_parts`` scatter edges and pairs in.
+
+``InferenceState`` is the trajectory both engines keep: one logit grid
+per iteration, read through the mask into per-edge vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
-from .graph import (PART_EDGE_COLUMNS, CandidateEdgeSet, OnEdges, PartList,
-                    build_candidate_edges, enumerate_parts, part_mask)
+from .graph import (PART_EDGE_COLUMNS, CandidateEdgeSet, PartList, build_candidate_edges,
+                    enumerate_parts, part_mask)
 
-__all__ = ["LogPotentials", "MESSAGES", "from_factors", "from_parts", "from_arrays",
-           "joint_log_score", "potential_grads"]
+__all__ = ["LogPotentials", "InferenceState", "MESSAGES", "from_factors", "from_parts",
+           "from_arrays"]
 
 PART_TYPE_ORDER = ("sib", "cop", "gp")
 
@@ -69,13 +73,26 @@ def on_grid(grid, axis):
     return ad.reshape(grid, tuple(shape))
 
 
+def on_edges(grid, edge_set):
+    """An (n+1) x (n+1) grid tensor gathered into an (E,) vector in edge
+    order."""
+    return ad.take(ad.reshape(grid, (-1,)), np.flatnonzero(edge_set.mask))
+
+
 @dataclass
-class LogPotentials(OnEdges):
-    edge_set: CandidateEdgeSet  # the edge variables, fixed order
-    unary: Tensor          # (E,) log phi(1) in edge order; log phi(0) is 0
-    edge_scores: Tensor    # (n+1, n+1) the same by (head, dep); other cells unread
+class LogPotentials:
+    edge_set: CandidateEdgeSet  # the edge variables: the cells of its mask
+    edge_scores: Tensor    # (n+1, n+1) log phi(1) by (head, dep); log phi(0) is 0
     scores: dict           # part type -> (n+1)^3 score tensor; types with no part absent
     parts: PartList = None  # reporting order; None: every part of the types in ``scores``
+
+    edges = property(lambda self: self.edge_set.edges)
+    edge_count = property(lambda self: len(self.edge_set))
+
+    @property
+    def unary(self):
+        """The edge scores in edge order, gathered from the grid."""
+        return on_edges(self.edge_scores, self.edge_set)
 
     def blocks(self):
         """(part type, (P_kind, 3) stored triples) in reporting order; the
@@ -92,8 +109,7 @@ class LogPotentials(OnEdges):
 
     def pair_edges(self):
         """(first, second) member edge positions of every pair."""
-        position = np.zeros((self.edge_set.n + 1,) * 2, dtype=np.intp)
-        position[self.edge_set.heads, self.edge_set.deps] = np.arange(self.edge_count)
+        position = self.edge_set.positions()
         cells = [(rows[:, cols[0]], rows[:, cols[1]]) for kind, rows in self.blocks()
                  for cols in PART_EDGE_COLUMNS[kind]]
         return (np.concatenate([position[c] for c in cells[0::2]]),
@@ -102,32 +118,49 @@ class LogPotentials(OnEdges):
     def pairs(self):
         """(first edge, second edge, part type, stored triple) per pair."""
         kinds = [(kind, tuple(part)) for kind, rows in self.blocks() for part in rows.tolist()]
-        return [(self.edges[a], self.edges[b]) + kind
+        edges = self.edges
+        return [(edges[a], edges[b]) + kind
                 for a, b, kind in zip(*self.pair_edges(), kinds)]
 
-    def gather(self, arrays, both_orientations=False):
+    def gather(self, arrays):
         """Values of per-type (n+1)^3 arrays at every pair's stored triple
-        (0 for a type missing from ``arrays``); ``both_orientations`` adds
-        a symmetric type's mirrored cell, as a score gradient needs."""
-        out = []
-        for kind, rows in self.blocks():
-            array, cells = arrays.get(kind), tuple(rows.T)
-            values = np.zeros(len(rows)) if array is None else array[cells]
-            if array is not None and both_orientations and kind in _MIRROR:
-                values = values + aligned(array, kind)[cells]
-            out.append(values)
-        return np.concatenate(out)
+        (0 for a type missing from ``arrays``)."""
+        return np.concatenate([np.zeros(len(rows)) if arrays.get(kind) is None
+                               else arrays[kind][tuple(rows.T)]
+                               for kind, rows in self.blocks()])
 
     def part_scores(self):
         return self.gather({kind: s.data for kind, s in self.scores.items()})
 
-    def unary_log(self, edge, value):
-        if value not in (0, 1):
-            raise ValueError("edge variables are Boolean")
-        return float(self.unary.data[self.index[edge]]) if value == 1 else 0.0
 
-    def pair_log(self, pair_idx, value1, value2):
-        return float(self.part_scores()[pair_idx]) if value1 == value2 == 1 else 0.0
+@dataclass
+class InferenceState:
+    """An engine's trajectory over the potentials ``pot`` (a LogPotentials
+    or ScoreFactors): ``logits[t]`` is the (n+1) x (n+1) grid of edge
+    logits after iteration t, t = 0..T. An engine adds its step and
+    ``_q``, which maps logits to on-probabilities; the per-edge readings
+    below are the grids gathered through the edge mask, in edge order."""
+
+    pot: object
+    logits: list = field(default_factory=list)  # Tensors, (n+1, n+1)
+
+    @property
+    def iterations(self):
+        return len(self.logits) - 1
+
+    def q1(self, t=-1):
+        """Q(edge on) after iteration t, as an (E,) array."""
+        return self._q(self.logits[t].data[self.pot.edge_set.mask])
+
+    def marginals(self, t=-1):
+        """Q(edge on) after iteration t by (head, dep), in edge order."""
+        return dict(zip(self.pot.edge_set.edges, self.q1(t).tolist()))
+
+    def final_log_marginals(self):
+        """(log Q(0), log Q(1)) of the last iterate as (E,) tensors,
+        stable for extreme logits."""
+        logit = on_edges(self.logits[-1], self.pot.edge_set)
+        return ad.neg(ad.softplus(logit)), ad.neg(ad.softplus(ad.neg(logit)))
 
 
 def from_factors(factors):
@@ -151,18 +184,19 @@ def from_factors(factors):
             table = ad.transpose(table, (0, 2, 1))
         s = ad.mul(table, ad.constant(part_mask(n, kind)))
         scores[kind] = ad.add(s, aligned(s, kind)) if kind in _MIRROR else s
-    unary = ad.take(ad.reshape(factors.edge_scores, (-1,)), factors.edge_set.flat)
-    return LogPotentials(factors.edge_set, unary, factors.edge_scores, scores)
+    return LogPotentials(factors.edge_set, factors.edge_scores, scores)
 
 
 def from_parts(edge_set, unary, parts, part_scores, requires_grad):
-    """LogPotentials of a PartList over ``edge_set`` with ``part_scores``
-    (in PartList order) scattered into dense score tensors; the unary and
-    score tensors are leaves. A part given twice raises DataError."""
+    """LogPotentials of a PartList over ``edge_set``: ``unary`` (in edge
+    order) scattered into the edge-score grid (0 off the mask) and
+    ``part_scores`` (in PartList order) into dense score tensors; the grid
+    and the score tensors are leaves. A part given twice raises
+    DataError."""
     if parts.n != edge_set.n or len(part_scores) != parts.total():
         raise DataError(f"{len(part_scores)} scores for a part list of {parts.total()} "
                         f"parts over n={parts.n}; the edges span n={edge_set.n}")
-    N, E = edge_set.n + 1, len(edge_set)
+    N = edge_set.n + 1
     scores = {}
     ends = np.cumsum([len(getattr(parts, kind)) for kind in PART_TYPE_ORDER])
     for kind, values in zip(PART_TYPE_ORDER, np.split(np.asarray(part_scores), ends[:-1])):
@@ -174,16 +208,16 @@ def from_parts(edge_set, unary, parts, part_scores, requires_grad):
             dense[tuple(rows.T)] = values
             scores[kind] = Tensor(dense + aligned(dense, kind) if kind in _MIRROR else dense,
                                   requires_grad=requires_grad)
-    unary = Tensor(unary, requires_grad=requires_grad)
-    cell = np.full(N * N, E)   # grid cell -> edge position, or E for a 0
-    cell[edge_set.flat] = np.arange(E)
-    grid = ad.reshape(ad.take(ad.concat([unary, ad.constant(np.zeros(1))]), cell), (N, N))
-    return LogPotentials(edge_set, unary, grid, scores, parts)
+    grid = np.zeros((N, N))
+    grid[edge_set.mask] = unary
+    return LogPotentials(edge_set, Tensor(grid, requires_grad=requires_grad), scores, parts)
 
 
 def from_arrays(edges, unary, pairs, requires_grad=True):
-    """Hand-built instance: ``edges`` are (head, dep) node pairs and
-    ``pairs`` a list of (edge_a, edge_b, score, type_name) entries.
+    """Hand-built instance: ``edges`` are (head, dep) node pairs with
+    their ``unary`` scores, and ``pairs`` a list of (edge_a, edge_b,
+    score, type_name) entries. The edges may come in any order; they are
+    reported in edge order (row-major), their unaries permuted to match.
 
     A sib or cop pair may name its edges in either order and is reported
     in its stored orientation; a gp pair names the chain's first edge
@@ -212,30 +246,8 @@ def from_arrays(edges, unary, pairs, requires_grad=True):
     table = [np.array(rows[kind]).reshape(-1, 4) for kind in PART_TYPE_ORDER]
     parts = PartList(n, *(t[:, :3].astype(np.intp) for t in table))
     scores = np.concatenate([t[:, 3] for t in table])
-    return from_parts(CandidateEdgeSet(n, edges), unary, parts, scores, requires_grad)
-
-
-def joint_log_score(pot, on_edges):
-    """Unnormalized log score of one full assignment (set of on edges)."""
-    on = np.zeros(pot.edge_count, dtype=bool)
-    for e in on_edges:
-        on[pot.index[tuple(e)]] = True
-    first, second = pot.pair_edges()
-    return float(pot.unary.data[on].sum()) + float(pot.part_scores()[on[first] & on[second]].sum())
-
-
-def potential_grads(upstream, state):
-    """Gradients of <upstream, Q^(T)> w.r.t. the unary scores (edge order)
-    and the pair scores (reporting order) of the LogPotentials an
-    inference state ran on (either engine).
-
-    Also propagates further down if the potentials came from the scorer.
-    """
-    pot = state.pot
-    ad.backward([state.marginal_tensor], [np.asarray(upstream, dtype=np.float64)])
-    grid = pot.edge_scores.grad
-    return {
-        "unary": np.zeros(pot.edge_count) if grid is None else grid.reshape(-1)[pot.edge_set.flat],
-        "pairs": pot.gather({kind: s.grad for kind, s in pot.scores.items()},
-                            both_orientations=True),
-    }
+    mask = np.zeros((n + 1, n + 1), dtype=bool)
+    for edge in edges:
+        mask[edge] = True
+    order = sorted(range(len(edges)), key=edges.__getitem__)
+    return from_parts(CandidateEdgeSet(n, mask), unary[order], parts, scores, requires_grad)

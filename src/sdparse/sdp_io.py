@@ -257,7 +257,13 @@ def load_pretrained(path):
             elif len(values) != dim:
                 raise DataError(
                     f"{path} line {line_no}: expected {dim} components, got {len(values)}")
-            table[form] = np.array([float(v) for v in values], dtype=np.float64)
+            try:
+                vector = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError:
+                raise DataError(f"{path} line {line_no}: a component is not a number") from None
+            if not np.all(np.isfinite(vector)):
+                raise DataError(f"{path} line {line_no}: non-finite component")
+            table[form] = vector
     if dim is None:
         raise DataError(f"{path}: empty embedding file")
     return table, dim

@@ -81,13 +81,18 @@ class TrainConfig:
 
 # ------------------------------------------------------------------- losses
 
+def _gold_cells(gold):
+    """(heads, deps) index arrays of the gold edges, in sorted order."""
+    cells = np.array(sorted(gold.edge_pairs()), dtype=np.intp).reshape(-1, 2)
+    return cells[:, 0], cells[:, 1]
+
+
 def edge_loss(state, gold):
     """Summed log loss of final marginals against gold edge existence."""
-    pot = state.pot
-    on = np.zeros(pot.edge_count)
-    for head, dep in gold.edge_pairs():
-        if (head, dep) in pot.index:
-            on[pot.index[(head, dep)]] = 1.0
+    mask = state.pot.edge_set.mask
+    on = np.zeros(mask.shape)
+    on[_gold_cells(gold)] = 1.0
+    on = on[mask]
     log_q0, log_q1 = state.final_log_marginals()
     picked = ad.add(ad.mul(ad.constant(on), log_q1),
                     ad.mul(ad.constant(1.0 - on), log_q0))
@@ -96,14 +101,13 @@ def edge_loss(state, gold):
 
 def label_loss(scores, gold, vocab):
     """Summed softmax cross-entropy of label scores over gold edges."""
-    index = scores.edge_set.index
-    rows, gold_ids = [], []
-    for head, dep in sorted(gold.edge_pairs()):
-        rows.append(index[(head, dep)])
-        gold_ids.append(vocab.label_id(gold.label_of(head, dep)))
-    if not rows:
+    heads, deps = _gold_cells(gold)
+    if not len(heads):
         return ad.constant(0.0)
-    picked = ad.take(scores.s_label, np.asarray(rows, dtype=np.intp))
+    rows = scores.edge_set.positions()[heads, deps]
+    gold_ids = [vocab.label_id(gold.label_of(h, d))
+                for h, d in zip(heads.tolist(), deps.tolist())]
+    picked = ad.take(scores.s_label, rows)
     lse = ad.logsumexp(picked, axis=1)
     onehot = np.zeros((len(rows), scores.s_label.shape[1]))
     onehot[np.arange(len(rows)), gold_ids] = 1.0

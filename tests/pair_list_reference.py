@@ -41,8 +41,7 @@ def pair_list(factors):
     edge_set = factors.edge_set
     N = edge_set.n + 1
     parts = enumerate_parts(build_candidate_edges(edge_set.n))
-    position = np.zeros((N, N), dtype=np.intp)
-    position[edge_set.heads, edge_set.deps] = np.arange(len(edge_set))
+    position = edge_set.positions()
     first, second, scores = [], [], []
     for kind in PART_TYPE_ORDER:
         rows = getattr(parts, kind)
@@ -89,7 +88,7 @@ def reference_sentence_loss(model, sentence, gold, cfg):
     """``training.sentence_loss`` with LBP (no dropout) on the pair list."""
     factors = model.score_factors(sentence)
     first, second, scores = pair_list(factors)
-    unary = ad.take(ad.reshape(factors.edge_scores, (-1,)), factors.edge_set.flat)
+    unary = ad.take(ad.reshape(factors.edge_scores, (-1,)), np.flatnonzero(factors.edge_set.mask))
     log_b0, log_b1 = pair_list_lbp(unary, first, second, scores, cfg.iterations)
     state = SimpleNamespace(pot=factors, final_log_marginals=lambda: (log_b0, log_b1))
     return combined_loss(edge_loss(state, gold), label_loss(factors, gold, model.vocab),

@@ -103,6 +103,42 @@ def test_numeric_failure_exits_4(monkeypatch, capsys):
     assert "nan" in capsys.readouterr().err
 
 
+# a value out of its range, and what the error message names
+OUT_OF_RANGE_ARGUMENTS = [
+    (["parse", "--iterations", "0"], "iterations must be >= 1, got 0"),
+    (["parse", "--iterations", "-1"], "iterations must be >= 1, got -1"),
+    (["trace", "--iterations", "0"], "iterations must be >= 1, got 0"),
+    (["trace", "--iterations", "-1"], "iterations must be >= 1, got -1"),
+    (["parse", "--threshold", "-0.5"], "--threshold"),
+    (["parse", "--threshold", "1.5"], "--threshold"),
+    (["oracle-compare", "--instances", "0"], "--instances"),
+    (["gradcheck", "--length", "0"], "--length"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OUT_OF_RANGE_ARGUMENTS,
+                         ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE_ARGUMENTS])
+def test_out_of_range_argument_exits_2(tmp_path, trained, corpus_path, capsys, argv, message):
+    command, *rest = argv
+    if command in ("parse", "trace"):
+        rest += ["--checkpoint", str(trained / "checkpoint.npz"), "--input", corpus_path]
+    if command == "parse":
+        rest += ["--output", str(tmp_path / "pred.sdp")]
+    assert cli.main([command] + rest) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["w1 0.1 abc", "w1 0.1 nan", "w1 inf 0.2"])
+def test_train_with_malformed_pretrained_vector_exits_3(tmp_path, corpus_path, capsys, line):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(f"w0 0.5 0.25\n{line}\n")
+    rc = cli.main(["train", "--train", corpus_path, "--out", str(tmp_path / "run"),
+                   "--set", "use_pretrained=true", "--set", f"pretrained_path={vectors}"]
+                  + TRAIN_SETS)
+    assert rc == 3
+    assert "vectors.txt line 2" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("engine", ["mf", "lbp"])
 def test_parse_with_nan_weight_exits_4(tmp_path, trained, corpus_path, capsys, engine):

@@ -12,8 +12,10 @@ import pytest
 from sdparse import exact
 from sdparse.errors import CapacityError
 from sdparse.exact import ENUMERATION_CAP, exact_infer, exact_map
-from sdparse.potentials import from_arrays, joint_log_score
+from sdparse.potentials import from_arrays
 from sdparse.synthetic import random_potentials, two_edge_instance
+
+from conftest import joint_log_score
 
 
 def slow_enumerate(pot):

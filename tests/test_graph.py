@@ -96,8 +96,11 @@ def test_candidate_edges_exclude_root_as_dependent():
 
 def test_candidate_edge_index_is_consistent():
     cand = build_candidate_edges(4)
+    positions = cand.positions()
     for pos, edge in enumerate(cand.edges):
-        assert cand.index[edge] == pos
+        assert positions[edge] == pos
+    assert cand.edges == tuple((h, d) for h in range(5) for d in range(1, 5) if h != d)
+    assert np.all(positions[~cand.mask] == len(cand))
 
 
 def test_candidate_edges_require_positive_length():

@@ -13,12 +13,12 @@ from sdparse.config import RunConfig
 from sdparse.exact import exact_infer
 from sdparse.lbp import lbp_init, lbp_run, lbp_step
 from sdparse.model import ParserModel
-from sdparse.potentials import PART_TYPE_ORDER, from_arrays, from_parts, potential_grads
+from sdparse.potentials import PART_TYPE_ORDER, from_arrays, from_parts
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 from sdparse.training import TrainConfig, sentence_loss
 
-from conftest import numeric_grad, pair_arrays, pair_list
+from conftest import numeric_grad, pair_arrays, pair_list, potential_grads
 from pair_list_reference import reference_sentence_loss
 
 
@@ -85,9 +85,10 @@ def test_message_log_odds_match_normalized_reference():
 
 def test_beliefs_stay_normalized():
     pot = random_potentials(3, np.random.default_rng(2), coupling_scale=0.8)
-    state = lbp_run(pot, iterations=4)
-    for t in range(5):
-        total = np.logaddexp(state.log_b0[t].data, state.log_b1[t].data)
+    states = [lbp_init(pot)] + [lbp_run(pot, iterations=t) for t in range(1, 5)]
+    for state in states:
+        log_b0, log_b1 = state.final_log_marginals()
+        total = np.logaddexp(log_b0.data, log_b1.data)
         np.testing.assert_allclose(total, 0.0, atol=1e-12)
 
 
@@ -201,13 +202,14 @@ def test_no_couplings_keeps_stepping_without_error():
 def test_permutation_equivariance(rng):
     pot = random_potentials(3, rng, coupling_scale=0.5)
     order = rng.permutation(pot.edge_count)
-    edges = tuple(pot.edges[i] for i in order)
+    edges = pot.edges
     pairs = pair_list(pot)[::-1]
-    shuffled = from_arrays(edges, pot.unary.data[order], pairs)
-    a = lbp_run(pot, iterations=3).q1(3)
-    b = lbp_run(shuffled, iterations=3).q1(3)
-    for k, e in enumerate(pot.edges):
-        assert a[k] == pytest.approx(b[edges.index(e)], abs=1e-12)
+    shuffled = from_arrays([edges[i] for i in order], pot.unary.data[order], pairs)
+    a = lbp_run(pot, iterations=3).marginals(3)
+    b = lbp_run(shuffled, iterations=3).marginals(3)
+    assert list(a) == list(b) == list(edges)
+    for e in edges:
+        assert a[e] == pytest.approx(b[e], abs=1e-12)
 
 
 def test_final_log_marginals_are_consistent():

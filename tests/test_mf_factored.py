@@ -5,7 +5,9 @@ and the marginals `sdparse parse` writes."""
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,3 +131,22 @@ def test_parse_marginal_rows_match_the_pair_list(tmp_path, monkeypatch):
         np.testing.assert_allclose(list(row["q"].values()), list(want["q"].values()),
                                    rtol=0, atol=1e-12)
     assert [g for _, g in graphs] == [g for _, g in want_graphs]
+
+
+def test_parsing_many_lengths_retains_no_memory():
+    # nothing sized by a sentence's length outlives its parse: one
+    # sentence of each length 31-80 leaves under 1 MiB traced
+    model, _ = _model(_vocab())
+    sentences = [_sentence(n, seed=n)[0] for n in range(31, 81)]
+    pipeline.parse_sentence(model, sentences[0])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for sentence in sentences:
+            pipeline.parse_sentence(model, sentence)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20, f"{retained / 2 ** 20:.2f} MiB retained"

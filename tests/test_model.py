@@ -415,8 +415,8 @@ def test_part_list_length_mismatch_is_an_error(model, sentence):
     factors = model.score_factors(sentence)
     wrong = enumerate_parts(build_candidate_edges(sentence.n + 1))
     with pytest.raises(DataError):
-        from_parts(factors.edge_set, factors.edge_scores.data.reshape(-1)[factors.edge_set.flat],
-                   wrong, np.zeros(wrong.total()), requires_grad=False)
+        from_parts(factors.edge_set, factors.edge_scores.data[factors.edge_set.mask], wrong,
+                   np.zeros(wrong.total()), requires_grad=False)
 
 
 def test_eval_mode_ignores_dropout_config(vocab, sentence):

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from sdparse.errors import DataError
+from sdparse.exact import exact_infer
 from sdparse.graph import build_candidate_edges, enumerate_parts
 from sdparse.model import ModelConfig, ParserModel
-from sdparse.potentials import from_arrays, from_factors, from_parts, joint_log_score
+from sdparse.potentials import from_arrays, from_factors, from_parts
 from sdparse.sdp_io import build_vocab
-from sdparse.synthetic import toy_corpus, two_edge_instance
+from sdparse.pipeline import run_inference
+from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 
+from conftest import joint_log_score, pair_list, pair_log, unary_log
 from test_graph import reference_edge_pairs
 
 
@@ -31,7 +34,7 @@ def test_from_factors_preserves_scores_and_pair_wiring(scored):
     pot = from_factors(factors)
     n = factors.edge_set.n
     np.testing.assert_array_equal(
-        pot.unary.data, factors.edge_scores.data.reshape(-1)[factors.edge_set.flat])
+        pot.unary.data, factors.edge_scores.data[factors.edge_set.mask])
     assert pot.edge_scores is factors.edge_scores
     assert pot.edge_count == len(pot.edges)
     # typed blocks appear in the documented order, one pair per part
@@ -105,8 +108,23 @@ def test_joint_log_score_enumerates_two_edges():
 
 def test_accessors_look_up_by_edge_and_pair():
     pot = two_edge_instance(1.5, unaries=(0.25, -0.5))
-    assert pot.unary_log(pot.edges[0], 1) == pytest.approx(0.25)
-    assert pot.unary_log(pot.edges[0], 0) == 0.0
-    assert pot.pair_log(0, 1, 1) == pytest.approx(1.5)
-    assert pot.pair_log(0, 1, 0) == 0.0
-    assert pot.pair_log(0, 0, 1) == 0.0
+    assert unary_log(pot, pot.edges[0], 1) == pytest.approx(0.25)
+    assert unary_log(pot, pot.edges[0], 0) == 0.0
+    assert pair_log(pot, 0, 1, 1) == pytest.approx(1.5)
+    assert pair_log(pot, 0, 1, 0) == 0.0
+    assert pair_log(pot, 0, 0, 1) == 0.0
+
+
+def test_from_arrays_sorts_shuffled_edges():
+    rng = np.random.default_rng(5)
+    pot = random_potentials(3, rng, coupling_scale=0.5)
+    edges, unary = pot.edges, pot.unary.data
+    order = rng.permutation(len(edges))
+    shuffled = from_arrays([edges[i] for i in order], unary[order], pair_list(pot)[::-1])
+    # reported in row-major order, with the unaries permuted to match
+    assert shuffled.edges == edges
+    np.testing.assert_array_equal(shuffled.unary.data, unary)
+    assert exact_infer(shuffled).marginals == exact_infer(pot).marginals
+    for engine in ("mf", "lbp"):
+        assert (run_inference(shuffled, engine, 3).marginals()
+                == run_inference(pot, engine, 3).marginals()), engine

@@ -25,6 +25,7 @@ from sdparse.synthetic import (
     two_edge_instance,
 )
 
+from conftest import pair_log, unary_log
 from test_graph import reference_edge_pairs
 
 
@@ -158,17 +159,17 @@ def test_two_edge_instance_structure():
     pot = two_edge_instance(np.log(2.0), unaries=(0.5, -0.5))
     assert isinstance(pot, LogPotentials)
     assert pot.edges == ((0, 1), (0, 2))
-    assert pot.unary_log((0, 1), 1) == pytest.approx(0.5)
-    assert pot.unary_log((0, 2), 1) == pytest.approx(-0.5)
-    assert pot.unary_log((0, 1), 0) == 0.0
+    assert unary_log(pot, (0, 1), 1) == pytest.approx(0.5)
+    assert unary_log(pot, (0, 2), 1) == pytest.approx(-0.5)
+    assert unary_log(pot, (0, 1), 0) == 0.0
     assert pot.pair_count == 1
     assert pot.pairs() == [((0, 1), (0, 2), "sib", (0, 1, 2))]
     # the score sits on both orientations of the one sibling cell pair
     sib = pot.scores["sib"].data
     assert sib[0, 1, 2] == sib[0, 2, 1] == pytest.approx(np.log(2.0))
     assert np.count_nonzero(sib) == 2 and set(pot.scores) == {"sib"}
-    assert pot.pair_log(0, 1, 1) == pytest.approx(np.log(2.0))
-    assert pot.pair_log(0, 1, 0) == 0.0
+    assert pair_log(pot, 0, 1, 1) == pytest.approx(np.log(2.0))
+    assert pair_log(pot, 0, 1, 0) == 0.0
 
 
 def test_random_potentials_cover_every_part():
@@ -183,8 +184,8 @@ def test_random_potentials_cover_every_part():
     # every pair score lands only on the both-on cell
     scores = pot.part_scores()
     for p in range(pot.pair_count):
-        assert pot.pair_log(p, 1, 1) == scores[p]
-        assert pot.pair_log(p, 1, 0) == pot.pair_log(p, 0, 1) == 0.0
+        assert pair_log(pot, p, 1, 1) == scores[p]
+        assert pair_log(pot, p, 1, 0) == pair_log(pot, p, 0, 1) == 0.0
     # in the dense layout a symmetric part fills its two mirrored cells and
     # a gp part the one cell its down and up messages share
     cells = {kind: np.count_nonzero(s.data) for kind, s in pot.scores.items()}

@@ -66,7 +66,8 @@ def test_edge_loss_gradient_is_marginal_minus_gold():
     loss = edge_loss(state, SemGraph(2, [(0, 1, "x")]))
     ad.backward([loss], [np.ones(())])
     q = state.q1(1)
-    np.testing.assert_allclose(pot.unary.grad, q - np.array([1.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(pot.edge_scores.grad[pot.edge_set.mask], q - np.array([1.0, 0.0]),
+                               atol=1e-12)
 
 
 # --------------------------------------------------------------- label loss
