@@ -47,8 +47,8 @@ for t in range(state.iterations + 1):
     q = float(state.q1(t)[0])
     print(f"  t={t}: belief = {q:.6f}")
 print("directed messages after the first round (log m(1) - log m(0)):")
-ratios = state.message_log_ratios(1)
-for d, (src, dst, kind, part) in enumerate(state.directed_messages()):
+ratios = state.message_values(1)
+for (src, dst, kind, part), ratio in zip(state.directed_messages(), ratios):
     print(f"  {src} -> {dst} via {kind} part {part}: "
-          f"log-odds = {float(ratios[d]):.6f} "
+          f"log-odds = {float(ratio):.6f} "
           f"(closed form log 1.5 = {math.log(1.5):.6f})")

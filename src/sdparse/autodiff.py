@@ -23,10 +23,10 @@ import numpy as np
 
 __all__ = [
     "Tensor", "constant", "parameter", "backward",
-    "add", "sub", "mul", "div", "neg", "matmul", "transpose",
+    "add", "sub", "mul", "neg", "matmul", "transpose",
     "reshape", "concat", "take", "tensor_sum", "cumsum",
-    "exp", "log", "tanh", "sigmoid", "softplus", "softplus_shift", "leaky_relu", "lstm",
-    "logaddexp", "logsumexp", "clamp",
+    "exp", "tanh", "sigmoid", "softplus", "softplus_shift", "leaky_relu", "lstm",
+    "logsumexp", "clamp",
 ]
 
 
@@ -50,11 +50,6 @@ class Tensor:
 
     def item(self):
         return float(self.data)
-
-    def backward(self, seed=None):
-        if seed is None:
-            seed = np.ones_like(self.data)
-        backward([self], [seed])
 
     # the operator sugar the parser uses
     def __add__(self, other):
@@ -156,13 +151,6 @@ def mul(a, b):
     return _op(a.data * b.data, (a, b),
                lambda g: (_unbroadcast(g * b.data, a.data.shape),
                           _unbroadcast(g * a.data, b.data.shape)))
-
-
-def div(a, b):
-    a, b = _wrap(a), _wrap(b)
-    return _op(a.data / b.data, (a, b),
-               lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                          _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def neg(a):
@@ -268,11 +256,6 @@ def exp(a):
     a = _wrap(a)
     out = np.exp(a.data)
     return _op(out, (a,), lambda g: (g * out,))
-
-
-def log(a):
-    a = _wrap(a)
-    return _op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def tanh(a):
@@ -396,18 +379,6 @@ def leaky_relu(a, slope=0.1):
     a = _wrap(a)
     factor = np.where(a.data > 0, 1.0, slope)
     return _op(a.data * factor, (a,), lambda g: (g * factor,))
-
-
-def logaddexp(a, b):
-    a, b = _wrap(a), _wrap(b)
-    out = np.logaddexp(a.data, b.data)
-
-    def vjp(g):
-        wa = _expit(a.data - b.data)
-        return (_unbroadcast(g * wa, a.data.shape),
-                _unbroadcast(g * (1.0 - wa), b.data.shape))
-
-    return _op(out, (a, b), vjp)
 
 
 def logsumexp(a, axis):

@@ -149,6 +149,10 @@ def cmd_trace(args):
 def cmd_oracle_compare(args):
     if args.instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {args.instances}")
+    for flag, scale in (("--unary-scale", args.unary_scale),
+                        ("--coupling-scale", args.coupling_scale)):
+        if not scale >= 0.0:
+            raise ConfigError(f"{flag} must be >= 0, got {scale}")
     # a length-n instance has n^2 edge variables; refuse before building any
     if args.length ** 2 > exact.ENUMERATION_CAP:
         raise CapacityError(
@@ -179,8 +183,9 @@ def cmd_oracle_compare(args):
 
 
 def cmd_gradcheck(args):
-    if args.length < 1:
-        raise ConfigError(f"--length must be >= 1, got {args.length}")
+    for flag, value in (("--length", args.length), ("--coords", args.coords)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     rng = np.random.default_rng(args.seed)
     data = synthetic.toy_corpus(rng, size=1, min_len=args.length,
                                 max_len=args.length)

@@ -21,9 +21,13 @@ No unordered pair of edges is joined by more than one part (shared head +
 shared dependent would force the two edges to coincide, and a two-cycle
 chain would need k == i).
 
-``enumerate_parts`` returns each family as an integer index array with one
-part triple per row. The arrays are built on every call and never cached,
-so memory held between sentences does not grow with the lengths seen.
+Part variables live on the (n+1)^3 node-triple grid the same way: a part
+type's ``part_mask`` marks the cells of its stored triples, and part
+order is each mask's row-major order, sib, then cop, then gp.
+``enumerate_parts`` reads the masks into integer index arrays with one
+part triple per row. Masks and arrays are built on every call and never
+cached, so memory held between sentences does not grow with the lengths
+seen.
 """
 
 from __future__ import annotations
@@ -170,29 +174,18 @@ class PartList:
     def total(self):
         return len(self.sib) + len(self.cop) + len(self.gp)
 
-    def filter(self, use_sib=True, use_cop=True, use_gp=True):
-        return PartList(
-            self.n,
-            self.sib if use_sib else _NO_PARTS,
-            self.cop if use_cop else _NO_PARTS,
-            self.gp if use_gp else _NO_PARTS,
-        )
-
-
-_NO_PARTS = _read_only(np.empty((0, 3), dtype=np.intp))
-
 
 def part_mask(n, kind):
-    """Boolean (n+1)^3 mask of a part type's stored triples (sib (i, j, k),
-    cop (i, k, j), gp (i, j, k)) for a length-n sentence."""
+    """Read-only boolean (n+1)^3 mask of a part type's stored triples
+    (sib (i, j, k), cop (i, k, j), gp (i, j, k)) for a length-n sentence."""
     a, b, c = np.ogrid[:n + 1, :n + 1, :n + 1]
     geometry = {"sib": (b >= 1) & (b < c), "cop": (a < b) & (c >= 1), "gp": (b >= 1) & (c >= 1)}
-    return geometry[kind] & (a != b) & (b != c) & (a != c)
+    return _read_only(geometry[kind] & (a != b) & (b != c) & (a != c))
 
 
 def enumerate_parts(edge_set):
-    """Every part of a length-n sentence, built afresh from the boolean
-    masks over the (n+1)^3 node triples; nothing is cached."""
+    """Every part of a length-n sentence: the cells of each type's
+    ``part_mask`` in row-major order, built afresh; nothing is cached."""
     return PartList(edge_set.n, *(_read_only(np.argwhere(part_mask(edge_set.n, kind)))
                                   for kind in ("sib", "cop", "gp")))
 

@@ -65,25 +65,19 @@ class MessageState(InferenceState):
         # b1 = exp(log b1), as the loss reads it
         return np.exp(-ad.softplus(-logit).data)
 
-    def message_log_ratios(self, t=-1):
-        """log m(1) - log m(0) per directed message at iteration t: for
-        each pair in the potentials' reporting order, first the message
-        from its second edge into its first, then the reverse."""
-        messages, out = self.messages[t], []
-        for kind, rows in self.pot.blocks():
-            pair = np.zeros((len(rows), 2))
-            if messages and len(rows):
-                cells, forward = tuple(rows.T), FORWARD[kind]
-                pair[:, 0] = aligned(messages[MESSAGES[forward][3]].data, kind)[cells]
-                pair[:, 1] = messages[forward].data[cells]
-            out.append(pair.reshape(-1))
-        return np.concatenate(out)
-
-    def directed_messages(self):
-        """(src_edge, dst_edge, part_type, part) per direction, in the
-        order of ``message_log_ratios``."""
-        return [message for a, b, kind, part in self.pot.pairs()
-                for message in ((b, a, kind, part), (a, b, kind, part))]
+    def message_values(self, t=-1):
+        """log m(1) - log m(0) per directed message at iteration t (all 0
+        at t = 0), read at each part's stored triple, in
+        ``directed_messages()`` order."""
+        messages = self.messages[t]
+        if not messages:
+            return np.zeros(2 * self.pot.pair_count)
+        reverse = {kind: MESSAGES[forward][3] for kind, forward in FORWARD.items()}
+        into_first = self.pot.gather({kind: aligned(messages[reverse[kind]].data, kind)
+                                      for kind in self.pot.scores})
+        into_second = self.pot.gather({kind: messages[FORWARD[kind]].data
+                                       for kind in self.pot.scores})
+        return np.stack([into_first, into_second], axis=1).reshape(-1)
 
 
 def lbp_init(pot):

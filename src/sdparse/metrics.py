@@ -7,7 +7,7 @@ reported as a separate figure; pass include_top=True to fold them in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError
 from .graph import has_cycle
@@ -91,7 +91,6 @@ class EvalReport:
     cycle_rate: float
     sentences: int
     include_top: bool = False
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self):
         keys = ("precision", "recall", "f1")
@@ -103,7 +102,6 @@ class EvalReport:
             "cycle_rate": self.cycle_rate,
             "sentences": self.sentences,
             "include_top": self.include_top,
-            **self.extra,
         }
 
     def to_text(self):

@@ -18,7 +18,8 @@ The field is computed in one of two ways, with the same result:
 * From a ``LogPotentials``' dense score tensors: per message tensor of
   ``potentials.MESSAGES``, the source edges' Q times the part scores,
   summed into the targets; O(n^3) per iteration. Hand-built instances,
-  ``trace`` and the tests use this form.
+  ``trace`` and the tests use this form, and ``message_values`` reads
+  each part's two field terms through the part masks.
 * From the scorer's factors (``ScoreFactors``). Every part score is the
   rank-d form sum_m g1[a,m] g2[b,m] g3[c,m] over the part's first edge
   (a, b) and third node c, so the field factorises over m:
@@ -74,17 +75,14 @@ class BeliefState(InferenceState):
     def _q(logit):
         return ad.sigmoid(logit).data
 
-    def coupling_terms(self, t):
-        """Signed per-part field contributions that built iteration t.
-
-        Yields (src_edge, dst_edge, part_type, part, value) with
-        value = Q^{t-1}(src) * s_part, for t in 1..T, in the potentials'
-        reporting order.
-        """
-        q = self.qs[t - 1].data
-        for (edge_a, edge_b, kind, part), s in zip(self.pot.pairs(), self.pot.part_scores()):
-            yield edge_b, edge_a, kind, part, float(q[edge_b] * s)
-            yield edge_a, edge_b, kind, part, float(q[edge_a] * s)
+    def message_values(self, t=-1):
+        """Q^{t-1}(src) * s_part per directed message: the signed field
+        terms that built iteration t (t >= 1 or negative), in
+        ``directed_messages()`` order."""
+        q = self.qs[t - 1].data[self.pot.edge_set.mask]
+        first, second = self.pot.pair_edges()
+        scores = self.pot.part_scores()
+        return np.stack([q[second] * scores, q[first] * scores], axis=1).reshape(-1)
 
     def field(self, q):
         """Field Q induces on every (head, dep) cell, from the dense score

@@ -48,7 +48,7 @@ from .sdp_io import Vocabulary
 
 __all__ = [
     "ModelConfig", "ParserModel", "ScoreFactors",
-    "biaffine", "diagonal_biaffine", "trilinear",
+    "trilinear",
     "ROLES",
 ]
 
@@ -147,16 +147,6 @@ class ScoreFactors:
     edge_scores: Tensor   # (n+1, n+1)
     s_label: Tensor       # (E, num_labels), in edge order
     tri: dict
-
-
-def biaffine(v1, v2, U, b):
-    """v1^T U v2 + b for single vectors. v1 is the dependent role vector."""
-    return ad.tensor_sum(ad.mul(ad.matmul(U, v2), v1)) + b
-
-
-def diagonal_biaffine(v1, v2, W, b):
-    """Per-label scores sum_m W[m,l] v1[m] v2[m] + b[l]."""
-    return ad.matmul(ad.mul(v1, v2), W) + b
 
 
 def trilinear(v1, v2, v3, U1, U2, U3):

@@ -6,10 +6,10 @@ Loopy BP and ``trace_sentence`` run on the dense (n+1)^3 layout that
 ``potentials.from_factors`` builds from the same factors; nothing
 part-shaped is cached between sentences. That path refuses a sentence
 longer than ``PAIR_LENGTH_CAP`` with a CapacityError before it builds any
-(n+1)^3 tensor. Only ``trace_sentence`` enumerates the parts, to report
-messages in part-list order. Decoding looks up labels only for the edges
-whose marginal clears the threshold, and builds no per-edge tuple or
-dict for the others.
+(n+1)^3 tensor. Only ``trace_sentence`` reads the parts out of their
+masks, to report either engine's per-part ``message_values`` in part
+order. Decoding looks up labels only for the edges whose marginal clears
+the threshold, and builds no per-edge tuple or dict for the others.
 """
 
 from __future__ import annotations
@@ -80,13 +80,16 @@ def trace_sentence(model, sentence, engine="mf", iterations=3,
                    clamp=mf.DEFAULT_CLAMP):
     """Per-iteration marginals and per-part message terms, JSON-ready.
 
-    Mean-field reports the signed field contribution Q_src * s_part each
-    source edge sends its partner; belief propagation reports the
-    log-odds log m(1) - log m(0) of each directed message.
+    Each directed message reports the engine's ``message_values``:
+    mean-field the signed field contribution Q_src * s_part the source
+    edge sends its partner (key ``value``), belief propagation the
+    log-odds log m(1) - log m(0) (key ``log_odds``).
     """
     # both engines run on the dense layout, which names every part
     _, pot = sentence_potentials(model, sentence, engine="lbp")
     state = run_inference(pot, engine, iterations, clamp)
+    key = "value" if engine == "mf" else "log_odds"
+    directed = state.directed_messages()
 
     def name(edge):
         return f"{edge[0]}->{edge[1]}"
@@ -94,26 +97,14 @@ def trace_sentence(model, sentence, engine="mf", iterations=3,
     steps = []
     for t in range(state.iterations + 1):
         q = state.q1(t)
-        entry = {
+        values = state.message_values(t).tolist() if t > 0 else []
+        steps.append({
             "iteration": t,
             "q": {name(e): float(q[k]) for k, e in enumerate(pot.edges)},
-            "messages": [],
-        }
-        if t > 0:
-            if engine == "mf":
-                for src, dst, kind, part, value in state.coupling_terms(t):
-                    entry["messages"].append({
-                        "src": name(src), "dst": name(dst), "type": kind,
-                        "part": list(part), "value": value,
-                    })
-            else:
-                ratios = state.message_log_ratios(t)
-                for d, (src, dst, kind, part) in enumerate(state.directed_messages()):
-                    entry["messages"].append({
-                        "src": name(src), "dst": name(dst), "type": kind,
-                        "part": list(part), "log_odds": float(ratios[d]),
-                    })
-        steps.append(entry)
+            "messages": [{"src": name(src), "dst": name(dst), "type": kind,
+                          "part": list(part), key: value}
+                         for (src, dst, kind, part), value in zip(directed, values)],
+        })
 
     return {
         "n": sentence.n,

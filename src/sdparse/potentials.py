@@ -15,13 +15,18 @@ tensor, indexed like the messages through that type (``MESSAGES``):
 
 Every tensor is 0 off its type's geometry. The edge variables are the
 cells of the edge set's mask (all n^2 for a sentence, the given edges
-for a hand-built instance), in its row-major order, and a PartList fixes
-the order pairs are reported in (sib, cop, then gp). ``from_factors``
-builds the layout from the scorer's factors without enumerating a part;
-``from_arrays`` and ``from_parts`` scatter edges and pairs in.
+for a hand-built instance), in its row-major order. The part variables
+are the cells of one read-only (n+1)^3 mask per part type, at the stored
+triples sib (i, j, k), cop (i, k, j) and gp (i, j, k) (every part of the
+type for a sentence, the given pairs for a hand-built instance); part
+order is each mask's row-major order, sib, then cop, then gp. Every
+per-part value is read through the masks in that order.
+``from_factors`` builds the layout from the scorer's factors without
+enumerating a part; ``from_arrays`` scatters edges and pairs in.
 
 ``InferenceState`` is the trajectory both engines keep: one logit grid
-per iteration, read through the mask into per-edge vectors.
+per iteration, read through the mask into per-edge vectors, and the
+directed messages each engine's ``message_values`` reports on.
 """
 
 from __future__ import annotations
@@ -33,11 +38,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
-from .graph import (PART_EDGE_COLUMNS, CandidateEdgeSet, PartList, build_candidate_edges,
-                    enumerate_parts, part_mask)
+from .graph import PART_EDGE_COLUMNS, CandidateEdgeSet, part_mask
 
-__all__ = ["LogPotentials", "InferenceState", "MESSAGES", "from_factors", "from_parts",
-           "from_arrays"]
+__all__ = ["LogPotentials", "InferenceState", "MESSAGES", "from_factors", "from_arrays"]
 
 PART_TYPE_ORDER = ("sib", "cop", "gp")
 
@@ -84,7 +87,7 @@ class LogPotentials:
     edge_set: CandidateEdgeSet  # the edge variables: the cells of its mask
     edge_scores: Tensor    # (n+1, n+1) log phi(1) by (head, dep); log phi(0) is 0
     scores: dict           # part type -> (n+1)^3 score tensor; types with no part absent
-    parts: PartList = None  # reporting order; None: every part of the types in ``scores``
+    part_masks: dict       # part type -> read-only (n+1)^3 mask of its parts; keys of ``scores``
 
     edges = property(lambda self: self.edge_set.edges)
     edge_count = property(lambda self: len(self.edge_set))
@@ -94,26 +97,33 @@ class LogPotentials:
         """The edge scores in edge order, gathered from the grid."""
         return on_edges(self.edge_scores, self.edge_set)
 
+    def _masks(self):
+        """(part type, part mask) in part order."""
+        return [(kind, self.part_masks[kind]) for kind in PART_TYPE_ORDER
+                if kind in self.part_masks]
+
     def blocks(self):
-        """(part type, (P_kind, 3) stored triples) in reporting order; the
-        parts of potentials from ``from_factors`` are enumerated on first
-        use."""
-        if self.parts is None:
-            self.parts = enumerate_parts(build_candidate_edges(self.edge_set.n)).filter(
-                *(kind in self.scores for kind in PART_TYPE_ORDER))
-        return [(kind, getattr(self.parts, kind)) for kind in PART_TYPE_ORDER]
+        """(part type, (P_kind, 3) stored triples) in part order, read from
+        the masks on each call."""
+        return [(kind, np.argwhere(mask)) for kind, mask in self._masks()]
 
     @property
     def pair_count(self):
-        return sum(len(rows) for _, rows in self.blocks())
+        return sum(int(np.count_nonzero(mask)) for mask in self.part_masks.values())
+
+    def gather(self, arrays, dtype=np.float64):
+        """Cells of per-type arrays (each broadcast to (n+1)^3) at every
+        part, in part order; 0 for a type missing from ``arrays``."""
+        return np.concatenate([np.zeros(0, dtype)] + [
+            np.broadcast_to(arrays.get(kind, 0), mask.shape)[mask] for kind, mask in self._masks()])
 
     def pair_edges(self):
-        """(first, second) member edge positions of every pair."""
+        """(first, second) member edge positions of every pair: the position
+        grid laid along the columns of the stored triple that hold the edge."""
         position = self.edge_set.positions()
-        cells = [(rows[:, cols[0]], rows[:, cols[1]]) for kind, rows in self.blocks()
-                 for cols in PART_EDGE_COLUMNS[kind]]
-        return (np.concatenate([position[c] for c in cells[0::2]]),
-                np.concatenate([position[c] for c in cells[1::2]]))
+        return tuple(self.gather({kind: np.expand_dims(position, 3 - sum(cols[end]))
+                                  for kind, cols in PART_EDGE_COLUMNS.items()}, np.intp)
+                     for end in (0, 1))
 
     def pairs(self):
         """(first edge, second edge, part type, stored triple) per pair."""
@@ -121,13 +131,6 @@ class LogPotentials:
         edges = self.edges
         return [(edges[a], edges[b]) + kind
                 for a, b, kind in zip(*self.pair_edges(), kinds)]
-
-    def gather(self, arrays):
-        """Values of per-type (n+1)^3 arrays at every pair's stored triple
-        (0 for a type missing from ``arrays``)."""
-        return np.concatenate([np.zeros(len(rows)) if arrays.get(kind) is None
-                               else arrays[kind][tuple(rows.T)]
-                               for kind, rows in self.blocks()])
 
     def part_scores(self):
         return self.gather({kind: s.data for kind, s in self.scores.items()})
@@ -162,6 +165,14 @@ class InferenceState:
         logit = on_edges(self.logits[-1], self.pot.edge_set)
         return ad.neg(ad.softplus(logit)), ad.neg(ad.softplus(ad.neg(logit)))
 
+    def directed_messages(self):
+        """(src_edge, dst_edge, part_type, part) per direction of every pair
+        of a LogPotentials, in part order: first the message from the
+        pair's second edge into its first, then the reverse. The order of
+        each engine's ``message_values``."""
+        return [message for a, b, kind, part in self.pot.pairs()
+                for message in ((b, a, kind, part), (a, b, kind, part))]
+
 
 def from_factors(factors):
     """LogPotentials of a sentence from the scorer's ScoreFactors.
@@ -169,11 +180,11 @@ def from_factors(factors):
     Each part type's table T[a,b,c] = sum_m g1[a,m] g2[b,m] g3[c,m] over
     its first edge (a, b) and third node c is one (N^2, d) @ (d, N)
     product (N = n+1). It is brought into the message layout (cop: T[i,j,k]
-    to [i,k,j]) and multiplied by the type's part mask, and a symmetric
-    type adds its mirror image.
+    to [i,k,j]) and multiplied by the type's part mask, which the
+    potentials keep, and a symmetric type adds its mirror image.
     """
     n = factors.edge_set.n
-    scores = {}
+    scores, masks = {}, {}
     # a one-word sentence has no part, so its scorer gets no gradient
     for kind, (g1, g2, g3) in factors.tri.items() if n > 1 else ():
         N, d = g1.shape
@@ -182,46 +193,40 @@ def from_factors(factors):
         table = ad.reshape(ad.matmul(pairs, ad.transpose(g3)), (N, N, N))
         if kind == "cop":
             table = ad.transpose(table, (0, 2, 1))
-        s = ad.mul(table, ad.constant(part_mask(n, kind)))
+        masks[kind] = part_mask(n, kind)
+        s = ad.mul(table, ad.constant(masks[kind]))
         scores[kind] = ad.add(s, aligned(s, kind)) if kind in _MIRROR else s
-    return LogPotentials(factors.edge_set, factors.edge_scores, scores)
+    return LogPotentials(factors.edge_set, factors.edge_scores, scores, masks)
 
 
-def from_parts(edge_set, unary, parts, part_scores, requires_grad):
-    """LogPotentials of a PartList over ``edge_set``: ``unary`` (in edge
-    order) scattered into the edge-score grid (0 off the mask) and
-    ``part_scores`` (in PartList order) into dense score tensors; the grid
-    and the score tensors are leaves. A part given twice raises
-    DataError."""
-    if parts.n != edge_set.n or len(part_scores) != parts.total():
-        raise DataError(f"{len(part_scores)} scores for a part list of {parts.total()} "
-                        f"parts over n={parts.n}; the edges span n={edge_set.n}")
-    N = edge_set.n + 1
-    scores = {}
-    ends = np.cumsum([len(getattr(parts, kind)) for kind in PART_TYPE_ORDER])
-    for kind, values in zip(PART_TYPE_ORDER, np.split(np.asarray(part_scores), ends[:-1])):
-        rows = getattr(parts, kind)
-        if len(np.unique(rows, axis=0)) != len(rows):
-            raise DataError(f"a {kind} part is given more than once")
-        if len(rows):
-            dense = np.zeros((N, N, N))
-            dense[tuple(rows.T)] = values
-            scores[kind] = Tensor(dense + aligned(dense, kind) if kind in _MIRROR else dense,
-                                  requires_grad=requires_grad)
-    grid = np.zeros((N, N))
+def _scatter(edge_set, unary, masks, part_scores, requires_grad):
+    """LogPotentials with leaf tensors: ``unary`` (edge order) on the
+    edge-score grid (0 off the mask), and ``part_scores`` (part order)
+    written into the cells of the part ``masks`` (part type -> read-only
+    (n+1)^3 mask, in part order) of dense score tensors."""
+    grid = np.zeros(edge_set.mask.shape)
     grid[edge_set.mask] = unary
-    return LogPotentials(edge_set, Tensor(grid, requires_grad=requires_grad), scores, parts)
+    scores = {}
+    ends = np.cumsum([np.count_nonzero(mask) for mask in masks.values()])
+    for (kind, mask), values in zip(masks.items(), np.split(np.asarray(part_scores), ends[:-1])):
+        dense = np.zeros(mask.shape)
+        dense[mask] = values
+        scores[kind] = Tensor(dense + aligned(dense, kind) if kind in _MIRROR else dense,
+                              requires_grad=requires_grad)
+    return LogPotentials(edge_set, Tensor(grid, requires_grad=requires_grad), scores, masks)
 
 
 def from_arrays(edges, unary, pairs, requires_grad=True):
     """Hand-built instance: ``edges`` are (head, dep) node pairs with
     their ``unary`` scores, and ``pairs`` a list of (edge_a, edge_b,
-    score, type_name) entries. The edges may come in any order; they are
-    reported in edge order (row-major), their unaries permuted to match.
+    score, type_name) entries. Edges and pairs may come in any order;
+    they are reported in edge and part order (row-major), their scores
+    permuted to match.
 
     A sib or cop pair may name its edges in either order and is reported
     in its stored orientation; a gp pair names the chain's first edge
-    first. Edges that do not have the pair type's geometry raise DataError.
+    first. Edges that do not have the pair type's geometry, and a part
+    given twice, raise DataError.
     """
     edges = tuple(tuple(int(v) for v in e) for e in edges)
     if len(set(edges)) != len(edges) or any(
@@ -230,7 +235,8 @@ def from_arrays(edges, unary, pairs, requires_grad=True):
     unary = np.asarray(unary, dtype=np.float64)
     if unary.shape != (len(edges),):
         raise DataError(f"unary scores must have shape ({len(edges)},)")
-    rows = {kind: [] for kind in PART_TYPE_ORDER}
+    n = max(max(e) for e in edges) if edges else 0
+    masks, given = {}, {kind: [] for kind in PART_TYPE_ORDER}
     for (a0, a1), (b0, b1), score, kind in pairs:
         if (a0, a1) not in edges or (b0, b1) not in edges:
             raise DataError(f"pair ({(a0, a1)}, {(b0, b1)}) references an unknown edge")
@@ -241,13 +247,18 @@ def from_arrays(edges, unary, pairs, requires_grad=True):
                 "gp": (a0, a1, b1) if a1 == b0 else ()}[kind]
         if len(set(part)) < 3:
             raise DataError(f"edges {(a0, a1)} and {(b0, b1)} do not form a {kind} part")
-        rows[kind].append(part + (float(score),))
-    n = max(max(e) for e in edges) if edges else 0
-    table = [np.array(rows[kind]).reshape(-1, 4) for kind in PART_TYPE_ORDER]
-    parts = PartList(n, *(t[:, :3].astype(np.intp) for t in table))
-    scores = np.concatenate([t[:, 3] for t in table])
-    mask = np.zeros((n + 1, n + 1), dtype=bool)
+        mask = masks.setdefault(kind, np.zeros((n + 1,) * 3, dtype=bool))
+        if mask[part]:
+            raise DataError(f"a {kind} part is given more than once")
+        mask[part] = True
+        given[kind].append((part, float(score)))
+    for mask in masks.values():
+        mask.setflags(write=False)
+    masks = {kind: masks[kind] for kind in PART_TYPE_ORDER if kind in masks}
+    # sorted stored triples are the mask's row-major order
+    scores = [score for kind in masks for _, score in sorted(given[kind])]
+    edge_mask = np.zeros((n + 1, n + 1), dtype=bool)
     for edge in edges:
-        mask[edge] = True
+        edge_mask[edge] = True
     order = sorted(range(len(edges)), key=edges.__getitem__)
-    return from_parts(CandidateEdgeSet(n, mask), unary[order], parts, scores, requires_grad)
+    return _scatter(CandidateEdgeSet(n, edge_mask), unary[order], masks, scores, requires_grad)

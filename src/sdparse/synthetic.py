@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import SemGraph, Sentence, Token, build_candidate_edges, enumerate_parts
-from .potentials import from_parts, from_arrays
+from .graph import SemGraph, Sentence, Token, build_candidate_edges, part_mask
+from .potentials import PART_TYPE_ORDER, _scatter, from_arrays
 
 __all__ = [
     "random_potentials", "two_edge_instance", "toy_corpus",
@@ -31,12 +31,13 @@ __all__ = [
 def random_potentials(n, rng, unary_scale=1.0, coupling_scale=0.1,
                       requires_grad=False):
     """Full candidate-set potentials with Gaussian scores: the unaries in
-    edge order, then the parts in ``enumerate_parts`` order."""
+    edge order, then the parts in part order (each part mask's row-major
+    order, sib, cop, then gp)."""
     edge_set = build_candidate_edges(n)
-    parts = enumerate_parts(edge_set)
+    masks = {kind: part_mask(n, kind) for kind in PART_TYPE_ORDER} if n > 1 else {}
     unary = rng.normal(0.0, unary_scale, size=len(edge_set))
-    scores = rng.normal(0.0, coupling_scale, size=parts.total())
-    return from_parts(edge_set, unary, parts, scores, requires_grad)
+    scores = rng.normal(0.0, coupling_scale, size=sum(map(np.count_nonzero, masks.values())))
+    return _scatter(edge_set, unary, masks, scores, requires_grad)
 
 
 def two_edge_instance(coupling, unaries=(0.0, 0.0), requires_grad=False):

@@ -121,11 +121,10 @@ def combined_loss(edge_term, label_term, interpolation):
                   ad.mul(ad.constant(1.0 - lam), edge_term))
 
 
-def sentence_loss(model, sentence, gold, cfg, train=False, rng=None, clamp="cfg"):
+def sentence_loss(model, sentence, gold, cfg, train=False, rng=None):
     """Combined loss of one sentence under the configured engine."""
     scores, pot = sentence_potentials(model, sentence, cfg.inference, train=train, rng=rng)
-    clamp_val = cfg.logit_clamp if clamp == "cfg" else clamp
-    state = run_inference(pot, cfg.inference, cfg.iterations, clamp_val)
+    state = run_inference(pot, cfg.inference, cfg.iterations, cfg.logit_clamp)
     return combined_loss(edge_loss(state, gold),
                          label_loss(scores, gold, model.vocab),
                          cfg.interpolation)
@@ -379,14 +378,13 @@ def gradcheck(model, sentence, gold, cfg, engines=("mf", "lbp"),
     total = 0
     for engine in engines:
         for its in iteration_counts:
-            combo_cfg = replace(cfg, inference=engine, iterations=its)
+            combo_cfg = replace(cfg, inference=engine, iterations=its, logit_clamp=None)
 
             def loss_value():
-                return sentence_loss(model, sentence, gold, combo_cfg,
-                                     clamp=None).item()
+                return sentence_loss(model, sentence, gold, combo_cfg).item()
 
             model.zero_grad()
-            loss = sentence_loss(model, sentence, gold, combo_cfg, clamp=None)
+            loss = sentence_loss(model, sentence, gold, combo_cfg)
             ad.backward([loss], [1.0])
             analytic = {k: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                         for k, p in model.params.items()}

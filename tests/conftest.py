@@ -34,14 +34,14 @@ def numeric_grad(fn, arrays, step=1e-6):
 
 def pair_list(pot, scores=None):
     """A potential's pairs as ``from_arrays`` entries
-    (edge_a, edge_b, score, type_name), in reporting order."""
+    (edge_a, edge_b, score, type_name), in part order."""
     scores = pot.part_scores() if scores is None else scores
     return [(a, b, float(s), kind) for (a, b, kind, _), s in zip(pot.pairs(), scores)]
 
 
 def pair_arrays(pot):
     """(first edge, second edge) index arrays and the scores of a
-    potential's pairs, in reporting order: the pair list the dense layout
+    potential's pairs, in part order: the pair list the dense layout
     replaced."""
     first, second = pot.pair_edges()
     return first, second, pot.part_scores()
@@ -55,7 +55,7 @@ def unary_log(pot, edge, value):
 
 
 def pair_log(pot, pair_idx, value1, value2):
-    """log phi of pair ``pair_idx`` (reporting order) at the two values."""
+    """log phi of pair ``pair_idx`` (part order) at the two values."""
     return float(pot.part_scores()[pair_idx]) if value1 == value2 == 1 else 0.0
 
 
@@ -71,7 +71,7 @@ def joint_log_score(pot, on_edges):
 
 def potential_grads(upstream, state):
     """Gradients of <upstream, Q^(T)> w.r.t. the unary scores (edge order)
-    and the pair scores (reporting order) of the LogPotentials an
+    and the pair scores (part order) of the LogPotentials an
     inference state ran on (either engine); Q^(T) is read as
     exp(log Q(1)) of the final log-marginals."""
     pot = state.pot
@@ -79,8 +79,8 @@ def potential_grads(upstream, state):
     ad.backward([q], [np.asarray(upstream, dtype=np.float64)])
     grid = pot.edge_scores.grad
     # a sib or cop score sits in both orientations' cells
-    grads = {kind: s.grad if s.grad is None or kind == "gp" else s.grad + aligned(s.grad, kind)
-             for kind, s in pot.scores.items()}
+    grads = {kind: s.grad if kind == "gp" else s.grad + aligned(s.grad, kind)
+             for kind, s in pot.scores.items() if s.grad is not None}
     return {
         "unary": np.zeros(pot.edge_count) if grid is None else grid[pot.edge_set.mask],
         "pairs": pot.gather(grads),

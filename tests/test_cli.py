@@ -112,7 +112,13 @@ OUT_OF_RANGE_ARGUMENTS = [
     (["parse", "--threshold", "-0.5"], "--threshold"),
     (["parse", "--threshold", "1.5"], "--threshold"),
     (["oracle-compare", "--instances", "0"], "--instances"),
+    (["oracle-compare", "--length", "2", "--instances", "1", "--coupling-scale", "-1"],
+     "--coupling-scale must be >= 0, got -1.0"),
+    (["oracle-compare", "--length", "2", "--instances", "1", "--unary-scale", "-1"],
+     "--unary-scale must be >= 0, got -1.0"),
     (["gradcheck", "--length", "0"], "--length"),
+    (["gradcheck", "--coords", "0"], "--coords must be >= 1, got 0"),
+    (["gradcheck", "--coords", "-5"], "--coords must be >= 1, got -5"),
 ]
 
 

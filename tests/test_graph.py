@@ -161,15 +161,6 @@ def test_part_orientation_conventions():
         assert len({i, j, k}) == 3
 
 
-def test_part_filter_drops_requested_types():
-    parts = enumerate_parts(build_candidate_edges(3))
-    only_sib = parts.filter(use_sib=True, use_cop=False, use_gp=False)
-    assert len(only_sib.sib) == len(parts.sib)
-    assert len(only_sib.cop) == 0 and len(only_sib.gp) == 0
-    none = parts.filter(use_sib=False, use_cop=False, use_gp=False)
-    assert none.total() == 0
-
-
 def test_semgraph_validates_ranges_and_duplicates():
     SemGraph(2, [(0, 1, "TOP"), (1, 2, "a")])
     with pytest.raises(DataError):

@@ -9,11 +9,12 @@ import math
 import numpy as np
 import pytest
 
+import sdparse.autodiff as ad
 from sdparse.config import RunConfig
 from sdparse.exact import exact_infer
 from sdparse.lbp import lbp_init, lbp_run, lbp_step
 from sdparse.model import ParserModel
-from sdparse.potentials import PART_TYPE_ORDER, from_arrays, from_parts
+from sdparse.potentials import from_arrays
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 from sdparse.training import TrainConfig, sentence_loss
@@ -80,7 +81,7 @@ def test_message_log_odds_match_normalized_reference():
     state = lbp_run(pot, iterations=4)
     _, want = naive_lbp(pot, 4)
     for t in range(1, 5):
-        np.testing.assert_allclose(state.message_log_ratios(t), want[t], atol=1e-12)
+        np.testing.assert_allclose(state.message_values(t), want[t], atol=1e-12)
 
 
 def test_beliefs_stay_normalized():
@@ -96,10 +97,10 @@ def test_two_edge_hand_messages_and_beliefs():
     # coupling log 2, zero unaries: after one round each direction sends
     # (2/5, 3/5) and both beliefs land exactly on the true marginal 0.6
     state = lbp_run(two_edge_instance(math.log(2.0)), iterations=3)
-    ratio = state.message_log_ratios(1)
+    ratio = state.message_values(1)
     np.testing.assert_allclose(1.0 / (1.0 + np.exp(ratio)), 0.4, atol=1e-14)
     np.testing.assert_allclose(1.0 / (1.0 + np.exp(-ratio)), 0.6, atol=1e-14)
-    np.testing.assert_allclose(state.message_log_ratios(1), math.log(1.5), atol=1e-14)
+    np.testing.assert_allclose(state.message_values(1), math.log(1.5), atol=1e-14)
     for t in (1, 2, 3):
         np.testing.assert_allclose(state.q1(t), 0.6, atol=1e-14)
 
@@ -143,11 +144,8 @@ def test_zero_coupling_reduces_to_independent_sigmoids(rng):
 
 def _without(pot, kind):
     """``pot`` with every part of one type (or none) removed."""
-    parts = pot.parts
-    keep = [k != kind for k in PART_TYPE_ORDER]
-    mask = np.repeat(keep, [len(getattr(parts, k)) for k in PART_TYPE_ORDER])
-    return from_parts(pot.edge_set, pot.unary.data, parts.filter(*keep),
-                      pot.part_scores()[mask], requires_grad=False)
+    return from_arrays(pot.edges, pot.unary.data,
+                       [pair for pair in pair_list(pot) if pair[3] != kind], requires_grad=False)
 
 
 @pytest.mark.parametrize("off", [None, "sib", "cop", "gp"])
@@ -156,13 +154,13 @@ def test_dense_messages_match_naive_reference(n, off):
     pot = _without(random_potentials(n, np.random.default_rng(40 + n), coupling_scale=0.7), off)
     state = lbp_run(pot, iterations=4)
     want_q, want_ratios = naive_lbp(pot, 4)
-    assert state.message_log_ratios(0).shape == (2 * pot.pair_count,)
+    assert state.message_values(0).shape == (2 * pot.pair_count,)
     for t in range(1, 5):
         np.testing.assert_allclose(state.q1(t), want_q[t], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state.message_log_ratios(t), want_ratios[t],
+        np.testing.assert_allclose(state.message_values(t), want_ratios[t],
                                    rtol=0, atol=1e-12)
     if off is not None:
-        assert off not in pot.scores and not len(getattr(pot.parts, off))
+        assert off not in pot.scores and off not in pot.part_masks
 
 
 def test_message_order_follows_the_parts():
@@ -180,7 +178,7 @@ def test_message_order_follows_the_parts():
     assert [d[:2] for d in state.directed_messages()] == [
         ((0, 2), (0, 1)), ((0, 1), (0, 2)), ((2, 1), (0, 1)), ((0, 1), (2, 1)),
         ((3, 2), (1, 3)), ((1, 3), (3, 2))]
-    np.testing.assert_allclose(state.message_log_ratios(2), naive_lbp(pot, 2)[1][2],
+    np.testing.assert_allclose(state.message_values(2), naive_lbp(pot, 2)[1][2],
                                rtol=0, atol=1e-15)
 
 
@@ -275,7 +273,7 @@ def test_sentence_loss_matches_the_pair_list_engine(n, switches):
     def gradients(loss_fn):
         model.zero_grad()
         loss = loss_fn(model, sentence, gold, train_cfg)
-        loss.backward()
+        ad.backward([loss], [1.0])
         return loss.item(), {k: p.grad for k, p in model.params.items() if p.grad is not None}
 
     got_loss, got = gradients(sentence_loss)

@@ -172,17 +172,19 @@ def test_second_order_field_matches_vectorized_update(rng):
         assert field[e] == pytest.approx(want, abs=1e-12)
 
 
-def test_coupling_terms_name_both_directions():
-    pot = two_edge_instance(math.log(2.0))
-    state = mf_run(pot, iterations=1)
-    terms = list(state.coupling_terms(1))
-    assert len(terms) == 2
-    srcs = {(t[0], t[1]) for t in terms}
-    assert srcs == {((0, 1), (0, 2)), ((0, 2), (0, 1))}
-    for _, _, kind, part, value in terms:
-        assert kind == "sib"
-        assert part == (0, 1, 2)
-        assert value == pytest.approx(0.5 * math.log(2.0))
+def test_message_values_name_both_directions():
+    # unequal unaries, so the two directions carry different values
+    pot = two_edge_instance(math.log(2.0), unaries=(1.0, -0.5))
+    state = mf_run(pot, iterations=2)
+    assert state.directed_messages() == [((0, 2), (0, 1), "sib", (0, 1, 2)),
+                                         ((0, 1), (0, 2), "sib", (0, 1, 2))]
+    for t in (1, 2):
+        # each direction carries Q^(t-1) of its source times the part score
+        q = state.q1(t - 1)
+        np.testing.assert_allclose(state.message_values(t),
+                                   [q[1] * math.log(2.0), q[0] * math.log(2.0)],
+                                   rtol=0, atol=1e-15)
+    assert state.message_values(1)[0] < state.message_values(1)[1]
 
 
 @pytest.mark.parametrize("iterations", [1, 3])

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sdparse.autodiff as ad
 import sdparse.cli as cli
 from sdparse import pipeline, training
 from sdparse.checkpoint import save_checkpoint
@@ -84,12 +85,12 @@ def test_every_iterate_matches_the_pair_list(n, switches, clamp):
 def test_loss_gradients_match_the_pair_list(monkeypatch, switches, clamp):
     model, _ = _model(_vocab(), seed=5, **switches)
     sentence, gold = _sentence(7, seed=11)
-    cfg = TrainConfig(inference="mf", iterations=ITERATIONS)
+    cfg = TrainConfig(inference="mf", iterations=ITERATIONS, logit_clamp=clamp)
 
     def gradients():
         model.zero_grad()
-        loss = sentence_loss(model, sentence, gold, cfg, clamp=clamp)
-        loss.backward()
+        loss = sentence_loss(model, sentence, gold, cfg)
+        ad.backward([loss], [1.0])
         # parameters of a switched-off part type get no gradient at all
         return loss.item(), {k: p.grad for k, p in model.params.items()
                              if p.grad is not None}

@@ -1,6 +1,6 @@
 """The dense log-potential layout: built from the scorer's factors or
-scattered from explicit pairs, read back in part-list order, and joint
-log-scores."""
+scattered from explicit pairs, read back through the part masks in part
+order, and joint log-scores."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from sdparse.errors import DataError
 from sdparse.exact import exact_infer
 from sdparse.graph import build_candidate_edges, enumerate_parts
 from sdparse.model import ModelConfig, ParserModel
-from sdparse.potentials import from_arrays, from_factors, from_parts
+from sdparse.potentials import from_arrays, from_factors
 from sdparse.sdp_io import build_vocab
 from sdparse.pipeline import run_inference
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
@@ -40,6 +40,8 @@ def test_from_factors_preserves_scores_and_pair_wiring(scored):
     # typed blocks appear in the documented order, one pair per part
     assert pot.pairs() == reference_edge_pairs(n)
     assert pot.pair_count == enumerate_parts(build_candidate_edges(n)).total()
+    assert set(pot.part_masks) == set(pot.scores) == {"sib", "cop", "gp"}
+    assert not any(mask.flags.writeable for mask in pot.part_masks.values())
     # each pair scores sum_m g1[a,m] g2[b,m] g3[c,m] over its first edge
     # (a, b) and third node c
     want = []
@@ -48,17 +50,6 @@ def test_from_factors_preserves_scores_and_pair_wiring(scored):
         g1, g2, g3 = (g.data for g in factors.tri[kind])
         want.append(np.sum(g1[a] * g2[b] * g3[c]))
     np.testing.assert_allclose(pot.part_scores(), want, rtol=0, atol=1e-12)
-
-
-def test_from_parts_rejects_a_foreign_part_list(scored):
-    edge_set = scored.edge_set
-    unary = np.zeros(len(edge_set))
-    other = enumerate_parts(build_candidate_edges(edge_set.n + 1))
-    with pytest.raises(DataError):
-        from_parts(edge_set, unary, other, np.zeros(other.total()), requires_grad=False)
-    own = enumerate_parts(edge_set)
-    with pytest.raises(DataError):
-        from_parts(edge_set, unary, own, np.zeros(own.total() - 1), requires_grad=False)
 
 
 def test_from_arrays_validates_lengths():
@@ -128,3 +119,32 @@ def test_from_arrays_sorts_shuffled_edges():
     for engine in ("mf", "lbp"):
         assert (run_inference(shuffled, engine, 3).marginals()
                 == run_inference(pot, engine, 3).marginals()), engine
+
+
+def test_from_arrays_sorts_reversed_parts():
+    # two sib and two gp parts, each type's given in reverse row-major order
+    edges = ((0, 1), (0, 2), (0, 3), (1, 2), (2, 1))
+    unary = np.array([0.8, -0.3, 0.1, -1.2, 0.4])
+    pairs = [((0, 2), (0, 3), 0.7, "sib"), ((0, 1), (0, 2), -0.4, "sib"),
+             ((0, 2), (2, 1), 0.9, "gp"), ((0, 1), (1, 2), -0.6, "gp")]
+    given = from_arrays(edges, unary, pairs)
+    ordered = from_arrays(edges, unary, pairs[1::-1] + pairs[:1:-1])
+    want = [((0, 1), (0, 2), "sib", (0, 1, 2)), ((0, 2), (0, 3), "sib", (0, 2, 3)),
+            ((0, 1), (1, 2), "gp", (0, 1, 2)), ((0, 2), (2, 1), "gp", (0, 2, 1))]
+    assert given.pairs() == ordered.pairs() == want
+    np.testing.assert_array_equal(given.part_scores(), [-0.4, 0.7, -0.6, 0.9])
+    np.testing.assert_array_equal(ordered.part_scores(), [-0.4, 0.7, -0.6, 0.9])
+    for engine in ("mf", "lbp"):
+        got, ref = run_inference(given, engine, 3), run_inference(ordered, engine, 3)
+        assert got.directed_messages() == ref.directed_messages() == [
+            message for a, b, kind, part in want
+            for message in ((b, a, kind, part), (a, b, kind, part))]
+        for t in (1, 2, 3):
+            np.testing.assert_array_equal(got.message_values(t), ref.message_values(t))
+        assert got.marginals() == ref.marginals(), engine
+    # mean-field's first readout, by hand: Q^0(src) * s per direction
+    q0 = 1.0 / (1.0 + np.exp(-unary))
+    np.testing.assert_allclose(run_inference(given, "mf", 1).message_values(1), [
+        q0[1] * -0.4, q0[0] * -0.4, q0[2] * 0.7, q0[1] * 0.7,
+        q0[3] * -0.6, q0[0] * -0.6, q0[4] * 0.9, q0[1] * 0.9], rtol=0, atol=1e-15)
+    assert exact_infer(given).marginals == exact_infer(ordered).marginals

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sdparse.graph import SemGraph
+from sdparse.graph import SemGraph, build_candidate_edges, enumerate_parts
 from sdparse.metrics import f1
 from sdparse.potentials import LogPotentials
 from sdparse.synthetic import (
@@ -191,6 +191,23 @@ def test_random_potentials_cover_every_part():
     cells = {kind: np.count_nonzero(s.data) for kind, s in pot.scores.items()}
     count = {kind: sum(k == kind for _, _, k, _ in want) for kind in cells}
     assert cells == {"sib": 2 * count["sib"], "cop": 2 * count["cop"], "gp": count["gp"]}
+
+
+def test_random_potentials_draw_unaries_then_parts_in_part_order():
+    pot = random_potentials(3, np.random.default_rng(4), unary_scale=1.0, coupling_scale=0.3)
+    rng = np.random.default_rng(4)
+    parts = enumerate_parts(build_candidate_edges(3))
+    unary = rng.normal(0.0, 1.0, size=9)
+    scores = rng.normal(0.0, 0.3, size=parts.total())
+    np.testing.assert_array_equal(pot.unary.data, unary)
+    # the second draw, one score per part in part order: each mask's
+    # row-major order, sib, cop, then gp
+    np.testing.assert_array_equal(pot.part_scores(), scores)
+    rows = [(kind, tuple(row)) for kind in ("sib", "cop", "gp")
+            for row in getattr(parts, kind).tolist()]
+    assert [(kind, part) for _, _, kind, part in pot.pairs()] == rows
+    for (kind, (a, b, c)), score in zip(rows, scores):
+        assert pot.scores[kind].data[a, b, c] == score
 
 
 def test_random_potentials_scale_zero_kills_couplings():
