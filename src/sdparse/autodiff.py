@@ -12,9 +12,10 @@ which is what lets a batch sum per-sentence gradients.
 
 The op set is what the parser needs: elementwise arithmetic with
 broadcasting, matmul, axis permutations, gathers (take), reductions,
-running sums (cumsum), stable nonlinearities, and two fused nodes:
-``lstm``, a whole LSTM direction (no per-token tape entries), and
-``softplus_shift``, the loopy-BP message update.
+stable nonlinearities, and three fused nodes: ``lstm``, a whole LSTM
+direction (no per-token tape entries), ``softplus_shift``, the loopy-BP
+message update, and ``prefix_trilinear``, the running-sum term of the
+factored mean-field field.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 __all__ = [
     "Tensor", "constant", "parameter", "backward",
     "add", "sub", "mul", "neg", "matmul", "transpose",
-    "reshape", "concat", "take", "tensor_sum", "cumsum",
-    "exp", "tanh", "sigmoid", "softplus", "softplus_shift", "leaky_relu", "lstm",
+    "reshape", "concat", "take", "tensor_sum", "prefix_trilinear",
+    "sigmoid", "softplus", "softplus_shift", "leaky_relu", "lstm",
     "logsumexp", "clamp",
 ]
 
@@ -227,42 +228,72 @@ def take(a, indices):
     return _op(a.data[idx], (a,), vjp)
 
 
-def tensor_sum(a, axis=None, keepdims=False):
+def tensor_sum(a, axis=None):
     a = _wrap(a)
     shape = a.data.shape
 
     # a read-only broadcast view: no vjp writes into its incoming gradient
     def vjp(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape),)
+        return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape),)
 
-    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    return _op(a.data.sum(axis=axis), (a,), vjp)
 
 
-def cumsum(a, axis):
-    """Inclusive running sum along ``axis``; backward is the running sum
-    taken in the reverse direction."""
-    a = _wrap(a)
+def prefix_trilinear(g, u, v, w):
+    """out[s, r] = sum_{k<=s} g[k, r] sum_m u[k,m] v[s,m] w[r,m] for g (N, R),
+    u and v (N, M) and w (R, M), as one node in O(N R M).
 
-    def vjp(g):
-        return (np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis),)
+    The forward takes the running sum P[s, r] = sum_{k<=s} g[k, r] u[k]
+    over the N axis in one (N, R, M) buffer, scales it by v[s] in place
+    and contracts it with w[r] by a batched matrix product. It keeps no
+    (N, R, M) array: the backward rebuilds P.
+    """
+    g, u, v, w = _wrap(g), _wrap(u), _wrap(v), _wrap(w)
+    gd, ud, vd, wd = g.data, u.data, v.data, w.data
 
-    return _op(np.cumsum(a.data, axis=axis), (a,), vjp)
+    def running():
+        # C order whatever g's strides, so each step adds contiguous slices
+        acc = np.multiply(gd[:, :, None], ud[:, None, :], order="C")
+        _accumulate(acc)
+        return acc
+
+    def contract(x):
+        """sum_m x[s, r, m] w[r, m]: one matrix-vector product per r."""
+        return np.matmul(x.transpose(1, 0, 2), wd[:, :, None])[:, :, 0].T
+
+    acc = running()
+    acc *= vd[:, None, :]
+
+    def vjp(gout):
+        acc = running()
+        scaled = acc * wd
+        dv = np.matmul(gout[:, None, :], scaled)[:, 0, :]
+        acc *= vd[:, None, :]
+        dw = np.matmul(gout.T[:, None, :], acc.transpose(1, 0, 2))[:, 0, :]
+        # d out / d P[s, r] = gout[s, r] v[s] w[r], summed back over s >= k
+        back = np.multiply(gout[:, :, None], vd[:, None, :], out=scaled)
+        back *= wd
+        _accumulate(back, reverse=True)
+        dg = np.matmul(back, ud[:, :, None])[:, :, 0]
+        du = np.matmul(gd[:, None, :], back)[:, 0, :]
+        return dg, du, dv, dw
+
+    return _op(contract(acc), (g, u, v, w), vjp)
+
+
+def _accumulate(x, reverse=False):
+    """Running sum of ``x`` along axis 0, in place, one whole-slice add per
+    step: 2-3x faster than np.cumsum on a sentence grid's short axis,
+    which np.cumsum accumulates one strided lane at a time."""
+    if reverse:
+        for k in range(len(x) - 2, -1, -1):
+            x[k] += x[k + 1]
+    else:
+        for k in range(1, len(x)):
+            x[k] += x[k - 1]
 
 
 # ------------------------------------------------------------- nonlinearities
-
-def exp(a):
-    a = _wrap(a)
-    out = np.exp(a.data)
-    return _op(out, (a,), lambda g: (g * out,))
-
-
-def tanh(a):
-    a = _wrap(a)
-    out = np.tanh(a.data)
-    return _op(out, (a,), lambda g: (g * (1.0 - out * out),))
-
 
 def _expit(x):
     """Logistic function: 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)

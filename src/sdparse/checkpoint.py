@@ -1,9 +1,20 @@
-"""Versioned model checkpoints: one npz holding a JSON meta record (format
-version, resolved config echo, vocabulary) plus one array per parameter."""
+"""Versioned model checkpoints (format 2).
+
+A checkpoint is an npz with two members: ``__meta__``, a JSON record
+(format version, resolved config echo, vocabulary, array index, sha256),
+and ``arrays``, one flat float64 buffer holding every parameter and, when
+the config uses one, the pretrained table. The index lists each array as
+(name, shape, offset into the buffer); the sha256 is that of the buffer's
+bytes. Loading checks the buffer against both and rebuilds the model from
+views of it, with no random draw. A file of another format version is
+refused with ConfigError; a damaged buffer or index raises DataError.
+"""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import zipfile
 import zlib
 
@@ -16,19 +27,27 @@ from .sdp_io import Vocabulary
 
 __all__ = ["save_checkpoint", "load_checkpoint", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+BUFFER = "arrays"
 
 
 def save_checkpoint(path, model, run_config, vocab):
+    arrays = {name: p.data for name, p in model.params.items()}
+    if model.pretrained_table is not None:
+        arrays["pretrained_table"] = model.pretrained_table
+    index, offset = [], 0
+    for name, values in arrays.items():
+        index.append([name, list(values.shape), offset])
+        offset += values.size
+    buffer = np.concatenate([np.ravel(values) for values in arrays.values()])
     meta = {
         "format_version": FORMAT_VERSION,
         "config": run_config.to_dict(),
         "vocab": vocab.to_dict(),
+        "index": index,
+        "sha256": hashlib.sha256(buffer).hexdigest(),
     }
-    arrays = {f"param:{name}": p.data for name, p in model.params.items()}
-    if model.pretrained_table is not None:
-        arrays["pretrained_table"] = model.pretrained_table
-    np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+    np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **{BUFFER: buffer})
 
 
 def load_checkpoint(path, expected_config=None):
@@ -37,7 +56,10 @@ def load_checkpoint(path, expected_config=None):
     If ``expected_config`` is given, its structural keys must agree with
     the stored echo; any disagreement is listed in the raised error. A
     meta record that is not a JSON object with a config and a vocabulary
-    raises DataError, a config echo with unknown keys ConfigError.
+    raises DataError, a config echo with unknown keys ConfigError. So does
+    (DataError) an array buffer that is not 1-D float64, does not match
+    its sha256, or that an index entry overruns, and an index whose names
+    or shapes are not the model's.
     """
     try:
         # np.load leaks a handle it opened itself on a bad zip directory
@@ -75,11 +97,30 @@ def load_checkpoint(path, expected_config=None):
     if expected_config is not None:
         ensure_structure_match(stored, expected_config.to_dict())
     run_config = RunConfig(**stored)
-
-    table = archive["pretrained_table"] if "pretrained_table" in archive else None
     model = ParserModel(run_config.model_config(), vocab,
-                        np.random.default_rng(0), pretrained_table=table)
-    arrays = {key[len("param:"):]: value
-              for key, value in archive.items() if key.startswith("param:")}
-    model.load_state_arrays(arrays)
+                        state=_unpack(path, archive.get(BUFFER), meta))
     return model, run_config, vocab
+
+
+def _unpack(path, buffer, meta):
+    """name -> view of the stored buffer, per index entry, once the buffer
+    is 1-D float64 and matches the stored sha256."""
+    if not isinstance(buffer, np.ndarray) or buffer.dtype != np.float64 or buffer.ndim != 1:
+        kind = "missing" if buffer is None else f"{buffer.dtype} of shape {buffer.shape}"
+        raise DataError(f"checkpoint {path} array buffer is not 1-D float64 ({kind})")
+    if hashlib.sha256(buffer).hexdigest() != meta.get("sha256"):
+        raise DataError(f"checkpoint {path} is damaged: its array buffer does not match "
+                        f"the stored sha256")
+    arrays = {}
+    try:
+        for name, shape, offset in meta["index"]:
+            end = offset + math.prod(shape)
+            if not 0 <= offset <= end <= len(buffer):
+                raise DataError(f"checkpoint {path} index entry {name!r} "
+                                f"({offset}:{end}) overruns the {len(buffer)}-value buffer")
+            arrays[str(name)] = buffer[offset:end].reshape(shape)
+        if len(arrays) != len(meta["index"]):
+            raise DataError(f"checkpoint {path} index names an array twice")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path} array index is malformed: {exc!r}") from None
+    return arrays

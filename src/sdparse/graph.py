@@ -8,7 +8,9 @@ Edge variables live on the (n+1) x (n+1) head-by-dependent grid: a
 ``CandidateEdgeSet`` is a boolean mask of its cells, and edge order is
 the mask's row-major order. Per-edge vectors (marginals, label scores)
 are the grid gathered through the mask; the (head, dep) tuples and the
-position grid are built only where a caller asks for them.
+position grid are built only where a caller asks for them. ``decode``
+keeps the edges of such vectors whose marginal is above a threshold and
+builds their graph from the kept (head, dep, label-id) arrays.
 
 Three families of second-order parts tie candidate edges together:
 
@@ -85,6 +87,22 @@ class SemGraph:
         self.n = n
         self.edges = frozenset((h, d, l) for (h, d), l in labels.items())
         self._labels = labels
+
+    @classmethod
+    def from_arrays(cls, n, heads, deps, labels):
+        """A graph from (E,) head and dependent arrays and E label names;
+        the (head, dep) pairs must be distinct and in range."""
+        heads, deps = np.asarray(heads), np.asarray(deps)
+        if np.any((heads < 0) | (heads > n) | (deps < 1) | (deps > n) | (heads == deps)):
+            raise DataError(f"an edge is out of range for n={n}")
+        head_list, dep_list = heads.tolist(), deps.tolist()
+        graph = cls.__new__(cls)
+        graph.n = n
+        graph._labels = dict(zip(zip(head_list, dep_list), labels))
+        if len(graph._labels) != len(head_list):
+            raise DataError("an edge is given more than once")
+        graph.edges = frozenset(zip(head_list, dep_list, labels))
+        return graph
 
     def edge_pairs(self):
         """Unlabeled (head, dep) pairs."""
@@ -190,18 +208,20 @@ def enumerate_parts(edge_set):
                                   for kind in ("sib", "cop", "gp")))
 
 
-def decode(n, edge_prob, label_argmax, threshold=0.5):
-    """Keep every edge with probability strictly above the threshold.
+def decode(edge_set, marginals, label_scores, labels, threshold=0.5):
+    """The graph of every edge whose marginal is strictly above the
+    threshold, labelled with its highest-scoring label.
 
-    Cycles are permitted; the output is whatever the marginals support.
+    ``marginals`` (E,) and the rows of ``label_scores`` (E, L) follow the
+    edge order of ``edge_set``; ``labels`` names the L label ids. Only the
+    kept rows are read for a label. Cycles are permitted; the output is
+    whatever the marginals support.
     """
-    edges = []
-    for (head, dep), p in edge_prob.items():
-        if p > threshold:
-            if (head, dep) not in label_argmax:
-                raise DataError(f"no label prediction for included edge ({head},{dep})")
-            edges.append((head, dep, label_argmax[(head, dep)]))
-    return SemGraph(n, edges)
+    kept = np.flatnonzero(marginals > threshold)
+    heads, deps = np.nonzero(edge_set.mask)
+    label_ids = np.argmax(label_scores[kept], axis=1)
+    return SemGraph.from_arrays(edge_set.n, heads[kept], deps[kept],
+                                [labels[i] for i in label_ids.tolist()])
 
 
 def has_cycle(graph):

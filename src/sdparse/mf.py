@@ -31,8 +31,12 @@ The field is computed in one of two ways, with the same result:
     gp   field      = g1 (g2 * Q g3)^T + (g2 * Q^T g1) g3^T - Q^T * (C + C^T)
 
   where C = (g1 * g3) g2^T removes the two-cycle chains i -> j -> i that
-  are not parts. The strict prefix and suffix sums are running sums, so
-  an iteration costs O(n^2 d) and no part is ever enumerated.
+  are not parts. Each strict suffix sum is a total (a matrix product)
+  minus an inclusive running sum, and each strict prefix sum a running
+  sum minus its own term, so sib and cop each need one running sum over
+  their stacked factors, taken and contracted with the leading factor in
+  one ``autodiff.prefix_trilinear`` node. An iteration costs O(n^2 d)
+  and no part is ever enumerated.
 """
 
 from __future__ import annotations
@@ -106,62 +110,74 @@ class FactoredBeliefState(BeliefState):
     """Mean-field trajectory over a ``ScoreFactors``' dense grid, with the
     factored field."""
 
+    shared: dict = field(init=False, default=None)      # sib/cop -> _SharedNode
     gp_cycle: Tensor = field(init=False, default=None)  # C + C^T of the gp factors
 
     def __post_init__(self):
         super().__post_init__()
-        if "gp" in self.pot.tri:
-            g1, g2, g3 = self.pot.tri["gp"]
+        tri = self.pot.tri
+        # sib reads rows of Q with factors (g1, g2, g3), cop columns with (g2, g1, g3)
+        self.shared = {kind: _SharedNode(*(tri[kind][i] for i in order))
+                       for kind, order in (("sib", (0, 1, 2)), ("cop", (1, 0, 2)))
+                       if kind in tri}
+        if "gp" in tri:
+            g1, g2, g3 = tri["gp"]
             cycle = ad.matmul(ad.mul(g1, g3), ad.transpose(g2))
             self.gp_cycle = ad.add(cycle, ad.transpose(cycle))
 
     def field(self, q):
-        """Field Q induces on every (head, dep) cell, from running sums and
-        matrix products over the part factors; O(n^2 d)."""
-        n1 = q.shape[0]
-        cells = ad.reshape(q, (n1, n1, 1))
+        """Field Q induces on every (head, dep) cell, from one running sum
+        per sibling and co-parent type and matrix products over the part
+        factors; O(n^2 d)."""
         terms = []
-        tri = self.pot.tri
-        if "sib" in tri:
-            # partners of (i, j) share head i: rows of Q, summed over k > j, k < j
-            g1, g2, g3 = tri["sib"]
-            inner = ad.add(ad.mul(g2, _after(ad.mul(cells, g3), axis=1)),
-                           ad.mul(g3, _before(ad.mul(cells, g2), axis=1)))
-            terms.append(ad.tensor_sum(ad.mul(_column(g1), inner), axis=2))
-        if "cop" in tri:
-            # partners of (h, j) share dependent j: columns of Q, over k > h, i < h
-            g1, g2, g3 = tri["cop"]
-            g1, g3 = _column(g1), _column(g3)
-            inner = ad.add(ad.mul(g1, _after(ad.mul(cells, g3), axis=0)),
-                           ad.mul(g3, _before(ad.mul(cells, g1), axis=0)))
-            terms.append(ad.tensor_sum(ad.mul(g2, inner), axis=2))
-        if "gp" in tri:
-            g1, g2, g3 = tri["gp"]
+        if "sib" in self.shared:
+            # partners of (i, j) share head i: the grid runs over j = rows of Q^T
+            terms.append(ad.transpose(self.shared["sib"].field(ad.transpose(q))))
+        if "cop" in self.shared:
+            # partners of (h, j) share dependent j: the grid runs over h = rows of Q
+            terms.append(self.shared["cop"].field(q))
+        if "gp" in self.pot.tri:
+            g1, g2, g3 = self.pot.tri["gp"]
             q_t = ad.transpose(q)
             as_first = ad.matmul(g1, ad.transpose(ad.mul(g2, ad.matmul(q, g3))))
             as_second = ad.matmul(ad.mul(g2, ad.matmul(q_t, g1)), ad.transpose(g3))
             terms.append(ad.sub(ad.add(as_first, as_second), ad.mul(q_t, self.gp_cycle)))
         if not terms:
-            return ad.constant(np.zeros((n1, n1)))
+            return ad.constant(np.zeros(q.shape))
         total = terms[0]
         for term in terms[1:]:
             total = ad.add(total, term)
         return total
 
 
-def _column(g):
-    """(n+1, d) factor as (n+1, 1, d), to broadcast along dependents."""
-    return ad.reshape(g, (g.shape[0], 1, g.shape[1]))
+class _SharedNode:
+    """Field of a part type whose two edges share a node, for its factors
+    (a, b, c) (sib: (g1, g2, g3), cop: (g2, g1, g3)): ``field(G)`` is
+    out[s, r] = F[r, s] for the grid G[s, r] = P[r, s], where
 
+        F[r, s] = sum_m a[r,m] (b[s,m] sum_{k>s} P[r,k] c[k,m]
+                                + c[s,m] sum_{k<s} P[r,k] b[k,m]).
 
-def _after(x, axis):
-    """Strict suffix sums along ``axis``: out[k] = sum of x[l] for l > k."""
-    return ad.sub(ad.tensor_sum(x, axis=axis, keepdims=True), ad.cumsum(x, axis))
+    With the inclusive running sums R_x[s, r] = sum_{k<=s} G[k, r] x[k],
+    the strict suffix is the total (G^T c)[r] minus R_c[s, r] and the
+    strict prefix is R_b[s, r] minus G[s, r] b[s]. The totals and the
+    G[s, r] corrections are (n+1)^2 products; both running sums, weighted
+    and contracted over m, are one ``prefix_trilinear`` node over the
+    stacked factors [b | c]. The stacked factors are built once per state.
+    """
 
+    def __init__(self, a, b, c):
+        self.a, self.b, self.c = a, b, c
+        self.stacked = ad.concat([b, c], axis=1)
+        self.signed = ad.concat([c, ad.neg(b)], axis=1)
+        self.doubled = ad.concat([a, a], axis=1)
+        self.diagonal = ad.matmul(ad.mul(b, c), ad.transpose(a))  # the G[s, r] b[s] c[s] a[r] terms
 
-def _before(x, axis):
-    """Strict prefix sums along ``axis``: out[k] = sum of x[l] for l < k."""
-    return ad.sub(ad.cumsum(x, axis), x)
+    def field(self, grid):
+        running = ad.prefix_trilinear(grid, self.stacked, self.signed, self.doubled)
+        totals = ad.matmul(self.b, ad.transpose(
+            ad.mul(self.a, ad.matmul(ad.transpose(grid), self.c))))
+        return ad.add(running, ad.sub(totals, ad.mul(grid, self.diagonal)))
 
 
 def mf_init(pot, clamp=DEFAULT_CLAMP):

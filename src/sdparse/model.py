@@ -42,7 +42,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .graph import build_candidate_edges
 from .sdp_io import Vocabulary
 
@@ -155,9 +155,18 @@ def trilinear(v1, v2, v3, U1, U2, U3):
                                 ad.matmul(U3, v3)))
 
 
-def _uniform(rng, shape, fan_in):
-    bound = 1.0 / math.sqrt(fan_in)
+def _uniform(rng, shape):
+    """Uniform in +-1/sqrt(fan_in), the fan-in being the last axis."""
+    bound = 1.0 / math.sqrt(shape[-1])
     return rng.uniform(-bound, bound, size=shape)
+
+
+def _normal(std):
+    return lambda rng, shape: rng.normal(0.0, std, size=shape)
+
+
+def _zeros(rng, shape):
+    return np.zeros(shape)
 
 
 def _dropout(x, p, rng):
@@ -169,66 +178,77 @@ def _dropout(x, p, rng):
 
 
 class ParserModel:
-    """Holds all parameters and computes a ScoreFactors per sentence."""
+    """Holds all parameters and computes a ScoreFactors per sentence.
 
-    def __init__(self, config, vocab, rng, pretrained=None, pretrained_table=None):
+    ``_declare`` gives every parameter's name, shape and initialiser once.
+    A new model draws them from ``rng`` in that order. A model rebuilt
+    from ``state`` (name -> array, as a checkpoint stores them, the
+    pretrained table included when the config uses one) takes the arrays
+    as they are and draws nothing; arrays that are not exactly the
+    declared names and shapes raise DataError.
+    """
+
+    def __init__(self, config, vocab, rng=None, pretrained=None, state=None):
         config.validate()
         self.config = config
         self.vocab = vocab
-        self.params = {}
-
-        def param(name, values):
-            self.params[name] = ad.parameter(values)
-
-        c = config
-        param("word_emb", _uniform(rng, (vocab.num_words, c.word_dim), c.word_dim))
-        param("pos_emb", _uniform(rng, (vocab.num_pos, c.pos_dim), c.pos_dim))
-
         self.pretrained_table = None
-        if c.use_pretrained:
-            if pretrained_table is not None:
-                table = np.asarray(pretrained_table, dtype=np.float64)
-                if table.shape[0] != vocab.num_words:
-                    raise ConfigError(
-                        f"pretrained table has {table.shape[0]} rows for "
-                        f"{vocab.num_words} vocabulary entries")
-            elif pretrained is not None:
-                vectors, dim = pretrained
-                table = np.zeros((vocab.num_words, dim))
-                for form, idx in vocab.form2id.items():
-                    if form in vectors:
-                        table[idx] = vectors[form]
-            else:
+        if state is not None:
+            self._load(state)
+            return
+        if config.use_pretrained:
+            if pretrained is None:
                 raise ConfigError("use_pretrained is set but no embedding table was given")
+            vectors, dim = pretrained
+            table = np.zeros((vocab.num_words, dim))
+            for form, idx in vocab.form2id.items():
+                if form in vectors:
+                    table[idx] = vectors[form]
             self.pretrained_table = table
-            dim = table.shape[1]
-            param("pretrained_proj_W", _uniform(rng, (c.pretrained_proj_dim, dim), dim))
-            param("pretrained_proj_b", np.zeros(c.pretrained_proj_dim))
+        table_dim = 0 if self.pretrained_table is None else self.pretrained_table.shape[1]
+        self.params = {name: ad.parameter(init(rng, shape))
+                       for name, shape, init in self._declare(table_dim)}
 
-        in_dim = c.input_dim
+    def _declare(self, table_dim):
+        """(name, shape, init) of every parameter, in drawing order;
+        ``init(rng, shape)`` gives its initial values."""
+        c, v = self.config, self.vocab
+        specs = [("word_emb", (v.num_words, c.word_dim), _uniform),
+                 ("pos_emb", (v.num_pos, c.pos_dim), _uniform)]
+        if c.use_pretrained:
+            specs += [("pretrained_proj_W", (c.pretrained_proj_dim, table_dim), _uniform),
+                      ("pretrained_proj_b", (c.pretrained_proj_dim,), _zeros)]
+        in_dim, h = c.input_dim, c.encoder_hidden
         for layer in range(c.encoder_layers):
             for direction in ("fw", "bw"):
-                h = c.encoder_hidden
                 prefix = f"lstm{layer}_{direction}"
-                param(f"{prefix}_Wx", _uniform(rng, (4 * h, in_dim), in_dim))
-                param(f"{prefix}_Wh", _uniform(rng, (4 * h, h), h))
-                param(f"{prefix}_b", np.zeros(4 * h))
-            in_dim = 2 * c.encoder_hidden
-
-        ctx = c.context_dim
+                specs += [(f"{prefix}_Wx", (4 * h, in_dim), _uniform),
+                          (f"{prefix}_Wh", (4 * h, h), _uniform),
+                          (f"{prefix}_b", (4 * h,), _zeros)]
+            in_dim = 2 * h
         for role in ROLES:
             out = c.unary_dim if role in _UNARY_ROLES else c.binary_dim
-            param(f"proj_{role}_W", _uniform(rng, (out, ctx), ctx))
-            param(f"proj_{role}_b", np.zeros(out))
+            specs += [(f"proj_{role}_W", (out, c.context_dim), _uniform),
+                      (f"proj_{role}_b", (out,), _zeros)]
+        specs += [("edge_U", (c.unary_dim, c.unary_dim), _normal(1.0)),
+                  ("edge_b", (), _zeros),
+                  ("label_W", (c.unary_dim, v.num_labels), _normal(1.0)),
+                  ("label_b", (v.num_labels,), _zeros)]
+        specs += [(f"tri_{kind}_{slot}", (c.binary_dim, c.binary_dim), _normal(0.25))
+                  for kind in ("sib", "cop", "gp") for slot in ("U1", "U2", "U3")]
+        return specs
 
-        param("edge_U", rng.normal(0.0, 1.0, size=(c.unary_dim, c.unary_dim)))
-        param("edge_b", np.zeros(()))
-        param("label_W", rng.normal(0.0, 1.0, size=(c.unary_dim, vocab.num_labels)))
-        param("label_b", np.zeros(vocab.num_labels))
-        for kind in ("sib", "cop", "gp"):
-            for slot in ("U1", "U2", "U3"):
-                param(f"tri_{kind}_{slot}",
-                      rng.normal(0.0, 0.25, size=(c.binary_dim, c.binary_dim)))
+    def _load(self, state):
+        """Take the parameters and the pretrained table from ``state``."""
+        table = state.get("pretrained_table")
+        table_dim = table.shape[-1] if table is not None and table.ndim else 0
+        shapes = {name: shape for name, shape, _ in self._declare(table_dim)}
+        declared = dict(shapes)
+        if self.config.use_pretrained:
+            declared["pretrained_table"] = (self.vocab.num_words, table_dim)
+            self.pretrained_table = table
+        _check_arrays(declared, state)
+        self.params = {name: ad.parameter(state[name]) for name in shapes}
 
     # ------------------------------------------------------------- plumbing
 
@@ -262,14 +282,8 @@ class ParserModel:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state_arrays(self, arrays):
-        missing = sorted(set(self.params) ^ set(arrays))
-        if missing:
-            raise ConfigError(f"parameter name mismatch: {missing}")
+        _check_arrays({name: p.data.shape for name, p in self.params.items()}, arrays)
         for name, p in self.params.items():
-            if p.data.shape != arrays[name].shape:
-                raise ConfigError(
-                    f"parameter {name}: shape {arrays[name].shape} does not match "
-                    f"{p.data.shape}")
             p.data = arrays[name].astype(np.float64)
 
     # ----------------------------------------------------------- forward ops
@@ -370,3 +384,15 @@ class ParserModel:
                     ad.matmul(roles[role], ad.transpose(p[f"tri_{kind}_{slot}"]))
                     for role, slot in zip(role_names, ("U1", "U2", "U3")))
         return ScoreFactors(edge_set, edge_scores, s_label, tri)
+
+
+def _check_arrays(declared, arrays):
+    """Raise DataError unless ``arrays`` has exactly the ``declared``
+    names (name -> shape), each array with its declared shape."""
+    if set(arrays) != set(declared):
+        raise DataError(f"stored arrays do not match the model's: "
+                        f"{sorted(set(arrays) ^ set(declared))}")
+    for name, shape in declared.items():
+        if arrays[name].shape != shape:
+            raise DataError(f"array {name}: shape {arrays[name].shape} does not match "
+                            f"the model's {shape}")

@@ -8,8 +8,9 @@ part-shaped is cached between sentences. That path refuses a sentence
 longer than ``PAIR_LENGTH_CAP`` with a CapacityError before it builds any
 (n+1)^3 tensor. Only ``trace_sentence`` reads the parts out of their
 masks, to report either engine's per-part ``message_values`` in part
-order. Decoding looks up labels only for the edges whose marginal clears
-the threshold, and builds no per-edge tuple or dict for the others.
+order. Decoding is ``graph.decode`` on arrays in edge order: the final
+marginals, the label scores and the vocabulary's label names; it reads a
+label only for the edges whose marginal clears the threshold.
 """
 
 from __future__ import annotations
@@ -66,13 +67,7 @@ def parse_sentence(model, sentence, engine="mf", iterations=3, threshold=0.5,
     if not np.all(np.isfinite(q)):
         raise NumericError(f"non-finite edge marginals from {engine} (T={iterations}) "
                            f"on a {sentence.n}-token sentence")
-    kept = np.flatnonzero(q > threshold)
-    heads, deps = np.nonzero(pot.edge_set.mask)
-    edges = list(zip(heads[kept].tolist(), deps[kept].tolist()))
-    label_ids = np.argmax(scores.s_label.data[kept], axis=1)
-    probs = dict(zip(edges, q[kept].tolist()))
-    labels = {e: model.vocab.label_of(int(label)) for e, label in zip(edges, label_ids)}
-    graph = decode(sentence.n, probs, labels, threshold)
+    graph = decode(pot.edge_set, q, scores.s_label.data, model.vocab.id2label, threshold)
     return graph, state, scores
 
 

@@ -71,9 +71,6 @@ class Vocabulary:
             raise DataError(f"unknown edge label {label!r}")
         return self.label2id[label]
 
-    def label_of(self, idx):
-        return self.id2label[idx]
-
     @property
     def num_words(self):
         return len(self.form2id)

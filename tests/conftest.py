@@ -73,10 +73,11 @@ def potential_grads(upstream, state):
     """Gradients of <upstream, Q^(T)> w.r.t. the unary scores (edge order)
     and the pair scores (part order) of the LogPotentials an
     inference state ran on (either engine); Q^(T) is read as
-    exp(log Q(1)) of the final log-marginals."""
+    exp(log Q(1)) of the final log-marginals, so the sweep starts at
+    log Q(1) seeded with upstream * Q."""
     pot = state.pot
-    q = ad.exp(state.final_log_marginals()[1])
-    ad.backward([q], [np.asarray(upstream, dtype=np.float64)])
+    log_q = state.final_log_marginals()[1]
+    ad.backward([log_q], [np.asarray(upstream, dtype=np.float64) * np.exp(log_q.data)])
     grid = pot.edge_scores.grad
     # a sib or cop score sits in both orientations' cells
     grads = {kind: s.grad if kind == "gp" else s.grad + aligned(s.grad, kind)

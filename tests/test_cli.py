@@ -182,7 +182,7 @@ def test_parse_with_byte_flipped_checkpoint_exits_3(tmp_path, trained, corpus_pa
                                                     capsys):
     path = trained / "checkpoint.npz"
     with zipfile.ZipFile(path) as zf:
-        info = zf.getinfo("param:edge_U.npy")
+        info = zf.getinfo("arrays.npy")
     raw = bytearray(path.read_bytes())
     # local header: 30 fixed bytes, then the name and extra field lengths
     name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
@@ -194,17 +194,18 @@ def test_parse_with_byte_flipped_checkpoint_exits_3(tmp_path, trained, corpus_pa
     assert "damaged" in capsys.readouterr().err
 
 
-def _rewrite_meta(tmp_path, trained, edit):
-    """A copy of the trained checkpoint whose meta record is ``edit`` of
-    the stored one: a string replaces it, a callable changes the dict."""
+def _rewrite_checkpoint(tmp_path, trained, edit):
+    """A copy of the trained checkpoint, rewritten with np.savez (so its
+    zip CRCs are valid): a string replaces the meta record, a callable
+    changes the meta dict and the member arrays in place."""
     with np.load(trained / "checkpoint.npz") as loaded:
         arrays = {key: loaded[key] for key in loaded.files}
     if callable(edit):
         meta = json.loads(str(arrays["__meta__"]))
-        edit(meta)
+        edit(meta, arrays)
         edit = json.dumps(meta)
     arrays["__meta__"] = np.array(edit)
-    path = tmp_path / "meta.npz"
+    path = tmp_path / "rewritten.npz"
     np.savez(path, **arrays)
     return path
 
@@ -212,14 +213,74 @@ def _rewrite_meta(tmp_path, trained, edit):
 @pytest.mark.parametrize("edit,code,message", [
     ("{format_version: 1", 3, "not a JSON object"),
     ("[1, 2]", 3, "not a JSON object"),
-    (lambda meta: meta.pop("config"), 3, "lacks a config"),
-    (lambda meta: meta["config"].update(bogus_key=1), 2, "bogus_key"),
+    (lambda meta, arrays: meta.pop("config"), 3, "lacks a config"),
+    (lambda meta, arrays: meta["config"].update(bogus_key=1), 2, "bogus_key"),
 ], ids=["not-json", "json-list", "no-config", "unknown-config-key"])
 def test_parse_with_malformed_checkpoint_meta_exits_with_its_code(
         tmp_path, trained, corpus_path, capsys, edit, code, message):
-    path = _rewrite_meta(tmp_path, trained, edit)
+    path = _rewrite_checkpoint(tmp_path, trained, edit)
     assert _parse_checkpoint(path, tmp_path, corpus_path) == code
     assert message in capsys.readouterr().err
+
+
+def _index_entry(meta, name):
+    return next(entry for entry in meta["index"] if entry[0] == name)
+
+
+def _string_buffer(meta, arrays):
+    arrays["arrays"] = arrays["arrays"].astype(str)
+
+
+def _two_dim_buffer(meta, arrays):
+    arrays["arrays"] = arrays["arrays"].reshape(1, -1)
+
+
+def _overrunning_entry(meta, arrays):
+    _index_entry(meta, "edge_U")[2] = arrays["arrays"].size - 1
+
+
+def _missing_entry(meta, arrays):
+    meta["index"].remove(_index_entry(meta, "edge_U"))
+
+
+def _short_entry(meta, arrays):
+    _index_entry(meta, "edge_U")[1][0] -= 1
+
+
+def _malformed_entry(meta, arrays):
+    meta["index"][0] = [7, "shape"]
+
+
+def _changed_value(meta, arrays):
+    arrays["arrays"][_index_entry(meta, "edge_U")[2]] += 1.0
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_string_buffer, "not 1-D float64"),
+    (_two_dim_buffer, "not 1-D float64"),
+    (_overrunning_entry, "overruns"),
+    (_missing_entry, "edge_U"),
+    (_short_entry, "edge_U: shape"),
+    (_malformed_entry, "index is malformed"),
+    (_changed_value, "damaged"),
+], ids=["string-buffer", "2d-buffer", "index-overrun", "missing-name", "shape-mismatch",
+        "malformed-index", "hash-mismatch"])
+def test_parse_with_damaged_checkpoint_contents_exits_3(
+        tmp_path, trained, corpus_path, capsys, edit, message):
+    path = _rewrite_checkpoint(tmp_path, trained, edit)
+    assert _parse_checkpoint(path, tmp_path, corpus_path) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_parse_refuses_a_format_1_checkpoint(tmp_path, trained, corpus_path, capsys):
+    # format 1: one npz member per parameter, no index and no sha256
+    model, cfg, vocab = load_checkpoint(trained / "checkpoint.npz")
+    meta = {"format_version": 1, "config": cfg.to_dict(), "vocab": vocab.to_dict()}
+    path = tmp_path / "v1.npz"
+    np.savez(path, __meta__=np.array(json.dumps(meta)),
+             **{f"param:{name}": p.data for name, p in model.params.items()})
+    assert _parse_checkpoint(path, tmp_path, corpus_path) == 2
+    assert "format version 1 unsupported" in capsys.readouterr().err
 
 
 def test_eval_length_mismatch_exits_3(tmp_path, corpus_path, capsys):

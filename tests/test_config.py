@@ -201,6 +201,47 @@ def test_checkpoint_round_trips_params_config_and_vocab(tmp_path):
         np.testing.assert_array_equal(loaded.params[name].data, p.data)
 
 
+def test_checkpoint_loads_without_a_random_draw(tmp_path, monkeypatch):
+    model, run_cfg, vocab = _small_model()
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, model, run_cfg, vocab)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr("sdparse.model.np.random.default_rng", no_draw)
+    loaded, _, _ = load_checkpoint(path)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data, p.data)
+
+
+def test_checkpoint_round_trips_a_pretrained_table_bit_identically(tmp_path):
+    data = toy_corpus(np.random.default_rng(0), size=4)
+    vocab = build_vocab(data, min_count=1)
+    run_cfg = RunConfig.resolve(overrides={
+        "word_dim": "4", "pos_dim": "3", "encoder_layers": "1", "encoder_hidden": "3",
+        "unary_dim": "5", "binary_dim": "3", "min_count": "1",
+        "use_pretrained": "true", "pretrained_proj_dim": "2",
+    })
+    vectors = {form: np.random.default_rng(i).normal(size=6)
+               for i, form in enumerate(sorted(vocab.form2id)) if i % 2}
+    model = ParserModel(run_cfg.model_config(), vocab, np.random.default_rng(7),
+                        pretrained=(vectors, 6))
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, model, run_cfg, vocab)
+    loaded, _, _ = load_checkpoint(path)
+    assert loaded.pretrained_table.tobytes() == model.pretrained_table.tobytes()
+    assert list(loaded.params) == list(model.params)
+    for name, p in model.params.items():
+        assert loaded.params[name].data.shape == p.data.shape
+        assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+    save_checkpoint(tmp_path / "again.npz", loaded, run_cfg, vocab)
+    with np.load(path) as first, np.load(tmp_path / "again.npz") as second:
+        assert first.files == second.files
+        for key in first.files:
+            assert first[key].tobytes() == second[key].tobytes(), key
+
+
 def test_checkpoint_config_echo_is_pinned(tmp_path):
     model, run_cfg, vocab = _small_model()
     path = tmp_path / "model.npz"

@@ -188,23 +188,40 @@ def test_sentence_indexing_is_one_based():
     assert s.token(2).form == "y"
 
 
+# candidate edges of n = 2 in edge order: (0,1), (0,2), (1,2), (2,1)
+DECODE_LABELS = ["TOP", "a", "b"]
+DECODE_SCORES = np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 3.0], [0.0, 1.0, 0.5], [0.0, 0.2, 0.1]])
+
+
 def test_decode_threshold_is_strict():
-    probs = {(0, 1): 0.5, (1, 2): 0.500001, (2, 1): 0.49}
-    labels = {(0, 1): "TOP", (1, 2): "a", (2, 1): "a"}
-    g = decode(2, probs, labels)
-    assert set(g.edge_pairs()) == {(1, 2)}
+    marginals = np.array([0.5, 0.2, 0.500001, 0.49])
+    g = decode(build_candidate_edges(2), marginals, DECODE_SCORES, DECODE_LABELS)
+    assert g == SemGraph(2, [(1, 2, "a")])
 
 
-def test_decode_missing_label_is_an_error():
-    with pytest.raises(DataError):
-        decode(2, {(1, 2): 0.9}, {})
+def test_decode_labels_each_kept_edge_with_its_best_label():
+    marginals = np.array([0.9, 0.7, 0.6, 0.3])
+    g = decode(build_candidate_edges(2), marginals, DECODE_SCORES, DECODE_LABELS)
+    assert g == SemGraph(2, [(0, 1, "TOP"), (0, 2, "b"), (1, 2, "a")])
+    assert g.label_of(0, 2) == "b"
+    assert g.edge_pairs() == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_decode_monotone_in_threshold():
-    probs = {(0, 1): 0.9, (1, 2): 0.6, (2, 1): 0.3}
-    labels = {e: "x" for e in probs}
-    sizes = [len(decode(2, probs, labels, threshold=t).edges) for t in (0.2, 0.5, 0.8, 0.95)]
+    marginals = np.array([0.9, 0.1, 0.6, 0.3])
+    sizes = [len(decode(build_candidate_edges(2), marginals, DECODE_SCORES, DECODE_LABELS,
+                        threshold=t).edges) for t in (0.2, 0.5, 0.8, 0.95)]
     assert sizes == sorted(sizes, reverse=True)
+    assert sizes[-1] == 0
+
+
+def test_semgraph_from_arrays_matches_the_triples_and_validates():
+    g = SemGraph.from_arrays(2, np.array([0, 1]), np.array([1, 2]), ["TOP", "a"])
+    assert g == SemGraph(2, [(0, 1, "TOP"), (1, 2, "a")])
+    assert g.label_of(1, 2) == "a"
+    for heads, deps in (([1], [1]), ([3], [1]), ([1], [0]), ([1, 1], [2, 2])):
+        with pytest.raises(DataError):
+            SemGraph.from_arrays(2, np.array(heads), np.array(deps), ["a"] * len(heads))
 
 
 def _reachability_has_cycle(edges, n):
