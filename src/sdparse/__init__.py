@@ -15,12 +15,12 @@ from .errors import CapacityError, ConfigError, DataError, NumericError
 from .exact import ExactResult, exact_infer, exact_map
 from .graph import (CandidateEdgeSet, SemGraph, Sentence, Token, build_candidate_edges,
                     decode, has_cycle)
-from .lbp import MessageState, lbp_init, lbp_run, lbp_step
+from .lbp import lbp_run
 from .metrics import EvalReport, bucket_f1, cycle_rate, evaluate, f1, top_f1
-from .mf import BeliefState, FactoredBeliefState, mf_init, mf_run, mf_step
+from .mf import mf_run
 from .model import ModelConfig, ParserModel, ScoreFactors, trilinear
 from .pipeline import parse_sentence, run_inference, trace_sentence
-from .potentials import LogPotentials, from_arrays, from_factors
+from .potentials import InferenceState, LogPotentials, from_arrays, from_factors
 from .sdp_io import (Vocabulary, build_vocab, format_sdp, load_pretrained,
                      parse_sdp, parse_sdp_lines, write_sdp)
 from .training import (GradCheckResult, Optimizer, TrainConfig, TrainResult,

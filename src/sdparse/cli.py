@@ -7,6 +7,7 @@ codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -76,10 +77,8 @@ def cmd_train(args):
 
 
 def cmd_parse(args):
-    expected = None
-    if args.config:
-        expected = RunConfig.resolve(parse_config_file(args.config),
-                                     parse_overrides(args.set))
+    # --config and --set only check the checkpoint's structure
+    expected = _resolve_config(args) if args.config or args.set else None
     model, cfg, _ = load_checkpoint(args.checkpoint, expected_config=expected)
     engine = args.engine or cfg.inference
     iterations = cfg.iterations if args.iterations is None else args.iterations
@@ -218,7 +217,6 @@ def build_parser():
     p.add_argument("--train", help="training corpus (overrides train_path)")
     p.add_argument("--dev", help="dev corpus (overrides dev_path)")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("parse", help="parse a corpus with a trained model")
     p.add_argument("--checkpoint", required=True)
@@ -230,7 +228,6 @@ def build_parser():
     p.add_argument("--iterations", type=int)
     p.add_argument("--threshold", type=float)
     p.add_argument("--marginals", help="write per-edge marginals as JSON lines")
-    p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="score predictions against gold")
     p.add_argument("--pred", required=True)
@@ -238,7 +235,6 @@ def build_parser():
     p.add_argument("--include-top", action="store_true",
                    help="count root edges in the headline scores")
     p.add_argument("--json", help="also write the report as JSON")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("trace", help="dump per-iteration marginals and messages")
     p.add_argument("--checkpoint", required=True)
@@ -247,7 +243,6 @@ def build_parser():
     p.add_argument("--engine", choices=["mf", "lbp"])
     p.add_argument("--iterations", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("oracle-compare",
                        help="compare approximate marginals to enumeration")
@@ -256,23 +251,29 @@ def build_parser():
     p.add_argument("--unary-scale", type=float, default=1.0)
     p.add_argument("--coupling-scale", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of end-to-end gradients")
     p.add_argument("--length", type=int, default=3)
     p.add_argument("--coords", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so the handler is the module's current cmd_*
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

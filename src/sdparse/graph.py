@@ -25,11 +25,9 @@ chain would need k == i).
 
 Part variables live on the (n+1)^3 node-triple grid the same way: a part
 type's ``part_mask`` marks the cells of its stored triples, and part
-order is each mask's row-major order, sib, then cop, then gp.
-``enumerate_parts`` reads the masks into integer index arrays with one
-part triple per row. Masks and arrays are built on every call and never
-cached, so memory held between sentences does not grow with the lengths
-seen.
+order is each mask's row-major order, sib, then cop, then gp. Masks are
+built on every call and never cached, so memory held between sentences
+does not grow with the lengths seen.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
-    "Token", "Sentence", "SemGraph", "CandidateEdgeSet", "PartList",
-    "build_candidate_edges", "enumerate_parts", "part_mask", "decode", "has_cycle",
+    "Token", "Sentence", "SemGraph", "CandidateEdgeSet",
+    "build_candidate_edges", "part_mask", "decode", "has_cycle",
     "TOP_LABEL",
 ]
 
@@ -176,36 +174,12 @@ PART_EDGE_COLUMNS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class PartList:
-    """Enumerated second-order parts over a candidate edge set.
-
-    Each part type is a read-only (P_kind, 3) integer array with one part
-    per row, in lexicographic row order of its stored triple.
-    """
-
-    n: int
-    sib: np.ndarray  # (i, j, k) with j < k; edges (i,j), (i,k)
-    cop: np.ndarray  # (i, k, j) with i < k; edges (i,j), (k,j)
-    gp: np.ndarray   # (i, j, k); edges (i,j), (j,k)
-
-    def total(self):
-        return len(self.sib) + len(self.cop) + len(self.gp)
-
-
 def part_mask(n, kind):
     """Read-only boolean (n+1)^3 mask of a part type's stored triples
     (sib (i, j, k), cop (i, k, j), gp (i, j, k)) for a length-n sentence."""
     a, b, c = np.ogrid[:n + 1, :n + 1, :n + 1]
     geometry = {"sib": (b >= 1) & (b < c), "cop": (a < b) & (c >= 1), "gp": (b >= 1) & (c >= 1)}
     return _read_only(geometry[kind] & (a != b) & (b != c) & (a != c))
-
-
-def enumerate_parts(edge_set):
-    """Every part of a length-n sentence: the cells of each type's
-    ``part_mask`` in row-major order, built afresh; nothing is cached."""
-    return PartList(edge_set.n, *(_read_only(np.argwhere(part_mask(edge_set.n, kind)))
-                                  for kind in ("sib", "cop", "gp")))
 
 
 def decode(edge_set, marginals, label_scores, labels, threshold=0.5):

@@ -31,88 +31,41 @@ l is an (n+1) x (n+1) head-by-dependent grid, and the messages are dense
 
 Each update is one ``softplus_shift`` node of the cavity (the source grid
 broadcast along one axis minus the aligned reverse tensor) against the
-type's score tensor. A score tensor is 0 off its type's geometry, and
-softplus(c + 0) - softplus(c) is exactly 0, so no message needs a mask.
-Updates are synchronous; messages start at 0. The state keeps the grid
-l of each iteration and reads the edges' beliefs from it through the
-edge mask (``potentials.InferenceState``), so b1 = exp(-softplus(-l)).
+type's score tensor, in one ``potentials.sweep``. A score tensor is 0 off
+its type's geometry, and softplus(c + 0) - softplus(c) is exactly 0, so
+no message needs a mask. Updates are synchronous; messages start at 0.
+The state (``potentials.InferenceState``) keeps the grid l and the
+message tensors of each iteration and reads the edges' beliefs from l
+through the edge mask: b1 = exp(-softplus(-l)) is the logistic of l.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from . import autodiff as ad
 from .errors import ConfigError
-from .potentials import FORWARD, MESSAGES, InferenceState, aligned, on_grid
+from .potentials import InferenceState, aligned, sweep
 
-__all__ = ["MessageState", "lbp_init", "lbp_step", "lbp_run"]
-
-
-@dataclass
-class MessageState(InferenceState):
-    """Message log-odds and beliefs per iteration: ``messages[t]`` maps
-    each name of ``potentials.MESSAGES`` to its (n+1)^3 log-odds tensor
-    ({} at t = 0, when every message is 0), and ``logits[t]`` is the grid
-    of belief logits."""
-
-    messages: list = field(default_factory=list)  # dicts of Tensors, (n+1)^3
-
-    @staticmethod
-    def _q(logit):
-        # b1 = exp(log b1), as the loss reads it
-        return np.exp(-ad.softplus(-logit).data)
-
-    def message_values(self, t=-1):
-        """log m(1) - log m(0) per directed message at iteration t (all 0
-        at t = 0), read at each part's stored triple, in
-        ``directed_messages()`` order."""
-        messages = self.messages[t]
-        if not messages:
-            return np.zeros(2 * self.pot.pair_count)
-        reverse = {kind: MESSAGES[forward][3] for kind, forward in FORWARD.items()}
-        into_first = self.pot.gather({kind: aligned(messages[reverse[kind]].data, kind)
-                                      for kind in self.pot.scores})
-        into_second = self.pot.gather({kind: messages[FORWARD[kind]].data
-                                       for kind in self.pot.scores})
-        return np.stack([into_first, into_second], axis=1).reshape(-1)
-
-
-def lbp_init(pot):
-    """Uniform messages (log-odds 0); initial beliefs are the normalized
-    unaries."""
-    state = MessageState(pot)
-    state.messages.append({})
-    state.logits.append(pot.edge_scores)
-    return state
-
-
-def lbp_step(state):
-    """One synchronous sweep: all messages from the previous snapshot,
-    then fresh beliefs."""
-    pot = state.pot
-    logit, previous = state.logits[-1], state.messages[-1]
-    messages = {}
-    total = pot.edge_scores
-    for name, (kind, source, target, reverse) in MESSAGES.items():
-        if kind not in pot.scores:
-            continue
-        cavity = on_grid(logit, source)
-        if previous:
-            cavity = ad.sub(cavity, aligned(previous[reverse], kind))
-        messages[name] = ad.softplus_shift(cavity, pot.scores[kind])
-        total = ad.add(total, ad.tensor_sum(messages[name], axis=target))
-    state.messages.append(messages)
-    state.logits.append(total)
-    return state
+__all__ = ["lbp_run"]
 
 
 def lbp_run(pot, iterations=3):
+    """Belief trajectory of ``iterations`` synchronous sweeps, each sending
+    every message from the previous snapshot, then summing fresh beliefs.
+    Messages start uniform (log-odds 0), so iteration 0's beliefs are the
+    normalized unaries."""
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
-    state = lbp_init(pot)
+    state = InferenceState(pot, [pot.edge_scores], [{}])
+
+    def update(kind, reverse, source):
+        # the state grows after the sweep, so its last messages are the
+        # previous iteration's
+        previous = state.messages[-1]
+        cavity = ad.sub(source, aligned(previous[reverse], kind)) if previous else source
+        return ad.softplus_shift(cavity, pot.scores[kind])
+
     for _ in range(iterations):
-        lbp_step(state)
+        messages, logit = sweep(pot, state.logits[-1], update, pot.edge_scores)
+        state.logits.append(logit)
+        state.messages.append(messages)
     return state

@@ -9,17 +9,18 @@ so a part couples its two member edges symmetrically: each receives the
 partner's current on-probability times the part score. Updates are
 Jacobi-style (all edges from the same snapshot), which makes the result
 independent of edge order. Logits are clamped to +-clamp before the
-sigmoid; the whole trajectory is kept as (n+1) x (n+1) logit and Q grids
-(Q held at 0 off the edge mask, ``potentials.InferenceState``) and is
-differentiable end to end.
+sigmoid; the trajectory is kept as (n+1) x (n+1) logit grids
+(``potentials.InferenceState``), Q is held at 0 off the edge mask, and
+it is differentiable end to end.
 
 The field is computed in one of two ways, with the same result:
 
-* From a ``LogPotentials``' dense score tensors: per message tensor of
-  ``potentials.MESSAGES``, the source edges' Q times the part scores,
-  summed into the targets; O(n^3) per iteration. Hand-built instances,
-  ``trace`` and the tests use this form, and ``message_values`` reads
-  each part's two field terms through the part masks.
+* From a ``LogPotentials``' dense score tensors: ``potentials.sweep``
+  with, per message tensor of ``potentials.MESSAGES``, the source edges'
+  Q times the part scores, summed into the targets; O(n^3) per
+  iteration. Hand-built instances, ``trace`` and the tests use this
+  form, and the state keeps the message tensors, so ``message_values``
+  reads each part's two field terms.
 * From the scorer's factors (``ScoreFactors``). Every part score is the
   rank-d form sum_m g1[a,m] g2[b,m] g3[c,m] over the part's first edge
   (a, b) and third node c, so the field factorises over m:
@@ -41,17 +42,13 @@ The field is computed in one of two ways, with the same result:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ConfigError
-from .potentials import MESSAGES, InferenceState, LogPotentials, on_grid
+from .potentials import InferenceState, LogPotentials, sweep
 
-__all__ = ["BeliefState", "FactoredBeliefState", "mf_init", "mf_step", "mf_run",
-           "DEFAULT_CLAMP"]
+__all__ = ["mf_run", "DEFAULT_CLAMP"]
 
 DEFAULT_CLAMP = 30.0
 
@@ -60,94 +57,68 @@ def _clamped(t, clamp):
     return t if clamp is None else ad.clamp(t, -clamp, clamp)
 
 
-@dataclass
-class BeliefState(InferenceState):
-    """Mean-field trajectory over a ``LogPotentials``' dense grid.
-
-    Besides the clamped logit grids it keeps qs[t] = sigmoid(logits[t]),
-    held at 0 off the edge mask so padding never enters a field.
-    """
-
-    clamp: float = DEFAULT_CLAMP
-    qs: list = field(default_factory=list)      # Tensors, (n+1, n+1)
-    mask: Tensor = field(init=False, default=None)  # 1 on candidate edges
-
-    def __post_init__(self):
-        self.mask = ad.constant(self.pot.edge_set.mask.astype(np.float64))
-
-    @staticmethod
-    def _q(logit):
-        return ad.sigmoid(logit).data
-
-    def message_values(self, t=-1):
-        """Q^{t-1}(src) * s_part per directed message: the signed field
-        terms that built iteration t (t >= 1 or negative), in
-        ``directed_messages()`` order."""
-        q = self.qs[t - 1].data[self.pot.edge_set.mask]
-        first, second = self.pot.pair_edges()
-        scores = self.pot.part_scores()
-        return np.stack([q[second] * scores, q[first] * scores], axis=1).reshape(-1)
-
-    def field(self, q):
-        """Field Q induces on every (head, dep) cell, from the dense score
-        tensors; O(n^3)."""
-        total = ad.constant(np.zeros(q.shape))
-        for kind, source, target, _ in MESSAGES.values():
-            if kind in self.pot.scores:
-                terms = ad.mul(self.pot.scores[kind], on_grid(q, source))
-                total = ad.add(total, ad.tensor_sum(terms, axis=target))
-        return total
-
-    def push(self, raw_logit):
-        """Append the iterate for one raw (unclamped) logit tensor."""
-        logit = _clamped(raw_logit, self.clamp)
-        self.logits.append(logit)
-        self.qs.append(ad.mul(ad.sigmoid(logit), self.mask))
+def mf_run(pot, iterations=3, clamp=DEFAULT_CLAMP):
+    """Mean-field trajectory of ``iterations`` synchronous updates. ``pot``
+    is a ``LogPotentials``, which runs on the dense field, or the scorer's
+    ``ScoreFactors``, which runs on the factored one; iteration 0's logits
+    are just the unary scores."""
+    if iterations < 1:
+        raise ConfigError(f"iterations must be >= 1, got {iterations}")
+    mask = ad.constant(pot.edge_set.mask.astype(np.float64))
+    field = _dense_field(pot) if isinstance(pot, LogPotentials) else _factored_field(pot)
+    state = InferenceState(pot, [_clamped(pot.edge_scores, clamp)], [{}])
+    for _ in range(iterations):
+        # Q is 0 off the edge mask, so padding never enters a field
+        messages, total = field(ad.mul(ad.sigmoid(state.logits[-1]), mask))
+        state.logits.append(_clamped(ad.add(pot.edge_scores, total), clamp))
+        state.messages.append(messages)
+    return state
 
 
-@dataclass
-class FactoredBeliefState(BeliefState):
-    """Mean-field trajectory over a ``ScoreFactors``' dense grid, with the
-    factored field."""
+def _dense_field(pot):
+    """Q -> (message tensors s_part * Q_src, field Q induces on every
+    (head, dep) cell), from the dense score tensors; O(n^3)."""
+    def terms(kind, _, source):
+        return ad.mul(pot.scores[kind], source)
 
-    shared: dict = field(init=False, default=None)      # sib/cop -> _SharedNode
-    gp_cycle: Tensor = field(init=False, default=None)  # C + C^T of the gp factors
+    return lambda q: sweep(pot, q, terms, ad.constant(np.zeros(q.shape)))
 
-    def __post_init__(self):
-        super().__post_init__()
-        tri = self.pot.tri
-        # sib reads rows of Q with factors (g1, g2, g3), cop columns with (g2, g1, g3)
-        self.shared = {kind: _SharedNode(*(tri[kind][i] for i in order))
-                       for kind, order in (("sib", (0, 1, 2)), ("cop", (1, 0, 2)))
-                       if kind in tri}
-        if "gp" in tri:
-            g1, g2, g3 = tri["gp"]
-            cycle = ad.matmul(ad.mul(g1, g3), ad.transpose(g2))
-            self.gp_cycle = ad.add(cycle, ad.transpose(cycle))
 
-    def field(self, q):
-        """Field Q induces on every (head, dep) cell, from one running sum
-        per sibling and co-parent type and matrix products over the part
-        factors; O(n^2 d)."""
+def _factored_field(pot):
+    """Q -> ({}, field Q induces on every (head, dep) cell), from one
+    running sum per sibling and co-parent type and matrix products over
+    the part factors; O(n^2 d). The shared nodes and the grandparent
+    two-cycle correction C + C^T are built once per run."""
+    tri = pot.tri
+    # sib reads rows of Q with factors (g1, g2, g3), cop columns with (g2, g1, g3)
+    shared = {kind: _SharedNode(*(tri[kind][i] for i in order))
+              for kind, order in (("sib", (0, 1, 2)), ("cop", (1, 0, 2))) if kind in tri}
+    if "gp" in tri:
+        g1, g2, g3 = tri["gp"]
+        cycle = ad.matmul(ad.mul(g1, g3), ad.transpose(g2))
+        gp_cycle = ad.add(cycle, ad.transpose(cycle))
+
+    def field(q):
         terms = []
-        if "sib" in self.shared:
+        if "sib" in shared:
             # partners of (i, j) share head i: the grid runs over j = rows of Q^T
-            terms.append(ad.transpose(self.shared["sib"].field(ad.transpose(q))))
-        if "cop" in self.shared:
+            terms.append(ad.transpose(shared["sib"].field(ad.transpose(q))))
+        if "cop" in shared:
             # partners of (h, j) share dependent j: the grid runs over h = rows of Q
-            terms.append(self.shared["cop"].field(q))
-        if "gp" in self.pot.tri:
-            g1, g2, g3 = self.pot.tri["gp"]
+            terms.append(shared["cop"].field(q))
+        if "gp" in tri:
             q_t = ad.transpose(q)
             as_first = ad.matmul(g1, ad.transpose(ad.mul(g2, ad.matmul(q, g3))))
             as_second = ad.matmul(ad.mul(g2, ad.matmul(q_t, g1)), ad.transpose(g3))
-            terms.append(ad.sub(ad.add(as_first, as_second), ad.mul(q_t, self.gp_cycle)))
+            terms.append(ad.sub(ad.add(as_first, as_second), ad.mul(q_t, gp_cycle)))
         if not terms:
-            return ad.constant(np.zeros(q.shape))
+            return {}, ad.constant(np.zeros(q.shape))
         total = terms[0]
         for term in terms[1:]:
             total = ad.add(total, term)
-        return total
+        return {}, total
+
+    return field
 
 
 class _SharedNode:
@@ -163,7 +134,7 @@ class _SharedNode:
     strict prefix is R_b[s, r] minus G[s, r] b[s]. The totals and the
     G[s, r] corrections are (n+1)^2 products; both running sums, weighted
     and contracted over m, are one ``prefix_trilinear`` node over the
-    stacked factors [b | c]. The stacked factors are built once per state.
+    stacked factors [b | c]. The stacked factors are built once per run.
     """
 
     def __init__(self, a, b, c):
@@ -178,30 +149,3 @@ class _SharedNode:
         totals = ad.matmul(self.b, ad.transpose(
             ad.mul(self.a, ad.matmul(ad.transpose(grid), self.c))))
         return ad.add(running, ad.sub(totals, ad.mul(grid, self.diagonal)))
-
-
-def mf_init(pot, clamp=DEFAULT_CLAMP):
-    """Iteration 0: posterior logits are just the unary scores.
-
-    ``pot`` is a ``LogPotentials`` or the scorer's ``ScoreFactors``; the
-    latter runs on the factored field.
-    """
-    state_type = BeliefState if isinstance(pot, LogPotentials) else FactoredBeliefState
-    state = state_type(pot, clamp=clamp)
-    state.push(pot.edge_scores)
-    return state
-
-
-def mf_step(state):
-    """Append one synchronous update to the trajectory."""
-    state.push(ad.add(state.pot.edge_scores, state.field(state.qs[-1])))
-    return state
-
-
-def mf_run(pot, iterations=3, clamp=DEFAULT_CLAMP):
-    if iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {iterations}")
-    state = mf_init(pot, clamp)
-    for _ in range(iterations):
-        mf_step(state)
-    return state

@@ -7,8 +7,8 @@ Loopy BP and ``trace_sentence`` run on the dense (n+1)^3 layout that
 part-shaped is cached between sentences. That path refuses a sentence
 longer than ``PAIR_LENGTH_CAP`` with a CapacityError before it builds any
 (n+1)^3 tensor. Only ``trace_sentence`` reads the parts out of their
-masks, to report either engine's per-part ``message_values`` in part
-order. Decoding is ``graph.decode`` on arrays in edge order: the final
+masks, to report the state's per-part ``message_values`` in part order.
+Decoding is ``graph.decode`` on arrays in edge order: the final
 marginals, the label scores and the vocabulary's label names; it reads a
 label only for the edges whose marginal clears the threshold.
 """
@@ -75,7 +75,7 @@ def trace_sentence(model, sentence, engine="mf", iterations=3,
                    clamp=mf.DEFAULT_CLAMP):
     """Per-iteration marginals and per-part message terms, JSON-ready.
 
-    Each directed message reports the engine's ``message_values``:
+    Each directed message reports the state's ``message_values``:
     mean-field the signed field contribution Q_src * s_part the source
     edge sends its partner (key ``value``), belief propagation the
     log-odds log m(1) - log m(0) (key ``log_odds``).

@@ -24,9 +24,10 @@ per-part value is read through the masks in that order.
 ``from_factors`` builds the layout from the scorer's factors without
 enumerating a part; ``from_arrays`` scatters edges and pairs in.
 
-``InferenceState`` is the trajectory both engines keep: one logit grid
-per iteration, read through the mask into per-edge vectors, and the
-directed messages each engine's ``message_values`` reports on.
+``InferenceState`` is the trajectory both engines keep: per iteration
+one logit grid, read through the edge mask into per-edge vectors, and
+the (n+1)^3 message tensors, read through the part masks into per-part
+values. ``sweep`` is the pass over ``MESSAGES`` both engines run.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .autodiff import Tensor
 from .errors import DataError
 from .graph import PART_EDGE_COLUMNS, CandidateEdgeSet, part_mask
 
-__all__ = ["LogPotentials", "InferenceState", "MESSAGES", "from_factors", "from_arrays"]
+__all__ = ["LogPotentials", "InferenceState", "MESSAGES", "sweep", "from_factors",
+           "from_arrays"]
 
 PART_TYPE_ORDER = ("sib", "cop", "gp")
 
@@ -69,11 +71,19 @@ def aligned(tensor, kind):
     return tensor.transpose(_MIRROR[kind])
 
 
-def on_grid(grid, axis):
-    """An (n+1) x (n+1) grid tensor with a unit axis inserted at ``axis``."""
-    shape = list(grid.shape)
-    shape.insert(axis, 1)
-    return ad.reshape(grid, tuple(shape))
+def sweep(pot, grid, message, total):
+    """One synchronous pass over ``MESSAGES`` for every part type of
+    ``pot``: the tensor of each message is ``message(kind, reverse,
+    source)``, where ``source`` is the (n+1) x (n+1) ``grid`` with a unit
+    axis at the message's source axis, and its sum over the target axis is
+    added to ``total``. Returns (message name -> tensor, total)."""
+    messages = {}
+    for name, (kind, source, target, reverse) in MESSAGES.items():
+        if kind in pot.scores:
+            shape = grid.shape[:source] + (1,) + grid.shape[source:]
+            messages[name] = message(kind, reverse, ad.reshape(grid, shape))
+            total = ad.add(total, ad.tensor_sum(messages[name], axis=target))
+    return messages, total
 
 
 def on_edges(grid, edge_set):
@@ -138,22 +148,27 @@ class LogPotentials:
 
 @dataclass
 class InferenceState:
-    """An engine's trajectory over the potentials ``pot`` (a LogPotentials
-    or ScoreFactors): ``logits[t]`` is the (n+1) x (n+1) grid of edge
-    logits after iteration t, t = 0..T. An engine adds its step and
-    ``_q``, which maps logits to on-probabilities; the per-edge readings
-    below are the grids gathered through the edge mask, in edge order."""
+    """The trajectory of either engine over the potentials ``pot`` (a
+    LogPotentials or ScoreFactors): ``logits[t]`` is the (n+1) x (n+1)
+    grid of edge logits after iteration t, t = 0..T, and ``messages[t]``
+    maps each name of ``MESSAGES`` to the (n+1)^3 message tensor that
+    built it ({} at t = 0 and on the factored mean-field path). The
+    per-edge readings are the grids gathered through the edge mask, in
+    edge order; the per-part ones are the message tensors read through the
+    part masks, in part order."""
 
     pot: object
-    logits: list = field(default_factory=list)  # Tensors, (n+1, n+1)
+    logits: list = field(default_factory=list)    # Tensors, (n+1, n+1)
+    messages: list = field(default_factory=list)  # dicts of Tensors, (n+1)^3
 
     @property
     def iterations(self):
         return len(self.logits) - 1
 
     def q1(self, t=-1):
-        """Q(edge on) after iteration t, as an (E,) array."""
-        return self._q(self.logits[t].data[self.pot.edge_set.mask])
+        """Q(edge on) after iteration t, the logistic of its logit, as an
+        (E,) array."""
+        return ad.sigmoid(self.logits[t].data[self.pot.edge_set.mask]).data
 
     def marginals(self, t=-1):
         """Q(edge on) after iteration t by (head, dep), in edge order."""
@@ -169,9 +184,24 @@ class InferenceState:
         """(src_edge, dst_edge, part_type, part) per direction of every pair
         of a LogPotentials, in part order: first the message from the
         pair's second edge into its first, then the reverse. The order of
-        each engine's ``message_values``."""
+        ``message_values``."""
         return [message for a, b, kind, part in self.pot.pairs()
                 for message in ((b, a, kind, part), (a, b, kind, part))]
+
+    def message_values(self, t=-1):
+        """The messages of iteration t at each part of a LogPotentials, in
+        ``directed_messages()`` order (all 0 at t = 0): into the first edge
+        from the aligned reverse tensor, into the second from the forward
+        one. Mean-field's message is Q^{t-1}(src) * s_part, belief
+        propagation's log m(1) - log m(0)."""
+        messages = self.messages[t]
+        if not messages:
+            return np.zeros(2 * self.pot.pair_count)
+        into_first = self.pot.gather({
+            kind: aligned(messages[MESSAGES[FORWARD[kind]][3]].data, kind) for kind in self.pot.scores})
+        into_second = self.pot.gather({kind: messages[FORWARD[kind]].data
+                                       for kind in self.pot.scores})
+        return np.stack([into_first, into_second], axis=1).reshape(-1)
 
 
 def from_factors(factors):

@@ -208,17 +208,17 @@ def format_sdp(data):
     """Serialize (Sentence, SemGraph) pairs; inverse of parse on gold graphs."""
     blocks = []
     for sent, graph in data:
-        label_by_pair = {(h, d): l for h, d, l in graph.edges}
-        preds = sorted({h for h, d, _ in graph.edges if h >= 1})
+        labels = graph._labels  # the graph's own (head, dep) -> label dict
+        is_pred = {h for h, _ in labels if h >= 1}
+        preds = sorted(is_pred)
         rows = []
-        for i in range(1, sent.n + 1):
-            tok = sent.token(i)
+        for i, tok in enumerate(sent.tokens, start=1):
             cols = [
                 str(i), tok.form, tok.lemma, tok.pos,
-                "+" if (0, i) in label_by_pair else "-",
-                "+" if i in preds else "-",
+                "+" if (0, i) in labels else "-",
+                "+" if i in is_pred else "-",
             ]
-            cols.extend(label_by_pair.get((p, i), "_") for p in preds)
+            cols.extend([labels.get((p, i), "_") for p in preds])
             rows.append("\t".join(cols))
         blocks.append("\n".join(rows))
     return "\n\n".join(blocks) + "\n"

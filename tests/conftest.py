@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sdparse.autodiff as ad
+from sdparse.graph import part_mask
 from sdparse.potentials import aligned
 
 
@@ -30,6 +31,12 @@ def numeric_grad(fn, arrays, step=1e-6):
             grad[idx] = (plus - minus) / (2.0 * step)
         grads.append(grad)
     return grads
+
+
+def part_rows(n):
+    """Each part type's stored triples for a length-n sentence, one per
+    row: the cells of its ``part_mask``, in row-major order."""
+    return {kind: np.argwhere(part_mask(n, kind)) for kind in ("sib", "cop", "gp")}
 
 
 def pair_list(pot, scores=None):

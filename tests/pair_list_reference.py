@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import sdparse.autodiff as ad
-from sdparse.graph import PART_EDGE_COLUMNS, build_candidate_edges, enumerate_parts
+from sdparse.graph import PART_EDGE_COLUMNS, part_mask
 from sdparse.training import combined_loss, edge_loss, label_loss
 
 PART_TYPE_ORDER = ("sib", "cop", "gp")
@@ -40,11 +40,10 @@ def pair_list(factors):
     of the sentence and its score tensor, in part-list order."""
     edge_set = factors.edge_set
     N = edge_set.n + 1
-    parts = enumerate_parts(build_candidate_edges(edge_set.n))
     position = edge_set.positions()
     first, second, scores = [], [], []
     for kind in PART_TYPE_ORDER:
-        rows = getattr(parts, kind)
+        rows = np.argwhere(part_mask(edge_set.n, kind))
         if kind not in factors.tri or not len(rows):
             continue
         (a0, a1), (b0, b1) = PART_EDGE_COLUMNS[kind]

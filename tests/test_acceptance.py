@@ -21,7 +21,7 @@ import pytest
 import sdparse.autodiff as ad
 import sdparse.cli as cli
 from sdparse.exact import exact_infer
-from sdparse.graph import build_candidate_edges, enumerate_parts
+from sdparse.graph import build_candidate_edges, part_mask
 from sdparse.metrics import f1
 from sdparse.model import ModelConfig, ParserModel, trilinear
 from sdparse.pipeline import parse_sentence, run_inference
@@ -212,13 +212,14 @@ def test_part_enumeration_matches_closed_forms_and_classification():
     checked = []
     for n in range(1, 7):
         edge_set = build_candidate_edges(n)
-        parts = enumerate_parts(edge_set)
+        # the parts the parse and training paths use: each type's mask cells
+        parts = {kind: np.argwhere(part_mask(n, kind)) for kind in ("sib", "cop", "gp")}
         want_sib = c2(n) + n * c2(n - 1)
         want_cop = n * c2(n)
         want_gp = n * (n - 1) ** 2
-        assert len(parts.sib) == want_sib, n
-        assert len(parts.cop) == want_cop, n
-        assert len(parts.gp) == want_gp, n
+        assert len(parts["sib"]) == want_sib, n
+        assert len(parts["cop"]) == want_cop, n
+        assert len(parts["gp"]) == want_gp, n
 
         sib = set()
         cop = set()
@@ -233,9 +234,9 @@ def test_part_enumeration_matches_closed_forms_and_classification():
                 gp.add((h1, d1, d2))
             if d2 == h1 and h2 != d1:
                 gp.add((h2, d2, d1))
-        assert set(map(tuple, parts.sib.tolist())) == sib, n
-        assert set(map(tuple, parts.cop.tolist())) == cop, n
-        assert set(map(tuple, parts.gp.tolist())) == gp, n
+        assert set(map(tuple, parts["sib"].tolist())) == sib, n
+        assert set(map(tuple, parts["cop"].tolist())) == cop, n
+        assert set(map(tuple, parts["gp"].tolist())) == gp, n
         checked.append((n, want_sib + want_cop + want_gp))
     _line("part enumeration",
           "counts and membership match brute force for "

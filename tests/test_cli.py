@@ -18,9 +18,10 @@ from sdparse import pipeline
 from sdparse.checkpoint import load_checkpoint, save_checkpoint
 from sdparse.config import parse_config_file
 from sdparse.errors import NumericError
-from sdparse.graph import build_candidate_edges, enumerate_parts
 from sdparse.sdp_io import parse_sdp, write_sdp
 from sdparse.synthetic import toy_corpus
+
+from conftest import part_rows
 
 TRAIN_SETS = [
     "--set", "word_dim=4", "--set", "pos_dim=3", "--set", "encoder_layers=0",
@@ -111,6 +112,10 @@ OUT_OF_RANGE_ARGUMENTS = [
     (["trace", "--iterations", "-1"], "iterations must be >= 1, got -1"),
     (["parse", "--threshold", "-0.5"], "--threshold"),
     (["parse", "--threshold", "1.5"], "--threshold"),
+    # --set alone is resolved and checked against the checkpoint
+    (["parse", "--set", "word_dim=999"], "word_dim: checkpoint=4 requested=999"),
+    (["parse", "--set", "iterations=0"], "iterations must be >= 1"),
+    (["parse", "--set", "inference=bogus"], "inference must be 'mf' or 'lbp', got 'bogus'"),
     (["oracle-compare", "--instances", "0"], "--instances"),
     (["oracle-compare", "--length", "2", "--instances", "1", "--coupling-scale", "-1"],
      "--coupling-scale must be >= 0, got -1.0"),
@@ -304,6 +309,22 @@ def test_checkpoint_structure_mismatch_exits_2(tmp_path, trained, corpus_path,
 
 # ---------------------------------------------------------- parse / eval
 
+def test_set_values_do_not_leak_between_calls(tmp_path, trained, corpus_path, capsys):
+    # the argument parser is built once per process; each call's --set
+    # list must start empty
+    parse = ["parse", "--checkpoint", str(trained / "checkpoint.npz"),
+             "--input", corpus_path, "--output", str(tmp_path / "pred.sdp")]
+    assert cli.main(parse + ["--set", "inference=bogus"]) == 2
+    assert "bogus" in capsys.readouterr().err
+    # the checkpoint's structural values, given with --set alone, pass
+    structure = [arg for key in ("word_dim", "pos_dim", "encoder_layers", "unary_dim",
+                                 "binary_dim", "min_count")
+                 for arg in ("--set", next(s for s in TRAIN_SETS if s.startswith(key + "=")))]
+    assert cli.main(parse + structure) == 0
+    assert cli.main(parse + ["--set", "word_dim=999"]) == 2
+    assert "inference" not in capsys.readouterr().err
+
+
 def test_parse_then_eval_pipeline(tmp_path, trained, corpus_path, capsys):
     out_sdp = tmp_path / "pred.sdp"
     rc = cli.main(["parse", "--checkpoint", str(trained / "checkpoint.npz"),
@@ -426,10 +447,10 @@ def test_trace_messages_run_between_the_member_edges_of_their_part(
     assert rc == 0
     doc = json.loads(out.read_text())
     n = doc["n"]
-    parts = enumerate_parts(build_candidate_edges(n))
+    parts = sum(map(len, part_rows(n).values()))
     for step in doc["steps"][1:]:
         msgs = step["messages"]
-        assert len(msgs) == 2 * parts.total()
+        assert len(msgs) == 2 * parts
         for msg in msgs:
             assert msg["src"] != msg["dst"]
             assert {msg["src"], msg["dst"]} == _member_edges(msg["type"], msg["part"])

@@ -17,9 +17,11 @@ from sdparse.graph import (
     Token,
     build_candidate_edges,
     decode,
-    enumerate_parts,
     has_cycle,
+    part_mask,
 )
+
+from conftest import part_rows
 
 
 def brute_force_pairs(n):
@@ -47,7 +49,7 @@ def brute_force_pairs(n):
 
 def tuple_parts(n):
     """Reference enumeration as Python tuples, in the loop order whose
-    rows ``enumerate_parts`` must reproduce: sib (i, j, k) with j < k,
+    rows of the ``part_mask`` cells must reproduce: sib (i, j, k) with j < k,
     cop (i, k, j) with i < k, gp (i, j, k) with all three distinct."""
     rng_all = range(n + 1)
     words = range(1, n + 1)
@@ -110,23 +112,23 @@ def test_candidate_edges_require_positive_length():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_part_counts_match_closed_forms(n):
-    parts = enumerate_parts(build_candidate_edges(n))
+    parts = part_rows(n)
 
     def c2(m):
         return m * (m - 1) // 2
 
-    assert len(parts.sib) == c2(n) + n * c2(n - 1)
-    assert len(parts.cop) == n * c2(n)
-    assert len(parts.gp) == n * (n - 1) ** 2
-    assert parts.total() == len(parts.sib) + len(parts.cop) + len(parts.gp)
+    assert len(parts["sib"]) == c2(n) + n * c2(n - 1)
+    assert len(parts["cop"]) == n * c2(n)
+    assert len(parts["gp"]) == n * (n - 1) ** 2
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_part_arrays_equal_tuple_reference(n):
-    parts = enumerate_parts(build_candidate_edges(n))
-    for got, want in zip((parts.sib, parts.cop, parts.gp), tuple_parts(n)):
+    parts = part_rows(n)
+    for kind, want in zip(("sib", "cop", "gp"), tuple_parts(n)):
+        got = parts[kind]
         assert got.dtype == np.intp and got.shape == (len(want), 3)
-        assert not got.flags.writeable
+        assert not part_mask(n, kind).flags.writeable
         assert [tuple(row) for row in got.tolist()] == want
 
 
@@ -152,12 +154,12 @@ def test_no_edge_pair_is_coupled_twice(n):
 
 
 def test_part_orientation_conventions():
-    parts = enumerate_parts(build_candidate_edges(3))
-    for i, j, k in parts.sib:
+    parts = part_rows(3)
+    for i, j, k in parts["sib"]:
         assert j < k and j != i and k != i
-    for i, k, j in parts.cop:
+    for i, k, j in parts["cop"]:
         assert i < k and j != i and j != k
-    for i, j, k in parts.gp:
+    for i, j, k in parts["gp"]:
         assert len({i, j, k}) == 3
 
 

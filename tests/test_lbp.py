@@ -12,7 +12,7 @@ import pytest
 import sdparse.autodiff as ad
 from sdparse.config import RunConfig
 from sdparse.exact import exact_infer
-from sdparse.lbp import lbp_init, lbp_run, lbp_step
+from sdparse.lbp import lbp_run
 from sdparse.model import ParserModel
 from sdparse.potentials import from_arrays
 from sdparse.sdp_io import build_vocab
@@ -72,7 +72,7 @@ def naive_lbp(pot, iterations):
 
 def test_initial_beliefs_are_sigmoid_of_unary():
     pot = from_arrays(((0, 1), (0, 2)), np.array([1.0, -2.0]), [])
-    state = lbp_init(pot)
+    state = lbp_run(pot, 1)
     np.testing.assert_allclose(state.q1(0), 1.0 / (1.0 + np.exp(-pot.unary.data)), atol=1e-14)
 
 
@@ -86,7 +86,7 @@ def test_message_log_odds_match_normalized_reference():
 
 def test_beliefs_stay_normalized():
     pot = random_potentials(3, np.random.default_rng(2), coupling_scale=0.8)
-    states = [lbp_init(pot)] + [lbp_run(pot, iterations=t) for t in range(1, 5)]
+    states = [lbp_run(pot, iterations=t) for t in range(1, 5)]
     for state in states:
         log_b0, log_b1 = state.final_log_marginals()
         total = np.logaddexp(log_b0.data, log_b1.data)
@@ -193,7 +193,7 @@ def test_matches_naive_reference(seed):
 
 def test_no_couplings_keeps_stepping_without_error():
     pot = from_arrays(((0, 1), (0, 2)), np.array([0.3, -0.4]), [])
-    state = lbp_step(lbp_init(pot))
+    state = lbp_run(pot, 1)
     np.testing.assert_allclose(state.q1(1), 1.0 / (1.0 + np.exp(-pot.unary.data)), atol=1e-14)
 
 

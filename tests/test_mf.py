@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from sdparse.mf import DEFAULT_CLAMP, mf_init, mf_run, mf_step
+from sdparse.mf import DEFAULT_CLAMP, mf_run
 from sdparse.potentials import from_arrays
 from sdparse.synthetic import random_potentials, two_edge_instance
 
@@ -41,12 +41,12 @@ def naive_mf(pot, iterations, clamp=DEFAULT_CLAMP):
     return qs
 
 
-def mf_second_order_field(state, edge):
-    """Field the latest iterate induces on one edge (scalar, by direct
-    summation over the parts containing it)."""
+def mf_second_order_field(state, edge, t=-1):
+    """Field iterate t induces on one edge (scalar, by direct summation
+    over the parts containing it)."""
     pot = state.pot
     k = pot.edge_set.positions()[tuple(edge)]
-    q = state.q1()
+    q = state.q1(t)
     first, second, s = pair_arrays(pot)
     total = 0.0
     for p in range(pot.pair_count):
@@ -59,7 +59,7 @@ def mf_second_order_field(state, edge):
 
 def test_init_is_sigmoid_of_unary():
     pot = from_arrays(((0, 1), (0, 2)), np.array([1.0, -2.0]), [])
-    state = mf_init(pot, DEFAULT_CLAMP)
+    state = mf_run(pot, 1)
     np.testing.assert_allclose(state.q1(0), 1.0 / (1.0 + np.exp(-np.array([1.0, -2.0]))), atol=1e-14)
 
 
@@ -67,7 +67,7 @@ def test_update_field_collects_every_coupled_neighbor():
     # for two words, edge (0,1) sits in exactly one part of each type:
     # a sibling with (0,2), a co-parent with (2,1), a grandparent with (1,2)
     pot = random_potentials(2, np.random.default_rng(5), coupling_scale=0.4)
-    state = mf_step(mf_init(pot, DEFAULT_CLAMP))
+    state = mf_run(pot, 1)
     idx = {e: k for k, e in enumerate(pot.edges)}
     q0 = state.q1(0)
     partner_and_score = {}
@@ -118,7 +118,7 @@ def test_matches_naive_reference(seed):
     pot = random_potentials(3, np.random.default_rng(seed), coupling_scale=0.6)
     state = mf_run(pot, iterations=4)
     want = naive_mf(pot, 4)
-    assert len(state.qs) == 5
+    assert len(state.logits) == 5
     for t in range(5):
         np.testing.assert_allclose(state.q1(t), want[t], atol=1e-12)
 
@@ -161,14 +161,15 @@ def test_final_log_marginals_are_consistent():
 
 def test_second_order_field_matches_vectorized_update(rng):
     pot = random_potentials(3, rng, coupling_scale=0.4)
-    state = mf_run(pot, iterations=2)
+    state = mf_run(pot, iterations=3, clamp=None)
     idx = {e: k for k, e in enumerate(pot.edges)}
     q = state.q1(2)
-    field = state.field(state.qs[-1]).data
+    # the field Q^2 induced is what iteration 3 added to the unary scores
+    field = state.logits[3].data - pot.edge_scores.data
     for e in pot.edges:
         want = sum(q[idx[b if a == e else a]] * s
                    for a, b, s, _ in pair_list(pot) if e in (a, b))
-        assert mf_second_order_field(state, e) == pytest.approx(want, abs=1e-12)
+        assert mf_second_order_field(state, e, 2) == pytest.approx(want, abs=1e-12)
         assert field[e] == pytest.approx(want, abs=1e-12)
 
 

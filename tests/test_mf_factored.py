@@ -5,6 +5,7 @@ and the marginals `sdparse parse` writes."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -17,7 +18,7 @@ import sdparse.cli as cli
 from sdparse import pipeline, training
 from sdparse.checkpoint import save_checkpoint
 from sdparse.config import RunConfig
-from sdparse.mf import FactoredBeliefState, mf_run
+from sdparse.mf import mf_run
 from sdparse.model import ParserModel
 from sdparse.sdp_io import build_vocab, parse_sdp, write_sdp
 from sdparse.synthetic import toy_corpus
@@ -70,14 +71,22 @@ def test_every_iterate_matches_the_pair_list(n, switches, clamp):
     sentence, _ = _sentence(n, seed=100 + n)
     _, pot = _pair_list(model, sentence)
     want = mf_run(pot, ITERATIONS, clamp)
-    got = mf_run(model.score_factors(sentence), ITERATIONS, clamp)
-    assert isinstance(got, FactoredBeliefState)
+    factors = model.score_factors(sentence)
+    got = mf_run(factors, ITERATIONS, clamp)
+    # the factored field keeps no message tensor
+    assert got.messages == [{}] * (ITERATIONS + 1)
     assert got.iterations == ITERATIONS
     for t in range(ITERATIONS + 1):
         np.testing.assert_allclose(got.q1(t), want.q1(t), rtol=0, atol=1e-12)
-        dense = got.qs[t].data
-        assert not dense[:, 0].any() and not np.diag(dense).any()
     assert list(got.marginals()) == list(want.marginals())
+    # Q is 0 off the edge mask: the factored field sums over every cell of
+    # the grid, and scores off the mask (column 0, the diagonal) never enter
+    padded = factors.edge_scores.data.copy()
+    padded[~factors.edge_set.mask] = 25.0
+    noisy = mf_run(dataclasses.replace(factors, edge_scores=ad.constant(padded)),
+                   ITERATIONS, clamp)
+    for t in range(ITERATIONS + 1):
+        np.testing.assert_array_equal(noisy.q1(t), got.q1(t))
 
 
 @pytest.mark.parametrize("clamp", [30.0, None])

@@ -8,11 +8,13 @@ import pytest
 
 import sdparse.autodiff as ad
 from sdparse.errors import ConfigError
-from sdparse.graph import Sentence, Token, build_candidate_edges, enumerate_parts
+from sdparse.graph import Sentence, Token
 from sdparse.model import ROLES, ModelConfig, ParserModel, trilinear
 from sdparse.potentials import from_factors
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import toy_corpus
+
+from conftest import part_rows
 
 TINY = ModelConfig(word_dim=4, pos_dim=3, encoder_layers=0, unary_dim=5, binary_dim=3)
 
@@ -318,7 +320,7 @@ def test_disabled_part_types_are_dropped(vocab, sentence):
     assert set(pot.scores) == set(pot.part_masks) == {"gp"}
     parts = dict(pot.blocks())
     assert set(parts) == {"gp"}
-    assert len(parts["gp"]) == len(enumerate_parts(build_candidate_edges(sentence.n)).gp)
+    assert len(parts["gp"]) == len(part_rows(sentence.n)["gp"])
 
 
 # each part type switched off in turn, and all of them on
@@ -336,7 +338,7 @@ def gathered_part_scores(factors, parts):
     A disabled or empty type gets no entry."""
     out = {}
     for kind, order in FACTOR_ORDER.items():
-        triples = getattr(parts, kind)
+        triples = parts[kind]
         if kind not in factors.tri or not len(triples):
             continue
         g1, g2, g3 = factors.tri[kind]
@@ -377,7 +379,7 @@ def test_dense_part_scores_match_per_part_gathers(vocab, n, switches):
     sent = _sentence_of_length(n, seed=50 + n)
     factors = m.score_factors(sent)
     pot = from_factors(factors)
-    parts = enumerate_parts(build_candidate_edges(n))
+    parts = part_rows(n)
     want = gathered_part_scores(factors, parts)
     for kind in ("sib", "cop", "gp"):
         enabled = switches.get(f"use_{kind}", True)
@@ -386,7 +388,7 @@ def test_dense_part_scores_match_per_part_gathers(vocab, n, switches):
             continue
         # the part's score on each of its cells, 0 everywhere else
         dense = np.zeros((n + 1,) * 3)
-        for cells in _cells(kind, getattr(parts, kind)):
+        for cells in _cells(kind, parts[kind]):
             dense[cells] = want[kind].data
         np.testing.assert_allclose(pot.scores[kind].data, dense, rtol=0, atol=1e-12)
 
@@ -397,12 +399,12 @@ def test_dense_part_score_gradients_match_per_part_gathers(vocab, n, switches):
     m = _scaled_model(vocab, seed=n, **switches)
     sent = _sentence_of_length(n, seed=50 + n)
     pot = from_factors(m.score_factors(sent))
-    parts = enumerate_parts(build_candidate_edges(n))
+    parts = part_rows(n)
     reference = gathered_part_scores(m.score_factors(sent), parts)
     rng = np.random.default_rng(n)
     upstream = {kind: rng.normal(size=s.shape) for kind, s in pot.scores.items()}
     # a part's score sits on each of its cells, so its gradient sums theirs
-    per_part = {kind: sum(upstream[kind][cells] for cells in _cells(kind, getattr(parts, kind)))
+    per_part = {kind: sum(upstream[kind][cells] for cells in _cells(kind, parts[kind]))
                 for kind in reference}
 
     def param_grads(outputs, seeds):

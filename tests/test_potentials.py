@@ -9,14 +9,13 @@ import pytest
 
 from sdparse.errors import DataError
 from sdparse.exact import exact_infer
-from sdparse.graph import build_candidate_edges, enumerate_parts
 from sdparse.model import ModelConfig, ParserModel
 from sdparse.potentials import from_arrays, from_factors
 from sdparse.sdp_io import build_vocab
 from sdparse.pipeline import run_inference
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 
-from conftest import joint_log_score, pair_list, pair_log, unary_log
+from conftest import joint_log_score, pair_list, pair_log, part_rows, unary_log
 from test_graph import reference_edge_pairs
 
 
@@ -39,7 +38,7 @@ def test_from_factors_preserves_scores_and_pair_wiring(scored):
     assert pot.edge_count == len(pot.edges)
     # typed blocks appear in the documented order, one pair per part
     assert pot.pairs() == reference_edge_pairs(n)
-    assert pot.pair_count == enumerate_parts(build_candidate_edges(n)).total()
+    assert pot.pair_count == sum(map(len, part_rows(n).values()))
     assert set(pot.part_masks) == set(pot.scores) == {"sib", "cop", "gp"}
     assert not any(mask.flags.writeable for mask in pot.part_masks.values())
     # each pair scores sum_m g1[a,m] g2[b,m] g3[c,m] over its first edge

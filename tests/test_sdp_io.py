@@ -100,6 +100,33 @@ def test_format_writes_predicate_columns_in_head_order():
     ]
 
 
+# four predicates (one a top, one in a two-cycle with another), then a
+# sentence with no edge: no label column
+PINNED_BLOCKS = """\
+1\tKim\tkim\tNNP\t-\t+\t_\tARG1\t_\t_
+2\tsaw\tsaw\tVBD\t+\t+\t_\t_\t_\t_
+3\tLee\tlee\tNNP\t-\t-\t_\tARG2\tARG1\t_
+4\tleave\tleave\tVB\t+\t+\t_\t_\t_\tcyc
+5\tearly\tearly\tRB\t-\t+\tx\t_\tmod\t_
+
+1\tHi\thi\tUH\t-\t-
+2\tthere\tthere\tRB\t-\t-
+"""
+
+
+def test_format_pins_a_multi_predicate_block():
+    edges = [(0, 2, "TOP"), (0, 4, "TOP"), (2, 1, "ARG1"), (2, 3, "ARG2"),
+             (4, 3, "ARG1"), (4, 5, "mod"), (5, 4, "cyc"), (1, 5, "x")]
+    sent = Sentence(tuple(Token(form, form.lower(), pos) for form, pos in [
+        ("Kim", "NNP"), ("saw", "VBD"), ("Lee", "NNP"), ("leave", "VB"), ("early", "RB")]))
+    empty = (Sentence((Token("Hi", "hi", "UH"), Token("there", "there", "RB"))), SemGraph(2, []))
+    heads, deps, labels = zip(*edges)
+    # the constructor and the decoder's array path build the same graph
+    for graph in (SemGraph(5, edges), SemGraph.from_arrays(5, heads, deps, labels)):
+        assert format_sdp([(sent, graph), empty]) == PINNED_BLOCKS
+    assert parse_sdp_lines(PINNED_BLOCKS.splitlines()) == [(sent, SemGraph(5, edges)), empty]
+
+
 def test_round_trip_through_files(tmp_path, rng):
     data = roundtrip_corpus(rng, size=50)
     path = tmp_path / "out.sdp"

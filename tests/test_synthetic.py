@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sdparse.graph import SemGraph, build_candidate_edges, enumerate_parts
+from sdparse.graph import SemGraph
 from sdparse.metrics import f1
 from sdparse.potentials import LogPotentials
 from sdparse.synthetic import (
@@ -25,7 +25,7 @@ from sdparse.synthetic import (
     two_edge_instance,
 )
 
-from conftest import pair_log, unary_log
+from conftest import pair_log, part_rows, unary_log
 from test_graph import reference_edge_pairs
 
 
@@ -196,15 +196,15 @@ def test_random_potentials_cover_every_part():
 def test_random_potentials_draw_unaries_then_parts_in_part_order():
     pot = random_potentials(3, np.random.default_rng(4), unary_scale=1.0, coupling_scale=0.3)
     rng = np.random.default_rng(4)
-    parts = enumerate_parts(build_candidate_edges(3))
+    parts = part_rows(3)
     unary = rng.normal(0.0, 1.0, size=9)
-    scores = rng.normal(0.0, 0.3, size=parts.total())
+    scores = rng.normal(0.0, 0.3, size=sum(map(len, parts.values())))
     np.testing.assert_array_equal(pot.unary.data, unary)
     # the second draw, one score per part in part order: each mask's
     # row-major order, sib, cop, then gp
     np.testing.assert_array_equal(pot.part_scores(), scores)
     rows = [(kind, tuple(row)) for kind in ("sib", "cop", "gp")
-            for row in getattr(parts, kind).tolist()]
+            for row in parts[kind].tolist()]
     assert [(kind, part) for _, _, kind, part in pot.pairs()] == rows
     for (kind, (a, b, c)), score in zip(rows, scores):
         assert pot.scores[kind].data[a, b, c] == score
