@@ -8,7 +8,11 @@ subgraphs cost nothing on the backward pass.
 ``backward(outputs, seeds)`` runs one reverse sweep. Gradients of interior
 nodes are reset at the start of every sweep; gradients of leaves (the
 actual parameters) accumulate across sweeps until the caller clears them,
-which is what lets a batch sum per-sentence gradients.
+which is what lets a batch sum per-sentence gradients. A leaf gradient
+that ``backward`` itself allocated is accumulated in place; one that may
+share memory with anything else (a view, another node's gradient, an
+array set by the caller) is replaced by a fresh sum first, so no array but
+that leaf's own gradient ever changes.
 
 The op set is what the parser needs: elementwise arithmetic with
 broadcasting, matmul, axis permutations, gathers (take), reductions,
@@ -19,6 +23,8 @@ factored mean-field field.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -32,11 +38,12 @@ __all__ = [
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_owned")
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self._owned = None   # a weak reference to the leaf gradient backward owns
         self.requires_grad = requires_grad
         self._parents = _parents
         self._vjp = _vjp
@@ -91,7 +98,8 @@ def _unbroadcast(grad, shape):
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    # a fresh sum that already has the shape stays an array of its own
+    return grad if grad.shape == shape else grad.reshape(shape)
 
 
 def backward(outputs, seeds):
@@ -99,6 +107,18 @@ def backward(outputs, seeds):
 
     Interior-node gradients are cleared first so a tensor reused across
     sweeps cannot leak stale gradient; leaf gradients accumulate.
+
+    A leaf's gradient is added to in place only while it is an array this
+    function owns: either a vjp result that is a fresh array no one else
+    holds, or a sum this function allocated. A vjp result is not owned
+    when it is a view (a read-only broadcast from ``tensor_sum``, a
+    ``reshape``, ``transpose`` or ``concat`` slice), the node's own
+    gradient passed through (``add``), or an array the vjp returns to two
+    parents; such a first gradient is kept as is and the next addition
+    allocates the sum. The ownership is a weak reference to the array, so
+    a gradient the caller sets or clears is never written into. A leaf
+    gradient read between sweeps is therefore updated by later sweeps:
+    copy it to keep a snapshot.
     """
     topo = []
     visited = set()
@@ -127,10 +147,24 @@ def backward(outputs, seeds):
     for node in reversed(topo):
         if node.grad is None or node._vjp is None:
             continue
-        for parent, pgrad in zip(node._parents, node._vjp(node.grad)):
+        pgrads = node._vjp(node.grad)
+        for parent, pgrad in zip(node._parents, pgrads):
             if pgrad is None or not parent.requires_grad:
                 continue
-            parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
+            if parent._vjp is not None:
+                parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
+            elif parent.grad is None:
+                parent.grad = pgrad
+                # a numpy scalar is never writeable, so it is never owned
+                fresh = (pgrad.base is None and pgrad.flags.writeable
+                         and pgrad is not node.grad
+                         and sum(other is pgrad for other in pgrads) == 1)
+                parent._owned = weakref.ref(pgrad) if fresh else None
+            elif parent._owned is not None and parent._owned() is parent.grad:
+                parent.grad += pgrad
+            else:
+                parent.grad = np.add(parent.grad, pgrad, out=np.empty(parent.data.shape))
+                parent._owned = weakref.ref(parent.grad)
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -215,14 +249,20 @@ def _getitem(a, key):
 
 
 def take(a, indices):
-    """Gather rows (axis 0). Backward scatter-adds, so repeats are fine."""
+    """Gather rows (axis 0). Backward scatter-adds, so repeats are fine;
+    strictly increasing indices name each row once, and scatter with one
+    fancy-index add, bitwise the same as ``np.add.at`` into zeros."""
     a = _wrap(a)
     idx = np.asarray(indices, dtype=np.intp)
     shape = a.data.shape
 
     def vjp(g):
         full = np.zeros(shape, dtype=np.float64)
-        np.add.at(full, idx, g)
+        flat = idx.ravel()
+        if flat.size and (flat[0] < 0 or np.any(flat[1:] <= flat[:-1])):
+            np.add.at(full, idx, g)
+        else:
+            full[idx] += g
         return (full,)
 
     return _op(a.data[idx], (a,), vjp)

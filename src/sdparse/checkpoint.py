@@ -53,13 +53,14 @@ def save_checkpoint(path, model, run_config, vocab):
 def load_checkpoint(path, expected_config=None):
     """Rebuild (model, run_config, vocab) from a checkpoint file.
 
-    If ``expected_config`` is given, its structural keys must agree with
-    the stored echo; any disagreement is listed in the raised error. A
-    meta record that is not a JSON object with a config and a vocabulary
-    raises DataError, a config echo with unknown keys ConfigError. So does
-    (DataError) an array buffer that is not 1-D float64, does not match
-    its sha256, or that an index entry overruns, and an index whose names
-    or shapes are not the model's.
+    If ``expected_config`` is given, the structural keys it was given
+    (``RunConfig.given``) must agree with the stored echo; any
+    disagreement is listed in the raised error. A meta record that is
+    not a JSON object with a config and a vocabulary raises DataError, a
+    config echo with unknown keys ConfigError. So does (DataError) an
+    array buffer that is not 1-D float64, does not match its sha256, or
+    that an index entry overruns, and an index whose names or shapes are
+    not the model's.
     """
     try:
         # np.load leaks a handle it opened itself on a bad zip directory
@@ -95,7 +96,7 @@ def load_checkpoint(path, expected_config=None):
     if unknown:
         raise ConfigError(f"checkpoint {path} config has unknown keys {unknown}")
     if expected_config is not None:
-        ensure_structure_match(stored, expected_config.to_dict())
+        ensure_structure_match(stored, expected_config.given())
     run_config = RunConfig(**stored)
     model = ParserModel(run_config.model_config(), vocab,
                         state=_unpack(path, archive.get(BUFFER), meta))

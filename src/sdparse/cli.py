@@ -77,7 +77,7 @@ def cmd_train(args):
 
 
 def cmd_parse(args):
-    # --config and --set only check the checkpoint's structure
+    # --config and --set check the structural keys they give against the checkpoint
     expected = _resolve_config(args) if args.config or args.set else None
     model, cfg, _ = load_checkpoint(args.checkpoint, expected_config=expected)
     engine = args.engine or cfg.inference

@@ -50,6 +50,13 @@ class _RunConfigBase:
     def to_dict(self):
         return dataclasses.asdict(self)
 
+    def given(self):
+        """key -> value of the keys ``resolve`` read from a file or an
+        override; every key for a config built directly."""
+        values = self.to_dict()
+        keys = getattr(self, "_given", values)
+        return {key: values[key] for key in keys}
+
     def to_text(self):
         lines = [f"{k}={_render(v)}" for k, v in sorted(self.to_dict().items())]
         return "\n".join(lines) + "\n"
@@ -63,6 +70,7 @@ class _RunConfigBase:
                 merged[_canonical(key)] = text
         kwargs = {k: _cast(k, v) for k, v in merged.items()}
         cfg = cls(**kwargs)
+        cfg._given = tuple(merged)
         cfg.model_config().validate()
         cfg.train_config().validate()
         return cfg

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .graph import PART_EDGE_COLUMNS, CandidateEdgeSet, part_mask
 
 __all__ = ["LogPotentials", "InferenceState", "MESSAGES", "sweep", "from_factors",
@@ -193,7 +193,13 @@ class InferenceState:
         ``directed_messages()`` order (all 0 at t = 0): into the first edge
         from the aligned reverse tensor, into the second from the forward
         one. Mean-field's message is Q^{t-1}(src) * s_part, belief
-        propagation's log m(1) - log m(0)."""
+        propagation's log m(1) - log m(0). A factored mean-field state
+        keeps no message tensor and raises ConfigError."""
+        if not isinstance(self.pot, LogPotentials):
+            raise ConfigError(
+                "the factored mean-field path keeps no message tensors; read "
+                "per-part messages from `trace` or a state on the dense layout "
+                "(potentials.from_factors)")
         messages = self.messages[t]
         if not messages:
             return np.zeros(2 * self.pot.pair_count)

@@ -134,15 +134,18 @@ def sentence_loss(model, sentence, gold, cfg, train=False, rng=None):
 
 class Optimizer:
     """Adam with bias correction, stepped lr decay, optional AMSGrad mode,
-    and L2 regularization added to the raw gradients."""
+    and L2 regularization added to the raw gradients. At beta1 = 0 the
+    first moment is the regularized gradient itself, so none is stored."""
 
     def __init__(self, params, cfg):
         self.params = params
         self.cfg = cfg
         self.step_count = 0
         self.mode = "adam"
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        # np.zeros maps fresh zero pages; zeros_like would write every byte
+        self.m = None if cfg.beta1 == 0 else {k: np.zeros(p.data.shape)
+                                               for k, p in params.items()}
+        self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
         self.v_max = None
 
     def switch_to_amsgrad(self):
@@ -156,7 +159,12 @@ class Optimizer:
         return c.learning_rate * c.lr_decay ** (self.step_count // c.decay_every_steps)
 
     def apply(self):
-        """One update from the gradients currently stored on the params."""
+        """One update from the gradients currently stored on the params.
+
+        Each block of rows is checked for a non-finite gradient just before
+        it is updated, so a step that raises NumericError may already have
+        updated the blocks and parameters before the offending one.
+        """
         c = self.cfg
         lr = self.learning_rate()
         self.step_count += 1
@@ -165,43 +173,51 @@ class Optimizer:
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise NumericError(
-                    f"non-finite gradient in parameter {name!r} at step {t}")
+            state = {"w": p.data, "g": g, "v": self.v[name]}
+            if self.m is not None:
+                state["m"] = self.m[name]
+            if self.mode == "amsgrad":
+                state["v_max"] = self.v_max[name]
             # update a block of rows at a time so the intermediate values
             # stay in cache; atleast_1d views a 0-d parameter as one row
-            arrays = [np.atleast_1d(a) for a in (p.data, g, self.m[name], self.v[name])]
-            if self.mode == "amsgrad":
-                arrays.append(np.atleast_1d(self.v_max[name]))
-            w = arrays[0]
+            state = {key: np.atleast_1d(a) for key, a in state.items()}
+            w = state["w"]
             rows = max(1, _UPDATE_BLOCK * len(w) // max(w.size, 1))
             scratch = np.empty((2, rows) + w.shape[1:])
+            finite = np.empty((rows,) + w.shape[1:], dtype=bool)
             for r in range(0, len(w), rows):
-                block = [a[r:r + rows] for a in arrays]
-                k = len(block[0])
-                _adam_block(c, lr, t, scratch[0, :k], scratch[1, :k], *block)
+                block = {key: a[r:r + rows] for key, a in state.items()}
+                k = len(block["w"])
+                if not np.isfinite(block["g"], out=finite[:k]).all():
+                    raise NumericError(
+                        f"non-finite gradient in parameter {name!r} at step {t}")
+                _adam_block(c, lr, t, scratch[0, :k], scratch[1, :k], **block)
 
 
 # elements per block of an optimizer update (256 KiB of float64)
 _UPDATE_BLOCK = 1 << 15
 
 
-def _adam_block(c, lr, t, s, u, w, g, m, v, v_max=None):
+def _adam_block(c, lr, t, s, u, w, g, v, m=None, v_max=None):
     """Adam (AMSGrad when ``v_max`` is given) on one block of rows, in
     place, with the scratch blocks ``s`` and ``u`` for every intermediate;
     ``g`` is not modified. Each value is rounded as in the plain formula
 
-        g' = g + l2 w;  m = b1 m + (1 - b1) g';  v = b2 v + (1 - b2) g'^2
-        w -= lr m_hat / (sqrt(v_hat) + eps)
+        g' = g + l2 w;  m = b1 m + (1 - b1) g';  v = b2 v + ((1 - b2) g') g'
+        w -= (lr m_hat) / (sqrt(v_hat) + eps)
+
+    At beta1 = 0, m = g' and m_hat = m / (1 - 0^t) = g' exactly, so no
+    ``m`` is passed and lr g' takes the place of lr m_hat.
     """
     if c.l2:
         np.multiply(w, c.l2, out=s)
         s += g
     else:
         np.copyto(s, g)
-    np.multiply(s, 1.0 - c.beta1, out=u)
-    m *= c.beta1
-    m += u
+    if m is not None:
+        np.multiply(s, 1.0 - c.beta1, out=u)
+        m *= c.beta1
+        m += u
     np.multiply(s, 1.0 - c.beta2, out=u)
     u *= s
     v *= c.beta2
@@ -209,8 +225,11 @@ def _adam_block(c, lr, t, s, u, w, g, m, v, v_max=None):
     if v_max is not None:
         np.maximum(v_max, v, out=v_max)
         v = v_max
-    np.divide(m, 1.0 - c.beta1 ** t, out=u)
-    u *= lr
+    if m is None:
+        np.multiply(s, lr, out=u)
+    else:
+        np.divide(m, 1.0 - c.beta1 ** t, out=u)
+        u *= lr
     np.divide(v, 1.0 - c.beta2 ** t, out=s)
     np.sqrt(s, out=s)
     s += c.epsilon

@@ -92,6 +92,23 @@ def test_getitem_and_take(rng):
     np.testing.assert_array_equal(p.grad, [[0, 0], [3, 3], [0, 0]])
 
 
+# strictly increasing (scattered by one fancy-index add), then unsorted,
+# repeated, and negative indices (np.add.at); -1 and 4 name the same row
+TAKE_INDICES = [[0, 2, 3, 4], [[0, 1], [3, 4]], [], [4, 0, 2], [1, 1, 3], [-1, 4], [-5, 2]]
+
+
+@pytest.mark.parametrize("indices", TAKE_INDICES, ids=str)
+def test_take_backward_is_bitwise_a_scatter_add(rng, indices):
+    idx = np.array(indices, dtype=np.intp)
+    g = rng.normal(size=idx.shape + (3,))
+    g[..., 0] = -0.0
+    p = ad.parameter(rng.normal(size=(5, 3)))
+    ad.backward([ad.take(p, idx)], [g])
+    want = np.zeros((5, 3))
+    np.add.at(want, idx, g)
+    assert p.grad.tobytes() == want.tobytes()   # signed zeros included
+
+
 def test_reductions(rng):
     a = rng.normal(size=(3, 4))
     _check(lambda x: ad.tensor_sum(x), a)
@@ -254,6 +271,58 @@ def test_leaf_grads_accumulate_across_sweeps_but_interior_reset():
     first = float(x.grad)
     ad.backward([y], [np.ones(())])
     assert float(x.grad) == pytest.approx(2.0 * first)
+
+
+# graphs whose leaves' first gradients are fresh arrays, the add node's own
+# gradient (given to two leaves, or to one beside a broadcast sum), a
+# read-only broadcast view, and a view through transpose and reshape of
+# the output's gradient
+LEAF_GRAPHS = {
+    "add": (lambda a, b: ad.add(a, b), [(3, 4), (3, 4)]),
+    "add-broadcast": (lambda a, b: ad.add(a, b), [(3, 4), (4,)]),
+    "tensor_sum": (lambda a: ad.tensor_sum(a, axis=1), [(3, 4)]),
+    "transpose-reshape": (lambda a: ad.reshape(ad.transpose(a), (12,)), [(3, 4)]),
+    "matmul-bias": (lambda a, b, c: ad.add(ad.matmul(a, b), c), [(3, 4), (4, 2), (2,)]),
+}
+
+
+def _graph_nodes(out):
+    nodes, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+@pytest.mark.parametrize("graph", sorted(LEAF_GRAPHS))
+def test_leaf_grads_sum_the_sweeps_and_no_other_gradient_changes(rng, graph):
+    build, shapes = LEAF_GRAPHS[graph]
+    start = [rng.normal(size=shape) for shape in shapes]
+    seeds = [rng.normal(size=build(*map(ad.constant, start)).shape) for _ in range(3)]
+
+    def one_sweep(seed):
+        leaves = [ad.parameter(a.copy()) for a in start]
+        ad.backward([build(*leaves)], [seed])
+        return [leaf.grad for leaf in leaves]
+
+    per_sweep = [one_sweep(seed) for seed in seeds]
+    leaves = [ad.parameter(a.copy()) for a in start]
+    out = build(*leaves)
+    held = []   # (node, its gradient array, that array's values) after a sweep
+    for k, seed in enumerate(seeds):
+        ad.backward([out], [seed])
+        for node, array, values in held:
+            # only a leaf's own gradient may be written into
+            if not (node._vjp is None and node.grad is array):
+                np.testing.assert_array_equal(array, values)
+        for leaf, sweeps in zip(leaves, zip(*per_sweep)):
+            want = sweeps[0]
+            for g in sweeps[1:k + 1]:
+                want = want + g
+            np.testing.assert_array_equal(leaf.grad, want)
+        held = [(node, node.grad, np.array(node.grad)) for node in _graph_nodes(out)]
 
 
 def test_backward_with_seed_matrix(rng):

@@ -307,6 +307,27 @@ def test_checkpoint_structure_mismatch_exits_2(tmp_path, trained, corpus_path,
     assert "word_dim" in capsys.readouterr().err
 
 
+# the checkpoint has word_dim=4 and non-default pos_dim, unary_dim, ...;
+# only the structural keys given with --set are compared with it
+GIVEN_STRUCTURE = [
+    (["--set", "word_dim=4"], 0, None),
+    (["--set", "word_dim=4", "--set", "pos_dim=5"], 2, "pos_dim: checkpoint=3 requested=5"),
+]
+
+
+@pytest.mark.parametrize("sets, code, message", GIVEN_STRUCTURE,
+                         ids=[" ".join(sets) for sets, _, _ in GIVEN_STRUCTURE])
+def test_parse_compares_only_the_structural_keys_given(tmp_path, trained, corpus_path,
+                                                       capsys, sets, code, message):
+    rc = cli.main(["parse", "--checkpoint", str(trained / "checkpoint.npz"),
+                   "--input", corpus_path, "--output", str(tmp_path / "o.sdp")] + sets)
+    assert rc == code
+    err = capsys.readouterr().err
+    if message:
+        mismatches = err.split("checkpoint/config mismatch: ", 1)[1].strip()
+        assert mismatches == message
+
+
 # ---------------------------------------------------------- parse / eval
 
 def test_set_values_do_not_leak_between_calls(tmp_path, trained, corpus_path, capsys):

@@ -18,6 +18,7 @@ import sdparse.cli as cli
 from sdparse import pipeline, training
 from sdparse.checkpoint import save_checkpoint
 from sdparse.config import RunConfig
+from sdparse.errors import ConfigError
 from sdparse.mf import mf_run
 from sdparse.model import ParserModel
 from sdparse.sdp_io import build_vocab, parse_sdp, write_sdp
@@ -87,6 +88,15 @@ def test_every_iterate_matches_the_pair_list(n, switches, clamp):
                    ITERATIONS, clamp)
     for t in range(ITERATIONS + 1):
         np.testing.assert_array_equal(noisy.q1(t), got.q1(t))
+
+
+def test_message_values_of_a_factored_state_is_a_config_error():
+    model, _ = _model(_vocab())
+    sentence, _ = _sentence(4, seed=3)
+    state = mf_run(model.score_factors(sentence), ITERATIONS)
+    for t in (0, -1):
+        with pytest.raises(ConfigError, match="keeps no message tensors.*trace"):
+            state.message_values(t)
 
 
 @pytest.mark.parametrize("clamp", [30.0, None])

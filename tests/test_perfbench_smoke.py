@@ -16,7 +16,7 @@ WORKER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
                       "perfbench", "worker.py")
 
 
-@pytest.mark.parametrize("workload", ["parse-long-mf", "train-long-lbp"])
+@pytest.mark.parametrize("workload", ["parse-long-mf", "train-long-lbp", "train-short-full"])
 def test_benchmark_workload_passes_its_reference_checks(tmp_path, workload):
     out = tmp_path / "result.json"
     subprocess.run([sys.executable, WORKER, "--workload", workload, "--seed", "1",

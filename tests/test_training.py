@@ -17,6 +17,7 @@ from sdparse.potentials import from_arrays
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import random_potentials, toy_corpus
 from sdparse.training import (
+    _UPDATE_BLOCK,
     Optimizer,
     TrainConfig,
     combined_loss,
@@ -221,11 +222,16 @@ def test_l2_shrinks_parameters_even_with_zero_gradient():
     assert 0.0 < float(params["p0"].data) < 5.0
 
 
-@pytest.mark.parametrize("amsgrad", [False, True])
-def test_updates_follow_the_textbook_formula(rng, amsgrad):
+@pytest.mark.parametrize("amsgrad, beta1", [
+    pytest.param(False, 0.3, id="False"), pytest.param(True, 0.3, id="True"),
+    pytest.param(False, 0.0, id="beta1=0-adam"), pytest.param(True, 0.0, id="beta1=0-amsgrad"),
+])
+def test_updates_follow_the_textbook_formula(rng, amsgrad, beta1):
     """Three Adam or AMSGrad steps with l2 on a 0-d parameter, a small
-    matrix, and a matrix and a vector that span several update blocks."""
-    cfg = TrainConfig(learning_rate=3e-2, beta1=0.3, beta2=0.9, epsilon=1e-8, l2=0.05)
+    matrix, and a matrix and a vector that span several update blocks,
+    bitwise equal to the plain formula (at beta1 = 0 the optimizer keeps
+    no first moment, and the formula's m is g)."""
+    cfg = TrainConfig(learning_rate=3e-2, beta1=beta1, beta2=0.9, epsilon=1e-8, l2=0.05)
     start = {"w": rng.normal(size=(3, 4)), "b": np.array(0.7),
              "big": rng.normal(size=(300, 250)), "vec": rng.normal(size=70001)}
     params = {k: ad.parameter(v.copy()) for k, v in start.items()}
@@ -242,7 +248,7 @@ def test_updates_follow_the_textbook_formula(rng, amsgrad):
             p.grad = grads[k].copy()
             g = grads[k] + cfg.l2 * want[k]
             m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
-            v2[k] = cfg.beta2 * v2[k] + (1 - cfg.beta2) * g ** 2
+            v2[k] = cfg.beta2 * v2[k] + (1 - cfg.beta2) * g * g
             v_max[k] = np.maximum(v_max[k], v2[k])
             m_hat = m[k] / (1 - cfg.beta1 ** t)
             v_hat = (v_max[k] if amsgrad else v2[k]) / (1 - cfg.beta2 ** t)
@@ -250,8 +256,30 @@ def test_updates_follow_the_textbook_formula(rng, amsgrad):
         opt.apply()
         for k, p in params.items():
             assert isinstance(p.data, np.ndarray) and p.data.shape == start[k].shape
-            np.testing.assert_allclose(p.data, want[k], rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(p.data, want[k])
             np.testing.assert_array_equal(p.grad, grads[k])   # gradients are not touched
+
+
+def test_zero_beta1_keeps_no_first_moment():
+    params = {"w": ad.parameter(np.ones((3, 4))), "b": ad.parameter(np.array(0.5))}
+    opt = Optimizer(params, TrainConfig(beta1=0.0))
+    assert opt.m is None and opt.v_max is None and sorted(opt.v) == ["b", "w"]
+    opt.switch_to_amsgrad()
+    assert opt.m is None and sorted(opt.v_max) == ["b", "w"]
+    assert Optimizer(params, TrainConfig(beta1=0.5)).m["w"].shape == (3, 4)
+
+
+def test_non_finite_gradient_in_a_late_block_names_the_parameter():
+    rows = 3 * _UPDATE_BLOCK // 100 + 7
+    params = {"small": ad.parameter(np.zeros(5)), "big": ad.parameter(np.zeros((rows, 100)))}
+    opt = Optimizer(params, TrainConfig(l2=0.0))
+    params["small"].grad = np.ones(5)
+    grad = np.ones((rows, 100))
+    grad[-1, -1] = np.nan
+    params["big"].grad = grad
+    with pytest.raises(NumericError) as err:
+        opt.apply()
+    assert "'big'" in str(err.value) and "step 1" in str(err.value)
 
 
 def test_l2_default_depends_on_inference_engine():
