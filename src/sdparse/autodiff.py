@@ -15,11 +15,13 @@ array set by the caller) is replaced by a fresh sum first, so no array but
 that leaf's own gradient ever changes.
 
 The op set is what the parser needs: elementwise arithmetic with
-broadcasting, matmul, axis permutations, gathers (take), reductions,
-stable nonlinearities, and three fused nodes: ``lstm``, a whole LSTM
-direction (no per-token tape entries), ``softplus_shift``, the loopy-BP
-message update, and ``prefix_trilinear``, the running-sum term of the
-factored mean-field field.
+broadcasting, matmul and ``linear`` (x @ W^T, whose W gradient is fresh),
+axis permutations, gathers (take), reductions, stable nonlinearities, and
+three fused nodes: ``lstm``, a whole LSTM direction (no per-token tape
+entries), ``cavity_message``, the loopy-BP message update from its
+cavity, with one exponential forward and none backward, and
+``prefix_trilinear``, the running-sum term of the factored mean-field
+field.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ import numpy as np
 
 __all__ = [
     "Tensor", "constant", "parameter", "backward",
-    "add", "sub", "mul", "neg", "matmul", "transpose",
+    "add", "sub", "mul", "neg", "matmul", "linear", "transpose",
     "reshape", "concat", "take", "tensor_sum", "prefix_trilinear",
-    "sigmoid", "softplus", "softplus_shift", "leaky_relu", "lstm",
+    "sigmoid", "softplus", "cavity_message", "message_shift", "leaky_relu", "lstm",
     "logsumexp", "clamp",
 ]
 
@@ -94,7 +96,8 @@ def _unbroadcast(grad, shape):
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        # a 0-d array, not a numpy scalar, so a scalar leaf can own it
+        grad = np.asarray(grad.sum(axis=tuple(range(extra))))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -209,6 +212,16 @@ def matmul(a, b):
         raise ValueError(f"unsupported matmul ranks {ad.ndim}@{bd.ndim}")
 
     return _op(out, (a, b), vjp)
+
+
+def linear(x, W):
+    """x @ W^T for x (T, in) and W (out, in), as one node: W's gradient
+    g^T x is a fresh array, so ``backward`` can accumulate a parameter's
+    gradient in place (through a ``transpose`` node it would be a view)."""
+    x, W = _wrap(x), _wrap(W)
+    xd, Wd = x.data, W.data
+    return _op(xd @ Wd.T, (x, W),
+               lambda g: (g @ Wd if x.requires_grad else None, g.T @ xd))
 
 
 def transpose(a, axes=None):
@@ -368,23 +381,87 @@ def _softplus_and_logistic(x):
     return soft, logistic
 
 
-def softplus_shift(c, s):
-    """softplus(c + s) - softplus(c), broadcasting ``c`` against ``s``, as
-    one node. The forward keeps the logistic of c + s and of c, so the
-    backward, d/dc = logistic(c + s) - logistic(c) and d/ds =
-    logistic(c + s), computes no exponential."""
-    c, s = _wrap(c), _wrap(s)
-    soft_shifted, logistic_shifted = _softplus_and_logistic(c.data + s.data)
-    soft, logistic = _softplus_and_logistic(c.data)
+def _two_softplus(c, s):
+    """(softplus(c + s) - softplus(c), logistic(c), logistic(c + s)), each
+    from one shared e^-|x|: the message form that holds at every (c, s),
+    used by ``cavity_message`` where its one-exponential form would not."""
+    soft_shifted, logistic_shifted = _softplus_and_logistic(c + s)
+    soft, logistic = _softplus_and_logistic(c)
     soft_shifted -= soft
+    return soft_shifted, logistic, logistic_shifted
+
+
+# |s| beyond which a message takes the two-softplus form, so that every
+# expm1(s) the one-exponential form reads is finite and above -1
+SHIFT_BOUND = 30.0
+
+
+def message_shift(s):
+    """The per-score-tensor half of ``cavity_message``: (expm1(s), the mask
+    of cells where |s| > SHIFT_BOUND, or None when there is none). The
+    scores are fixed for a sentence, so every message through them, in
+    both directions and every sweep, shares one shift."""
+    wide = np.abs(s) > SHIFT_BOUND
+    if not wide.any():
+        return np.expm1(s), None
+    return np.expm1(np.where(wide, 0.0, s)), wide
+
+
+def cavity_message(source, reverse, s, shift):
+    """The loopy-BP message softplus(c + s) - softplus(c) of the cavity
+    c = source - reverse (``reverse`` None: c = source), as one node.
+    ``source`` broadcasts against the score tensor ``s``, which has the
+    message's shape, as ``reverse`` has; ``shift`` is
+    ``message_shift(s.data)``.
+
+    With E = expm1(s) and P = logistic(c) E the message is log1p(P), so
+    the forward takes one exponential, for logistic(c) = 1 / (1 + e^-c).
+    It keeps logistic(c) and logistic(c + s) = (logistic(c) + P) / (1 + P),
+    and the backward, d/dc = logistic(c + s) - logistic(c) = -d/dreverse
+    and d/ds = logistic(c + s), computes none. Where 1 + P can cancel
+    (P < -1/2) or |s| > SHIFT_BOUND, the cells take the two-softplus form.
+    A cell with s = 0 gives exactly 0.
+    """
+    source, s = _wrap(source), _wrap(s)
+    expm1_s, wide = shift
+    parents = (source, s) if reverse is None else (source, s, reverse)
+    # -c, then e^-c and the logistic of c, in the cavity's one buffer
+    if reverse is None:
+        logistic = np.negative(source.data)
+    else:
+        logistic = np.subtract(reverse.data, source.data)
+    with np.errstate(over="ignore"):
+        np.exp(logistic, out=logistic)
+    logistic += 1.0
+    np.reciprocal(logistic, out=logistic)
+    scaled = np.multiply(logistic, expm1_s)
+    out = np.log1p(scaled)
+    guard = scaled < -0.5
+    if wide is not None:
+        guard |= wide
+    shifted = np.add(logistic, scaled)
+    scaled += 1.0
+    shifted /= scaled
+    del scaled
+    if guard.any():
+        cells = np.nonzero(guard)
+        c = np.broadcast_to(source.data, out.shape)[cells]
+        if reverse is not None:
+            c = c - reverse.data[cells]
+        if logistic.shape != out.shape:
+            logistic = np.array(np.broadcast_to(logistic, out.shape))
+        out[cells], logistic[cells], shifted[cells] = _two_softplus(c, s.data[cells])
 
     def vjp(g):
-        ds = g * logistic_shifted
+        ds = g * shifted
         dc = g * logistic
         np.subtract(ds, dc, out=dc)
-        return _unbroadcast(dc, c.data.shape), _unbroadcast(ds, s.data.shape)
+        dsource = _unbroadcast(dc, source.data.shape)
+        if reverse is None:
+            return dsource, ds
+        return dsource, ds, -dc if dsource is dc else np.negative(dc, out=dc)
 
-    return _op(soft_shifted, (c, s), vjp)
+    return _op(out, parents, vjp)
 
 
 def lstm(x, Wx, Wh, b, recur_mask=None):

@@ -29,11 +29,20 @@ l is an (n+1) x (n+1) head-by-dependent grid, and the messages are dense
     gp down  d[i,j,k]    (i,j) -> (j,k)   u                 over axis 0
     gp up    u[i,j,k]    (j,k) -> (i,j)   d                 over axis 2
 
-Each update is one ``softplus_shift`` node of the cavity (the source grid
-broadcast along one axis minus the aligned reverse tensor) against the
-type's score tensor, in one ``potentials.sweep``. A score tensor is 0 off
-its type's geometry, and softplus(c + 0) - softplus(c) is exactly 0, so
-no message needs a mask. Updates are synchronous; messages start at 0.
+Each update is one ``autodiff.cavity_message`` node, in one
+``potentials.sweep``: it takes the source grid broadcast along one axis,
+the aligned reverse tensor (none on the first sweep) and the type's score
+tensor s, and computes the message as
+
+    r_new = log1p(logistic(c) * E),   E = expm1(s),
+
+with one exponential, for logistic(c). E depends only on the scores, so
+``lbp_run`` computes it once per part type (``autodiff.message_shift``)
+for both directions and every sweep. Cells where logistic(c) * E < -1/2
+(1 + it could cancel) or |s| > ``autodiff.SHIFT_BOUND`` take the
+two-softplus form above. A score tensor is 0 off its type's geometry,
+where E = 0 and the message is exactly 0, so no message needs a mask.
+Updates are synchronous; messages start at 0.
 The state (``potentials.InferenceState``) keeps the grid l and the
 message tensors of each iteration and reads the edges' beliefs from l
 through the edge mask: b1 = exp(-softplus(-l)) is the logistic of l.
@@ -56,13 +65,14 @@ def lbp_run(pot, iterations=3):
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     state = InferenceState(pot, [pot.edge_scores], [{}])
+    shifts = {kind: ad.message_shift(s.data) for kind, s in pot.scores.items()}
 
     def update(kind, reverse, source):
         # the state grows after the sweep, so its last messages are the
         # previous iteration's
         previous = state.messages[-1]
-        cavity = ad.sub(source, aligned(previous[reverse], kind)) if previous else source
-        return ad.softplus_shift(cavity, pot.scores[kind])
+        return ad.cavity_message(source, aligned(previous[reverse], kind) if previous else None,
+                                 pot.scores[kind], shifts[kind])
 
     for _ in range(iterations):
         messages, logit = sweep(pot, state.logits[-1], update, pot.edge_scores)

@@ -306,7 +306,7 @@ class ParserModel:
         channels = [words, tags]
         if self.config.use_pretrained:
             raw = ad.constant(self.pretrained_table[word_ids])
-            proj = ad.matmul(raw, ad.transpose(self.params["pretrained_proj_W"]))
+            proj = ad.linear(raw, self.params["pretrained_proj_W"])
             proj = proj + self.params["pretrained_proj_b"]
             if train:
                 proj = _dropout(proj, self.config.dropout_embed, rng)
@@ -347,7 +347,7 @@ class ParserModel:
         for role in ROLES:
             W = self.params[f"proj_{role}_W"]
             b = self.params[f"proj_{role}_b"]
-            h = ad.leaky_relu(ad.matmul(context, ad.transpose(W)) + b, cfg.leaky_slope)
+            h = ad.leaky_relu(ad.linear(context, W) + b, cfg.leaky_slope)
             if train:
                 if role in ("edge_head", "edge_dep"):
                     h = _dropout(h, cfg.dropout_unary, rng)
@@ -381,7 +381,7 @@ class ParserModel:
         for kind, role_names in TRI_ROLES.items():
             if getattr(self.config, f"use_{kind}"):
                 tri[kind] = tuple(
-                    ad.matmul(roles[role], ad.transpose(p[f"tri_{kind}_{slot}"]))
+                    ad.linear(roles[role], p[f"tri_{kind}_{slot}"])
                     for role, slot in zip(role_names, ("U1", "U2", "U3")))
         return ScoreFactors(edge_set, edge_scores, s_label, tri)
 

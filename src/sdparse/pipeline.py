@@ -24,12 +24,15 @@ from .potentials import from_factors
 
 __all__ = ["run_inference", "parse_sentence", "trace_sentence", "PAIR_LENGTH_CAP"]
 
-# Longest sentence the dense (n+1)^3 path accepts. An LBP training step
-# (loss and backward, T = 3) peaks at about 760 traced bytes per (n+1)^3
-# cell (759 at n = 45, 739 at n = 60, desk dims), so n = 113 (1.48M cells)
-# peaks near 1.05 GiB, the budget the pair list had at n = 90.
-# Mean-field is O(n^2) and uncapped.
-PAIR_LENGTH_CAP = 113
+# Longest sentence the dense (n+1)^3 path accepts: the longest whose LBP
+# training step (loss and backward, T = 3, desk dims) fits the budget the
+# pair list had at n = 90. The step's traced peak per (n+1)^3 cell falls
+# with n (641, 592 and 572 bytes at n = 30, 45 and 60) and stays under
+# PAIR_BYTES_PER_CELL from n = 30 on, so n = 118 (1.69M cells) peaks
+# below 1.04 GiB. Mean-field is O(n^2) and uncapped.
+PAIR_MEMORY_BUDGET = 1.05 * 2**30
+PAIR_BYTES_PER_CELL = 660
+PAIR_LENGTH_CAP = int((PAIR_MEMORY_BUDGET / PAIR_BYTES_PER_CELL) ** (1 / 3)) - 1
 
 
 def run_inference(pot, engine="mf", iterations=3, clamp=mf.DEFAULT_CLAMP):

@@ -226,7 +226,7 @@ def from_factors(factors):
         N, d = g1.shape
         pairs = ad.reshape(ad.mul(ad.reshape(g1, (N, 1, d)), ad.reshape(g2, (1, N, d))),
                            (N * N, d))
-        table = ad.reshape(ad.matmul(pairs, ad.transpose(g3)), (N, N, N))
+        table = ad.reshape(ad.linear(pairs, g3), (N, N, N))
         if kind == "cop":
             table = ad.transpose(table, (0, 2, 1))
         masks[kind] = part_mask(n, kind)

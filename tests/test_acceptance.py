@@ -26,14 +26,10 @@ from sdparse.metrics import f1
 from sdparse.model import ModelConfig, ParserModel, trilinear
 from sdparse.pipeline import parse_sentence, run_inference
 from sdparse.sdp_io import build_vocab, format_sdp, parse_sdp_lines, write_sdp
-from sdparse.synthetic import (
-    coupling_signal_corpus,
-    random_potentials,
-    roundtrip_corpus,
-    toy_corpus,
-    two_edge_instance,
-)
+from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 from sdparse.training import TrainConfig, gradcheck, train
+
+from corpora import coupling_signal_corpus, roundtrip_corpus
 
 
 def _line(label, detail):

@@ -67,6 +67,16 @@ def test_matmul_shapes(rng):
     _check(lambda x, y: ad.matmul(x, y), u, m)
 
 
+def test_linear_is_the_product_with_the_transpose(rng):
+    x = rng.normal(size=(3, 4))
+    w = rng.normal(size=(2, 4))
+    np.testing.assert_array_equal(ad.linear(x, w).data, x @ w.T)
+    _check(lambda a, b: ad.linear(a, b), x, w)
+    # a constant input gets no gradient computed
+    out = ad.linear(ad.constant(x), ad.parameter(w))
+    assert out._vjp(np.ones((3, 2)))[0] is None
+
+
 def test_structural_ops(rng):
     a = rng.normal(size=(2, 6))
     b = rng.normal(size=(3, 6))
@@ -183,8 +193,15 @@ def _shift_inputs(c_shape):
     return (c if c_shape == (7, 7) else SHIFT_VALUES[:, None].copy()), s
 
 
+def _two_softplus_message(c, s):
+    """The message node on its guard's form: with SHIFT_BOUND below every
+    |s|, each cell takes the two-softplus fallback."""
+    return ad.cavity_message(c, None, s, ad.message_shift(s.data))
+
+
 @pytest.mark.parametrize("c_shape,s_shape", SHIFT_SHAPES)
-def test_softplus_shift_matches_the_unfused_formula(c_shape, s_shape):
+def test_softplus_shift_matches_the_unfused_formula(monkeypatch, c_shape, s_shape):
+    monkeypatch.setattr(ad, "SHIFT_BOUND", -1.0)
     c0, s0 = _shift_inputs(c_shape)
     upstream = np.arange(1.0, 50.0).reshape(7, 7) / 7.0
 
@@ -194,7 +211,7 @@ def test_softplus_shift_matches_the_unfused_formula(c_shape, s_shape):
         ad.backward([out], [upstream])
         return out.data, c.grad, s.grad
 
-    got = run(ad.softplus_shift)
+    got = run(_two_softplus_message)
     want = run(lambda c, s: ad.sub(ad.softplus(ad.add(c, s)), ad.softplus(c)))
     np.testing.assert_array_equal(got[0], want[0])
     for g, w in zip(got[1:], want[1:]):
@@ -203,9 +220,91 @@ def test_softplus_shift_matches_the_unfused_formula(c_shape, s_shape):
 
 
 @pytest.mark.parametrize("c_shape,s_shape", SHIFT_SHAPES)
-def test_softplus_shift_matches_finite_differences(c_shape, s_shape):
+def test_softplus_shift_matches_finite_differences(monkeypatch, c_shape, s_shape):
+    monkeypatch.setattr(ad, "SHIFT_BOUND", -1.0)
     c, s = _shift_inputs(c_shape)
-    _check(ad.softplus_shift, c, s, step=1e-4)
+    _check(_two_softplus_message, c, s, step=1e-4)
+
+
+def _message_cells():
+    """(c (R,), s (R, M)): each row one cavity and the scores it is checked
+    against, padded with s = 0. The rows hold the grid above, (40, -50),
+    (2, 1e-12), s at, just inside and just outside the bound (at c = 40,
+    1 + P cancels to 1e-13 just inside -bound, P = logistic(c) expm1(s)),
+    and, at c = 5, the scores that put P just above and just below -1/2."""
+    bound = ad.SHIFT_BOUND
+    edges = [bound, np.nextafter(bound, 0.0), np.nextafter(bound, 99.0)]
+    half = np.log1p(-0.5 * (1.0 + np.exp(-5.0)))
+    rows = {c: list(SHIFT_VALUES) for c in SHIFT_VALUES}
+    rows[40.0] += [-50.0] + edges + [-e for e in edges]
+    rows[2.0] = [1e-12] + edges + [-e for e in edges]
+    rows[-1.0] += edges + [-e for e in edges]
+    rows[5.0] = list(half + np.array([-1e-9, -1e-15, 0.0, 1e-15, 1e-9]))
+    width = max(map(len, rows.values()))
+    return (np.array(list(rows)),
+            np.array([values + [0.0] * (width - len(values)) for values in rows.values()]))
+
+
+def _longdouble_message(c, s):
+    """(message, d/dc, d/ds) in 80-bit arithmetic, rounded to float64."""
+    c, s = np.longdouble(c), np.longdouble(s)
+
+    def softplus(x):
+        return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+
+    def logistic(x):
+        return np.where(x >= 0, 1 / (1 + np.exp(-np.abs(x))),
+                        np.exp(-np.abs(x)) / (1 + np.exp(-np.abs(x))))
+
+    shifted = logistic(c + s)
+    return tuple(np.float64(v) for v in (softplus(c + s) - softplus(c),
+                                         shifted - logistic(c), shifted))
+
+
+@pytest.mark.parametrize("broadcast", [False, True], ids=["full-source", "broadcast-source"])
+@pytest.mark.parametrize("with_reverse", [False, True], ids=["first-sweep", "with-reverse"])
+def test_cavity_message_matches_a_longdouble_reference(broadcast, with_reverse):
+    c_values, s = _message_cells()
+    shape = s.shape
+    # a reverse message constant along each row, so source - reverse is
+    # exactly the row's cavity
+    rows = (np.arange(shape[0]) % 5 - 2) * 0.5 if with_reverse else np.zeros(shape[0])
+    source = (c_values + rows)[:, None]
+    source = source if broadcast else np.broadcast_to(source, shape).copy()
+    reverse = np.broadcast_to(rows[:, None], shape).copy()
+    src, rev, sc = ad.parameter(source), ad.parameter(reverse), ad.parameter(s)
+    out = ad.cavity_message(src, rev if with_reverse else None, sc, ad.message_shift(s))
+    ad.backward([out], [np.ones(shape)])
+    want, want_dc, want_ds = _longdouble_message(np.broadcast_to(c_values[:, None], shape), s)
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sc.grad, want_ds, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(src.grad, want_dc.sum(axis=1, keepdims=True) if broadcast
+                               else want_dc, rtol=0, atol=1e-13)
+    if with_reverse:
+        np.testing.assert_allclose(rev.grad, -want_dc, rtol=0, atol=1e-14)
+    # a cell with no score sends exactly nothing and passes back nothing
+    assert np.all(out.data[s == 0] == 0.0)
+    if not broadcast:
+        assert np.all(src.grad[s == 0] == 0.0)
+
+
+@pytest.mark.parametrize("broadcast", [False, True], ids=["full-source", "broadcast-source"])
+@pytest.mark.parametrize("with_reverse", [False, True], ids=["first-sweep", "with-reverse"])
+def test_cavity_message_matches_finite_differences(rng, broadcast, with_reverse):
+    shape = (4, 5)
+    # scores from small to guarded: P < -1/2 at large c and s < -1, and
+    # the last column past the bound
+    s = rng.normal(scale=3.0, size=shape)
+    s[:, -1] = [-40.0, 35.0, -31.0, 45.0]
+    source = rng.normal(scale=3.0, size=(4, 1) if broadcast else shape)
+    reverse = rng.normal(size=shape)
+
+    def build(*p):
+        src, sc = p[0], p[1]
+        rev = p[2] if with_reverse else None
+        return ad.cavity_message(src, rev, sc, ad.message_shift(sc.data))
+
+    _check(build, source, s, *([reverse] if with_reverse else []), step=1e-4)
 
 
 @pytest.mark.parametrize("steps", [1, 5])

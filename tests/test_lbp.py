@@ -4,7 +4,9 @@ reference, and the vectorised pair-list engine the dense layout replaced."""
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ import sdparse.autodiff as ad
 from sdparse.config import RunConfig
 from sdparse.exact import exact_infer
 from sdparse.lbp import lbp_run
-from sdparse.model import ParserModel
+from sdparse.model import ModelConfig, ParserModel
+from sdparse.pipeline import PAIR_BYTES_PER_CELL
 from sdparse.potentials import from_arrays
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
@@ -282,3 +285,23 @@ def test_sentence_loss_matches_the_pair_list_engine(n, switches):
     assert got.keys() == want.keys()
     for name, g in want.items():
         assert np.max(np.abs(got[name] - g)) <= 1e-9 * np.max(np.abs(g)), name
+
+
+def test_one_training_step_peaks_below_the_declared_bytes_per_cell():
+    """PAIR_LENGTH_CAP is derived from PAIR_BYTES_PER_CELL, an upper bound on
+    an LBP step's traced peak per (n+1)^3 cell from n = 30 on (the figure
+    falls with n); check it at n = 30, desk dims."""
+    n = 30
+    sentence, gold = toy_corpus(np.random.default_rng(3), size=1, min_len=n, max_len=n)[0]
+    model = ParserModel(ModelConfig(), build_vocab([(sentence, gold)], min_count=1),
+                        np.random.default_rng(0))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss = sentence_loss(model, sentence, gold, TrainConfig(inference="lbp", iterations=3))
+        ad.backward([loss], [1.0])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < PAIR_BYTES_PER_CELL * (n + 1) ** 3

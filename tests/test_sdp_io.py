@@ -19,7 +19,9 @@ from sdparse.sdp_io import (
     parse_sdp_lines,
     write_sdp,
 )
-from sdparse.synthetic import roundtrip_corpus, toy_corpus
+from sdparse.synthetic import toy_corpus
+
+from corpora import roundtrip_corpus
 
 SIMPLE = """\
 #demo

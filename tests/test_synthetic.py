@@ -16,16 +16,10 @@ import pytest
 from sdparse.graph import SemGraph
 from sdparse.metrics import f1
 from sdparse.potentials import LogPotentials
-from sdparse.synthetic import (
-    COUPLING_CORPUS_LENGTH,
-    coupling_signal_corpus,
-    random_potentials,
-    roundtrip_corpus,
-    toy_corpus,
-    two_edge_instance,
-)
+from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 
 from conftest import pair_log, part_rows, unary_log
+from corpora import COUPLING_CORPUS_LENGTH, coupling_signal_corpus, roundtrip_corpus
 from test_graph import reference_edge_pairs
 
 

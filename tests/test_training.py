@@ -37,6 +37,33 @@ def _tiny_model(data, seed=9, **overrides):
     return ParserModel(cfg, build_vocab(data, min_count=1), np.random.default_rng(seed))
 
 
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_every_parameter_gradient_is_owned_and_summed_in_place(engine):
+    """After one sentence every parameter's gradient is an array backward
+    owns, so the next sentence of a batch adds into it, with no fresh
+    full-size sum; the pretrained channel and a one-layer encoder put
+    every kind of parameter on the tape."""
+    data = toy_corpus(np.random.default_rng(4), size=2, min_len=4, max_len=6)
+    vocab = build_vocab(data, min_count=1)
+    table = {form: np.full(3, 0.1 * k) for k, form in enumerate(vocab.form2id)}
+    cfg = ModelConfig(**{**TINY.__dict__, "encoder_layers": 1, "encoder_hidden": 4,
+                         "use_pretrained": True, "pretrained_proj_dim": 2})
+    model = ParserModel(cfg, vocab, np.random.default_rng(9), pretrained=(table, 3))
+    train_cfg = TrainConfig(inference=engine, iterations=2)
+    ad.backward([sentence_loss(model, *data[0], train_cfg)], [1.0])
+    for name, p in model.params.items():
+        assert p.grad is not None and p._owned() is p.grad, name
+    first = {name: (p.grad, p.grad.copy()) for name, p in model.params.items()}
+    ad.backward([sentence_loss(model, *data[1], train_cfg)], [1.0])
+    assert all(p.grad is first[name][0] for name, p in model.params.items())
+    # what was added in place is the second sentence's gradient
+    model.zero_grad()
+    ad.backward([sentence_loss(model, *data[1], train_cfg)], [1.0])
+    for name, p in model.params.items():
+        summed, alone = first[name]
+        np.testing.assert_array_equal(summed, alone + p.grad)
+
+
 # ---------------------------------------------------------------- edge loss
 
 def test_edge_loss_confident_and_correct_is_tiny():
