@@ -18,7 +18,7 @@ from .graph import (CandidateEdgeSet, SemGraph, Sentence, Token, build_candidate
 from .lbp import lbp_run
 from .metrics import EvalReport, bucket_f1, cycle_rate, evaluate, f1, top_f1
 from .mf import mf_run
-from .model import ModelConfig, ParserModel, ScoreFactors, trilinear
+from .model import ModelConfig, ParserModel, ScoreFactors
 from .pipeline import parse_sentence, run_inference, trace_sentence
 from .potentials import InferenceState, LogPotentials, from_arrays, from_factors
 from .sdp_io import (Vocabulary, build_vocab, format_sdp, load_pretrained,

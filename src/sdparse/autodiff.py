@@ -17,11 +17,12 @@ that leaf's own gradient ever changes.
 The op set is what the parser needs: elementwise arithmetic with
 broadcasting, matmul and ``linear`` (x @ W^T, whose W gradient is fresh),
 axis permutations, gathers (take), reductions, stable nonlinearities, and
-three fused nodes: ``lstm``, a whole LSTM direction (no per-token tape
-entries), ``cavity_message``, the loopy-BP message update from its
-cavity, with one exponential forward and none backward, and
-``prefix_trilinear``, the running-sum term of the factored mean-field
-field.
+two fused nodes: ``lstm``, a whole LSTM direction (no per-token tape
+entries), and ``prefix_trilinear``, the running-sum term of the factored
+mean-field field. ``message_kernel`` is the loopy-BP message arithmetic
+on arrays, one exponential per message and the two logistics its
+derivatives need; ``lbp.lbp_run`` records every sweep over it as one
+node.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
     "Tensor", "constant", "parameter", "backward",
     "add", "sub", "mul", "neg", "matmul", "linear", "transpose",
     "reshape", "concat", "take", "tensor_sum", "prefix_trilinear",
-    "sigmoid", "softplus", "cavity_message", "message_shift", "leaky_relu", "lstm",
+    "sigmoid", "softplus", "message_kernel", "message_shift", "leaky_relu", "lstm",
     "logsumexp", "clamp",
 ]
 
@@ -185,10 +186,12 @@ def sub(a, b):
 
 
 def mul(a, b):
+    """a * b; a constant factor (a mask, a loss weight) gets no gradient,
+    so its product is never formed."""
     a, b = _wrap(a), _wrap(b)
     return _op(a.data * b.data, (a, b),
-               lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                          _unbroadcast(g * a.data, b.data.shape)))
+               lambda g: (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                          _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None))
 
 
 def neg(a):
@@ -384,7 +387,7 @@ def _softplus_and_logistic(x):
 def _two_softplus(c, s):
     """(softplus(c + s) - softplus(c), logistic(c), logistic(c + s)), each
     from one shared e^-|x|: the message form that holds at every (c, s),
-    used by ``cavity_message`` where its one-exponential form would not."""
+    used by ``message_kernel`` where its one-exponential form would not."""
     soft_shifted, logistic_shifted = _softplus_and_logistic(c + s)
     soft, logistic = _softplus_and_logistic(c)
     soft_shifted -= soft
@@ -397,7 +400,7 @@ SHIFT_BOUND = 30.0
 
 
 def message_shift(s):
-    """The per-score-tensor half of ``cavity_message``: (expm1(s), the mask
+    """The per-score-tensor half of ``message_kernel``: (expm1(s), the mask
     of cells where |s| > SHIFT_BOUND, or None when there is none). The
     scores are fixed for a sentence, so every message through them, in
     both directions and every sweep, shares one shift."""
@@ -407,29 +410,26 @@ def message_shift(s):
     return np.expm1(np.where(wide, 0.0, s)), wide
 
 
-def cavity_message(source, reverse, s, shift):
+def message_kernel(source, reverse, s, shift):
     """The loopy-BP message softplus(c + s) - softplus(c) of the cavity
-    c = source - reverse (``reverse`` None: c = source), as one node.
-    ``source`` broadcasts against the score tensor ``s``, which has the
-    message's shape, as ``reverse`` has; ``shift`` is
-    ``message_shift(s.data)``.
+    c = source - reverse (``reverse`` None: c = source), on arrays.
+    ``source`` broadcasts against the score array ``s``, which has the
+    message's shape, as ``reverse`` has; ``shift`` is ``message_shift(s)``.
+    Returns (message, logistic(c), logistic(c + s)): the message's
+    derivatives are d/ds = logistic(c + s) and d/dc = logistic(c + s) -
+    logistic(c) = -d/dreverse, so a backward pass that keeps the two
+    logistics computes no exponential. logistic(c) has the cavity's
+    broadcast shape when no cell is guarded, the message's otherwise.
 
     With E = expm1(s) and P = logistic(c) E the message is log1p(P), so
-    the forward takes one exponential, for logistic(c) = 1 / (1 + e^-c).
-    It keeps logistic(c) and logistic(c + s) = (logistic(c) + P) / (1 + P),
-    and the backward, d/dc = logistic(c + s) - logistic(c) = -d/dreverse
-    and d/ds = logistic(c + s), computes none. Where 1 + P can cancel
+    this takes one exponential, for logistic(c) = 1 / (1 + e^-c), and
+    logistic(c + s) = (logistic(c) + P) / (1 + P). Where 1 + P can cancel
     (P < -1/2) or |s| > SHIFT_BOUND, the cells take the two-softplus form.
     A cell with s = 0 gives exactly 0.
     """
-    source, s = _wrap(source), _wrap(s)
     expm1_s, wide = shift
-    parents = (source, s) if reverse is None else (source, s, reverse)
     # -c, then e^-c and the logistic of c, in the cavity's one buffer
-    if reverse is None:
-        logistic = np.negative(source.data)
-    else:
-        logistic = np.subtract(reverse.data, source.data)
+    logistic = np.negative(source) if reverse is None else np.subtract(reverse, source)
     with np.errstate(over="ignore"):
         np.exp(logistic, out=logistic)
     logistic += 1.0
@@ -445,23 +445,13 @@ def cavity_message(source, reverse, s, shift):
     del scaled
     if guard.any():
         cells = np.nonzero(guard)
-        c = np.broadcast_to(source.data, out.shape)[cells]
+        c = np.broadcast_to(source, out.shape)[cells]
         if reverse is not None:
-            c = c - reverse.data[cells]
+            c = c - reverse[cells]
         if logistic.shape != out.shape:
             logistic = np.array(np.broadcast_to(logistic, out.shape))
-        out[cells], logistic[cells], shifted[cells] = _two_softplus(c, s.data[cells])
-
-    def vjp(g):
-        ds = g * shifted
-        dc = g * logistic
-        np.subtract(ds, dc, out=dc)
-        dsource = _unbroadcast(dc, source.data.shape)
-        if reverse is None:
-            return dsource, ds
-        return dsource, ds, -dc if dsource is dc else np.negative(dc, out=dc)
-
-    return _op(out, parents, vjp)
+        out[cells], logistic[cells], shifted[cells] = _two_softplus(c, s[cells])
+    return out, logistic, shifted
 
 
 def lstm(x, Wx, Wh, b, recur_mask=None):

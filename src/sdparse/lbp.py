@@ -29,10 +29,9 @@ l is an (n+1) x (n+1) head-by-dependent grid, and the messages are dense
     gp down  d[i,j,k]    (i,j) -> (j,k)   u                 over axis 0
     gp up    u[i,j,k]    (j,k) -> (i,j)   d                 over axis 2
 
-Each update is one ``autodiff.cavity_message`` node, in one
-``potentials.sweep``: it takes the source grid broadcast along one axis,
-the aligned reverse tensor (none on the first sweep) and the type's score
-tensor s, and computes the message as
+Each update is ``autodiff.message_kernel`` on arrays: it takes the source
+grid broadcast along one axis, the aligned reverse tensor (none on the
+first sweep) and the type's score tensor s, and computes the message as
 
     r_new = log1p(logistic(c) * E),   E = expm1(s),
 
@@ -43,6 +42,15 @@ for both directions and every sweep. Cells where logistic(c) * E < -1/2
 two-softplus form above. A score tensor is 0 off its type's geometry,
 where E = 0 and the message is exactly 0, so no message needs a mask.
 Updates are synchronous; messages start at 0.
+
+All T sweeps are one autodiff node, the last logit grid, with the edge
+scores and the score tensors as parents; only that grid carries gradient.
+It keeps logistic(c) and logistic(c + s) of every message and sweep: the
+messages and the earlier grids go to the state as constants. Its backward
+walks the sweeps in reverse once. A message's gradient (its target grid's,
+broadcast, less the aligned cavity gradient of the next sweep's message
+that read it as its reverse) is written into that cavity gradient's
+buffer, and each part type's score gradient is summed in place.
 The state (``potentials.InferenceState``) keeps the grid l and the
 message tensors of each iteration and reads the edges' beliefs from l
 through the edge mask: b1 = exp(-softplus(-l)) is the logistic of l.
@@ -50,9 +58,11 @@ through the edge mask: b1 = exp(-softplus(-l)) is the logistic of l.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import autodiff as ad
 from .errors import ConfigError
-from .potentials import InferenceState, aligned, sweep
+from .potentials import MESSAGES, InferenceState, aligned
 
 __all__ = ["lbp_run"]
 
@@ -61,21 +71,79 @@ def lbp_run(pot, iterations=3):
     """Belief trajectory of ``iterations`` synchronous sweeps, each sending
     every message from the previous snapshot, then summing fresh beliefs.
     Messages start uniform (log-odds 0), so iteration 0's beliefs are the
-    normalized unaries."""
+    normalized unaries. Only the last grid carries gradient."""
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     state = InferenceState(pot, [pot.edge_scores], [{}])
-    shifts = {kind: ad.message_shift(s.data) for kind, s in pot.scores.items()}
-
-    def update(kind, reverse, source):
-        # the state grows after the sweep, so its last messages are the
-        # previous iteration's
-        previous = state.messages[-1]
-        return ad.cavity_message(source, aligned(previous[reverse], kind) if previous else None,
-                                 pot.scores[kind], shifts[kind])
-
+    if not pot.scores:
+        # no part sends a message: every iterate is the unary grid
+        state.logits += [pot.edge_scores] * iterations
+        state.messages += [{}] * iterations
+        return state
+    names = [name for name, spec in MESSAGES.items() if spec[0] in pot.scores]
+    scores = {kind: s.data for kind, s in pot.scores.items()}
+    shifts = {kind: ad.message_shift(s) for kind, s in scores.items()}
+    parents = (pot.edge_scores,) + tuple(pot.scores.values())
+    keep = any(p.requires_grad for p in parents)
+    logistics = []      # per sweep, name -> (logistic(c), logistic(c + s)) if kept
+    grid, previous = pot.edge_scores.data, {}
     for _ in range(iterations):
-        messages, logit = sweep(pot, state.logits[-1], update, pot.edge_scores)
-        state.logits.append(logit)
-        state.messages.append(messages)
+        messages, sweep = {}, {}
+        total = pot.edge_scores.data
+        for name in names:
+            kind, source, target, reverse = MESSAGES[name]
+            message, logistic, shifted = ad.message_kernel(
+                np.expand_dims(grid, source),
+                aligned(previous[reverse], kind) if previous else None,
+                scores[kind], shifts[kind])
+            messages[name] = message
+            if keep:
+                sweep[name] = logistic, shifted
+            total = total + message.sum(axis=target)
+        logistics.append(sweep)
+        state.logits.append(ad.constant(total))
+        state.messages.append({name: ad.constant(r) for name, r in messages.items()})
+        grid, previous = total, messages
+    if keep:
+        state.logits[-1] = ad.Tensor(total, requires_grad=True, _parents=parents,
+                                     _vjp=_unrolled_vjp(names, logistics, list(pot.scores)))
     return state
+
+
+def _unrolled_vjp(names, logistics, kinds):
+    """The backward of the unrolled sweeps: last grid's gradient ->
+    (edge-score gradient, one gradient per score tensor in ``kinds``
+    order). It writes only into arrays it allocates."""
+
+    def vjp(g):
+        grid_grad, edge_grad, score_grads, carry, scratch = g, g, {}, {}, None
+        for sweep in reversed(logistics):
+            source_grad, cavity_grads = 0.0, {}
+            for name in names:
+                kind, source, target, reverse = MESSAGES[name]
+                logistic, shifted = sweep[name]
+                incoming = np.expand_dims(grid_grad, target)
+                if carry:
+                    # less the aligned cavity gradient of the next sweep's
+                    # message that read this one as its reverse, in its buffer
+                    grad = aligned(carry.pop(reverse), kind)
+                    np.subtract(incoming, grad, out=grad)
+                else:
+                    grad = np.array(np.broadcast_to(incoming, shifted.shape))
+                ds = np.multiply(grad, shifted, out=scratch)
+                grad *= logistic
+                # d/dc = d/ds - grad * logistic(c), written over the gradient
+                np.subtract(ds, grad, out=grad)
+                if kind in score_grads:
+                    score_grads[kind] += ds
+                    scratch = ds
+                else:
+                    score_grads[kind], scratch = ds, None
+                cavity_grads[name] = grad
+                source_grad = source_grad + grad.sum(axis=source)
+            # every grid is the edge scores plus its sweep's messages
+            edge_grad = edge_grad + source_grad
+            grid_grad, carry = source_grad, cavity_grads
+        return (edge_grad,) + tuple(score_grads[kind] for kind in kinds)
+
+    return vjp

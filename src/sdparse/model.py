@@ -46,11 +46,7 @@ from .errors import ConfigError, DataError
 from .graph import build_candidate_edges
 from .sdp_io import Vocabulary
 
-__all__ = [
-    "ModelConfig", "ParserModel", "ScoreFactors",
-    "trilinear",
-    "ROLES",
-]
+__all__ = ["ModelConfig", "ParserModel", "ScoreFactors", "ROLES"]
 
 # one single-layer projection per scoring role
 ROLES = (
@@ -147,12 +143,6 @@ class ScoreFactors:
     edge_scores: Tensor   # (n+1, n+1)
     s_label: Tensor       # (E, num_labels), in edge order
     tri: dict
-
-
-def trilinear(v1, v2, v3, U1, U2, U3):
-    """Rank-decomposed trilinear form: sum_m (U1 v1)_m (U2 v2)_m (U3 v3)_m."""
-    return ad.tensor_sum(ad.mul(ad.mul(ad.matmul(U1, v1), ad.matmul(U2, v2)),
-                                ad.matmul(U3, v3)))
 
 
 def _uniform(rng, shape):
@@ -372,10 +362,13 @@ class ParserModel:
                                 ad.transpose(ad.matmul(roles["edge_dep"], p["edge_U"])))
         edge_scores = edge_scores + p["edge_b"]
 
-        heads, deps = np.nonzero(edge_set.mask)
-        lab_dep = ad.take(roles["label_dep"], deps)
-        lab_head = ad.take(roles["label_head"], heads)
-        s_label = ad.matmul(ad.mul(lab_dep, lab_head), p["label_W"]) + p["label_b"]
+        # head * dep on the whole (N, N, u) grid, its edge cells taken in
+        # increasing flat order, so the gradient scatters without np.add.at
+        N, u = sentence.n + 1, self.config.unary_dim
+        pairs = ad.mul(ad.reshape(roles["label_head"], (N, 1, u)),
+                       ad.reshape(roles["label_dep"], (1, N, u)))
+        on_edges = ad.take(ad.reshape(pairs, (N * N, u)), np.flatnonzero(edge_set.mask))
+        s_label = ad.matmul(on_edges, p["label_W"]) + p["label_b"]
 
         tri = {}
         for kind, role_names in TRI_ROLES.items():

@@ -27,11 +27,11 @@ __all__ = ["run_inference", "parse_sentence", "trace_sentence", "PAIR_LENGTH_CAP
 # Longest sentence the dense (n+1)^3 path accepts: the longest whose LBP
 # training step (loss and backward, T = 3, desk dims) fits the budget the
 # pair list had at n = 90. The step's traced peak per (n+1)^3 cell falls
-# with n (641, 592 and 572 bytes at n = 30, 45 and 60) and stays under
-# PAIR_BYTES_PER_CELL from n = 30 on, so n = 118 (1.69M cells) peaks
+# with n (430, 410 and 401 bytes at n = 30, 45 and 60) and stays under
+# PAIR_BYTES_PER_CELL from n = 30 on, so n = 132 (2.35M cells) peaks
 # below 1.04 GiB. Mean-field is O(n^2) and uncapped.
 PAIR_MEMORY_BUDGET = 1.05 * 2**30
-PAIR_BYTES_PER_CELL = 660
+PAIR_BYTES_PER_CELL = 470
 PAIR_LENGTH_CAP = int((PAIR_MEMORY_BUDGET / PAIR_BYTES_PER_CELL) ** (1 / 3)) - 1
 
 

@@ -27,7 +27,8 @@ enumerating a part; ``from_arrays`` scatters edges and pairs in.
 ``InferenceState`` is the trajectory both engines keep: per iteration
 one logit grid, read through the edge mask into per-edge vectors, and
 the (n+1)^3 message tensors, read through the part masks into per-part
-values. ``sweep`` is the pass over ``MESSAGES`` both engines run.
+values. ``sweep`` is dense mean-field's pass over ``MESSAGES``; loopy BP
+runs the same pass on arrays inside its one unrolled node.
 """
 
 from __future__ import annotations
@@ -155,7 +156,13 @@ class InferenceState:
     built it ({} at t = 0 and on the factored mean-field path). The
     per-edge readings are the grids gathered through the edge mask, in
     edge order; the per-part ones are the message tensors read through the
-    part masks, in part order."""
+    part masks, in part order.
+
+    Under loopy BP all T sweeps are one autodiff node, ``logits[-1]``:
+    past the edge scores at t = 0, only the last grid carries gradient, and
+    the other grids and every message tensor are constants, so a loss reads
+    the last grid (``final_log_marginals`` does). Mean-field's grids and
+    message tensors all stay on the tape."""
 
     pot: object
     logits: list = field(default_factory=list)    # Tensors, (n+1, n+1)

@@ -1,0 +1,52 @@
+"""The per-message loopy BP that the one-node unrolled sweeps replaced,
+kept as a reference for it.
+
+Each message update is its own tape node over ``autodiff.message_kernel``,
+and each sweep is ``potentials.sweep``: the source grid reshaped to a unit
+axis, the reverse tensor aligned by a transpose node, and every message
+summed into the next grid by a ``tensor_sum`` and an ``add`` node. Every
+logit grid and message tensor of the trajectory carries gradient.
+"""
+
+from __future__ import annotations
+
+import sdparse.autodiff as ad
+from sdparse.potentials import InferenceState, aligned, sweep
+
+
+def cavity_message(source, reverse, s, shift):
+    """The message softplus(c + s) - softplus(c) of the cavity
+    c = source - reverse (``reverse`` None: c = source) as one node;
+    ``shift`` is ``autodiff.message_shift(s.data)``. The backward reads
+    the kernel's two logistics: d/ds = logistic(c + s) and
+    d/dc = logistic(c + s) - logistic(c) = -d/dreverse."""
+    source, s = ad._wrap(source), ad._wrap(s)
+    parents = (source, s) if reverse is None else (source, s, reverse)
+    out, logistic, shifted = ad.message_kernel(
+        source.data, None if reverse is None else reverse.data, s.data, shift)
+
+    def vjp(g):
+        ds = g * shifted
+        dc = g * logistic
+        dc = ds - dc
+        dsource = ad._unbroadcast(dc, source.data.shape)
+        return (dsource, ds) if reverse is None else (dsource, ds, -dc)
+
+    return ad._op(out, parents, vjp)
+
+
+def reference_lbp_run(pot, iterations=3):
+    """``lbp.lbp_run`` with one node per message and sweep."""
+    state = InferenceState(pot, [pot.edge_scores], [{}])
+    shifts = {kind: ad.message_shift(s.data) for kind, s in pot.scores.items()}
+
+    def update(kind, reverse, source):
+        previous = state.messages[-1]
+        return cavity_message(source, aligned(previous[reverse], kind) if previous else None,
+                              pot.scores[kind], shifts[kind])
+
+    for _ in range(iterations):
+        messages, logit = sweep(pot, state.logits[-1], update, pot.edge_scores)
+        state.logits.append(logit)
+        state.messages.append(messages)
+    return state

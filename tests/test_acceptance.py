@@ -23,13 +23,14 @@ import sdparse.cli as cli
 from sdparse.exact import exact_infer
 from sdparse.graph import build_candidate_edges, part_mask
 from sdparse.metrics import f1
-from sdparse.model import ModelConfig, ParserModel, trilinear
+from sdparse.model import ModelConfig, ParserModel
 from sdparse.pipeline import parse_sentence, run_inference
 from sdparse.sdp_io import build_vocab, format_sdp, parse_sdp_lines, write_sdp
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 from sdparse.training import TrainConfig, gradcheck, train
 
 from corpora import coupling_signal_corpus, roundtrip_corpus
+from test_model import trilinear
 
 
 def _line(label, detail):

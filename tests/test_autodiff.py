@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import sdparse.autodiff as ad
 
 from conftest import numeric_grad
+from message_reference import cavity_message
 
 
 def _scalarize(build, *arrays):
@@ -194,9 +195,10 @@ def _shift_inputs(c_shape):
 
 
 def _two_softplus_message(c, s):
-    """The message node on its guard's form: with SHIFT_BOUND below every
-    |s|, each cell takes the two-softplus fallback."""
-    return ad.cavity_message(c, None, s, ad.message_shift(s.data))
+    """The per-message reference node on the kernel's guard form: with
+    SHIFT_BOUND below every |s|, each cell takes the two-softplus
+    fallback."""
+    return cavity_message(c, None, s, ad.message_shift(s.data))
 
 
 @pytest.mark.parametrize("c_shape,s_shape", SHIFT_SHAPES)
@@ -264,6 +266,9 @@ def _longdouble_message(c, s):
 @pytest.mark.parametrize("broadcast", [False, True], ids=["full-source", "broadcast-source"])
 @pytest.mark.parametrize("with_reverse", [False, True], ids=["first-sweep", "with-reverse"])
 def test_cavity_message_matches_a_longdouble_reference(broadcast, with_reverse):
+    """``message_kernel``'s message and its two logistics, which are the
+    derivatives d/ds = logistic(c + s) and d/dc = logistic(c + s) -
+    logistic(c), against 80-bit arithmetic."""
     c_values, s = _message_cells()
     shape = s.shape
     # a reverse message constant along each row, so source - reverse is
@@ -271,40 +276,44 @@ def test_cavity_message_matches_a_longdouble_reference(broadcast, with_reverse):
     rows = (np.arange(shape[0]) % 5 - 2) * 0.5 if with_reverse else np.zeros(shape[0])
     source = (c_values + rows)[:, None]
     source = source if broadcast else np.broadcast_to(source, shape).copy()
-    reverse = np.broadcast_to(rows[:, None], shape).copy()
-    src, rev, sc = ad.parameter(source), ad.parameter(reverse), ad.parameter(s)
-    out = ad.cavity_message(src, rev if with_reverse else None, sc, ad.message_shift(s))
-    ad.backward([out], [np.ones(shape)])
+    reverse = np.broadcast_to(rows[:, None], shape).copy() if with_reverse else None
+    out, logistic, shifted = ad.message_kernel(source, reverse, s, ad.message_shift(s))
     want, want_dc, want_ds = _longdouble_message(np.broadcast_to(c_values[:, None], shape), s)
-    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(sc.grad, want_ds, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(src.grad, want_dc.sum(axis=1, keepdims=True) if broadcast
-                               else want_dc, rtol=0, atol=1e-13)
-    if with_reverse:
-        np.testing.assert_allclose(rev.grad, -want_dc, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(shifted, want_ds, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(shifted - logistic, want_dc, rtol=0, atol=1e-14)
     # a cell with no score sends exactly nothing and passes back nothing
-    assert np.all(out.data[s == 0] == 0.0)
-    if not broadcast:
-        assert np.all(src.grad[s == 0] == 0.0)
+    assert np.all(out[s == 0] == 0.0)
+    assert np.all((shifted - logistic)[s == 0] == 0.0)
 
 
 @pytest.mark.parametrize("broadcast", [False, True], ids=["full-source", "broadcast-source"])
 @pytest.mark.parametrize("with_reverse", [False, True], ids=["first-sweep", "with-reverse"])
 def test_cavity_message_matches_finite_differences(rng, broadcast, with_reverse):
+    """The gradients read from ``message_kernel``'s logistics, summed over
+    a broadcast source, against finite differences of its message."""
     shape = (4, 5)
     # scores from small to guarded: P < -1/2 at large c and s < -1, and
     # the last column past the bound
     s = rng.normal(scale=3.0, size=shape)
     s[:, -1] = [-40.0, 35.0, -31.0, 45.0]
     source = rng.normal(scale=3.0, size=(4, 1) if broadcast else shape)
-    reverse = rng.normal(size=shape)
+    reverse = rng.normal(size=shape) if with_reverse else None
+    upstream = np.arange(1.0, s.size + 1.0).reshape(shape)
 
-    def build(*p):
-        src, sc = p[0], p[1]
-        rev = p[2] if with_reverse else None
-        return ad.cavity_message(src, rev, sc, ad.message_shift(sc.data))
+    def value():
+        message = ad.message_kernel(source, reverse, s, ad.message_shift(s))[0]
+        return float(np.sum(upstream * message))
 
-    _check(build, source, s, *([reverse] if with_reverse else []), step=1e-4)
+    _, logistic, shifted = ad.message_kernel(source, reverse, s, ad.message_shift(s))
+    dc = upstream * (shifted - logistic)
+    got = [dc.sum(axis=1, keepdims=True) if broadcast else dc, upstream * shifted]
+    arrays = [source, s]
+    if with_reverse:
+        got.append(-dc)
+        arrays.append(reverse)
+    for g, want in zip(got, numeric_grad(value, arrays, step=1e-4)):
+        np.testing.assert_allclose(g, want, rtol=1e-7, atol=1e-7)
 
 
 @pytest.mark.parametrize("steps", [1, 5])

@@ -1,6 +1,7 @@
 """Loopy belief propagation over pairwise couplings, checked against hand
 message arithmetic, the enumeration oracle on trees, a slow per-message
-reference, and the vectorised pair-list engine the dense layout replaced."""
+reference, the vectorised pair-list engine the dense layout replaced, and
+the per-message tape nodes the one unrolled node replaced."""
 
 from __future__ import annotations
 
@@ -16,13 +17,14 @@ from sdparse.config import RunConfig
 from sdparse.exact import exact_infer
 from sdparse.lbp import lbp_run
 from sdparse.model import ModelConfig, ParserModel
-from sdparse.pipeline import PAIR_BYTES_PER_CELL
+from sdparse.pipeline import PAIR_BYTES_PER_CELL, sentence_potentials
 from sdparse.potentials import from_arrays
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
-from sdparse.training import TrainConfig, sentence_loss
+from sdparse.training import TrainConfig, combined_loss, edge_loss, label_loss, sentence_loss
 
 from conftest import numeric_grad, pair_arrays, pair_list, potential_grads
+from message_reference import reference_lbp_run
 from pair_list_reference import reference_sentence_loss
 
 
@@ -230,11 +232,28 @@ def test_directed_messages_list_both_directions_per_part():
     assert dirs[1] == ((0, 1), (0, 2), "sib", (0, 1, 2))
 
 
-@pytest.mark.parametrize("iterations", [1, 3])
-def test_backward_matches_finite_differences(iterations):
-    rng = np.random.default_rng(13)
-    base = random_potentials(3, rng, coupling_scale=0.3)
-    upstream = rng.normal(size=base.edge_count)
+def _guard_counter(monkeypatch):
+    """Counts, over every ``autodiff.message_kernel`` call from here on,
+    the cells on each of its guards: P = logistic(c) expm1(s) < -1/2 with
+    |s| <= SHIFT_BOUND ("cancel"), and |s| > SHIFT_BOUND ("wide")."""
+    counts = {"cancel": 0, "wide": 0}
+    kernel = ad.message_kernel
+
+    def counting(source, reverse, s, shift):
+        c = source - (0.0 if reverse is None else reverse)
+        wide = np.abs(s) > ad.SHIFT_BOUND
+        p = np.exp(-np.logaddexp(0.0, -c)) * np.expm1(np.where(wide, 0.0, s))
+        counts["cancel"] += int(np.count_nonzero((p < -0.5) & ~wide))
+        counts["wide"] += int(np.count_nonzero(wide))
+        return kernel(source, reverse, s, shift)
+
+    monkeypatch.setattr(ad, "message_kernel", counting)
+    return counts
+
+
+def _assert_backward_matches_finite_differences(base, upstream, iterations):
+    """Gradients of <upstream, Q^(T)> from lbp_run's backward against
+    finite differences of the slow reference's Q^(T)."""
     unary0 = base.unary.data.copy()
     scores0 = base.part_scores()
 
@@ -254,13 +273,34 @@ def test_backward_matches_finite_differences(iterations):
     np.testing.assert_allclose(got["pairs"], want_scores, atol=1e-8)
 
 
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+def test_backward_matches_finite_differences(iterations):
+    rng = np.random.default_rng(13)
+    base = random_potentials(3, rng, coupling_scale=0.3)
+    _assert_backward_matches_finite_differences(base, rng.normal(size=base.edge_count),
+                                                iterations)
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+def test_backward_through_guarded_cells_matches_finite_differences(monkeypatch, iterations):
+    """Scores that put cells on both guards of the message kernel."""
+    counts = _guard_counter(monkeypatch)
+    rng = np.random.default_rng(17)
+    base = random_potentials(3, rng, unary_scale=3.0, coupling_scale=25.0)
+    _assert_backward_matches_finite_differences(base, rng.normal(size=base.edge_count),
+                                                iterations)
+    assert counts["cancel"] and counts["wide"]
+
+
 # each part type switched off in turn, and all of them on
 PART_SWITCHES = [{}, {"use_sib": False}, {"use_cop": False}, {"use_gp": False}]
 
 
-@pytest.mark.parametrize("switches", PART_SWITCHES)
-@pytest.mark.parametrize("n", [1, 2, 5, 20])
-def test_sentence_loss_matches_the_pair_list_engine(n, switches):
+def _small_model(n, switches, tri_scale=0.42):
+    """(model, sentence, gold): a small model with every weight drawn at
+    scale 0.42, which keeps part scores of order 1 so the messages are far
+    from 0, but the trilinear weights at ``tri_scale``; 2.5 gives part
+    scores of a trained model (|s| up to about 50 at n = 8)."""
     data = toy_corpus(np.random.default_rng(60 + n), size=1, min_len=n, max_len=n)
     sentence, gold = data[0]
     vocab = build_vocab(toy_corpus(np.random.default_rng(0), size=6) + data, min_count=1)
@@ -268,9 +308,16 @@ def test_sentence_loss_matches_the_pair_list_engine(n, switches):
                     **switches)
     model = ParserModel(cfg.model_config(), vocab, np.random.default_rng(n))
     rng = np.random.default_rng(n + 1)
-    for p in model.params.values():
-        # part scores of order 1, so the messages are far from 0
-        p.data = rng.normal(0.0, 0.42, size=p.data.shape)
+    for name, p in model.params.items():
+        scale = tri_scale if name.startswith("tri_") else 0.42
+        p.data = rng.normal(0.0, scale, size=p.data.shape)
+    return model, sentence, gold
+
+
+@pytest.mark.parametrize("switches", PART_SWITCHES)
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_sentence_loss_matches_the_pair_list_engine(n, switches):
+    model, sentence, gold = _small_model(n, switches)
     train_cfg = TrainConfig(inference="lbp", iterations=3)
 
     def gradients(loss_fn):
@@ -285,6 +332,74 @@ def test_sentence_loss_matches_the_pair_list_engine(n, switches):
     assert got.keys() == want.keys()
     for name, g in want.items():
         assert np.max(np.abs(got[name] - g)) <= 1e-9 * np.max(np.abs(g)), name
+
+
+def _assert_matches_the_per_message_reference(model, sentence, gold):
+    """lbp_run and the per-message reference on one sentence: every logit
+    grid and message tensor bitwise equal, and every parameter gradient of
+    the training loss within 1e-12 of the reference's largest entry."""
+    cfg = TrainConfig(inference="lbp", iterations=3)
+
+    def run(engine):
+        model.zero_grad()
+        scores, pot = sentence_potentials(model, sentence, "lbp")
+        state = engine(pot, cfg.iterations)
+        loss = combined_loss(edge_loss(state, gold), label_loss(scores, gold, model.vocab),
+                             cfg.interpolation)
+        ad.backward([loss], [1.0])
+        return state, {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
+
+    got_state, got = run(lbp_run)
+    want_state, want = run(reference_lbp_run)
+    for t in range(cfg.iterations + 1):
+        np.testing.assert_array_equal(got_state.logits[t].data, want_state.logits[t].data)
+        assert got_state.messages[t].keys() == want_state.messages[t].keys()
+        for name, message in want_state.messages[t].items():
+            np.testing.assert_array_equal(got_state.messages[t][name].data, message.data)
+    assert got.keys() == want.keys()
+    for name, g in want.items():
+        assert np.max(np.abs(got[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+@pytest.mark.parametrize("switches", PART_SWITCHES)
+@pytest.mark.parametrize("n", [2, 8])
+def test_unrolled_node_matches_the_per_message_reference(n, switches):
+    _assert_matches_the_per_message_reference(*_small_model(n, switches))
+
+
+def test_unrolled_node_matches_the_per_message_reference_on_guarded_cells(monkeypatch):
+    """Trained-scale part scores, where cells take both guards of the
+    message kernel: P < -1/2 and |s| > SHIFT_BOUND."""
+    counts = _guard_counter(monkeypatch)
+    _assert_matches_the_per_message_reference(*_small_model(8, {}, tri_scale=2.5))
+    assert counts["cancel"] and counts["wide"]
+
+
+def test_backward_twice_gives_equal_gradients():
+    """The node's backward writes into no array it keeps, so a second
+    sweep over the same loss repeats the first bit for bit."""
+    model, sentence, gold = _small_model(8, {}, tri_scale=2.5)
+    loss = sentence_loss(model, sentence, gold, TrainConfig(inference="lbp", iterations=3))
+    grads = []
+    for _ in range(2):
+        model.zero_grad()
+        ad.backward([loss], [1.0])
+        grads.append({k: p.grad.copy() for k, p in model.params.items() if p.grad is not None})
+    assert grads[0].keys() == grads[1].keys()
+    for name, g in grads[0].items():
+        np.testing.assert_array_equal(grads[1][name], g)
+
+
+def test_all_sweeps_are_one_node_and_only_the_last_grid_carries_gradient():
+    pot = random_potentials(4, np.random.default_rng(5), coupling_scale=0.5, requires_grad=True)
+    state = lbp_run(pot, iterations=3)
+    assert state.logits[0] is pot.edge_scores
+    assert state.logits[-1]._parents == (pot.edge_scores, *pot.scores.values())
+    assert not any(grid.requires_grad for grid in state.logits[1:-1])
+    assert not any(m.requires_grad for messages in state.messages for m in messages.values())
+    fixed = lbp_run(random_potentials(4, np.random.default_rng(5), coupling_scale=0.5), 3)
+    assert not fixed.logits[-1].requires_grad
+    np.testing.assert_array_equal(fixed.logits[-1].data, state.logits[-1].data)
 
 
 def test_one_training_step_peaks_below_the_declared_bytes_per_cell():

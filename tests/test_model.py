@@ -9,7 +9,7 @@ import pytest
 import sdparse.autodiff as ad
 from sdparse.errors import ConfigError
 from sdparse.graph import Sentence, Token
-from sdparse.model import ROLES, ModelConfig, ParserModel, trilinear
+from sdparse.model import ROLES, ModelConfig, ParserModel
 from sdparse.potentials import from_factors
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import toy_corpus
@@ -199,6 +199,12 @@ def biaffine(v1, v2, U, b):
 def diagonal_biaffine(v1, v2, W, b):
     """Per-label scores sum_m W[m,l] v1[m] v2[m] + b[l]."""
     return ad.matmul(ad.mul(v1, v2), W) + b
+
+
+def trilinear(v1, v2, v3, U1, U2, U3):
+    """Rank-decomposed trilinear form: sum_m (U1 v1)_m (U2 v2)_m (U3 v3)_m."""
+    return ad.tensor_sum(ad.mul(ad.mul(ad.matmul(U1, v1), ad.matmul(U2, v2)),
+                                ad.matmul(U3, v3)))
 
 
 def test_biaffine_hand_value():
