@@ -47,8 +47,8 @@ for t in range(state.iterations + 1):
     q = float(state.q1(t)[0])
     print(f"  t={t}: belief = {q:.6f}")
 print("directed messages after the first round (log m(1) - log m(0)):")
-ratios = state.message_values(1)
-for (src, dst, kind, part), ratio in zip(state.directed_messages(), ratios):
+first = run_inference(pot, "lbp", 1)
+for (src, dst, kind, part), ratio in zip(first.directed_messages(), first.message_values()):
     print(f"  {src} -> {dst} via {kind} part {part}: "
           f"log-odds = {float(ratio):.6f} "
           f"(closed form log 1.5 = {math.log(1.5):.6f})")

@@ -12,7 +12,7 @@ from .autodiff import Tensor, backward
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .errors import CapacityError, ConfigError, DataError, NumericError
-from .exact import ExactResult, exact_infer, exact_map
+from .exact import ExactResult, exact_infer
 from .graph import (CandidateEdgeSet, SemGraph, Sentence, Token, build_candidate_edges,
                     decode, has_cycle)
 from .lbp import lbp_run

@@ -1,9 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Everything is float64. A ``Tensor`` wraps an ndarray plus an optional tape
-entry (parent tensors and a vector-Jacobian-product closure). Ops only
-record a tape entry when some input requires gradients, so constant
-subgraphs cost nothing on the backward pass.
+Everything is float64 but a boolean array, which stays boolean as a
+constant factor (a mask): its product with a float64 array, and that
+product's vjp, are bitwise the float ones. A ``Tensor`` wraps an ndarray
+plus an optional tape entry (parent tensors and a vector-Jacobian-product
+closure). Ops only record a tape entry when some input requires
+gradients, so constant subgraphs cost nothing on the backward pass.
 
 ``backward(outputs, seeds)`` runs one reverse sweep. Gradients of interior
 nodes are reset at the start of every sweep; gradients of leaves (the
@@ -44,7 +46,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_owned")
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        bool_array = isinstance(data, np.ndarray) and data.dtype == np.bool_
+        self.data = data if bool_array else np.asarray(data, dtype=np.float64)
         self.grad = None
         self._owned = None   # a weak reference to the leaf gradient backward owns
         self.requires_grad = requires_grad

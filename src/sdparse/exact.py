@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import CapacityError
 
-__all__ = ["ExactResult", "exact_infer", "exact_map", "ENUMERATION_CAP"]
+__all__ = ["ExactResult", "exact_infer", "ENUMERATION_CAP"]
 
 ENUMERATION_CAP = 20
 
@@ -23,8 +23,6 @@ ENUMERATION_CAP = 20
 class ExactResult:
     log_partition: float
     marginals: dict          # edge tuple -> P(edge on)
-    map_assignment: tuple    # on-edges of the best assignment, canonical order
-    map_log_score: float
 
 
 _BLOCK = 1 << 12  # assignments scored at a time
@@ -60,19 +58,4 @@ def exact_infer(pot):
     index = np.arange(len(scores))
     marginals = {edge: float(np.exp(_logsumexp(scores[(index >> k) & 1 == 1]) - log_z))
                  for k, edge in enumerate(pot.edges)}
-    map_edges, map_score = _map_from_scores(pot, scores)
-    return ExactResult(log_z, marginals, map_edges, map_score)
-
-
-def _map_from_scores(pot, scores):
-    best = np.max(scores)
-    # ties broken by the lexicographically smallest on-edge set
-    candidates = np.nonzero(scores == best)[0]
-    edges = pot.edges
-    sets = [tuple(edges[k] for k in range(len(edges)) if (i >> k) & 1) for i in candidates]
-    return min(sets), float(best)
-
-
-def exact_map(pot):
-    edges, _ = _map_from_scores(pot, _assignment_scores(pot))
-    return edges
+    return ExactResult(log_z, marginals)

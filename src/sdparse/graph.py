@@ -64,10 +64,6 @@ class Sentence:
     def n(self):
         return len(self.tokens)
 
-    def token(self, i):
-        """Word i, 1-based."""
-        return self.tokens[i - 1]
-
 
 class SemGraph:
     """A labeled dependency graph: edges are (head, dep, label) triples."""

@@ -46,14 +46,16 @@ Updates are synchronous; messages start at 0.
 All T sweeps are one autodiff node, the last logit grid, with the edge
 scores and the score tensors as parents; only that grid carries gradient.
 It keeps logistic(c) and logistic(c + s) of every message and sweep: the
-messages and the earlier grids go to the state as constants. Its backward
-walks the sweeps in reverse once. A message's gradient (its target grid's,
-broadcast, less the aligned cavity gradient of the next sweep's message
-that read it as its reverse) is written into that cavity gradient's
-buffer, and each part type's score gradient is summed in place.
-The state (``potentials.InferenceState``) keeps the grid l and the
-message tensors of each iteration and reads the edges' beliefs from l
-through the edge mask: b1 = exp(-softplus(-l)) is the logistic of l.
+last sweep's messages and the earlier grids go to the state as constants.
+Its backward walks the sweeps in reverse once. A message's gradient (its
+target grid's, broadcast, less the aligned cavity gradient of the next
+sweep's message that read it as its reverse) is written into that cavity
+gradient's buffer, and each part type's score gradient is summed in
+place.
+The state (``potentials.InferenceState``) keeps the grid l of each
+iteration and the last sweep's message tensors, and reads the edges'
+beliefs from l through the edge mask: b1 = exp(-softplus(-l)) is the
+logistic of l.
 """
 
 from __future__ import annotations
@@ -74,11 +76,10 @@ def lbp_run(pot, iterations=3):
     normalized unaries. Only the last grid carries gradient."""
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
-    state = InferenceState(pot, [pot.edge_scores], [{}])
+    state = InferenceState(pot, [pot.edge_scores])
     if not pot.scores:
         # no part sends a message: every iterate is the unary grid
         state.logits += [pot.edge_scores] * iterations
-        state.messages += [{}] * iterations
         return state
     names = [name for name, spec in MESSAGES.items() if spec[0] in pot.scores]
     scores = {kind: s.data for kind, s in pot.scores.items()}
@@ -102,8 +103,8 @@ def lbp_run(pot, iterations=3):
             total = total + message.sum(axis=target)
         logistics.append(sweep)
         state.logits.append(ad.constant(total))
-        state.messages.append({name: ad.constant(r) for name, r in messages.items()})
         grid, previous = total, messages
+    state.messages = {name: ad.constant(r) for name, r in messages.items()}
     if keep:
         state.logits[-1] = ad.Tensor(total, requires_grad=True, _parents=parents,
                                      _vjp=_unrolled_vjp(names, logistics, list(pot.scores)))

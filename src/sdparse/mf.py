@@ -19,8 +19,8 @@ The field is computed in one of two ways, with the same result:
   with, per message tensor of ``potentials.MESSAGES``, the source edges'
   Q times the part scores, summed into the targets; O(n^3) per
   iteration. Hand-built instances, ``trace`` and the tests use this
-  form, and the state keeps the message tensors, so ``message_values``
-  reads each part's two field terms.
+  form, and the state keeps the last iteration's message tensors, so
+  ``message_values`` reads each part's two field terms.
 * From the scorer's factors (``ScoreFactors``). Every part score is the
   rank-d form sum_m g1[a,m] g2[b,m] g3[c,m] over the part's first edge
   (a, b) and third node c, so the field factorises over m:
@@ -64,14 +64,13 @@ def mf_run(pot, iterations=3, clamp=DEFAULT_CLAMP):
     are just the unary scores."""
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
-    mask = ad.constant(pot.edge_set.mask.astype(np.float64))
+    mask = ad.constant(pot.edge_set.mask)
     field = _dense_field(pot) if isinstance(pot, LogPotentials) else _factored_field(pot)
-    state = InferenceState(pot, [_clamped(pot.edge_scores, clamp)], [{}])
+    state = InferenceState(pot, [_clamped(pot.edge_scores, clamp)])
     for _ in range(iterations):
         # Q is 0 off the edge mask, so padding never enters a field
-        messages, total = field(ad.mul(ad.sigmoid(state.logits[-1]), mask))
+        state.messages, total = field(ad.mul(ad.sigmoid(state.logits[-1]), mask))
         state.logits.append(_clamped(ad.add(pot.edge_scores, total), clamp))
-        state.messages.append(messages)
     return state
 
 

@@ -246,9 +246,6 @@ class ParserModel:
         for p in self.params.values():
             p.grad = None
 
-    def num_params(self):
-        return sum(p.size for p in self.params.values())
-
     def param_groups(self):
         """Logical parameter groups, used for gradient-check coverage."""
         groups = {"embeddings": [], "encoder": [], "projections": [],

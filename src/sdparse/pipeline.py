@@ -27,7 +27,7 @@ __all__ = ["run_inference", "parse_sentence", "trace_sentence", "PAIR_LENGTH_CAP
 # Longest sentence the dense (n+1)^3 path accepts: the longest whose LBP
 # training step (loss and backward, T = 3, desk dims) fits the budget the
 # pair list had at n = 90. The step's traced peak per (n+1)^3 cell falls
-# with n (430, 410 and 401 bytes at n = 30, 45 and 60) and stays under
+# with n (403, 360 and 345 bytes at n = 30, 45 and 60) and stays under
 # PAIR_BYTES_PER_CELL from n = 30 on, so n = 132 (2.35M cells) peaks
 # below 1.04 GiB. Mean-field is O(n^2) and uncapped.
 PAIR_MEMORY_BUDGET = 1.05 * 2**30
@@ -78,10 +78,12 @@ def trace_sentence(model, sentence, engine="mf", iterations=3,
                    clamp=mf.DEFAULT_CLAMP):
     """Per-iteration marginals and per-part message terms, JSON-ready.
 
-    Each directed message reports the state's ``message_values``:
-    mean-field the signed field contribution Q_src * s_part the source
-    edge sends its partner (key ``value``), belief propagation the
-    log-odds log m(1) - log m(0) (key ``log_odds``).
+    Each directed message of iteration t reports the ``message_values``
+    of a t-sweep run, whose sweeps are the first t of the full run because
+    both engines are deterministic: mean-field the signed field contribution
+    Q_src * s_part the source edge sends its partner (key ``value``),
+    belief propagation the log-odds log m(1) - log m(0) (key
+    ``log_odds``).
     """
     # both engines run on the dense layout, which names every part
     _, pot = sentence_potentials(model, sentence, engine="lbp")
@@ -95,7 +97,7 @@ def trace_sentence(model, sentence, engine="mf", iterations=3,
     steps = []
     for t in range(state.iterations + 1):
         q = state.q1(t)
-        values = state.message_values(t).tolist() if t > 0 else []
+        values = run_inference(pot, engine, t, clamp).message_values().tolist() if t else []
         steps.append({
             "iteration": t,
             "q": {name(e): float(q[k]) for k, e in enumerate(pot.edges)},

@@ -26,9 +26,10 @@ enumerating a part; ``from_arrays`` scatters edges and pairs in.
 
 ``InferenceState`` is the trajectory both engines keep: per iteration
 one logit grid, read through the edge mask into per-edge vectors, and
-the (n+1)^3 message tensors, read through the part masks into per-part
-values. ``sweep`` is dense mean-field's pass over ``MESSAGES``; loopy BP
-runs the same pass on arrays inside its one unrolled node.
+the last sweep's (n+1)^3 message tensors, read through the part masks
+into per-part values. ``sweep`` is dense mean-field's pass over
+``MESSAGES``; loopy BP runs the same pass on arrays inside its one
+unrolled node.
 """
 
 from __future__ import annotations
@@ -151,22 +152,23 @@ class LogPotentials:
 class InferenceState:
     """The trajectory of either engine over the potentials ``pot`` (a
     LogPotentials or ScoreFactors): ``logits[t]`` is the (n+1) x (n+1)
-    grid of edge logits after iteration t, t = 0..T, and ``messages[t]``
-    maps each name of ``MESSAGES`` to the (n+1)^3 message tensor that
-    built it ({} at t = 0 and on the factored mean-field path). The
-    per-edge readings are the grids gathered through the edge mask, in
+    grid of edge logits after iteration t, t = 0..T, and ``messages``
+    maps each name of ``MESSAGES`` to the (n+1)^3 message tensor of the
+    last sweep ({} on the factored mean-field path and with no parts).
+    The per-edge readings are the grids gathered through the edge mask, in
     edge order; the per-part ones are the message tensors read through the
-    part masks, in part order.
+    part masks, in part order. The engines are deterministic, so the
+    messages of sweep t are those of a t-sweep run.
 
     Under loopy BP all T sweeps are one autodiff node, ``logits[-1]``:
     past the edge scores at t = 0, only the last grid carries gradient, and
-    the other grids and every message tensor are constants, so a loss reads
+    the other grids and the message tensors are constants, so a loss reads
     the last grid (``final_log_marginals`` does). Mean-field's grids and
     message tensors all stay on the tape."""
 
     pot: object
     logits: list = field(default_factory=list)    # Tensors, (n+1, n+1)
-    messages: list = field(default_factory=list)  # dicts of Tensors, (n+1)^3
+    messages: dict = field(default_factory=dict)  # name -> Tensor, (n+1)^3
 
     @property
     def iterations(self):
@@ -195,21 +197,19 @@ class InferenceState:
         return [message for a, b, kind, part in self.pot.pairs()
                 for message in ((b, a, kind, part), (a, b, kind, part))]
 
-    def message_values(self, t=-1):
-        """The messages of iteration t at each part of a LogPotentials, in
-        ``directed_messages()`` order (all 0 at t = 0): into the first edge
-        from the aligned reverse tensor, into the second from the forward
-        one. Mean-field's message is Q^{t-1}(src) * s_part, belief
-        propagation's log m(1) - log m(0). A factored mean-field state
-        keeps no message tensor and raises ConfigError."""
+    def message_values(self):
+        """The last sweep's messages at each part of a LogPotentials, in
+        ``directed_messages()`` order: into the first edge from the aligned
+        reverse tensor, into the second from the forward one. Mean-field's
+        message is Q^{T-1}(src) * s_part, belief propagation's
+        log m(1) - log m(0). A factored mean-field state keeps no message
+        tensor and raises ConfigError."""
         if not isinstance(self.pot, LogPotentials):
             raise ConfigError(
                 "the factored mean-field path keeps no message tensors; read "
                 "per-part messages from `trace` or a state on the dense layout "
                 "(potentials.from_factors)")
-        messages = self.messages[t]
-        if not messages:
-            return np.zeros(2 * self.pot.pair_count)
+        messages = self.messages
         into_first = self.pot.gather({
             kind: aligned(messages[MESSAGES[FORWARD[kind]][3]].data, kind) for kind in self.pot.scores})
         into_second = self.pot.gather({kind: messages[FORWARD[kind]].data

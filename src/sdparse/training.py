@@ -28,6 +28,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError
 from .metrics import f1
+from .mf import DEFAULT_CLAMP
 from .pipeline import parse_sentence, run_inference, sentence_potentials
 
 __all__ = [
@@ -58,7 +59,7 @@ class TrainConfig:
     seed: int = 1
     max_sentence_length: int = 60
     threshold: float = 0.5
-    logit_clamp: float = 30.0
+    logit_clamp: float = DEFAULT_CLAMP
 
     def __post_init__(self):
         if self.l2 is None:

@@ -5,7 +5,8 @@ Each message update is its own tape node over ``autodiff.message_kernel``,
 and each sweep is ``potentials.sweep``: the source grid reshaped to a unit
 axis, the reverse tensor aligned by a transpose node, and every message
 summed into the next grid by a ``tensor_sum`` and an ``add`` node. Every
-logit grid and message tensor of the trajectory carries gradient.
+logit grid and message tensor of the trajectory carries gradient; the
+state keeps the last sweep's messages.
 """
 
 from __future__ import annotations
@@ -37,16 +38,15 @@ def cavity_message(source, reverse, s, shift):
 
 def reference_lbp_run(pot, iterations=3):
     """``lbp.lbp_run`` with one node per message and sweep."""
-    state = InferenceState(pot, [pot.edge_scores], [{}])
+    state = InferenceState(pot, [pot.edge_scores])
     shifts = {kind: ad.message_shift(s.data) for kind, s in pot.scores.items()}
 
     def update(kind, reverse, source):
-        previous = state.messages[-1]
+        previous = state.messages
         return cavity_message(source, aligned(previous[reverse], kind) if previous else None,
                               pot.scores[kind], shifts[kind])
 
     for _ in range(iterations):
-        messages, logit = sweep(pot, state.logits[-1], update, pot.edge_scores)
+        state.messages, logit = sweep(pot, state.logits[-1], update, pot.edge_scores)
         state.logits.append(logit)
-        state.messages.append(messages)
     return state

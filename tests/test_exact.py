@@ -11,7 +11,7 @@ import pytest
 
 from sdparse import exact
 from sdparse.errors import CapacityError
-from sdparse.exact import ENUMERATION_CAP, exact_infer, exact_map
+from sdparse.exact import ENUMERATION_CAP, exact_infer
 from sdparse.potentials import from_arrays
 from sdparse.synthetic import random_potentials, two_edge_instance
 
@@ -19,17 +19,15 @@ from conftest import joint_log_score
 
 
 def slow_enumerate(pot):
-    """Reference enumeration: python loops, no bit tricks."""
+    """Reference enumeration: python loops, no bit tricks. Returns
+    (log Z, marginals, best assignment's log score)."""
     edges = pot.edges
     scores = []
     marg_mass = {e: 0.0 for e in edges}
-    best, best_edges = -math.inf, None
     for bits in itertools.product((0, 1), repeat=len(edges)):
         on = {e for e, b in zip(edges, bits) if b}
         s = joint_log_score(pot, on)
         scores.append(s)
-        if s > best + 1e-12:
-            best, best_edges = s, on
     log_z = np.logaddexp.reduce(scores)
     # second pass for marginals to keep the code dead simple
     for e_pos, e in enumerate(edges):
@@ -39,7 +37,7 @@ def slow_enumerate(pot):
                 on = {ee for ee, b in zip(edges, bits) if b}
                 on_scores.append(joint_log_score(pot, on))
         marg_mass[e] = math.exp(np.logaddexp.reduce(on_scores) - log_z)
-    return log_z, marg_mass, best, best_edges
+    return log_z, marg_mass, max(scores)
 
 
 def test_single_edge_closed_form():
@@ -66,41 +64,15 @@ def test_zero_potentials_give_uniform_marginals():
         assert p == pytest.approx(0.5, abs=1e-13)
 
 
-def test_map_prefers_empty_graph_for_negative_scores():
-    pot = from_arrays(((0, 1),), np.array([-1.0]), [])
-    res = exact_infer(pot)
-    assert res.map_assignment == ()
-    assert res.map_log_score == 0.0
-    assert exact_map(pot) == ()
-
-
-def test_map_turns_on_pair_when_coupling_pays():
-    pot = two_edge_instance(1.0, unaries=(-0.1, -0.1))
-    res = exact_infer(pot)
-    assert set(res.map_assignment) == {(0, 1), (0, 2)}
-    assert res.map_log_score == pytest.approx(0.8)
-
-
-def test_map_tie_breaks_toward_smallest_edge_set():
-    # all assignments score zero: the empty set wins the tie
-    pot = two_edge_instance(0.0)
-    assert exact_infer(pot).map_assignment == ()
-    # {e1} and {e2} tie ahead of the rest: the lexicographically first wins
-    pot2 = from_arrays(((0, 1), (0, 2)), np.array([1.0, 1.0]), [((0, 1), (0, 2), -5.0, "sib")])
-    assert exact_infer(pot2).map_assignment == ((0, 1),)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n", [2, 3])
 def test_matches_independent_enumerator(seed, n):
     pot = random_potentials(n, np.random.default_rng(seed), coupling_scale=0.5)
     res = exact_infer(pot)
-    log_z, marg, best, best_edges = slow_enumerate(pot)
+    log_z, marg, _ = slow_enumerate(pot)
     assert res.log_partition == pytest.approx(log_z, abs=1e-10)
     for e in pot.edges:
         assert res.marginals[e] == pytest.approx(marg[e], abs=1e-10)
-    assert res.map_log_score == pytest.approx(best, abs=1e-10)
-    assert set(res.map_assignment) == best_edges
 
 
 def test_enumeration_cap_is_enforced():
@@ -115,7 +87,7 @@ def test_partition_dominates_best_and_empty():
     for seed in range(5):
         pot = random_potentials(3, np.random.default_rng(seed), coupling_scale=0.3)
         res = exact_infer(pot)
-        assert res.log_partition >= res.map_log_score
+        assert res.log_partition >= slow_enumerate(pot)[2]
         assert res.log_partition >= 0.0  # the empty assignment always scores zero
         assert all(0.0 <= p <= 1.0 for p in res.marginals.values())
 
@@ -133,9 +105,7 @@ def test_block_size_does_not_change_the_result(monkeypatch, block):
     pot = random_potentials(3, np.random.default_rng(4), coupling_scale=0.8)
     monkeypatch.setattr(exact, "_BLOCK", block)
     res = exact_infer(pot)
-    log_z, marg, best, best_edges = slow_enumerate(pot)
+    log_z, marg, _ = slow_enumerate(pot)
     assert res.log_partition == pytest.approx(log_z, abs=1e-12)
     for e in pot.edges:
         assert res.marginals[e] == pytest.approx(marg[e], abs=1e-12)
-    assert res.map_log_score == pytest.approx(best, abs=1e-12)
-    assert set(res.map_assignment) == best_edges == set(exact_map(pot))

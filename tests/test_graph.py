@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from sdparse.errors import DataError
 from sdparse.graph import (
     SemGraph,
-    Sentence,
-    Token,
     build_candidate_edges,
     decode,
     has_cycle,
@@ -181,13 +179,6 @@ def test_semgraph_label_lookup_and_equality():
     assert g == SemGraph(2, [(1, 2, "a")])
     assert g != SemGraph(2, [(1, 2, "b")])
     assert set(g.edge_pairs()) == {(1, 2)}
-
-
-def test_sentence_indexing_is_one_based():
-    s = Sentence(tokens=(Token("x", "x", "N"), Token("y", "y", "V")))
-    assert s.n == 2
-    assert s.token(1).form == "x"
-    assert s.token(2).form == "y"
 
 
 # candidate edges of n = 2 in edge order: (0,1), (0,2), (1,2), (2,1)

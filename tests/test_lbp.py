@@ -17,7 +17,8 @@ from sdparse.config import RunConfig
 from sdparse.exact import exact_infer
 from sdparse.lbp import lbp_run
 from sdparse.model import ModelConfig, ParserModel
-from sdparse.pipeline import PAIR_BYTES_PER_CELL, sentence_potentials
+from sdparse.pipeline import (PAIR_BYTES_PER_CELL, run_inference, sentence_potentials,
+                              trace_sentence)
 from sdparse.potentials import from_arrays
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
@@ -83,10 +84,10 @@ def test_initial_beliefs_are_sigmoid_of_unary():
 
 def test_message_log_odds_match_normalized_reference():
     pot = random_potentials(3, np.random.default_rng(2), coupling_scale=0.8)
-    state = lbp_run(pot, iterations=4)
     _, want = naive_lbp(pot, 4)
     for t in range(1, 5):
-        np.testing.assert_allclose(state.message_values(t), want[t], atol=1e-12)
+        np.testing.assert_allclose(lbp_run(pot, iterations=t).message_values(), want[t],
+                                   atol=1e-12)
 
 
 def test_beliefs_stay_normalized():
@@ -101,11 +102,12 @@ def test_beliefs_stay_normalized():
 def test_two_edge_hand_messages_and_beliefs():
     # coupling log 2, zero unaries: after one round each direction sends
     # (2/5, 3/5) and both beliefs land exactly on the true marginal 0.6
-    state = lbp_run(two_edge_instance(math.log(2.0)), iterations=3)
-    ratio = state.message_values(1)
+    pot = two_edge_instance(math.log(2.0))
+    state = lbp_run(pot, iterations=3)
+    ratio = lbp_run(pot, iterations=1).message_values()
     np.testing.assert_allclose(1.0 / (1.0 + np.exp(ratio)), 0.4, atol=1e-14)
     np.testing.assert_allclose(1.0 / (1.0 + np.exp(-ratio)), 0.6, atol=1e-14)
-    np.testing.assert_allclose(state.message_values(1), math.log(1.5), atol=1e-14)
+    np.testing.assert_allclose(ratio, math.log(1.5), atol=1e-14)
     for t in (1, 2, 3):
         np.testing.assert_allclose(state.q1(t), 0.6, atol=1e-14)
 
@@ -159,11 +161,11 @@ def test_dense_messages_match_naive_reference(n, off):
     pot = _without(random_potentials(n, np.random.default_rng(40 + n), coupling_scale=0.7), off)
     state = lbp_run(pot, iterations=4)
     want_q, want_ratios = naive_lbp(pot, 4)
-    assert state.message_values(0).shape == (2 * pot.pair_count,)
+    assert state.message_values().shape == (2 * pot.pair_count,)
     for t in range(1, 5):
         np.testing.assert_allclose(state.q1(t), want_q[t], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state.message_values(t), want_ratios[t],
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lbp_run(pot, iterations=t).message_values(),
+                                   want_ratios[t], rtol=0, atol=1e-12)
     if off is not None:
         assert off not in pot.scores and off not in pot.part_masks
 
@@ -183,7 +185,7 @@ def test_message_order_follows_the_parts():
     assert [d[:2] for d in state.directed_messages()] == [
         ((0, 2), (0, 1)), ((0, 1), (0, 2)), ((2, 1), (0, 1)), ((0, 1), (2, 1)),
         ((3, 2), (1, 3)), ((1, 3), (3, 2))]
-    np.testing.assert_allclose(state.message_values(2), naive_lbp(pot, 2)[1][2],
+    np.testing.assert_allclose(state.message_values(), naive_lbp(pot, 2)[1][2],
                                rtol=0, atol=1e-15)
 
 
@@ -334,10 +336,19 @@ def test_sentence_loss_matches_the_pair_list_engine(n, switches):
         assert np.max(np.abs(got[name] - g)) <= 1e-9 * np.max(np.abs(g)), name
 
 
+def _assert_messages_equal(got, want):
+    """Two states' message dicts hold bitwise-equal tensors under the same
+    names."""
+    assert got.messages.keys() == want.messages.keys()
+    for name, message in want.messages.items():
+        np.testing.assert_array_equal(got.messages[name].data, message.data)
+
+
 def _assert_matches_the_per_message_reference(model, sentence, gold):
     """lbp_run and the per-message reference on one sentence: every logit
-    grid and message tensor bitwise equal, and every parameter gradient of
-    the training loss within 1e-12 of the reference's largest entry."""
+    grid, and the message tensors of a run of every depth, bitwise equal,
+    and every parameter gradient of the training loss within 1e-12 of the
+    reference's largest entry."""
     cfg = TrainConfig(inference="lbp", iterations=3)
 
     def run(engine):
@@ -353,9 +364,8 @@ def _assert_matches_the_per_message_reference(model, sentence, gold):
     want_state, want = run(reference_lbp_run)
     for t in range(cfg.iterations + 1):
         np.testing.assert_array_equal(got_state.logits[t].data, want_state.logits[t].data)
-        assert got_state.messages[t].keys() == want_state.messages[t].keys()
-        for name, message in want_state.messages[t].items():
-            np.testing.assert_array_equal(got_state.messages[t][name].data, message.data)
+    for t in range(1, cfg.iterations + 1):
+        _assert_messages_equal(lbp_run(got_state.pot, t), reference_lbp_run(want_state.pot, t))
     assert got.keys() == want.keys()
     for name, g in want.items():
         assert np.max(np.abs(got[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
@@ -396,10 +406,43 @@ def test_all_sweeps_are_one_node_and_only_the_last_grid_carries_gradient():
     assert state.logits[0] is pot.edge_scores
     assert state.logits[-1]._parents == (pot.edge_scores, *pot.scores.values())
     assert not any(grid.requires_grad for grid in state.logits[1:-1])
-    assert not any(m.requires_grad for messages in state.messages for m in messages.values())
+    for t in (1, 2, 3):
+        assert not any(m.requires_grad for m in lbp_run(pot, iterations=t).messages.values())
     fixed = lbp_run(random_potentials(4, np.random.default_rng(5), coupling_scale=0.5), 3)
     assert not fixed.logits[-1].requires_grad
     np.testing.assert_array_equal(fixed.logits[-1].data, state.logits[-1].data)
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_the_state_keeps_one_dict_of_the_last_sweeps_messages(iterations):
+    pot = random_potentials(4, np.random.default_rng(5), coupling_scale=0.5, requires_grad=True)
+    state = lbp_run(pot, iterations)
+    assert list(state.messages) == ["sib", "cop", "down", "up"]
+    _assert_messages_equal(state, reference_lbp_run(pot, iterations))
+
+
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_trace_sentence_reads_each_depth_from_a_run_of_that_depth(engine):
+    model, sentence, _ = _small_model(5, {})
+    _, pot = sentence_potentials(model, sentence, "lbp")
+    key = "value" if engine == "mf" else "log_odds"
+
+    def name(edge):
+        return f"{edge[0]}->{edge[1]}"
+
+    steps = []
+    for t in range(4):
+        # a one-sweep run holds the grid of depth 0 too
+        state = run_inference(pot, engine, max(t, 1))
+        messages = zip(state.directed_messages(), state.message_values().tolist()) if t else ()
+        steps.append({"iteration": t,
+                      "q": dict(zip(map(name, pot.edges), state.q1(t).tolist())),
+                      "messages": [{"src": name(src), "dst": name(dst), "type": kind,
+                                    "part": list(part), key: value}
+                                   for (src, dst, kind, part), value in messages]})
+    assert trace_sentence(model, sentence, engine, iterations=3) == {
+        "n": 5, "engine": engine, "iterations": 3, "edges": list(map(name, pot.edges)),
+        "steps": steps}
 
 
 def test_one_training_step_peaks_below_the_declared_bytes_per_cell():

@@ -74,8 +74,8 @@ def test_every_iterate_matches_the_pair_list(n, switches, clamp):
     want = mf_run(pot, ITERATIONS, clamp)
     factors = model.score_factors(sentence)
     got = mf_run(factors, ITERATIONS, clamp)
-    # the factored field keeps no message tensor
-    assert got.messages == [{}] * (ITERATIONS + 1)
+    # the factored field keeps no message tensor, at any depth
+    assert all(mf_run(factors, t, clamp).messages == {} for t in range(1, ITERATIONS + 1))
     assert got.iterations == ITERATIONS
     for t in range(ITERATIONS + 1):
         np.testing.assert_allclose(got.q1(t), want.q1(t), rtol=0, atol=1e-12)
@@ -93,10 +93,10 @@ def test_every_iterate_matches_the_pair_list(n, switches, clamp):
 def test_message_values_of_a_factored_state_is_a_config_error():
     model, _ = _model(_vocab())
     sentence, _ = _sentence(4, seed=3)
-    state = mf_run(model.score_factors(sentence), ITERATIONS)
-    for t in (0, -1):
+    factors = model.score_factors(sentence)
+    for t in (1, ITERATIONS):
         with pytest.raises(ConfigError, match="keeps no message tensors.*trace"):
-            state.message_values(t)
+            mf_run(factors, t).message_values()
 
 
 @pytest.mark.parametrize("clamp", [30.0, None])

@@ -51,6 +51,16 @@ def test_from_factors_preserves_scores_and_pair_wiring(scored):
     np.testing.assert_allclose(pot.part_scores(), want, rtol=0, atol=1e-12)
 
 
+def test_each_score_multiplies_the_part_mask_it_keeps(scored):
+    # the mask factor on the tape is the potentials' boolean mask itself,
+    # not a float64 copy of it
+    pot = from_factors(scored)
+    assert pot.scores.keys() == pot.part_masks.keys() == {"sib", "cop", "gp"}
+    for kind, s in pot.scores.items():
+        masked = s._parents[0] if kind in ("sib", "cop") else s  # sib, cop: s + its mirror
+        assert masked._parents[1].data is pot.part_masks[kind]
+
+
 def test_from_arrays_validates_lengths():
     edges = ((0, 1), (0, 2))
     with pytest.raises(DataError):
@@ -139,11 +149,12 @@ def test_from_arrays_sorts_reversed_parts():
             message for a, b, kind, part in want
             for message in ((b, a, kind, part), (a, b, kind, part))]
         for t in (1, 2, 3):
-            np.testing.assert_array_equal(got.message_values(t), ref.message_values(t))
+            np.testing.assert_array_equal(run_inference(given, engine, t).message_values(),
+                                          run_inference(ordered, engine, t).message_values())
         assert got.marginals() == ref.marginals(), engine
     # mean-field's first readout, by hand: Q^0(src) * s per direction
     q0 = 1.0 / (1.0 + np.exp(-unary))
-    np.testing.assert_allclose(run_inference(given, "mf", 1).message_values(1), [
+    np.testing.assert_allclose(run_inference(given, "mf", 1).message_values(), [
         q0[1] * -0.4, q0[0] * -0.4, q0[2] * 0.7, q0[1] * 0.7,
         q0[3] * -0.6, q0[0] * -0.6, q0[4] * 0.9, q0[1] * 0.9], rtol=0, atol=1e-15)
     assert exact_infer(given).marginals == exact_infer(ordered).marginals
