@@ -4,8 +4,11 @@ Everything is float64 but a boolean array, which stays boolean as a
 constant factor (a mask): its product with a float64 array, and that
 product's vjp, are bitwise the float ones. A ``Tensor`` wraps an ndarray
 plus an optional tape entry (parent tensors and a vector-Jacobian-product
-closure). Ops only record a tape entry when some input requires
-gradients, so constant subgraphs cost nothing on the backward pass.
+closure). Ops only record a tape entry while grad is on and some input
+requires gradients, so constant subgraphs cost nothing on the backward
+pass. Grad is on unless a ``no_grad()`` block is open: inside one every
+op returns a constant, so a forward-only call (a parse, a trace, a
+finite-difference loss) keeps no backward state.
 
 ``backward(outputs, seeds)`` runs one reverse sweep. Gradients of interior
 nodes are reset at the start of every sweep; gradients of leaves (the
@@ -29,12 +32,13 @@ node.
 
 from __future__ import annotations
 
+import contextlib
 import weakref
 
 import numpy as np
 
 __all__ = [
-    "Tensor", "constant", "parameter", "backward",
+    "Tensor", "constant", "parameter", "backward", "no_grad", "records",
     "add", "sub", "mul", "neg", "matmul", "linear", "transpose",
     "reshape", "concat", "take", "tensor_sum", "prefix_trilinear",
     "sigmoid", "softplus", "message_kernel", "message_shift", "leaky_relu", "lstm",
@@ -88,8 +92,30 @@ def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_grad_on = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Turn grad off for the block: no op records a tape entry, so every
+    result is a constant. Nested blocks and exceptions restore the flag
+    the block found."""
+    global _grad_on
+    previous, _grad_on = _grad_on, False
+    try:
+        yield
+    finally:
+        _grad_on = previous
+
+
+def records(parents):
+    """Whether an op on ``parents`` records a tape entry: grad is on and
+    some parent requires gradients."""
+    return _grad_on and any(p.requires_grad for p in parents)
+
+
 def _op(data, parents, vjp):
-    if any(p.requires_grad for p in parents):
+    if records(parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
     return Tensor(data)
 

@@ -51,7 +51,9 @@ Its backward walks the sweeps in reverse once. A message's gradient (its
 target grid's, broadcast, less the aligned cavity gradient of the next
 sweep's message that read it as its reverse) is written into that cavity
 gradient's buffer, and each part type's score gradient is summed in
-place.
+place. When the node would not be recorded (``autodiff.records``: under
+``autodiff.no_grad``, or when no input requires gradients) no logistic
+is kept, and the last grid is a constant too.
 The state (``potentials.InferenceState``) keeps the grid l of each
 iteration and the last sweep's message tensors, and reads the edges'
 beliefs from l through the edge mask: b1 = exp(-softplus(-l)) is the
@@ -85,7 +87,7 @@ def lbp_run(pot, iterations=3):
     scores = {kind: s.data for kind, s in pot.scores.items()}
     shifts = {kind: ad.message_shift(s) for kind, s in scores.items()}
     parents = (pot.edge_scores,) + tuple(pot.scores.values())
-    keep = any(p.requires_grad for p in parents)
+    keep = ad.records(parents)
     logistics = []      # per sweep, name -> (logistic(c), logistic(c + s)) if kept
     grid, previous = pot.edge_scores.data, {}
     for _ in range(iterations):

@@ -11,12 +11,17 @@ masks, to report the state's per-part ``message_values`` in part order.
 Decoding is ``graph.decode`` on arrays in edge order: the final
 marginals, the label scores and the vocabulary's label names; it reads a
 label only for the edges whose marginal clears the threshold.
+
+``parse_sentence`` and ``trace_sentence`` are forward-only: they run
+under ``autodiff.no_grad``, so no tape is recorded, LBP keeps no
+logistics for a backward, and nothing they return requires gradients.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
 from . import lbp, mf
 from .errors import CapacityError, ConfigError, NumericError
 from .graph import decode
@@ -26,10 +31,14 @@ __all__ = ["run_inference", "parse_sentence", "trace_sentence", "PAIR_LENGTH_CAP
 
 # Longest sentence the dense (n+1)^3 path accepts: the longest whose LBP
 # training step (loss and backward, T = 3, desk dims) fits the budget the
-# pair list had at n = 90. The step's traced peak per (n+1)^3 cell falls
-# with n (403, 360 and 345 bytes at n = 30, 45 and 60) and stays under
-# PAIR_BYTES_PER_CELL from n = 30 on, so n = 132 (2.35M cells) peaks
-# below 1.04 GiB. Mean-field is O(n^2) and uncapped.
+# pair list had at n = 90. Traced peaks per (n+1)^3 cell at n = 30, 45
+# and 60, which fall with n:
+#   training step   403, 360 and 345 bytes, under PAIR_BYTES_PER_CELL
+#                   from n = 30 on, so n = 132 (2.35M cells) peaks
+#                   below 1.04 GiB;
+#   parse           160, 158 and 157 bytes: ``parse_sentence`` records
+#                   no tape, so LBP keeps no logistics.
+# Mean-field is O(n^2) and uncapped.
 PAIR_MEMORY_BUDGET = 1.05 * 2**30
 PAIR_BYTES_PER_CELL = 470
 PAIR_LENGTH_CAP = int((PAIR_MEMORY_BUDGET / PAIR_BYTES_PER_CELL) ** (1 / 3)) - 1
@@ -48,15 +57,22 @@ def sentence_potentials(model, sentence, engine="mf", train=False, rng=None):
     and, for mean-field, the factors again, otherwise the dense
     LogPotentials built from them. The dense path raises CapacityError
     above PAIR_LENGTH_CAP tokens, before any (n+1)^3 tensor is built."""
-    dense = engine != "mf"
-    if dense and sentence.n > PAIR_LENGTH_CAP:
+    check_length(sentence, engine)
+    factors = model.score_factors(sentence, train=train, rng=rng)
+    return factors, factors if engine == "mf" else from_factors(factors)
+
+
+def check_length(sentence, engine):
+    """Raise CapacityError when ``engine`` runs on the dense (n+1)^3 layout
+    (any engine but mean-field) and ``sentence`` is longer than
+    PAIR_LENGTH_CAP."""
+    if engine != "mf" and sentence.n > PAIR_LENGTH_CAP:
         raise CapacityError(
             f"{sentence.n}-token sentence exceeds the length cap of "
             f"{PAIR_LENGTH_CAP} (engine 'lbp' and trace); mean-field has no cap")
-    factors = model.score_factors(sentence, train=train, rng=rng)
-    return factors, from_factors(factors) if dense else factors
 
 
+@ad.no_grad()
 def parse_sentence(model, sentence, engine="mf", iterations=3, threshold=0.5,
                    clamp=mf.DEFAULT_CLAMP):
     """Parse one sentence; returns (SemGraph, inference state, scores).
@@ -74,6 +90,7 @@ def parse_sentence(model, sentence, engine="mf", iterations=3, threshold=0.5,
     return graph, state, scores
 
 
+@ad.no_grad()
 def trace_sentence(model, sentence, engine="mf", iterations=3,
                    clamp=mf.DEFAULT_CLAMP):
     """Per-iteration marginals and per-part message terms, JSON-ready.

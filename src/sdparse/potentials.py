@@ -164,7 +164,8 @@ class InferenceState:
     past the edge scores at t = 0, only the last grid carries gradient, and
     the other grids and the message tensors are constants, so a loss reads
     the last grid (``final_log_marginals`` does). Mean-field's grids and
-    message tensors all stay on the tape."""
+    message tensors all stay on the tape. A run under ``autodiff.no_grad``
+    records none: every tensor of its state is a constant."""
 
     pot: object
     logits: list = field(default_factory=list)    # Tensors, (n+1, n+1)

@@ -29,7 +29,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, NumericError
 from .metrics import f1
 from .mf import DEFAULT_CLAMP
-from .pipeline import parse_sentence, run_inference, sentence_potentials
+from .pipeline import check_length, parse_sentence, run_inference, sentence_potentials
 
 __all__ = [
     "TrainConfig", "edge_loss", "label_loss", "combined_loss",
@@ -285,12 +285,16 @@ def train(model, train_data, dev_data, cfg, log=None):
     """Train in place; the model ends at its best-dev-F1 parameters.
 
     Sentences over the length cap are dropped from training (kept in dev).
-    One history row per epoch goes to ``log`` if given.
+    A kept or dev sentence the engine cannot take (``check_length``) raises
+    CapacityError before the first step. One history row per epoch goes
+    to ``log`` if given.
     """
     cfg.validate()
     usable = [(s, g) for s, g in train_data if s.n <= cfg.max_sentence_length]
     if not usable:
         raise ConfigError("no training sentences under the length cap")
+    for sentence, _ in usable + list(dev_data or ()):
+        check_length(sentence, cfg.inference)
     batch_rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(cfg.seed + 1)
 
@@ -376,7 +380,9 @@ def gradcheck(model, sentence, gold, cfg, engines=("mf", "lbp"),
     is disabled so the loss is smooth at the checked points. The leaky
     activations are piecewise linear, so a coordinate whose +-step
     interval happens to straddle a kink is retried with a smaller step;
-    a genuine backward bug stays visible at every step size.
+    a genuine backward bug stays visible at every step size. Only the
+    analytic pass records a tape; the finite-difference losses run under
+    ``autodiff.no_grad``.
     """
     rng = np.random.default_rng(seed)
     groups = model.param_groups()
@@ -401,7 +407,8 @@ def gradcheck(model, sentence, gold, cfg, engines=("mf", "lbp"),
             combo_cfg = replace(cfg, inference=engine, iterations=its, logit_clamp=None)
 
             def loss_value():
-                return sentence_loss(model, sentence, gold, combo_cfg).item()
+                with ad.no_grad():
+                    return sentence_loss(model, sentence, gold, combo_cfg).item()
 
             model.zero_grad()
             loss = sentence_loss(model, sentence, gold, combo_cfg)

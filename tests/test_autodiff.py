@@ -446,6 +446,21 @@ def test_constant_requires_no_grad():
     assert not c.requires_grad and c.grad is None
 
 
+def test_no_grad_records_no_tape_entry_and_computes_the_same_values():
+    x = ad.parameter(np.array([0.5, -1.0, 2.0]))
+    taped = ad.softplus(ad.mul(x, x))
+    with ad.no_grad():
+        assert not ad.records((x,))
+        fresh = ad.softplus(ad.mul(x, x))
+    assert taped.requires_grad and taped._vjp is not None
+    assert not fresh.requires_grad and fresh._parents == () and fresh._vjp is None
+    assert fresh.data.tobytes() == taped.data.tobytes()
+    with pytest.raises(ValueError):
+        with ad.no_grad():
+            raise ValueError("the block's body failed")
+    assert ad.records((x,)) and not ad.records((ad.constant(1.0),))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8))
 def test_logsumexp_matches_reference(xs):

@@ -13,8 +13,9 @@ import zipfile
 import numpy as np
 import pytest
 
+import sdparse.autodiff as ad
 import sdparse.cli as cli
-from sdparse import pipeline
+from sdparse import pipeline, training
 from sdparse.checkpoint import load_checkpoint, save_checkpoint
 from sdparse.config import parse_config_file
 from sdparse.errors import NumericError
@@ -516,6 +517,48 @@ def test_pair_list_over_the_cap_exits_3_before_enumerating(monkeypatch, tmp_path
     mf = ["parse", "--checkpoint", str(trained / "checkpoint.npz"), "--input", corpus,
           "--engine", "mf", "--output", str(tmp_path / "mf.sdp")]
     assert cli.main(mf) == 0
+
+
+def test_train_lbp_over_the_cap_exits_3_before_the_first_step(monkeypatch, tmp_path,
+                                                               corpus_path, capsys):
+    """With no --dev, dev scoring reads the training corpus, which keeps the
+    sentences over max_sentence_length; one over the cap fails up front."""
+    assert max(s.n for s, _ in parse_sdp(corpus_path)) == 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(pipeline, "PAIR_LENGTH_CAP", 3)
+    monkeypatch.setattr(training, "sentence_loss", refuse)
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--train", corpus_path, "--out", str(out)] + TRAIN_SETS
+                  + ["--set", "inference=lbp", "--set", "max_sentence_length=3"])
+    assert rc == 3
+    assert "4-token sentence exceeds the length cap of 3" in capsys.readouterr().err
+    assert not (out / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+@pytest.mark.parametrize("command", ["parse", "trace"])
+def test_forward_only_commands_record_no_tape_node(monkeypatch, tmp_path, trained,
+                                                   corpus_path, command, engine):
+    """Any forward-only path that builds a tape node fails here."""
+    init = ad.Tensor.__init__
+
+    def untaped(self, data, requires_grad=False, _parents=(), _vjp=None):
+        if _vjp is not None:
+            raise AssertionError("a forward-only command recorded a tape node")
+        init(self, data, requires_grad, _parents, _vjp)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", untaped)
+    base = ["--checkpoint", str(trained / "checkpoint.npz"), "--input", corpus_path,
+            "--engine", engine]
+    if command == "parse":
+        argv = ["parse", *base, "--output", str(tmp_path / "pred.sdp"),
+                "--marginals", str(tmp_path / "q.jsonl")]
+    else:
+        argv = ["trace", *base, "--sentence", "5", "--out", str(tmp_path / "trace.json")]
+    assert cli.main(argv) == 0
 
 
 def test_trace_sentence_index_out_of_range_exits_3(trained, corpus_path,

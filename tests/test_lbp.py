@@ -1,24 +1,30 @@
 """Loopy belief propagation over pairwise couplings, checked against hand
 message arithmetic, the enumeration oracle on trees, a slow per-message
 reference, the vectorised pair-list engine the dense layout replaced, and
-the per-message tape nodes the one unrolled node replaced."""
+the per-message tape nodes the one unrolled node replaced; and the
+forward-only parse and trace of both engines against taped runs."""
 
 from __future__ import annotations
 
 import gc
+import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import sdparse.autodiff as ad
+from sdparse import pipeline
 from sdparse.config import RunConfig
+from sdparse.errors import CapacityError
 from sdparse.exact import exact_infer
+from sdparse.graph import decode
 from sdparse.lbp import lbp_run
 from sdparse.model import ModelConfig, ParserModel
-from sdparse.pipeline import (PAIR_BYTES_PER_CELL, run_inference, sentence_potentials,
-                              trace_sentence)
+from sdparse.pipeline import (PAIR_BYTES_PER_CELL, parse_sentence, run_inference,
+                              sentence_potentials, trace_sentence)
 from sdparse.potentials import from_arrays
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
@@ -440,9 +446,97 @@ def test_trace_sentence_reads_each_depth_from_a_run_of_that_depth(engine):
                       "messages": [{"src": name(src), "dst": name(dst), "type": kind,
                                     "part": list(part), key: value}
                                    for (src, dst, kind, part), value in messages]})
-    assert trace_sentence(model, sentence, engine, iterations=3) == {
-        "n": 5, "engine": engine, "iterations": 3, "edges": list(map(name, pot.edges)),
-        "steps": steps}
+    # the reference runs record their tape, the trace none: the same text
+    assert state.logits[-1].requires_grad
+    want = {"n": 5, "engine": engine, "iterations": 3, "edges": list(map(name, pot.edges)),
+            "steps": steps}
+    got = trace_sentence(model, sentence, engine, iterations=3)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+# ------------------------------------------------- forward-only entry points
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _tensors(state, scores):
+    """Every tensor of a parse's inference state and scores."""
+    pot = state.pot
+    yield from state.logits
+    yield from state.messages.values()
+    yield pot.edge_scores
+    yield from getattr(pot, "scores", {}).values()
+    yield scores.edge_scores
+    yield scores.s_label
+    for factors in scores.tri.values():
+        yield from factors
+
+
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_parse_sentence_is_bitwise_a_taped_run_and_returns_no_gradient(engine):
+    model, sentence, _ = _small_model(6, {})
+    graph, state, scores = parse_sentence(model, sentence, engine, iterations=3)
+    taped_scores, pot = sentence_potentials(model, sentence, engine)
+    taped = run_inference(pot, engine, 3)
+    assert taped.logits[-1].requires_grad
+    assert len(state.logits) == len(taped.logits) == 4
+    assert all(_same_bits(got.data, want.data) for got, want in zip(state.logits, taped.logits))
+    assert state.messages.keys() == taped.messages.keys()
+    assert all(_same_bits(state.messages[k].data, m.data) for k, m in taped.messages.items())
+    assert _same_bits(state.q1(), taped.q1())
+    assert _same_bits(scores.s_label.data, taped_scores.s_label.data)
+    want = decode(pot.edge_set, taped.q1(), taped_scores.s_label.data, model.vocab.id2label, 0.5)
+    assert graph.edges == want.edges
+    assert not any(t.requires_grad for t in _tensors(state, scores))
+
+
+def test_no_grad_is_restored_when_nested_and_after_a_parse_raises(monkeypatch):
+    model, sentence, gold = _small_model(6, {})
+    params = tuple(model.params.values())
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not ad.records(params)
+        assert not ad.records(params)
+        # parse_sentence opens a block of its own inside this one
+        parse_sentence(model, sentence, "mf")
+        assert not ad.records(params)
+    assert ad.records(params)
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "PAIR_LENGTH_CAP", 5)
+        with pytest.raises(CapacityError, match="length cap of 5"):
+            parse_sentence(model, sentence, "lbp")
+    assert ad.records(params)
+    model.zero_grad()
+    ad.backward([sentence_loss(model, sentence, gold, TrainConfig(inference="lbp"))], [1.0])
+    assert all(p.grad is not None for p in params)
+
+
+def test_lbp_run_under_no_grad_keeps_no_logistics(monkeypatch):
+    base = random_potentials(5, np.random.default_rng(5), coupling_scale=0.5)
+    pot = from_arrays(base.edges, base.unary.data, pair_list(base), requires_grad=True)
+    kernel, logistics = ad.message_kernel, []
+
+    def recording(*args):
+        out = kernel(*args)
+        logistics.extend(weakref.ref(a) for a in out[1:])
+        return out
+
+    monkeypatch.setattr(ad, "message_kernel", recording)
+    taped = lbp_run(pot, iterations=3)
+    assert taped.logits[-1].requires_grad
+    assert len(logistics) == 24 and all(ref() is not None for ref in logistics)
+    logistics.clear()
+    with ad.no_grad():
+        state = lbp_run(pot, iterations=3)
+    gc.collect()
+    assert len(logistics) == 24 and all(ref() is None for ref in logistics)
+    # iterate 0 is the caller's edge scores; every later grid is a constant
+    assert state.logits[0] is pot.edge_scores
+    tensors = state.logits[1:] + list(state.messages.values())
+    assert not any(t.requires_grad or t._parents for t in tensors)
+    assert all(_same_bits(got.data, want.data) for got, want in zip(state.logits, taped.logits))
+    assert all(_same_bits(state.messages[k].data, m.data) for k, m in taped.messages.items())
 
 
 def test_one_training_step_peaks_below_the_declared_bytes_per_cell():
@@ -463,3 +557,22 @@ def test_one_training_step_peaks_below_the_declared_bytes_per_cell():
     finally:
         tracemalloc.stop()
     assert peak < PAIR_BYTES_PER_CELL * (n + 1) ** 3
+
+
+def test_one_lbp_parse_peaks_below_200_bytes_per_cell():
+    """A parse records no tape, so loopy BP keeps no logistics: one n = 45
+    parse (desk dims, T = 3) peaks near 160 bytes per (n+1)^3 cell, where
+    a taped run of the same forward peaks near 355."""
+    n = 45
+    sentence, gold = toy_corpus(np.random.default_rng(3), size=1, min_len=n, max_len=n)[0]
+    model = ParserModel(ModelConfig(), build_vocab([(sentence, gold)], min_count=1),
+                        np.random.default_rng(0))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        parse_sentence(model, sentence, "lbp", iterations=3)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * (n + 1) ** 3

@@ -3,13 +3,16 @@ gradient check, against hand arithmetic and closed forms."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sdparse.autodiff as ad
-from sdparse.errors import ConfigError, NumericError
+from sdparse import pipeline, training
+from sdparse.errors import CapacityError, ConfigError, NumericError
 from sdparse.graph import SemGraph, build_candidate_edges
 from sdparse.mf import mf_run
 from sdparse.model import ModelConfig, ParserModel
@@ -403,6 +406,27 @@ def test_training_drops_overlong_sentences():
               TrainConfig(max_steps=2, seed=3, max_sentence_length=2))
 
 
+def test_a_sentence_over_the_lbp_cap_fails_before_the_first_step(monkeypatch):
+    data = toy_corpus(np.random.default_rng(42), size=6)   # lengths 3 and 4
+    assert {s.n for s, _ in data} == {3, 4}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(pipeline, "PAIR_LENGTH_CAP", 3)
+    monkeypatch.setattr(training, "sentence_loss", refuse)
+    cfg = TrainConfig(inference="lbp", max_steps=2, seed=3, max_sentence_length=3)
+    # a dev sentence: training drops the 4-token ones, dev keeps them
+    with pytest.raises(CapacityError, match="4-token sentence exceeds the length cap of 3"):
+        train(_tiny_model(data), data, data, cfg)
+    # a kept training sentence, with no dev set
+    with pytest.raises(CapacityError, match="length cap of 3"):
+        train(_tiny_model(data), data, [], replace(cfg, max_sentence_length=4))
+    # mean-field has no cap, so it reaches the first step
+    with pytest.raises(AssertionError, match="a training step ran"):
+        train(_tiny_model(data), data, data, replace(cfg, inference="mf"))
+
+
 def test_history_rows_carry_progress_fields():
     data = toy_corpus(np.random.default_rng(42), size=6)
     model = _tiny_model(data)
@@ -427,3 +451,31 @@ def test_gradcheck_passes_on_a_tiny_model():
     assert set(result.per_combo) == {("mf", 1), ("mf", 2), ("lbp", 1), ("lbp", 2)}
     assert result.max_rel_error < 1e-5
     assert result.ok(1e-4)
+
+
+def test_gradcheck_tapes_only_its_analytic_pass(monkeypatch):
+    """The finite-difference losses run under no_grad and give bitwise the
+    errors of taped ones."""
+    data = toy_corpus(np.random.default_rng(5), size=2, min_len=3, max_len=3)
+    sent, gold = data[0]
+    taped_losses = []
+
+    def counting(*args, **kwargs):
+        loss = sentence_loss(*args, **kwargs)
+        taped_losses.append(loss.requires_grad)
+        return loss
+
+    def check():
+        model = _tiny_model(data, seed=11)
+        return gradcheck(model, sent, gold, TrainConfig(seed=0), iteration_counts=(1, 2),
+                         coords=12, seed=0).per_combo
+
+    monkeypatch.setattr(training, "sentence_loss", counting)
+    per_combo = check()
+    # one taped analytic pass per combination; every other loss is a constant
+    assert sum(taped_losses) == 4 and len(taped_losses) > 4 * 12
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    taped_losses.clear()
+    taped = check()
+    assert all(taped_losses)
+    assert {k: v.hex() for k, v in per_combo.items()} == {k: v.hex() for k, v in taped.items()}
