@@ -25,9 +25,9 @@ axis permutations, gathers (take), reductions, stable nonlinearities, and
 two fused nodes: ``lstm``, a whole LSTM direction (no per-token tape
 entries), and ``prefix_trilinear``, the running-sum term of the factored
 mean-field field. ``message_kernel`` is the loopy-BP message arithmetic
-on arrays, one exponential per message and the two logistics its
-derivatives need; ``lbp.lbp_run`` records every sweep over it as one
-node.
+on arrays, one exponential per message, and ``shifted_logistic``
+rebuilds the second logistic its derivatives need from the first;
+``lbp.lbp_run`` records every sweep over them as one node.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ __all__ = [
     "Tensor", "constant", "parameter", "backward", "no_grad", "records",
     "add", "sub", "mul", "neg", "matmul", "linear", "transpose",
     "reshape", "concat", "take", "tensor_sum", "prefix_trilinear",
-    "sigmoid", "softplus", "message_kernel", "message_shift", "leaky_relu", "lstm",
-    "logsumexp", "clamp",
+    "sigmoid", "softplus", "message_kernel", "message_shift", "shifted_logistic",
+    "leaky_relu", "lstm", "logsumexp", "clamp",
 ]
 
 
@@ -439,22 +439,25 @@ def message_shift(s):
     return np.expm1(np.where(wide, 0.0, s)), wide
 
 
-def message_kernel(source, reverse, s, shift):
+def message_kernel(source, reverse, s, shift, keep=False):
     """The loopy-BP message softplus(c + s) - softplus(c) of the cavity
     c = source - reverse (``reverse`` None: c = source), on arrays.
     ``source`` broadcasts against the score array ``s``, which has the
     message's shape, as ``reverse`` has; ``shift`` is ``message_shift(s)``.
-    Returns (message, logistic(c), logistic(c + s)): the message's
-    derivatives are d/ds = logistic(c + s) and d/dc = logistic(c + s) -
-    logistic(c) = -d/dreverse, so a backward pass that keeps the two
-    logistics computes no exponential. logistic(c) has the cavity's
+    Returns (message, logistic(c), guarded). The message's derivatives are
+    d/ds = logistic(c + s) and d/dc = logistic(c + s) - logistic(c) =
+    -d/dreverse; ``shifted_logistic`` rebuilds logistic(c + s) from
+    logistic(c), expm1(s) and ``guarded``, with no exponential, so a
+    backward pass that keeps logistic(c) computes none. Unless ``keep``,
+    logistic(c) and ``guarded`` are None. logistic(c) has the cavity's
     broadcast shape when no cell is guarded, the message's otherwise.
 
     With E = expm1(s) and P = logistic(c) E the message is log1p(P), so
-    this takes one exponential, for logistic(c) = 1 / (1 + e^-c), and
-    logistic(c + s) = (logistic(c) + P) / (1 + P). Where 1 + P can cancel
-    (P < -1/2) or |s| > SHIFT_BOUND, the cells take the two-softplus form.
-    A cell with s = 0 gives exactly 0.
+    this takes one exponential, for logistic(c) = 1 / (1 + e^-c). Where
+    1 + P can cancel (P < -1/2) or |s| > SHIFT_BOUND, the cells take the
+    two-softplus form; ``guarded`` holds those cells' flat indices in the
+    message and their logistic(c + s) from that form, or is None when no
+    cell is guarded. A cell with s = 0 gives exactly 0.
     """
     expm1_s, wide = shift
     # -c, then e^-c and the logistic of c, in the cavity's one buffer
@@ -468,19 +471,36 @@ def message_kernel(source, reverse, s, shift):
     guard = scaled < -0.5
     if wide is not None:
         guard |= wide
-    shifted = np.add(logistic, scaled)
-    scaled += 1.0
-    shifted /= scaled
     del scaled
+    guarded = None
     if guard.any():
-        cells = np.nonzero(guard)
+        flat = np.flatnonzero(guard)
+        cells = np.unravel_index(flat, out.shape)
         c = np.broadcast_to(source, out.shape)[cells]
         if reverse is not None:
             c = c - reverse[cells]
-        if logistic.shape != out.shape:
-            logistic = np.array(np.broadcast_to(logistic, out.shape))
-        out[cells], logistic[cells], shifted[cells] = _two_softplus(c, s[cells])
-    return out, logistic, shifted
+        out[cells], guarded_logistic, guarded_shifted = _two_softplus(c, s[cells])
+        if keep:
+            if logistic.shape != out.shape:
+                logistic = np.array(np.broadcast_to(logistic, out.shape))
+            logistic[cells] = guarded_logistic
+            guarded = flat, guarded_shifted
+    return out, (logistic if keep else None), guarded
+
+
+def shifted_logistic(logistic, expm1_s, guarded, out=None):
+    """logistic(c + s) of every cell of a message, from what
+    ``message_kernel(..., keep=True)`` returned and E = expm1(s), with no
+    exponential: (logistic(c) + P) / (1 + P) with P = logistic(c) E, by
+    the kernel's own operations, then the guarded cells written over.
+    ``out`` (the message's shape) receives it when given."""
+    shifted = np.multiply(logistic, expm1_s, out=out)
+    scaled = shifted + 1.0
+    shifted += logistic
+    shifted /= scaled
+    if guarded is not None:
+        np.put(shifted, *guarded)
+    return shifted
 
 
 def lstm(x, Wx, Wh, b, recur_mask=None):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tokenize
 import zipfile
 import zlib
 
@@ -73,9 +74,12 @@ def load_checkpoint(path, expected_config=None):
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
     except (EOFError, ValueError, NotImplementedError, zipfile.BadZipFile,
-            zlib.error) as exc:
-        # truncated or corrupted: a bad zip directory, a CRC mismatch, or a
-        # member whose header or data does not parse
+            zlib.error, tokenize.TokenError, SyntaxError, RuntimeError) as exc:
+        # truncated or corrupted: a bad zip directory, a CRC mismatch, a
+        # member flagged as encrypted (RuntimeError), or a member whose
+        # header or data does not parse (numpy reads a .npy header as a
+        # Python literal, so a damaged one can raise a tokenizer or
+        # syntax error)
         raise DataError(f"checkpoint {path} is damaged: {exc}") from None
     if "__meta__" not in archive:
         raise DataError(f"{path} is not a checkpoint (missing meta record)")

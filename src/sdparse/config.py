@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .model import ModelConfig
+from .sdp_io import text_lines
 from .training import TrainConfig
 
 __all__ = ["RunConfig", "parse_config_file", "MODEL_STRUCTURE_KEYS"]
@@ -132,19 +133,14 @@ def _render(value):
 def parse_config_file(path):
     """Read raw key=value pairs; unknown keys fail on resolve."""
     values = {}
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path} line {line_no}: expected key=value, got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for line_no, raw in enumerate(text_lines(path, ConfigError), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path} line {line_no}: expected key=value, got {raw.rstrip()!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 

@@ -45,11 +45,16 @@ Updates are synchronous; messages start at 0.
 
 All T sweeps are one autodiff node, the last logit grid, with the edge
 scores and the score tensors as parents; only that grid carries gradient.
-It keeps logistic(c) and logistic(c + s) of every message and sweep: the
-last sweep's messages and the earlier grids go to the state as constants.
-Its backward walks the sweeps in reverse once. A message's gradient (its
-target grid's, broadcast, less the aligned cavity gradient of the next
-sweep's message that read it as its reverse) is written into that cavity
+It keeps logistic(c) of every message and sweep, the few guarded cells'
+logistic(c + s) and each part type's E: the last sweep's messages and the
+earlier grids go to the state as constants. Its backward walks the
+sweeps in reverse once and computes no exponential. It rebuilds each
+message's logistic(c + s) = (logistic(c) + P) / (1 + P), P =
+logistic(c) E (``autodiff.shifted_logistic``), by the forward's own
+operations, so it is bitwise the forward's value, in the buffer that
+becomes the message's score gradient. A message's gradient (its target
+grid's, broadcast, less the aligned cavity gradient of the next sweep's
+message that read it as its reverse) is written into that cavity
 gradient's buffer, and each part type's score gradient is summed in
 place. When the node would not be recorded (``autodiff.records``: under
 ``autodiff.no_grad``, or when no input requires gradients) no logistic
@@ -88,20 +93,20 @@ def lbp_run(pot, iterations=3):
     shifts = {kind: ad.message_shift(s) for kind, s in scores.items()}
     parents = (pot.edge_scores,) + tuple(pot.scores.values())
     keep = ad.records(parents)
-    logistics = []      # per sweep, name -> (logistic(c), logistic(c + s)) if kept
+    logistics = []      # per sweep, name -> (logistic(c), guarded cells) if kept
     grid, previous = pot.edge_scores.data, {}
     for _ in range(iterations):
         messages, sweep = {}, {}
         total = pot.edge_scores.data
         for name in names:
             kind, source, target, reverse = MESSAGES[name]
-            message, logistic, shifted = ad.message_kernel(
+            message, logistic, guarded = ad.message_kernel(
                 np.expand_dims(grid, source),
                 aligned(previous[reverse], kind) if previous else None,
-                scores[kind], shifts[kind])
+                scores[kind], shifts[kind], keep)
             messages[name] = message
             if keep:
-                sweep[name] = logistic, shifted
+                sweep[name] = logistic, guarded
             total = total + message.sum(axis=target)
         logistics.append(sweep)
         state.logits.append(ad.constant(total))
@@ -109,14 +114,17 @@ def lbp_run(pot, iterations=3):
     state.messages = {name: ad.constant(r) for name, r in messages.items()}
     if keep:
         state.logits[-1] = ad.Tensor(total, requires_grad=True, _parents=parents,
-                                     _vjp=_unrolled_vjp(names, logistics, list(pot.scores)))
+                                     _vjp=_unrolled_vjp(names, logistics, shifts))
     return state
 
 
-def _unrolled_vjp(names, logistics, kinds):
+def _unrolled_vjp(names, logistics, shifts):
     """The backward of the unrolled sweeps: last grid's gradient ->
-    (edge-score gradient, one gradient per score tensor in ``kinds``
-    order). It writes only into arrays it allocates."""
+    (edge-score gradient, one gradient per score tensor in ``shifts``
+    order). Each message's logistic(c + s) is rebuilt from its kept
+    logistic(c) and its type's expm1(s) in the buffer that becomes its
+    score gradient. It writes only into arrays it allocates."""
+    expm1 = {kind: shift[0] for kind, shift in shifts.items()}
 
     def vjp(g):
         grid_grad, edge_grad, score_grads, carry, scratch = g, g, {}, {}, None
@@ -124,7 +132,7 @@ def _unrolled_vjp(names, logistics, kinds):
             source_grad, cavity_grads = 0.0, {}
             for name in names:
                 kind, source, target, reverse = MESSAGES[name]
-                logistic, shifted = sweep[name]
+                logistic, guarded = sweep[name]
                 incoming = np.expand_dims(grid_grad, target)
                 if carry:
                     # less the aligned cavity gradient of the next sweep's
@@ -132,8 +140,9 @@ def _unrolled_vjp(names, logistics, kinds):
                     grad = aligned(carry.pop(reverse), kind)
                     np.subtract(incoming, grad, out=grad)
                 else:
-                    grad = np.array(np.broadcast_to(incoming, shifted.shape))
-                ds = np.multiply(grad, shifted, out=scratch)
+                    grad = np.array(np.broadcast_to(incoming, expm1[kind].shape))
+                ds = ad.shifted_logistic(logistic, expm1[kind], guarded, out=scratch)
+                ds *= grad
                 grad *= logistic
                 # d/dc = d/ds - grad * logistic(c), written over the gradient
                 np.subtract(ds, grad, out=grad)
@@ -147,6 +156,6 @@ def _unrolled_vjp(names, logistics, kinds):
             # every grid is the edge scores plus its sweep's messages
             edge_grad = edge_grad + source_grad
             grid_grad, carry = source_grad, cavity_grads
-        return (edge_grad,) + tuple(score_grads[kind] for kind in kinds)
+        return (edge_grad,) + tuple(score_grads[kind] for kind in expm1)
 
     return vjp

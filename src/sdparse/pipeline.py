@@ -33,14 +33,14 @@ __all__ = ["run_inference", "parse_sentence", "trace_sentence", "PAIR_LENGTH_CAP
 # training step (loss and backward, T = 3, desk dims) fits the budget the
 # pair list had at n = 90. Traced peaks per (n+1)^3 cell at n = 30, 45
 # and 60, which fall with n:
-#   training step   403, 360 and 345 bytes, under PAIR_BYTES_PER_CELL
-#                   from n = 30 on, so n = 132 (2.35M cells) peaks
-#                   below 1.04 GiB;
-#   parse           160, 158 and 157 bytes: ``parse_sentence`` records
+#   training step   331, 288 and 271 bytes, under PAIR_BYTES_PER_CELL
+#                   from n = 30 on, so n = 143 (2.99M cells) peaks
+#                   below 1.03 GiB;
+#   parse           136, 134 and 133 bytes: ``parse_sentence`` records
 #                   no tape, so LBP keeps no logistics.
 # Mean-field is O(n^2) and uncapped.
 PAIR_MEMORY_BUDGET = 1.05 * 2**30
-PAIR_BYTES_PER_CELL = 470
+PAIR_BYTES_PER_CELL = 370
 PAIR_LENGTH_CAP = int((PAIR_MEMORY_BUDGET / PAIR_BYTES_PER_CELL) ** (1 / 3)) - 1
 
 

@@ -196,12 +196,40 @@ def parse_sdp_lines(lines, source="<string>"):
     return data
 
 
-def parse_sdp(path):
+def text_lines(path, error=DataError):
+    """The lines of the UTF-8 text file ``path``. A file that cannot be
+    opened, or that holds a byte that is not UTF-8, raises ``error`` (the
+    reader's DataError or ConfigError) naming the file, and the byte's
+    line."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_sdp_lines(fh, source=str(path))
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise error(f"cannot read {path}: {exc}") from exc
+    with fh:
+        try:
+            yield from fh
+        except OSError as exc:
+            raise error(f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} line {_undecodable_line(path)}: not UTF-8 text "
+                        f"({exc.reason})") from None
+
+
+def _undecodable_line(path):
+    """The line of the first byte of ``path`` that is not UTF-8. A text
+    file decodes in chunks ahead of the lines it returns, so this reads
+    the bytes again."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return raw.count(b"\n", 0, exc.start) + 1
+    return "?"
+
+
+def parse_sdp(path):
+    return parse_sdp_lines(text_lines(path), source=str(path))
 
 
 def format_sdp(data):
@@ -237,30 +265,25 @@ def load_pretrained(path):
     """
     table = {}
     dim = None
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            form, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise DataError(f"{path} line {line_no}: no vector components")
-            elif len(values) != dim:
-                raise DataError(
-                    f"{path} line {line_no}: expected {dim} components, got {len(values)}")
-            try:
-                vector = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise DataError(f"{path} line {line_no}: a component is not a number") from None
-            if not np.all(np.isfinite(vector)):
-                raise DataError(f"{path} line {line_no}: non-finite component")
-            table[form] = vector
+    for line_no, line in enumerate(text_lines(path), start=1):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        form, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise DataError(f"{path} line {line_no}: no vector components")
+        elif len(values) != dim:
+            raise DataError(
+                f"{path} line {line_no}: expected {dim} components, got {len(values)}")
+        try:
+            vector = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path} line {line_no}: a component is not a number") from None
+        if not np.all(np.isfinite(vector)):
+            raise DataError(f"{path} line {line_no}: non-finite component")
+        table[form] = vector
     if dim is None:
         raise DataError(f"{path}: empty embedding file")
     return table, dim

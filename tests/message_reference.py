@@ -19,15 +19,16 @@ def cavity_message(source, reverse, s, shift):
     """The message softplus(c + s) - softplus(c) of the cavity
     c = source - reverse (``reverse`` None: c = source) as one node;
     ``shift`` is ``autodiff.message_shift(s.data)``. The backward reads
-    the kernel's two logistics: d/ds = logistic(c + s) and
-    d/dc = logistic(c + s) - logistic(c) = -d/dreverse."""
+    the kernel's logistic(c) and rebuilds logistic(c + s):
+    d/ds = logistic(c + s) and d/dc = logistic(c + s) - logistic(c) =
+    -d/dreverse."""
     source, s = ad._wrap(source), ad._wrap(s)
     parents = (source, s) if reverse is None else (source, s, reverse)
-    out, logistic, shifted = ad.message_kernel(
-        source.data, None if reverse is None else reverse.data, s.data, shift)
+    out, logistic, guarded = ad.message_kernel(
+        source.data, None if reverse is None else reverse.data, s.data, shift, keep=True)
 
     def vjp(g):
-        ds = g * shifted
+        ds = g * ad.shifted_logistic(logistic, shift[0], guarded)
         dc = g * logistic
         dc = ds - dc
         dsource = ad._unbroadcast(dc, source.data.shape)

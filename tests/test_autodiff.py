@@ -266,9 +266,9 @@ def _longdouble_message(c, s):
 @pytest.mark.parametrize("broadcast", [False, True], ids=["full-source", "broadcast-source"])
 @pytest.mark.parametrize("with_reverse", [False, True], ids=["first-sweep", "with-reverse"])
 def test_cavity_message_matches_a_longdouble_reference(broadcast, with_reverse):
-    """``message_kernel``'s message and its two logistics, which are the
-    derivatives d/ds = logistic(c + s) and d/dc = logistic(c + s) -
-    logistic(c), against 80-bit arithmetic."""
+    """``message_kernel``'s message, and the derivatives d/ds =
+    logistic(c + s) and d/dc = logistic(c + s) - logistic(c) read from its
+    logistic(c) and ``shifted_logistic``, against 80-bit arithmetic."""
     c_values, s = _message_cells()
     shape = s.shape
     # a reverse message constant along each row, so source - reverse is
@@ -277,7 +277,9 @@ def test_cavity_message_matches_a_longdouble_reference(broadcast, with_reverse):
     source = (c_values + rows)[:, None]
     source = source if broadcast else np.broadcast_to(source, shape).copy()
     reverse = np.broadcast_to(rows[:, None], shape).copy() if with_reverse else None
-    out, logistic, shifted = ad.message_kernel(source, reverse, s, ad.message_shift(s))
+    shift = ad.message_shift(s)
+    out, logistic, guarded = ad.message_kernel(source, reverse, s, shift, keep=True)
+    shifted = ad.shifted_logistic(logistic, shift[0], guarded)
     want, want_dc, want_ds = _longdouble_message(np.broadcast_to(c_values[:, None], shape), s)
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-14)
     np.testing.assert_allclose(shifted, want_ds, rtol=0, atol=1e-14)
@@ -287,11 +289,53 @@ def test_cavity_message_matches_a_longdouble_reference(broadcast, with_reverse):
     assert np.all((shifted - logistic)[s == 0] == 0.0)
 
 
+def _forward_shifted(source, reverse, s):
+    """The reference for ``shifted_logistic``: logistic(c + s) by the
+    kernel's forward arithmetic, (logistic(c) + P) / (1 + P) with
+    P = logistic(c) expm1(s), and the two-softplus form on the guarded
+    cells; with the number of guarded cells."""
+    expm1_s, wide = ad.message_shift(s)
+    logistic = np.negative(source) if reverse is None else np.subtract(reverse, source)
+    with np.errstate(over="ignore"):
+        logistic = 1.0 / (np.exp(logistic) + 1.0)
+    scaled = logistic * expm1_s
+    shifted = (logistic + scaled) / (scaled + 1.0)
+    guard = scaled < -0.5
+    if wide is not None:
+        guard |= wide
+    cells = np.nonzero(guard)
+    c = np.broadcast_to(source, s.shape)[cells]
+    if reverse is not None:
+        c = c - reverse[cells]
+    shifted[cells] = ad._two_softplus(c, s[cells])[2]
+    return shifted, int(np.count_nonzero(guard))
+
+
+@pytest.mark.parametrize("broadcast", [False, True], ids=["full-source", "broadcast-source"])
+@pytest.mark.parametrize("with_reverse", [False, True], ids=["first-sweep", "with-reverse"])
+def test_shifted_logistic_rebuilds_the_forward_value_bitwise(rng, broadcast, with_reverse):
+    """The backward's rebuilt logistic(c + s) is bit for bit the value the
+    forward computes, on the checked cells and on random scores up to
+    trained scale, guarded cells included."""
+    c_values, s_cells = _message_cells()
+    s = np.concatenate([s_cells, rng.normal(scale=20.0, size=(c_values.size, 40))], axis=1)
+    source = (c_values + rng.normal(scale=3.0, size=c_values.size))[:, None]
+    source = source if broadcast else source + rng.normal(size=s.shape)
+    reverse = rng.normal(scale=3.0, size=s.shape) if with_reverse else None
+    shift = ad.message_shift(s)
+    _, logistic, guarded = ad.message_kernel(source, reverse, s, shift, keep=True)
+    got = ad.shifted_logistic(logistic, shift[0], guarded)
+    want, guards = _forward_shifted(source, reverse, s)
+    assert guards and guarded[0].size == guards
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("broadcast", [False, True], ids=["full-source", "broadcast-source"])
 @pytest.mark.parametrize("with_reverse", [False, True], ids=["first-sweep", "with-reverse"])
 def test_cavity_message_matches_finite_differences(rng, broadcast, with_reverse):
-    """The gradients read from ``message_kernel``'s logistics, summed over
-    a broadcast source, against finite differences of its message."""
+    """The gradients read from ``message_kernel``'s logistic(c) and
+    ``shifted_logistic``, summed over a broadcast source, against finite
+    differences of its message."""
     shape = (4, 5)
     # scores from small to guarded: P < -1/2 at large c and s < -1, and
     # the last column past the bound
@@ -305,7 +349,9 @@ def test_cavity_message_matches_finite_differences(rng, broadcast, with_reverse)
         message = ad.message_kernel(source, reverse, s, ad.message_shift(s))[0]
         return float(np.sum(upstream * message))
 
-    _, logistic, shifted = ad.message_kernel(source, reverse, s, ad.message_shift(s))
+    shift = ad.message_shift(s)
+    _, logistic, guarded = ad.message_kernel(source, reverse, s, shift, keep=True)
+    shifted = ad.shifted_logistic(logistic, shift[0], guarded)
     dc = upstream * (shifted - logistic)
     got = [dc.sum(axis=1, keepdims=True) if broadcast else dc, upstream * shifted]
     arrays = [source, s]

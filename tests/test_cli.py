@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import struct
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,6 +568,120 @@ def test_trace_sentence_index_out_of_range_exits_3(trained, corpus_path,
                    "--input", corpus_path, "--sentence", "99"])
     assert rc == 3
     assert "99" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ damaged input files
+
+# XOR masks of the byte flips: the high bit (never UTF-8 on an ASCII byte),
+# a mixed mask and the low bit
+FLIP_MASKS = (0x80, 0x5A, 0x01)
+
+
+def _flip_codes(source, target, argv, positions, masks=FLIP_MASKS):
+    """Runs ``argv`` once per (position, mask) with ``target`` a copy of
+    ``source`` with that one byte flipped; returns the exit codes. Any
+    exception out of ``cli.main`` fails the calling test."""
+    raw = source.read_bytes()
+    codes = []
+    for position in positions:
+        for mask in masks:
+            flipped = bytearray(raw)
+            flipped[position] ^= mask
+            target.write_bytes(bytes(flipped))
+            codes.append(cli.main(argv))
+    return codes
+
+
+def _fuzz_positions(path, count, seed):
+    """``count`` distinct byte offsets of ``path``, drawn with ``seed``."""
+    size = path.stat().st_size
+    return np.random.default_rng(seed).choice(size, size=min(count, size), replace=False)
+
+
+def _npy_header_offsets(path):
+    """Byte offsets in an uncompressed .npz of each member's .npy header
+    text (its first and last byte, which numpy's literal parser reads) and
+    of the flags in its central directory entry (which can mark it as
+    encrypted)."""
+    raw = path.read_bytes()
+    offsets = []
+    with zipfile.ZipFile(path) as zf:
+        for info in zf.infolist():
+            name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+            start = info.header_offset + 30 + name_len + extra_len
+            assert raw[start:start + 7] == b"\x93NUMPY\x01"
+            (length,) = struct.unpack_from("<H", raw, start + 8)
+            offsets += [start + 10, start + 9 + length]
+    central = raw.index(b"PK\x01\x02")
+    while central >= 0:
+        offsets.append(central + 8)
+        central = raw.find(b"PK\x01\x02", central + 1)
+    return offsets
+
+
+def test_damaged_sdp_files_end_in_an_exit_code(tmp_path, trained, corpus_path, capsys):
+    source, target = Path(corpus_path), tmp_path / "flipped.sdp"
+    checkpoint = str(trained / "checkpoint.npz")
+    # every byte through eval, a sample through parse
+    codes = _flip_codes(source, target, ["eval", "--gold", corpus_path, "--pred", str(target)],
+                        range(source.stat().st_size))
+    codes += _flip_codes(source, target, ["parse", "--checkpoint", checkpoint, "--input",
+                                          str(target), "--output", str(tmp_path / "pred.sdp")],
+                         _fuzz_positions(source, 40, seed=1))
+    assert set(codes) <= {0, 3} and 3 in codes
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_damaged_config_files_end_in_an_exit_code(tmp_path, trained, corpus_path, capsys):
+    source, target = trained / "resolved.cfg", tmp_path / "flipped.cfg"
+    argv = ["parse", "--checkpoint", str(trained / "checkpoint.npz"), "--input", corpus_path,
+            "--output", str(tmp_path / "pred.sdp"), "--config", str(target)]
+    codes = _flip_codes(source, target, argv, _fuzz_positions(source, 80, seed=2))
+    assert set(codes) <= {0, 2} and 2 in codes
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_damaged_pretrained_vectors_end_in_an_exit_code(tmp_path, corpus_path, capsys):
+    source, target = tmp_path / "vectors.txt", tmp_path / "flipped.txt"
+    source.write_text("w0 0.5 0.25\nw1 0.1 -0.3\nw2 1e-3 2.5\n")
+    argv = (["train", "--train", corpus_path, "--out", str(tmp_path / "run")] + TRAIN_SETS
+            + ["--set", "max_steps=1", "--set", "use_pretrained=true",
+               "--set", f"pretrained_path={target}"])
+    codes = _flip_codes(source, target, argv, _fuzz_positions(source, 6, seed=3), (0x80, 0x5A))
+    assert set(codes) <= {0, 3} and 3 in codes
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_damaged_checkpoints_end_in_an_exit_code(tmp_path, trained, corpus_path, capsys):
+    source, target = trained / "checkpoint.npz", tmp_path / "flipped.npz"
+    argv = ["parse", "--checkpoint", str(target), "--input", corpus_path,
+            "--output", str(tmp_path / "pred.sdp")]
+    codes = _flip_codes(source, target, argv, _npy_header_offsets(source))
+    codes += _flip_codes(source, target, argv, _fuzz_positions(source, 400, seed=4), (0x5A,))
+    assert set(codes) <= {0, 3} and 3 in codes
+    assert "damaged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["sdp", "config", "pretrained"])
+def test_a_byte_that_is_not_utf8_is_named_by_file_and_line(tmp_path, trained, corpus_path,
+                                                          capsys, reader):
+    lines = Path(corpus_path).read_bytes().split(b"\n")
+    path = tmp_path / "bad.txt"
+    if reader == "sdp":
+        lines[2] = lines[2].replace(b"\t", b"\xff\t", 1)
+        argv, code = ["eval", "--gold", corpus_path, "--pred", str(path)], 3
+    elif reader == "config":
+        lines = [b"seed = 3", b"", b"\xff = 1"]
+        argv, code = ["train", "--train", corpus_path, "--out", str(tmp_path / "run"),
+                      "--config", str(path)], 2
+    else:
+        lines = [b"w0 0.5 0.25", b"w1 0.1 0.2", b"w2 \xc3 0.1"]
+        argv, code = (["train", "--train", corpus_path, "--out", str(tmp_path / "run")]
+                      + TRAIN_SETS + ["--set", "use_pretrained=true",
+                                      "--set", f"pretrained_path={path}"]), 3
+    path.write_bytes(b"\n".join(lines))
+    assert cli.main(argv) == code
+    assert f"{path} line 3: not UTF-8" in capsys.readouterr().err
 
 
 # --------------------------------------------------- oracle-compare / grad
