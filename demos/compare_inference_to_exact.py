@@ -22,8 +22,8 @@ rng = np.random.default_rng(12345)
 instances = [random_potentials(LENGTH, rng, unary_scale=1.0, coupling_scale=0.1)
              for _ in range(INSTANCES)]
 print(f"{INSTANCES} random problems, {LENGTH} words each "
-      f"({len(instances[0].edges)} edge variables, "
-      f"{instances[0].pair_count} couplings per problem)")
+      f"({len(instances[0].edge_set)} edge variables, "
+      f"{len(instances[0].pair_edges()[0])} couplings per problem)")
 print("exact posteriors by full enumeration ...")
 references = [exact_infer(pot) for pot in instances]
 
@@ -34,7 +34,7 @@ for engine in ("mf", "lbp"):
         errors = []
         for pot, ref in zip(instances, references):
             q = run_inference(pot, engine, iterations).marginals()
-            errors.extend(abs(q[e] - ref.marginals[e]) for e in pot.edges)
+            errors.extend(abs(q[e] - ref.marginals[e]) for e in pot.edge_set.edges)
         print(f"{engine:>6} {iterations:>5} {np.mean(errors):>12.6f} "
               f"{np.max(errors):>12.6f}")
 
@@ -49,6 +49,6 @@ for engine in ("mf", "lbp"):
     errors = []
     for pot, ref in zip(strong, strong_refs):
         q = run_inference(pot, engine, 3).marginals()
-        errors.extend(abs(q[e] - ref.marginals[e]) for e in pot.edges)
+        errors.extend(abs(q[e] - ref.marginals[e]) for e in pot.edge_set.edges)
     print(f"coupling scale 1.0, depth 3: {engine:>4} "
           f"mean |err| = {np.mean(errors):.6f}, max = {np.max(errors):.6f}")

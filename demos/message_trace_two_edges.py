@@ -22,7 +22,7 @@ from sdparse.pipeline import run_inference
 from sdparse.synthetic import two_edge_instance
 
 pot = two_edge_instance(math.log(2.0))
-print("edges:", pot.edges, "| coupling: sib part worth log 2 =",
+print("edges:", pot.edge_set.edges, "| coupling: sib part worth log 2 =",
       round(math.log(2.0), 6))
 
 exact = exact_infer(pot)

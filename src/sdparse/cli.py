@@ -146,8 +146,9 @@ def cmd_trace(args):
 
 
 def cmd_oracle_compare(args):
-    if args.instances < 1:
-        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
+    for flag, value in (("--instances", args.instances), ("--length", args.length)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     for flag, scale in (("--unary-scale", args.unary_scale),
                         ("--coupling-scale", args.coupling_scale)):
         if not scale >= 0.0:
@@ -171,7 +172,7 @@ def cmd_oracle_compare(args):
             for pot, reference in zip(instances, exacts):
                 state = run_inference(pot, engine, iterations)
                 q = state.marginals()
-                errors.extend(abs(q[e] - reference.marginals[e]) for e in pot.edges)
+                errors.extend(abs(q[e] - reference.marginals[e]) for e in pot.edge_set.edges)
             mean_err, max_err = float(np.mean(errors)), float(np.max(errors))
             worst = max(worst, max_err)
             print(f"engine={engine} iterations={iterations} "

@@ -32,13 +32,13 @@ def _assignment_scores(pot):
     """Log score of every assignment (bit k of its index is edge k), in
     blocks of rows x: x @ unary plus sum(x * (x @ W)) for the (E, E)
     matrix W holding each pair's score at (first edge, second edge)."""
-    E = pot.edge_count
+    E = len(pot.edge_set)
     if E > ENUMERATION_CAP:
         raise CapacityError(
             f"{E} edge variables exceed the enumeration cap of {ENUMERATION_CAP}")
-    unary = pot.unary.data
+    unary = pot.edge_scores.data[pot.edge_set.mask]
     coupling = np.zeros((E, E))
-    coupling[pot.pair_edges()] = pot.part_scores()
+    coupling[pot.pair_edges()] = pot.gather({kind: s.data for kind, s in pot.scores.items()})
     scores = np.empty(1 << E)
     for start in range(0, len(scores), _BLOCK):
         rows = np.arange(start, min(start + _BLOCK, len(scores)))
@@ -57,5 +57,5 @@ def exact_infer(pot):
     log_z = _logsumexp(scores)
     index = np.arange(len(scores))
     marginals = {edge: float(np.exp(_logsumexp(scores[(index >> k) & 1 == 1]) - log_z))
-                 for k, edge in enumerate(pot.edges)}
+                 for k, edge in enumerate(pot.edge_set.edges)}
     return ExactResult(log_z, marginals)

@@ -15,11 +15,11 @@ it is differentiable end to end.
 
 The field is computed in one of two ways, with the same result:
 
-* From a ``LogPotentials``' dense score tensors: ``potentials.sweep``
-  with, per message tensor of ``potentials.MESSAGES``, the source edges'
-  Q times the part scores, summed into the targets; O(n^3) per
-  iteration. Hand-built instances, ``trace`` and the tests use this
-  form, and the state keeps the last iteration's message tensors, so
+* From a ``LogPotentials``' dense score tensors (``_dense_field``): per
+  message tensor of ``potentials.MESSAGES``, the source edges' Q times
+  the part scores, summed into the targets; O(n^3) per iteration.
+  Hand-built instances, ``trace`` and the tests use this form, and the
+  state keeps the last iteration's message tensors, so
   ``message_values`` reads each part's two field terms.
 * From the scorer's factors (``ScoreFactors``). Every part score is the
   rank-d form sum_m g1[a,m] g2[b,m] g3[c,m] over the part's first edge
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-from .potentials import InferenceState, LogPotentials, sweep
+from .potentials import MESSAGES, InferenceState, LogPotentials
 
 __all__ = ["mf_run", "DEFAULT_CLAMP"]
 
@@ -77,10 +77,16 @@ def mf_run(pot, iterations=3, clamp=DEFAULT_CLAMP):
 def _dense_field(pot):
     """Q -> (message tensors s_part * Q_src, field Q induces on every
     (head, dep) cell), from the dense score tensors; O(n^3)."""
-    def terms(kind, _, source):
-        return ad.mul(pot.scores[kind], source)
+    def field(q):
+        messages, total = {}, ad.constant(np.zeros(q.shape))
+        for name, (kind, source, target, _) in MESSAGES.items():
+            if kind in pot.scores:
+                shape = q.shape[:source] + (1,) + q.shape[source:]
+                messages[name] = ad.mul(pot.scores[kind], ad.reshape(q, shape))
+                total = ad.add(total, ad.tensor_sum(messages[name], axis=target))
+        return messages, total
 
-    return lambda q: sweep(pot, q, terms, ad.constant(np.zeros(q.shape)))
+    return field
 
 
 def _factored_field(pot):

@@ -106,9 +106,12 @@ class ModelConfig:
             v = getattr(self, f.name)
             if f.name.startswith("dropout") and not (0.0 <= v < 1.0):
                 raise ConfigError(f"{f.name} must be in [0,1), got {v}")
-        for name in ("word_dim", "pos_dim", "encoder_hidden", "unary_dim", "binary_dim"):
+        for name in ("word_dim", "pos_dim", "pretrained_proj_dim", "encoder_hidden",
+                     "unary_dim", "binary_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        if not math.isfinite(self.leaky_slope):
+            raise ConfigError(f"leaky_slope must be finite, got {self.leaky_slope}")
         if self.encoder_layers < 0:
             raise ConfigError("encoder_layers must be >= 0")
 

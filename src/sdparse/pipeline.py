@@ -7,7 +7,7 @@ Loopy BP and ``trace_sentence`` run on the dense (n+1)^3 layout that
 part-shaped is cached between sentences. That path refuses a sentence
 longer than ``PAIR_LENGTH_CAP`` with a CapacityError before it builds any
 (n+1)^3 tensor. Only ``trace_sentence`` reads the parts out of their
-masks, to report the state's per-part ``message_values`` in part order.
+masks, through the state's ``directed_messages`` and ``message_values``.
 Decoding is ``graph.decode`` on arrays in edge order: the final
 marginals, the label scores and the vocabulary's label names; it reads a
 label only for the edges whose marginal clears the threshold.
@@ -117,7 +117,7 @@ def trace_sentence(model, sentence, engine="mf", iterations=3,
         values = run_inference(pot, engine, t, clamp).message_values().tolist() if t else []
         steps.append({
             "iteration": t,
-            "q": {name(e): float(q[k]) for k, e in enumerate(pot.edges)},
+            "q": {name(e): float(q[k]) for k, e in enumerate(pot.edge_set.edges)},
             "messages": [{"src": name(src), "dst": name(dst), "type": kind,
                           "part": list(part), key: value}
                          for (src, dst, kind, part), value in zip(directed, values)],
@@ -127,6 +127,6 @@ def trace_sentence(model, sentence, engine="mf", iterations=3,
         "n": sentence.n,
         "engine": engine,
         "iterations": state.iterations,
-        "edges": [name(e) for e in pot.edges],
+        "edges": [name(e) for e in pot.edge_set.edges],
         "steps": steps,
     }

@@ -19,17 +19,18 @@ for a hand-built instance), in its row-major order. The part variables
 are the cells of one read-only (n+1)^3 mask per part type, at the stored
 triples sib (i, j, k), cop (i, k, j) and gp (i, j, k) (every part of the
 type for a sentence, the given pairs for a hand-built instance); part
-order is each mask's row-major order, sib, then cop, then gp. Every
-per-part value is read through the masks in that order.
+order is each mask's row-major order, sib, then cop, then gp. The two
+readers go through the masks in that order: ``gather`` reads per-type
+arrays at every part, and ``pair_edges`` each part's two edge positions.
 ``from_factors`` builds the layout from the scorer's factors without
 enumerating a part; ``from_arrays`` scatters edges and pairs in.
 
 ``InferenceState`` is the trajectory both engines keep: per iteration
 one logit grid, read through the edge mask into per-edge vectors, and
 the last sweep's (n+1)^3 message tensors, read through the part masks
-into per-part values. ``sweep`` is dense mean-field's pass over
-``MESSAGES``; loopy BP runs the same pass on arrays inside its one
-unrolled node.
+into per-part values. Dense mean-field (``mf._dense_field``) makes one
+pass over ``MESSAGES`` per iteration on tensors; loopy BP makes the same
+pass on arrays inside its one unrolled node.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, DataError
 from .graph import PART_EDGE_COLUMNS, CandidateEdgeSet, part_mask
 
-__all__ = ["LogPotentials", "InferenceState", "MESSAGES", "sweep", "from_factors",
-           "from_arrays"]
+__all__ = ["LogPotentials", "InferenceState", "MESSAGES", "from_factors", "from_arrays"]
 
 PART_TYPE_ORDER = ("sib", "cop", "gp")
 
@@ -73,27 +73,6 @@ def aligned(tensor, kind):
     return tensor.transpose(_MIRROR[kind])
 
 
-def sweep(pot, grid, message, total):
-    """One synchronous pass over ``MESSAGES`` for every part type of
-    ``pot``: the tensor of each message is ``message(kind, reverse,
-    source)``, where ``source`` is the (n+1) x (n+1) ``grid`` with a unit
-    axis at the message's source axis, and its sum over the target axis is
-    added to ``total``. Returns (message name -> tensor, total)."""
-    messages = {}
-    for name, (kind, source, target, reverse) in MESSAGES.items():
-        if kind in pot.scores:
-            shape = grid.shape[:source] + (1,) + grid.shape[source:]
-            messages[name] = message(kind, reverse, ad.reshape(grid, shape))
-            total = ad.add(total, ad.tensor_sum(messages[name], axis=target))
-    return messages, total
-
-
-def on_edges(grid, edge_set):
-    """An (n+1) x (n+1) grid tensor gathered into an (E,) vector in edge
-    order."""
-    return ad.take(ad.reshape(grid, (-1,)), np.flatnonzero(edge_set.mask))
-
-
 @dataclass
 class LogPotentials:
     edge_set: CandidateEdgeSet  # the edge variables: the cells of its mask
@@ -101,33 +80,17 @@ class LogPotentials:
     scores: dict           # part type -> (n+1)^3 score tensor; types with no part absent
     part_masks: dict       # part type -> read-only (n+1)^3 mask of its parts; keys of ``scores``
 
-    edges = property(lambda self: self.edge_set.edges)
-    edge_count = property(lambda self: len(self.edge_set))
-
-    @property
-    def unary(self):
-        """The edge scores in edge order, gathered from the grid."""
-        return on_edges(self.edge_scores, self.edge_set)
-
-    def _masks(self):
-        """(part type, part mask) in part order."""
+    def _part_order(self):
+        """(part type, part mask) in part order: each mask's row-major
+        cells, sib, then cop, then gp."""
         return [(kind, self.part_masks[kind]) for kind in PART_TYPE_ORDER
                 if kind in self.part_masks]
-
-    def blocks(self):
-        """(part type, (P_kind, 3) stored triples) in part order, read from
-        the masks on each call."""
-        return [(kind, np.argwhere(mask)) for kind, mask in self._masks()]
-
-    @property
-    def pair_count(self):
-        return sum(int(np.count_nonzero(mask)) for mask in self.part_masks.values())
 
     def gather(self, arrays, dtype=np.float64):
         """Cells of per-type arrays (each broadcast to (n+1)^3) at every
         part, in part order; 0 for a type missing from ``arrays``."""
         return np.concatenate([np.zeros(0, dtype)] + [
-            np.broadcast_to(arrays.get(kind, 0), mask.shape)[mask] for kind, mask in self._masks()])
+            np.broadcast_to(arrays.get(kind, 0), mask.shape)[mask] for kind, mask in self._part_order()])
 
     def pair_edges(self):
         """(first, second) member edge positions of every pair: the position
@@ -136,16 +99,6 @@ class LogPotentials:
         return tuple(self.gather({kind: np.expand_dims(position, 3 - sum(cols[end]))
                                   for kind, cols in PART_EDGE_COLUMNS.items()}, np.intp)
                      for end in (0, 1))
-
-    def pairs(self):
-        """(first edge, second edge, part type, stored triple) per pair."""
-        kinds = [(kind, tuple(part)) for kind, rows in self.blocks() for part in rows.tolist()]
-        edges = self.edges
-        return [(edges[a], edges[b]) + kind
-                for a, b, kind in zip(*self.pair_edges(), kinds)]
-
-    def part_scores(self):
-        return self.gather({kind: s.data for kind, s in self.scores.items()})
 
 
 @dataclass
@@ -187,7 +140,7 @@ class InferenceState:
     def final_log_marginals(self):
         """(log Q(0), log Q(1)) of the last iterate as (E,) tensors,
         stable for extreme logits."""
-        logit = on_edges(self.logits[-1], self.pot.edge_set)
+        logit = ad.take(ad.reshape(self.logits[-1], (-1,)), np.flatnonzero(self.pot.edge_set.mask))
         return ad.neg(ad.softplus(logit)), ad.neg(ad.softplus(ad.neg(logit)))
 
     def directed_messages(self):
@@ -195,8 +148,12 @@ class InferenceState:
         of a LogPotentials, in part order: first the message from the
         pair's second edge into its first, then the reverse. The order of
         ``message_values``."""
-        return [message for a, b, kind, part in self.pot.pairs()
-                for message in ((b, a, kind, part), (a, b, kind, part))]
+        pot, edges = self.pot, self.pot.edge_set.edges
+        first, second = (ends.tolist() for ends in pot.pair_edges())
+        parts = [(kind, tuple(part)) for kind, mask in pot._part_order()
+                 for part in np.argwhere(mask).tolist()]
+        return [message for a, b, (kind, part) in zip(first, second, parts)
+                for message in ((edges[b], edges[a], kind, part), (edges[a], edges[b], kind, part))]
 
     def message_values(self):
         """The last sweep's messages at each part of a LogPotentials, in

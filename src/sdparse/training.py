@@ -72,12 +72,19 @@ class TrainConfig:
             raise ConfigError(f"inference must be 'mf' or 'lbp', got {self.inference!r}")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
-        for name in ("learning_rate", "decay_every_steps", "max_steps",
+        # each check is written so that NaN fails it
+        for name in ("learning_rate", "epsilon", "decay_every_steps", "max_steps",
                      "batch_token_budget", "max_sentence_length"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if not 0.0 <= self.threshold < 1.0:
-            raise ConfigError("threshold must be in [0,1)")
+        for name in ("beta1", "beta2", "threshold"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0,1)")
+        if not self.l2 >= 0.0:
+            raise ConfigError(f"l2 must be >= 0, got {self.l2}")
+        # None, which library callers pass, runs unclamped
+        if self.logit_clamp is not None and not self.logit_clamp > 0.0:
+            raise ConfigError(f"logit_clamp must be positive, got {self.logit_clamp}")
 
 
 # ------------------------------------------------------------------- losses

@@ -7,7 +7,7 @@ import pytest
 
 import sdparse.autodiff as ad
 from sdparse.graph import part_mask
-from sdparse.potentials import aligned
+from sdparse.potentials import InferenceState, aligned
 
 
 def numeric_grad(fn, arrays, step=1e-6):
@@ -39,11 +39,27 @@ def part_rows(n):
     return {kind: np.argwhere(part_mask(n, kind)) for kind in ("sib", "cop", "gp")}
 
 
+def unary_scores(pot):
+    """The edge scores of a potential in edge order, read off the grid."""
+    return pot.edge_scores.data[pot.edge_set.mask]
+
+
+def part_scores(pot):
+    """The part scores of a potential in part order."""
+    return pot.gather({kind: s.data for kind, s in pot.scores.items()})
+
+
+def pair_tuples(pot):
+    """(first edge, second edge, part type, stored triple) per pair of a
+    potential, in part order: every second of its directed messages."""
+    return InferenceState(pot).directed_messages()[1::2]
+
+
 def pair_list(pot, scores=None):
     """A potential's pairs as ``from_arrays`` entries
     (edge_a, edge_b, score, type_name), in part order."""
-    scores = pot.part_scores() if scores is None else scores
-    return [(a, b, float(s), kind) for (a, b, kind, _), s in zip(pot.pairs(), scores)]
+    scores = part_scores(pot) if scores is None else scores
+    return [(a, b, float(s), kind) for (a, b, kind, _), s in zip(pair_tuples(pot), scores)]
 
 
 def pair_arrays(pot):
@@ -51,7 +67,7 @@ def pair_arrays(pot):
     potential's pairs, in part order: the pair list the dense layout
     replaced."""
     first, second = pot.pair_edges()
-    return first, second, pot.part_scores()
+    return first, second, part_scores(pot)
 
 
 def unary_log(pot, edge, value):
@@ -63,7 +79,7 @@ def unary_log(pot, edge, value):
 
 def pair_log(pot, pair_idx, value1, value2):
     """log phi of pair ``pair_idx`` (part order) at the two values."""
-    return float(pot.part_scores()[pair_idx]) if value1 == value2 == 1 else 0.0
+    return float(part_scores(pot)[pair_idx]) if value1 == value2 == 1 else 0.0
 
 
 def joint_log_score(pot, on_edges):
@@ -73,7 +89,7 @@ def joint_log_score(pot, on_edges):
         grid[tuple(edge)] = True
     on = grid[pot.edge_set.mask]
     first, second = pot.pair_edges()
-    return float(pot.unary.data[on].sum()) + float(pot.part_scores()[on[first] & on[second]].sum())
+    return float(unary_scores(pot)[on].sum()) + float(part_scores(pot)[on[first] & on[second]].sum())
 
 
 def potential_grads(upstream, state):
@@ -90,7 +106,7 @@ def potential_grads(upstream, state):
     grads = {kind: s.grad if kind == "gp" else s.grad + aligned(s.grad, kind)
              for kind, s in pot.scores.items() if s.grad is not None}
     return {
-        "unary": np.zeros(pot.edge_count) if grid is None else grid[pot.edge_set.mask],
+        "unary": np.zeros(len(pot.edge_set)) if grid is None else grid[pot.edge_set.mask],
         "pairs": pot.gather(grads),
     }
 

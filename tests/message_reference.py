@@ -2,17 +2,18 @@
 kept as a reference for it.
 
 Each message update is its own tape node over ``autodiff.message_kernel``,
-and each sweep is ``potentials.sweep``: the source grid reshaped to a unit
-axis, the reverse tensor aligned by a transpose node, and every message
-summed into the next grid by a ``tensor_sum`` and an ``add`` node. Every
-logit grid and message tensor of the trajectory carries gradient; the
-state keeps the last sweep's messages.
+and each sweep is ``sweep`` below, a pass over ``potentials.MESSAGES``
+(dense mean-field runs the same pass in ``mf._dense_field``): the source
+grid reshaped to a unit axis, the reverse tensor aligned by a transpose
+node, and every message summed into the next grid by a ``tensor_sum`` and
+an ``add`` node. Every logit grid and message tensor of the trajectory
+carries gradient; the state keeps the last sweep's messages.
 """
 
 from __future__ import annotations
 
 import sdparse.autodiff as ad
-from sdparse.potentials import InferenceState, aligned, sweep
+from sdparse.potentials import MESSAGES, InferenceState, aligned
 
 
 def cavity_message(source, reverse, s, shift):
@@ -35,6 +36,21 @@ def cavity_message(source, reverse, s, shift):
         return (dsource, ds) if reverse is None else (dsource, ds, -dc)
 
     return ad._op(out, parents, vjp)
+
+
+def sweep(pot, grid, message, total):
+    """One synchronous pass over ``MESSAGES`` for every part type of
+    ``pot``: the tensor of each message is ``message(kind, reverse,
+    source)``, where ``source`` is the (n+1) x (n+1) ``grid`` with a unit
+    axis at the message's source axis, and its sum over the target axis is
+    added to ``total``. Returns (message name -> tensor, total)."""
+    messages = {}
+    for name, (kind, source, target, reverse) in MESSAGES.items():
+        if kind in pot.scores:
+            shape = grid.shape[:source] + (1,) + grid.shape[source:]
+            messages[name] = message(kind, reverse, ad.reshape(grid, shape))
+            total = ad.add(total, ad.tensor_sum(messages[name], axis=target))
+    return messages, total
 
 
 def reference_lbp_run(pot, iterations=3):

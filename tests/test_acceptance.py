@@ -29,6 +29,7 @@ from sdparse.sdp_io import build_vocab, format_sdp, parse_sdp_lines, write_sdp
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 from sdparse.training import TrainConfig, gradcheck, train
 
+from conftest import unary_scores
 from corpora import coupling_signal_corpus, roundtrip_corpus
 from test_model import trilinear
 
@@ -47,12 +48,12 @@ def test_zero_coupling_marginals_match_logistic_closed_form():
     for n in (2, 3, 4, 5):
         pot = random_potentials(n, np.random.default_rng(100 + n),
                                 unary_scale=1.0, coupling_scale=0.0)
-        closed = 1.0 / (1.0 + np.exp(-pot.unary.data))
+        closed = 1.0 / (1.0 + np.exp(-unary_scores(pot)))
         for engine in ("mf", "lbp"):
             for iterations in (1, 2, 3):
                 state = run_inference(pot, engine, iterations)
                 q = state.marginals()
-                got = np.array([q[e] for e in pot.edges])
+                got = np.array([q[e] for e in pot.edge_set.edges])
                 worst[engine] = max(worst[engine],
                                     float(np.max(np.abs(got - closed))))
     _line("zero-coupling exactness",
@@ -77,7 +78,7 @@ def test_approximate_marginals_agree_with_enumeration_oracle():
         errors = []
         for pot, ref in zip(instances, references):
             q = run_inference(pot, engine, 3).marginals()
-            errors.extend(abs(q[e] - ref.marginals[e]) for e in pot.edges)
+            errors.extend(abs(q[e] - ref.marginals[e]) for e in pot.edge_set.edges)
         stats[engine] = (float(np.mean(errors)), float(np.max(errors)))
     _line("oracle agreement",
           f"mf mean={stats['mf'][0]:.5f} max={stats['mf'][1]:.5f}; "
@@ -102,7 +103,7 @@ def test_lbp_is_exact_on_tree_structured_instances():
                                 unaries=tuple(rng.normal(0.0, 1.0, size=2)))
         ref = exact_infer(pot)
         q = run_inference(pot, "lbp", 2).marginals()
-        worst = max(worst, max(abs(q[e] - ref.marginals[e]) for e in pot.edges))
+        worst = max(worst, max(abs(q[e] - ref.marginals[e]) for e in pot.edge_set.edges))
 
     from sdparse.potentials import from_arrays
     edges = ((0, 1), (0, 2), (0, 3))
@@ -115,7 +116,7 @@ def test_lbp_is_exact_on_tree_structured_instances():
 
     ln2 = two_edge_instance(math.log(2.0))
     q_ln2 = run_inference(ln2, "lbp", 2).marginals()
-    off = max(abs(q_ln2[e] - 0.6) for e in ln2.edges)
+    off = max(abs(q_ln2[e] - 0.6) for e in ln2.edge_set.edges)
     _line("tree exactness",
           f"max|belief - exact|={worst:.3e} (tolerance 1e-9 at depth 2); "
           f"two-edge log-2 instance max|q - 0.6|={off:.3e}")

@@ -118,7 +118,24 @@ OUT_OF_RANGE_ARGUMENTS = [
     (["parse", "--set", "word_dim=999"], "word_dim: checkpoint=4 requested=999"),
     (["parse", "--set", "iterations=0"], "iterations must be >= 1"),
     (["parse", "--set", "inference=bogus"], "inference must be 'mf' or 'lbp', got 'bogus'"),
+    # NaN must fail each check as an out-of-range value does
+    (["parse", "--set", "logit_clamp=-1"], "logit_clamp must be positive, got -1.0"),
+    (["parse", "--set", "logit_clamp=0"], "logit_clamp must be positive, got 0.0"),
+    (["parse", "--set", "logit_clamp=nan"], "logit_clamp must be positive, got nan"),
+    (["parse", "--set", "epsilon=0"], "epsilon must be positive"),
+    (["parse", "--set", "learning_rate=nan"], "learning_rate must be positive"),
+    (["parse", "--set", "beta1=1.0"], "beta1 must be in [0,1)"),
+    (["parse", "--set", "beta2=1.0"], "beta2 must be in [0,1)"),
+    (["parse", "--set", "beta2=-1"], "beta2 must be in [0,1)"),
+    (["parse", "--set", "l2=-1"], "l2 must be >= 0, got -1.0"),
+    (["parse", "--set", "l2=nan"], "l2 must be >= 0, got nan"),
+    (["parse", "--set", "pretrained_proj_dim=-2"], "pretrained_proj_dim must be positive"),
+    (["parse", "--set", "pretrained_proj_dim=0"], "pretrained_proj_dim must be positive"),
+    (["parse", "--set", "leaky_slope=nan"], "leaky_slope must be finite, got nan"),
     (["oracle-compare", "--instances", "0"], "--instances"),
+    (["oracle-compare", "--length", "0"], "--length must be >= 1, got 0"),
+    (["oracle-compare", "--length", "-1"], "--length must be >= 1, got -1"),
+    (["oracle-compare", "--length", "-5"], "--length must be >= 1, got -5"),
     (["oracle-compare", "--length", "2", "--instances", "1", "--coupling-scale", "-1"],
      "--coupling-scale must be >= 0, got -1.0"),
     (["oracle-compare", "--length", "2", "--instances", "1", "--unary-scale", "-1"],

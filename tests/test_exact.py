@@ -21,7 +21,7 @@ from conftest import joint_log_score
 def slow_enumerate(pot):
     """Reference enumeration: python loops, no bit tricks. Returns
     (log Z, marginals, best assignment's log score)."""
-    edges = pot.edges
+    edges = pot.edge_set.edges
     scores = []
     marg_mass = {e: 0.0 for e in edges}
     for bits in itertools.product((0, 1), repeat=len(edges)):
@@ -71,7 +71,7 @@ def test_matches_independent_enumerator(seed, n):
     res = exact_infer(pot)
     log_z, marg, _ = slow_enumerate(pot)
     assert res.log_partition == pytest.approx(log_z, abs=1e-10)
-    for e in pot.edges:
+    for e in pot.edge_set.edges:
         assert res.marginals[e] == pytest.approx(marg[e], abs=1e-10)
 
 
@@ -107,5 +107,5 @@ def test_block_size_does_not_change_the_result(monkeypatch, block):
     res = exact_infer(pot)
     log_z, marg, _ = slow_enumerate(pot)
     assert res.log_partition == pytest.approx(log_z, abs=1e-12)
-    for e in pot.edges:
+    for e in pot.edge_set.edges:
         assert res.marginals[e] == pytest.approx(marg[e], abs=1e-12)

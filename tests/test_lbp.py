@@ -29,7 +29,8 @@ from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 from sdparse.training import TrainConfig, combined_loss, edge_loss, label_loss, sentence_loss
 
-from conftest import numeric_grad, pair_arrays, pair_list, potential_grads
+from conftest import (numeric_grad, pair_arrays, pair_list, pair_tuples, part_scores,
+                      potential_grads, unary_scores)
 from message_reference import reference_lbp_run
 from pair_list_reference import reference_sentence_loss
 
@@ -40,9 +41,9 @@ def naive_lbp(pot, iterations):
     loops over the pair list instead of dense tensors. Returns the
     per-iteration edge marginals and log m(1) - log m(0) of every directed
     message."""
-    E, P = pot.edge_count, pot.pair_count
-    unary = pot.unary.data
+    unary = unary_scores(pot)
     first, second, scores = pair_arrays(pot)
+    E, P = len(unary), len(scores)
     # direction 2p sends e2 -> e1, direction 2p+1 sends e1 -> e2
     src = np.empty(2 * P, dtype=int)
     dst = np.empty(2 * P, dtype=int)
@@ -84,7 +85,7 @@ def naive_lbp(pot, iterations):
 def test_initial_beliefs_are_sigmoid_of_unary():
     pot = from_arrays(((0, 1), (0, 2)), np.array([1.0, -2.0]), [])
     state = lbp_run(pot, 1)
-    np.testing.assert_allclose(state.q1(0), 1.0 / (1.0 + np.exp(-pot.unary.data)), atol=1e-14)
+    np.testing.assert_allclose(state.q1(0), 1.0 / (1.0 + np.exp(-unary_scores(pot))), atol=1e-14)
 
 
 def test_message_log_odds_match_normalized_reference():
@@ -125,7 +126,7 @@ def test_single_coupling_is_exact_for_any_strength():
         pot = from_arrays(((0, 1), (1, 2)), u, [((0, 1), (1, 2), s, "gp")])
         got = lbp_run(pot, iterations=2).q1(2)
         want = exact_infer(pot)
-        for k, e in enumerate(pot.edges):
+        for k, e in enumerate(pot.edge_set.edges):
             assert got[k] == pytest.approx(want.marginals[e], abs=1e-9)
 
 
@@ -142,21 +143,21 @@ def test_chain_of_three_edges_is_exact_after_two_rounds():
         want = exact_infer(pot)
         for T in (2, 4):
             got = lbp_run(pot, iterations=T).q1(T)
-            for k, e in enumerate(pot.edges):
+            for k, e in enumerate(pot.edge_set.edges):
                 assert got[k] == pytest.approx(want.marginals[e], abs=1e-9)
 
 
 def test_zero_coupling_reduces_to_independent_sigmoids(rng):
     pot = random_potentials(3, rng, unary_scale=2.0, coupling_scale=0.0)
     state = lbp_run(pot, iterations=3)
-    want = 1.0 / (1.0 + np.exp(-pot.unary.data))
+    want = 1.0 / (1.0 + np.exp(-unary_scores(pot)))
     for t in range(4):
         np.testing.assert_allclose(state.q1(t), want, atol=1e-12)
 
 
 def _without(pot, kind):
     """``pot`` with every part of one type (or none) removed."""
-    return from_arrays(pot.edges, pot.unary.data,
+    return from_arrays(pot.edge_set.edges, unary_scores(pot),
                        [pair for pair in pair_list(pot) if pair[3] != kind], requires_grad=False)
 
 
@@ -166,7 +167,7 @@ def test_dense_messages_match_naive_reference(n, off):
     pot = _without(random_potentials(n, np.random.default_rng(40 + n), coupling_scale=0.7), off)
     state = lbp_run(pot, iterations=4)
     want_q, want_ratios = naive_lbp(pot, 4)
-    assert state.message_values().shape == (2 * pot.pair_count,)
+    assert state.message_values().shape == (2 * len(part_scores(pot)),)
     for t in range(1, 5):
         np.testing.assert_allclose(state.q1(t), want_q[t], rtol=0, atol=1e-12)
         np.testing.assert_allclose(lbp_run(pot, iterations=t).message_values(),
@@ -182,10 +183,10 @@ def test_message_order_follows_the_parts():
     pot = from_arrays(edges, np.zeros(5), [((1, 3), (3, 2), 0.5, "gp"),
                                             ((0, 2), (0, 1), 0.25, "sib"),
                                             ((2, 1), (0, 1), -0.5, "cop")])
-    assert pot.pairs() == [((0, 1), (0, 2), "sib", (0, 1, 2)),
-                           ((0, 1), (2, 1), "cop", (0, 2, 1)),
-                           ((1, 3), (3, 2), "gp", (1, 3, 2))]
-    np.testing.assert_array_equal(pot.part_scores(), [0.25, -0.5, 0.5])
+    assert pair_tuples(pot) == [((0, 1), (0, 2), "sib", (0, 1, 2)),
+                                ((0, 1), (2, 1), "cop", (0, 2, 1)),
+                                ((1, 3), (3, 2), "gp", (1, 3, 2))]
+    np.testing.assert_array_equal(part_scores(pot), [0.25, -0.5, 0.5])
     state = lbp_run(pot, iterations=2)
     assert [d[:2] for d in state.directed_messages()] == [
         ((0, 2), (0, 1)), ((0, 1), (0, 2)), ((2, 1), (0, 1)), ((0, 1), (2, 1)),
@@ -206,15 +207,15 @@ def test_matches_naive_reference(seed):
 def test_no_couplings_keeps_stepping_without_error():
     pot = from_arrays(((0, 1), (0, 2)), np.array([0.3, -0.4]), [])
     state = lbp_run(pot, 1)
-    np.testing.assert_allclose(state.q1(1), 1.0 / (1.0 + np.exp(-pot.unary.data)), atol=1e-14)
+    np.testing.assert_allclose(state.q1(1), 1.0 / (1.0 + np.exp(-unary_scores(pot))), atol=1e-14)
 
 
 def test_permutation_equivariance(rng):
     pot = random_potentials(3, rng, coupling_scale=0.5)
-    order = rng.permutation(pot.edge_count)
-    edges = pot.edges
+    order = rng.permutation(len(pot.edge_set))
+    edges = pot.edge_set.edges
     pairs = pair_list(pot)[::-1]
-    shuffled = from_arrays([edges[i] for i in order], pot.unary.data[order], pairs)
+    shuffled = from_arrays([edges[i] for i in order], unary_scores(pot)[order], pairs)
     a = lbp_run(pot, iterations=3).marginals(3)
     b = lbp_run(shuffled, iterations=3).marginals(3)
     assert list(a) == list(b) == list(edges)
@@ -261,11 +262,11 @@ def _guard_counter(monkeypatch):
 def _assert_backward_matches_finite_differences(base, upstream, iterations):
     """Gradients of <upstream, Q^(T)> from lbp_run's backward against
     finite differences of the slow reference's Q^(T)."""
-    unary0 = base.unary.data.copy()
-    scores0 = base.part_scores()
+    unary0 = unary_scores(base).copy()
+    scores0 = part_scores(base)
 
     def rebuild(unary, scores, grad=False):
-        return from_arrays(base.edges, unary, pair_list(base, scores), requires_grad=grad)
+        return from_arrays(base.edge_set.edges, unary, pair_list(base, scores), requires_grad=grad)
 
     pot = rebuild(unary0, scores0, grad=True)
     state = lbp_run(pot, iterations=iterations)
@@ -284,7 +285,7 @@ def _assert_backward_matches_finite_differences(base, upstream, iterations):
 def test_backward_matches_finite_differences(iterations):
     rng = np.random.default_rng(13)
     base = random_potentials(3, rng, coupling_scale=0.3)
-    _assert_backward_matches_finite_differences(base, rng.normal(size=base.edge_count),
+    _assert_backward_matches_finite_differences(base, rng.normal(size=len(base.edge_set)),
                                                 iterations)
 
 
@@ -294,7 +295,7 @@ def test_backward_through_guarded_cells_matches_finite_differences(monkeypatch, 
     counts = _guard_counter(monkeypatch)
     rng = np.random.default_rng(17)
     base = random_potentials(3, rng, unary_scale=3.0, coupling_scale=25.0)
-    _assert_backward_matches_finite_differences(base, rng.normal(size=base.edge_count),
+    _assert_backward_matches_finite_differences(base, rng.normal(size=len(base.edge_set)),
                                                 iterations)
     assert counts["cancel"] and counts["wide"]
 
@@ -441,13 +442,13 @@ def test_trace_sentence_reads_each_depth_from_a_run_of_that_depth(engine):
         state = run_inference(pot, engine, max(t, 1))
         messages = zip(state.directed_messages(), state.message_values().tolist()) if t else ()
         steps.append({"iteration": t,
-                      "q": dict(zip(map(name, pot.edges), state.q1(t).tolist())),
+                      "q": dict(zip(map(name, pot.edge_set.edges), state.q1(t).tolist())),
                       "messages": [{"src": name(src), "dst": name(dst), "type": kind,
                                     "part": list(part), key: value}
                                    for (src, dst, kind, part), value in messages]})
     # the reference runs record their tape, the trace none: the same text
     assert state.logits[-1].requires_grad
-    want = {"n": 5, "engine": engine, "iterations": 3, "edges": list(map(name, pot.edges)),
+    want = {"n": 5, "engine": engine, "iterations": 3, "edges": list(map(name, pot.edge_set.edges)),
             "steps": steps}
     got = trace_sentence(model, sentence, engine, iterations=3)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
@@ -513,7 +514,7 @@ def test_no_grad_is_restored_when_nested_and_after_a_parse_raises(monkeypatch):
 
 def test_lbp_run_under_no_grad_keeps_no_logistics(monkeypatch):
     base = random_potentials(5, np.random.default_rng(5), coupling_scale=0.5)
-    pot = from_arrays(base.edges, base.unary.data, pair_list(base), requires_grad=True)
+    pot = from_arrays(base.edge_set.edges, unary_scores(base), pair_list(base), requires_grad=True)
     kernel, logistics = ad.message_kernel, []
 
     def recording(*args):

@@ -12,7 +12,8 @@ from sdparse.mf import DEFAULT_CLAMP, mf_run
 from sdparse.potentials import from_arrays
 from sdparse.synthetic import random_potentials, two_edge_instance
 
-from conftest import numeric_grad, pair_arrays, pair_list, potential_grads
+from conftest import (numeric_grad, pair_arrays, pair_list, part_scores, potential_grads,
+                      unary_scores)
 
 # the two-edge instance with coupling log 2, iterated to convergence
 TWO_EDGE_FIXED_POINT = 0.6029962210857664
@@ -27,13 +28,13 @@ def naive_mf(pot, iterations, clamp=DEFAULT_CLAMP):
     def expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
-    unary = pot.unary.data
+    unary = unary_scores(pot)
     first, second, scores = pair_arrays(pot)
     qs = [expit(clip(unary.copy()))]
     for _ in range(iterations):
         field = np.zeros_like(unary)
         q = qs[-1]
-        for p in range(pot.pair_count):
+        for p in range(len(scores)):
             a, b = first[p], second[p]
             field[a] += q[b] * scores[p]
             field[b] += q[a] * scores[p]
@@ -49,7 +50,7 @@ def mf_second_order_field(state, edge, t=-1):
     q = state.q1(t)
     first, second, s = pair_arrays(pot)
     total = 0.0
-    for p in range(pot.pair_count):
+    for p in range(len(s)):
         if first[p] == k:
             total += q[second[p]] * s[p]
         elif second[p] == k:
@@ -68,7 +69,7 @@ def test_update_field_collects_every_coupled_neighbor():
     # a sibling with (0,2), a co-parent with (2,1), a grandparent with (1,2)
     pot = random_potentials(2, np.random.default_rng(5), coupling_scale=0.4)
     state = mf_run(pot, 1)
-    idx = {e: k for k, e in enumerate(pot.edges)}
+    idx = {e: k for k, e in enumerate(pot.edge_set.edges)}
     q0 = state.q1(0)
     partner_and_score = {}
     for ea, eb, score, kind in pair_list(pot):
@@ -81,7 +82,7 @@ def test_update_field_collects_every_coupled_neighbor():
     assert partner_and_score["cop"][0] == (2, 1)
     assert partner_and_score["gp"][0] == (1, 2)
     field = sum(q0[idx[e]] * s for e, s in partner_and_score.values())
-    want = pot.unary.data[idx[(0, 1)]] + field
+    want = unary_scores(pot)[idx[(0, 1)]] + field
     assert state.logits[1].data[0, 1] == pytest.approx(want, abs=1e-12)
 
 
@@ -108,7 +109,7 @@ def test_two_edge_fixed_point():
 def test_zero_coupling_reduces_to_independent_sigmoids(rng):
     pot = random_potentials(3, rng, unary_scale=2.0, coupling_scale=0.0)
     state = mf_run(pot, iterations=3)
-    want = 1.0 / (1.0 + np.exp(-pot.unary.data))
+    want = 1.0 / (1.0 + np.exp(-unary_scores(pot)))
     for t in range(4):
         np.testing.assert_allclose(state.q1(t), want, atol=1e-12)
 
@@ -140,10 +141,10 @@ def test_iterations_must_be_positive():
 
 def test_permutation_equivariance(rng):
     pot = random_potentials(3, rng, coupling_scale=0.5)
-    order = rng.permutation(pot.edge_count)
-    edges = pot.edges
+    order = rng.permutation(len(pot.edge_set))
+    edges = pot.edge_set.edges
     pairs = pair_list(pot)[::-1]
-    shuffled = from_arrays([edges[i] for i in order], pot.unary.data[order], pairs)
+    shuffled = from_arrays([edges[i] for i in order], unary_scores(pot)[order], pairs)
     a = mf_run(pot, iterations=3).marginals(3)
     b = mf_run(shuffled, iterations=3).marginals(3)
     assert list(a) == list(b) == list(edges)
@@ -162,11 +163,11 @@ def test_final_log_marginals_are_consistent():
 def test_second_order_field_matches_vectorized_update(rng):
     pot = random_potentials(3, rng, coupling_scale=0.4)
     state = mf_run(pot, iterations=3, clamp=None)
-    idx = {e: k for k, e in enumerate(pot.edges)}
+    idx = {e: k for k, e in enumerate(pot.edge_set.edges)}
     q = state.q1(2)
     # the field Q^2 induced is what iteration 3 added to the unary scores
     field = state.logits[3].data - pot.edge_scores.data
-    for e in pot.edges:
+    for e in pot.edge_set.edges:
         want = sum(q[idx[b if a == e else a]] * s
                    for a, b, s, _ in pair_list(pot) if e in (a, b))
         assert mf_second_order_field(state, e, 2) == pytest.approx(want, abs=1e-12)
@@ -193,12 +194,12 @@ def test_message_values_name_both_directions():
 def test_backward_matches_finite_differences(iterations):
     rng = np.random.default_rng(7)
     base = random_potentials(3, rng, coupling_scale=0.3)
-    upstream = rng.normal(size=base.edge_count)
-    unary0 = base.unary.data.copy()
-    scores0 = base.part_scores()
+    upstream = rng.normal(size=len(base.edge_set))
+    unary0 = unary_scores(base).copy()
+    scores0 = part_scores(base)
 
     def rebuild(unary, scores, grad=False):
-        return from_arrays(base.edges, unary, pair_list(base, scores), requires_grad=grad)
+        return from_arrays(base.edge_set.edges, unary, pair_list(base, scores), requires_grad=grad)
 
     pot = rebuild(unary0, scores0, grad=True)
     state = mf_run(pot, iterations=iterations)

@@ -14,7 +14,7 @@ from sdparse.potentials import from_factors
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import toy_corpus
 
-from conftest import part_rows
+from conftest import part_rows, unary_scores
 
 TINY = ModelConfig(word_dim=4, pos_dim=3, encoder_layers=0, unary_dim=5, binary_dim=3)
 
@@ -258,9 +258,9 @@ def _scores_and_roles(model, sentence):
 def test_score_counts_for_two_words(model, corpus):
     sent = Sentence(tokens=corpus[0][0].tokens[:2])
     factors, pot, _ = _scores_and_roles(model, sent)
-    assert pot.unary.data.shape == (4,)
+    assert unary_scores(pot).shape == (4,)
     assert factors.s_label.data.shape == (4, len(model.vocab.label2id))
-    assert [len(rows) for _, rows in pot.blocks()] == [1, 2, 2]
+    assert [np.count_nonzero(pot.part_masks[kind]) for kind in ("sib", "cop", "gp")] == [1, 2, 2]
     assert {kind: s.shape for kind, s in pot.scores.items()} == {
         "sib": (3, 3, 3), "cop": (3, 3, 3), "gp": (3, 3, 3)}
 
@@ -269,10 +269,10 @@ def test_edge_scores_match_direct_biaffine(model, sentence):
     factors, pot, roles = _scores_and_roles(model, sentence)
     U = model.params["edge_U"].data
     b = model.params["edge_b"].data
-    for pos, (h, d) in enumerate(pot.edges):
+    for pos, (h, d) in enumerate(pot.edge_set.edges):
         want = roles["edge_dep"][d] @ U @ roles["edge_head"][h] + b
-        assert pot.unary.data[pos] == pytest.approx(float(want), abs=1e-12)
-        assert factors.edge_scores.data[h, d] == pot.unary.data[pos]
+        assert unary_scores(pot)[pos] == pytest.approx(float(want), abs=1e-12)
+        assert factors.edge_scores.data[h, d] == unary_scores(pot)[pos]
 
 
 def test_label_scores_match_direct_product(model, sentence):
@@ -295,7 +295,7 @@ def _tri(roles, model, kind, r1, r2, r3, nodes):
 def test_sibling_scores_read_head_then_both_dependents(model, sentence):
     _, pot, roles = _scores_and_roles(model, sentence)
     S = pot.scores["sib"].data
-    for i, j, k in dict(pot.blocks())["sib"]:
+    for i, j, k in np.argwhere(pot.part_masks["sib"]):
         want = _tri(roles, model, "sib", "sib_head", "sib_dep", "sib_dep", (i, j, k))
         assert S[i, j, k] == pytest.approx(want, abs=1e-10)
         assert S[i, k, j] == S[i, j, k]
@@ -304,7 +304,7 @@ def test_sibling_scores_read_head_then_both_dependents(model, sentence):
 def test_coparent_scores_read_shared_dependent_in_the_middle(model, sentence):
     _, pot, roles = _scores_and_roles(model, sentence)
     S = pot.scores["cop"].data
-    for i, k, j in dict(pot.blocks())["cop"]:
+    for i, k, j in np.argwhere(pot.part_masks["cop"]):
         want = _tri(roles, model, "cop", "cop_head", "cop_dep", "cop_head", (i, j, k))
         assert S[i, k, j] == pytest.approx(want, abs=1e-10)
         assert S[k, i, j] == S[i, k, j]
@@ -313,7 +313,7 @@ def test_coparent_scores_read_shared_dependent_in_the_middle(model, sentence):
 def test_grandparent_scores_are_directional(model, sentence):
     _, pot, roles = _scores_and_roles(model, sentence)
     S = pot.scores["gp"].data
-    for i, j, k in dict(pot.blocks())["gp"]:
+    for i, j, k in np.argwhere(pot.part_masks["gp"]):
         want = _tri(roles, model, "gp", "gp_head", "gp_head_dep", "gp_dep", (i, j, k))
         assert S[i, j, k] == pytest.approx(want, abs=1e-10)
 
@@ -324,9 +324,7 @@ def test_disabled_part_types_are_dropped(vocab, sentence):
     m = ParserModel(cfg, vocab, np.random.default_rng(9))
     pot = from_factors(m.score_factors(sentence))
     assert set(pot.scores) == set(pot.part_masks) == {"gp"}
-    parts = dict(pot.blocks())
-    assert set(parts) == {"gp"}
-    assert len(parts["gp"]) == len(part_rows(sentence.n)["gp"])
+    assert np.count_nonzero(pot.part_masks["gp"]) == len(part_rows(sentence.n)["gp"])
 
 
 # each part type switched off in turn, and all of them on
@@ -455,7 +453,7 @@ def test_score_backward_reaches_every_group(model, sentence):
     factors = model.score_factors(sentence)
     pot = from_factors(factors)
     model.zero_grad()
-    outputs = [pot.unary, factors.s_label, *pot.scores.values()]
+    outputs = [pot.edge_scores, factors.s_label, *pot.scores.values()]
     ad.backward(outputs, [np.ones_like(t.data) for t in outputs])
     groups = model.param_groups()
     for name in ("embeddings", "projections", "edge_biaffine", "label_biaffine", "trilinear"):
@@ -466,7 +464,8 @@ def test_score_backward_reaches_every_group(model, sentence):
 def test_edge_bias_gradient_is_edge_count(model, sentence):
     pot = from_factors(model.score_factors(sentence))
     model.zero_grad()
-    ad.backward([ad.tensor_sum(pot.unary)], [np.ones(())])
+    # one unit of upstream gradient on each candidate edge's score
+    ad.backward([pot.edge_scores], [pot.edge_set.mask.astype(np.float64)])
     assert model.params["edge_b"].grad == pytest.approx(sentence.n ** 2)
 
 

@@ -15,7 +15,8 @@ from sdparse.sdp_io import build_vocab
 from sdparse.pipeline import run_inference
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 
-from conftest import joint_log_score, pair_list, pair_log, part_rows, unary_log
+from conftest import (joint_log_score, pair_list, pair_log, pair_tuples, part_rows, part_scores,
+                      unary_log, unary_scores)
 from test_graph import reference_edge_pairs
 
 
@@ -33,22 +34,22 @@ def test_from_factors_preserves_scores_and_pair_wiring(scored):
     pot = from_factors(factors)
     n = factors.edge_set.n
     np.testing.assert_array_equal(
-        pot.unary.data, factors.edge_scores.data[factors.edge_set.mask])
+        unary_scores(pot), factors.edge_scores.data[factors.edge_set.mask])
     assert pot.edge_scores is factors.edge_scores
-    assert pot.edge_count == len(pot.edges)
+    assert len(pot.edge_set) == len(pot.edge_set.edges)
     # typed blocks appear in the documented order, one pair per part
-    assert pot.pairs() == reference_edge_pairs(n)
-    assert pot.pair_count == sum(map(len, part_rows(n).values()))
+    assert pair_tuples(pot) == reference_edge_pairs(n)
+    assert len(part_scores(pot)) == sum(map(len, part_rows(n).values()))
     assert set(pot.part_masks) == set(pot.scores) == {"sib", "cop", "gp"}
     assert not any(mask.flags.writeable for mask in pot.part_masks.values())
     # each pair scores sum_m g1[a,m] g2[b,m] g3[c,m] over its first edge
     # (a, b) and third node c
     want = []
-    for (a, b), edge_b, kind, _ in pot.pairs():
+    for (a, b), edge_b, kind, _ in pair_tuples(pot):
         c = ({edge_b[0], edge_b[1]} - {a, b}).pop()
         g1, g2, g3 = (g.data for g in factors.tri[kind])
         want.append(np.sum(g1[a] * g2[b] * g3[c]))
-    np.testing.assert_allclose(pot.part_scores(), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(part_scores(pot), want, rtol=0, atol=1e-12)
 
 
 def test_each_score_multiplies_the_part_mask_it_keeps(scored):
@@ -99,7 +100,7 @@ def test_from_arrays_rejects_bad_edges_and_repeated_parts():
 def test_joint_log_score_enumerates_two_edges():
     s = np.log(2.0)
     pot = two_edge_instance(s, unaries=(0.25, -0.5))
-    e1, e2 = pot.edges
+    e1, e2 = pot.edge_set.edges
     assert joint_log_score(pot, set()) == pytest.approx(0.0)
     assert joint_log_score(pot, {e1}) == pytest.approx(0.25)
     assert joint_log_score(pot, {e2}) == pytest.approx(-0.5)
@@ -108,8 +109,8 @@ def test_joint_log_score_enumerates_two_edges():
 
 def test_accessors_look_up_by_edge_and_pair():
     pot = two_edge_instance(1.5, unaries=(0.25, -0.5))
-    assert unary_log(pot, pot.edges[0], 1) == pytest.approx(0.25)
-    assert unary_log(pot, pot.edges[0], 0) == 0.0
+    assert unary_log(pot, pot.edge_set.edges[0], 1) == pytest.approx(0.25)
+    assert unary_log(pot, pot.edge_set.edges[0], 0) == 0.0
     assert pair_log(pot, 0, 1, 1) == pytest.approx(1.5)
     assert pair_log(pot, 0, 1, 0) == 0.0
     assert pair_log(pot, 0, 0, 1) == 0.0
@@ -118,12 +119,12 @@ def test_accessors_look_up_by_edge_and_pair():
 def test_from_arrays_sorts_shuffled_edges():
     rng = np.random.default_rng(5)
     pot = random_potentials(3, rng, coupling_scale=0.5)
-    edges, unary = pot.edges, pot.unary.data
+    edges, unary = pot.edge_set.edges, unary_scores(pot)
     order = rng.permutation(len(edges))
     shuffled = from_arrays([edges[i] for i in order], unary[order], pair_list(pot)[::-1])
     # reported in row-major order, with the unaries permuted to match
-    assert shuffled.edges == edges
-    np.testing.assert_array_equal(shuffled.unary.data, unary)
+    assert shuffled.edge_set.edges == edges
+    np.testing.assert_array_equal(unary_scores(shuffled), unary)
     assert exact_infer(shuffled).marginals == exact_infer(pot).marginals
     for engine in ("mf", "lbp"):
         assert (run_inference(shuffled, engine, 3).marginals()
@@ -140,9 +141,9 @@ def test_from_arrays_sorts_reversed_parts():
     ordered = from_arrays(edges, unary, pairs[1::-1] + pairs[:1:-1])
     want = [((0, 1), (0, 2), "sib", (0, 1, 2)), ((0, 2), (0, 3), "sib", (0, 2, 3)),
             ((0, 1), (1, 2), "gp", (0, 1, 2)), ((0, 2), (2, 1), "gp", (0, 2, 1))]
-    assert given.pairs() == ordered.pairs() == want
-    np.testing.assert_array_equal(given.part_scores(), [-0.4, 0.7, -0.6, 0.9])
-    np.testing.assert_array_equal(ordered.part_scores(), [-0.4, 0.7, -0.6, 0.9])
+    assert pair_tuples(given) == pair_tuples(ordered) == want
+    np.testing.assert_array_equal(part_scores(given), [-0.4, 0.7, -0.6, 0.9])
+    np.testing.assert_array_equal(part_scores(ordered), [-0.4, 0.7, -0.6, 0.9])
     for engine in ("mf", "lbp"):
         got, ref = run_inference(given, engine, 3), run_inference(ordered, engine, 3)
         assert got.directed_messages() == ref.directed_messages() == [

@@ -18,7 +18,7 @@ from sdparse.metrics import f1
 from sdparse.potentials import LogPotentials
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 
-from conftest import pair_log, part_rows, unary_log
+from conftest import pair_log, pair_tuples, part_rows, part_scores, unary_log, unary_scores
 from corpora import COUPLING_CORPUS_LENGTH, coupling_signal_corpus, roundtrip_corpus
 from test_graph import reference_edge_pairs
 
@@ -152,12 +152,12 @@ def test_omniscient_predictor_scores_one():
 def test_two_edge_instance_structure():
     pot = two_edge_instance(np.log(2.0), unaries=(0.5, -0.5))
     assert isinstance(pot, LogPotentials)
-    assert pot.edges == ((0, 1), (0, 2))
+    assert pot.edge_set.edges == ((0, 1), (0, 2))
     assert unary_log(pot, (0, 1), 1) == pytest.approx(0.5)
     assert unary_log(pot, (0, 2), 1) == pytest.approx(-0.5)
     assert unary_log(pot, (0, 1), 0) == 0.0
-    assert pot.pair_count == 1
-    assert pot.pairs() == [((0, 1), (0, 2), "sib", (0, 1, 2))]
+    assert len(part_scores(pot)) == 1
+    assert pair_tuples(pot) == [((0, 1), (0, 2), "sib", (0, 1, 2))]
     # the score sits on both orientations of the one sibling cell pair
     sib = pot.scores["sib"].data
     assert sib[0, 1, 2] == sib[0, 2, 1] == pytest.approx(np.log(2.0))
@@ -170,14 +170,14 @@ def test_random_potentials_cover_every_part():
     rng = np.random.default_rng(0)
     pot = random_potentials(3, rng, unary_scale=1.0, coupling_scale=0.1)
     # heads 0..3 x deps 1..3 minus the three self-loops
-    assert len(pot.edges) == 9
+    assert len(pot.edge_set.edges) == 9
     want = reference_edge_pairs(3)
     assert {kind for _, _, kind, _ in want} == {"sib", "cop", "gp"}
-    assert pot.pair_count == len(want)
-    assert pot.pairs() == want
+    assert len(part_scores(pot)) == len(want)
+    assert pair_tuples(pot) == want
     # every pair score lands only on the both-on cell
-    scores = pot.part_scores()
-    for p in range(pot.pair_count):
+    scores = part_scores(pot)
+    for p in range(len(scores)):
         assert pair_log(pot, p, 1, 1) == scores[p]
         assert pair_log(pot, p, 1, 0) == pair_log(pot, p, 0, 1) == 0.0
     # in the dense layout a symmetric part fills its two mirrored cells and
@@ -193,20 +193,20 @@ def test_random_potentials_draw_unaries_then_parts_in_part_order():
     parts = part_rows(3)
     unary = rng.normal(0.0, 1.0, size=9)
     scores = rng.normal(0.0, 0.3, size=sum(map(len, parts.values())))
-    np.testing.assert_array_equal(pot.unary.data, unary)
+    np.testing.assert_array_equal(unary_scores(pot), unary)
     # the second draw, one score per part in part order: each mask's
     # row-major order, sib, cop, then gp
-    np.testing.assert_array_equal(pot.part_scores(), scores)
+    np.testing.assert_array_equal(part_scores(pot), scores)
     rows = [(kind, tuple(row)) for kind in ("sib", "cop", "gp")
             for row in parts[kind].tolist()]
-    assert [(kind, part) for _, _, kind, part in pot.pairs()] == rows
+    assert [(kind, part) for _, _, kind, part in pair_tuples(pot)] == rows
     for (kind, (a, b, c)), score in zip(rows, scores):
         assert pot.scores[kind].data[a, b, c] == score
 
 
 def test_random_potentials_scale_zero_kills_couplings():
     pot = random_potentials(3, np.random.default_rng(1), coupling_scale=0.0)
-    assert np.all(pot.part_scores() == 0.0)
+    assert np.all(part_scores(pot) == 0.0)
     assert all(not s.data.any() for s in pot.scores.values())
 
 
