@@ -10,14 +10,17 @@ pass. Grad is on unless a ``no_grad()`` block is open: inside one every
 op returns a constant, so a forward-only call (a parse, a trace, a
 finite-difference loss) keeps no backward state.
 
-``backward(outputs, seeds)`` runs one reverse sweep. Gradients of interior
-nodes are reset at the start of every sweep; gradients of leaves (the
-actual parameters) accumulate across sweeps until the caller clears them,
-which is what lets a batch sum per-sentence gradients. A leaf gradient
-that ``backward`` itself allocated is accumulated in place; one that may
-share memory with anything else (a view, another node's gradient, an
-array set by the caller) is replaced by a fresh sum first, so no array but
-that leaf's own gradient ever changes.
+``backward(outputs, seeds)`` runs one reverse sweep. An interior node's
+gradient is freed as soon as its parents' gradients are taken, so a sweep
+holds only the gradients it has yet to pass on, and after it only the
+outputs keep theirs (their seeds, reset at the start of the next sweep).
+The vjp closures stay, so the same graph can be swept again. Gradients of
+leaves (the actual parameters) accumulate across sweeps until the caller
+clears them, which is what lets a batch sum per-sentence gradients. A leaf
+gradient that ``backward`` itself allocated is accumulated in place; one
+that may share memory with anything else (a view, another node's
+gradient, an array set by the caller) is replaced by a fresh sum first,
+so no array but that leaf's own gradient ever changes.
 
 The op set is what the parser needs: elementwise arithmetic with
 broadcasting, matmul and ``linear`` (x @ W^T, whose W gradient is fresh),
@@ -139,7 +142,9 @@ def backward(outputs, seeds):
     """Reverse sweep from ``outputs`` seeded with ``seeds``.
 
     Interior-node gradients are cleared first so a tensor reused across
-    sweeps cannot leak stale gradient; leaf gradients accumulate.
+    sweeps cannot leak stale gradient, and each is set to None again once
+    its parents' gradients are taken: after the sweep only ``outputs``
+    hold a gradient among the interior nodes. Leaf gradients accumulate.
 
     A leaf's gradient is added to in place only while it is an array this
     function owns: either a vjp result that is a fresh array no one else
@@ -177,6 +182,7 @@ def backward(outputs, seeds):
         g = np.broadcast_to(np.asarray(seed, dtype=np.float64), out.data.shape)
         out.grad = np.array(g) if out.grad is None else out.grad + g
 
+    kept = {id(out) for out in outputs}
     for node in reversed(topo):
         if node.grad is None or node._vjp is None:
             continue
@@ -198,6 +204,9 @@ def backward(outputs, seeds):
             else:
                 parent.grad = np.add(parent.grad, pgrad, out=np.empty(parent.data.shape))
                 parent._owned = weakref.ref(parent.grad)
+        # only now: the ownership test above compares with node.grad
+        if id(node) not in kept:
+            node.grad = None
 
 
 # ---------------------------------------------------------------- arithmetic

@@ -30,17 +30,18 @@ from .potentials import from_factors
 __all__ = ["run_inference", "parse_sentence", "trace_sentence", "PAIR_LENGTH_CAP"]
 
 # Longest sentence the dense (n+1)^3 path accepts: the longest whose LBP
-# training step (loss and backward, T = 3, desk dims) fits the budget the
-# pair list had at n = 90. Traced peaks per (n+1)^3 cell at n = 30, 45
-# and 60, which fall with n:
-#   training step   331, 288 and 271 bytes, under PAIR_BYTES_PER_CELL
-#                   from n = 30 on, so n = 143 (2.99M cells) peaks
-#                   below 1.03 GiB;
+# training (``train`` on a batch, T = 3, desk dims) fits the budget the
+# pair list had at n = 90. Traced peaks per (n+1)^3 cell, which fall with n:
+#   train, a batch  264 and 227 bytes at n = 30 and 45 (two sentences in
+#                   one step), under PAIR_BYTES_PER_CELL from n = 30 on,
+#                   so n = 154 (3.72M cells) peaks below 1.04 GiB;
+#   one step        246, 221 and 211 bytes at n = 30, 45 and 60: a batch
+#                   adds the optimizer and its gradients;
 #   parse           136, 134 and 133 bytes: ``parse_sentence`` records
 #                   no tape, so LBP keeps no logistics.
 # Mean-field is O(n^2) and uncapped.
 PAIR_MEMORY_BUDGET = 1.05 * 2**30
-PAIR_BYTES_PER_CELL = 370
+PAIR_BYTES_PER_CELL = 300
 PAIR_LENGTH_CAP = int((PAIR_MEMORY_BUDGET / PAIR_BYTES_PER_CELL) ** (1 / 3)) - 1
 
 

@@ -176,28 +176,55 @@ class InferenceState:
 
 
 def from_factors(factors):
-    """LogPotentials of a sentence from the scorer's ScoreFactors.
-
-    Each part type's table T[a,b,c] = sum_m g1[a,m] g2[b,m] g3[c,m] over
-    its first edge (a, b) and third node c is one (N^2, d) @ (d, N)
-    product (N = n+1). It is brought into the message layout (cop: T[i,j,k]
-    to [i,k,j]) and multiplied by the type's part mask, which the
-    potentials keep, and a symmetric type adds its mirror image.
-    """
+    """LogPotentials of a sentence from the scorer's ScoreFactors, with one
+    autodiff node per part type (``_part_scores``)."""
     n = factors.edge_set.n
     scores, masks = {}, {}
     # a one-word sentence has no part, so its scorer gets no gradient
     for kind, (g1, g2, g3) in factors.tri.items() if n > 1 else ():
-        N, d = g1.shape
-        pairs = ad.reshape(ad.mul(ad.reshape(g1, (N, 1, d)), ad.reshape(g2, (1, N, d))),
-                           (N * N, d))
-        table = ad.reshape(ad.linear(pairs, g3), (N, N, N))
-        if kind == "cop":
-            table = ad.transpose(table, (0, 2, 1))
         masks[kind] = part_mask(n, kind)
-        s = ad.mul(table, ad.constant(masks[kind]))
-        scores[kind] = ad.add(s, aligned(s, kind)) if kind in _MIRROR else s
+        scores[kind] = _part_scores(kind, g1, g2, g3, masks[kind])
     return LogPotentials(factors.edge_set, factors.edge_scores, scores, masks)
+
+
+def _part_scores(kind, g1, g2, g3, mask):
+    """The (n+1)^3 score tensor of part type ``kind`` from its factors, each
+    (N, d) with N = n+1, as one node.
+
+    The table T[a,b,c] = sum_m g1[a,m] g2[b,m] g3[c,m] over its first edge
+    (a, b) and third node c is one (N^2, d) @ (d, N) product of the pair
+    factor g1[a] * g2[b] with g3. It is brought into the message layout
+    (cop: T[i,j,k] to [i,k,j]) and multiplied by the part ``mask``, and a
+    symmetric type adds its mirror image. The node keeps only the pair
+    factor besides its output; the backward takes the same operations in
+    the same order as the chain of elementwise, matmul and transpose nodes
+    it stands for, so every gradient is bitwise that chain's.
+    """
+    N, d = g1.shape
+    g1d, g2d, g3d = g1.data, g2.data, g3.data
+    pairs = (g1d.reshape(N, 1, d) * g2d.reshape(1, N, d)).reshape(N * N, d)
+    table = (pairs @ g3d.T).reshape(N, N, N)
+    s = (table.transpose(0, 2, 1) if kind == "cop" else table) * mask
+    del table
+    out = s + aligned(s, kind) if kind in _MIRROR else s
+    parents = (g1, g2, g3)
+    if not ad.records(parents):
+        return ad.constant(out)
+
+    def vjp(g):
+        if kind in _MIRROR:
+            g = g + aligned(g, kind)
+            g *= mask
+        else:
+            g = g * mask
+        if kind == "cop":
+            g = g.transpose(0, 2, 1)
+        g = g.reshape(N * N, N)
+        dpairs = (g @ g3d).reshape(N, N, d)
+        return ((dpairs * g2d.reshape(1, N, d)).sum(axis=1),
+                (dpairs * g1d.reshape(N, 1, d)).sum(axis=0), g.T @ pairs)
+
+    return Tensor(out, requires_grad=True, _parents=parents, _vjp=vjp)
 
 
 def _scatter(edge_set, unary, masks, part_scores, requires_grad):

@@ -82,6 +82,11 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0,1)")
         if not self.l2 >= 0.0:
             raise ConfigError(f"l2 must be >= 0, got {self.l2}")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ConfigError(f"lr_decay must be in (0,1], got {self.lr_decay}")
+        for name in ("amsgrad_patience_steps", "early_stop_steps"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         # None, which library callers pass, runs unclamped
         if self.logit_clamp is not None and not self.logit_clamp > 0.0:
             raise ConfigError(f"logit_clamp must be positive, got {self.logit_clamp}")
@@ -324,6 +329,8 @@ def train(model, train_data, dev_data, cfg, log=None):
                                      train=True, rng=dropout_rng)
                 ad.backward([loss], [seed])
                 epoch_losses.append(loss.item())
+                # the tape goes before the next sentence's forward
+                del loss
             optimizer.apply()
             if optimizer.step_count >= cfg.max_steps:
                 break
@@ -422,6 +429,7 @@ def gradcheck(model, sentence, gold, cfg, engines=("mf", "lbp"),
             ad.backward([loss], [1.0])
             analytic = {k: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                         for k, p in model.params.items()}
+            del loss
 
             worst = 0.0
             for name, flat in pick_coordinates():

@@ -479,6 +479,37 @@ def test_leaf_grads_sum_the_sweeps_and_no_other_gradient_changes(rng, graph):
         held = [(node, node.grad, np.array(node.grad)) for node in _graph_nodes(out)]
 
 
+@pytest.mark.parametrize("graph", sorted(LEAF_GRAPHS))
+def test_backward_frees_interior_gradients_and_outputs_keep_their_seeds(rng, graph):
+    build, shapes = LEAF_GRAPHS[graph]
+    leaves = [ad.parameter(rng.normal(size=shape)) for shape in shapes]
+    # two outputs over the same leaves, each with an interior node below it
+    outputs = [build(*leaves), ad.neg(build(*leaves))]
+    seeds = [rng.normal(size=out.shape) for out in outputs]
+    ad.backward(outputs, seeds)
+    for out, seed in zip(outputs, seeds):
+        np.testing.assert_array_equal(out.grad, seed)
+    interior = [node for out in outputs for node in _graph_nodes(out)
+                if node._vjp is not None and all(node is not out for out in outputs)]
+    assert interior and all(node.grad is None for node in interior)
+    assert all(leaf.grad is not None for leaf in leaves)
+
+
+def test_an_output_gradient_passed_to_a_leaf_is_not_written_by_a_second_sweep(rng):
+    a, b, c = (ad.parameter(rng.normal(size=shape)) for shape in [(3, 4), (4,), (4,)])
+    # both adds pass the output's gradient through, so the interior one
+    # hands the output's own array to the leaf, unowned
+    out = ad.add(ad.add(a, b), c)
+    first, second = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    ad.backward([out], [first])
+    held = out.grad
+    assert a.grad is held
+    ad.backward([out], [second])
+    np.testing.assert_array_equal(held, first)
+    np.testing.assert_array_equal(out.grad, second)
+    np.testing.assert_array_equal(a.grad, first + second)
+
+
 def test_backward_with_seed_matrix(rng):
     x = ad.parameter(rng.normal(size=(2, 3)))
     out = ad.mul(x, ad.constant(np.full((2, 3), 2.0)))

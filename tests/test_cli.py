@@ -158,6 +158,42 @@ def test_out_of_range_argument_exits_2(tmp_path, trained, corpus_path, capsys, a
     assert message in capsys.readouterr().err
 
 
+# the schedule's values, refused before anything is written
+SCHEDULE_SETTINGS = [
+    ("lr_decay=nan", "lr_decay must be in (0,1], got nan"),
+    ("lr_decay=-1", "lr_decay must be in (0,1], got -1.0"),
+    ("lr_decay=0", "lr_decay must be in (0,1], got 0.0"),
+    ("lr_decay=1.5", "lr_decay must be in (0,1], got 1.5"),
+    ("amsgrad_patience_steps=-3", "amsgrad_patience_steps must be >= 0, got -3"),
+    ("amsgrad_patience_steps=nan", "bad value for 'amsgrad_patience_steps'"),
+    ("early_stop_steps=-1", "early_stop_steps must be >= 0, got -1"),
+    ("early_stop_steps=nan", "bad value for 'early_stop_steps'"),
+]
+
+
+@pytest.mark.parametrize("setting, message", SCHEDULE_SETTINGS,
+                         ids=[setting for setting, _ in SCHEDULE_SETTINGS])
+def test_train_with_an_out_of_range_schedule_value_exits_2(tmp_path, corpus_path, capsys,
+                                                           setting, message):
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--train", corpus_path, "--out", str(out),
+                   "--set", "decay_every_steps=2", "--set", setting] + TRAIN_SETS)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_accepts_the_schedule_bounds(tmp_path, corpus_path):
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--train", corpus_path, "--out", str(out),
+                   "--set", "decay_every_steps=2", "--set", "lr_decay=1",
+                   "--set", "amsgrad_patience_steps=0", "--set", "early_stop_steps=0"]
+                  + TRAIN_SETS)
+    assert rc == 0
+    rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    assert rows and all(row["lr"] == 1e-2 for row in rows)
+
+
 @pytest.mark.parametrize("line", ["w1 0.1 abc", "w1 0.1 nan", "w1 inf 0.2"])
 def test_train_with_malformed_pretrained_vector_exits_3(tmp_path, corpus_path, capsys, line):
     vectors = tmp_path / "vectors.txt"

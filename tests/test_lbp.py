@@ -27,7 +27,8 @@ from sdparse.pipeline import (PAIR_BYTES_PER_CELL, parse_sentence, run_inference
 from sdparse.potentials import from_arrays
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
-from sdparse.training import TrainConfig, combined_loss, edge_loss, label_loss, sentence_loss
+from sdparse.training import (TrainConfig, combined_loss, edge_loss, label_loss, sentence_loss,
+                              train)
 
 from conftest import (numeric_grad, pair_arrays, pair_list, pair_tuples, part_scores,
                       potential_grads, unary_scores)
@@ -556,6 +557,26 @@ def test_one_training_step_peaks_below_the_declared_bytes_per_cell():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+    assert peak < PAIR_BYTES_PER_CELL * (n + 1) ** 3
+
+
+def test_a_training_batch_peaks_below_the_declared_bytes_per_cell():
+    """``train`` on two n = 30 sentences in one batch (desk dims, T = 3):
+    the sentence past the first starts its forward with no tape held, so
+    the step peaks near 264 bytes per (n+1)^3 cell."""
+    n = 30
+    data = toy_corpus(np.random.default_rng(3), size=2, min_len=n, max_len=n)
+    model = ParserModel(ModelConfig(), build_vocab(data, min_count=1), np.random.default_rng(0))
+    cfg = TrainConfig(inference="lbp", iterations=3, max_steps=1, batch_token_budget=2 * n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = train(model, data, None, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert result.steps == 1
     assert peak < PAIR_BYTES_PER_CELL * (n + 1) ** 3
 
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import sdparse.autodiff as ad
+from sdparse import pipeline
 from sdparse.errors import DataError
 from sdparse.exact import exact_infer
 from sdparse.model import ModelConfig, ParserModel
@@ -14,10 +16,13 @@ from sdparse.potentials import from_arrays, from_factors
 from sdparse.sdp_io import build_vocab
 from sdparse.pipeline import run_inference
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
+from sdparse.training import TrainConfig, sentence_loss
 
 from conftest import (joint_log_score, pair_list, pair_log, pair_tuples, part_rows, part_scores,
                       unary_log, unary_scores)
+from factor_reference import reference_from_factors
 from test_graph import reference_edge_pairs
+from test_lbp import PART_SWITCHES, _guard_counter, _same_bits, _small_model
 
 
 @pytest.fixture
@@ -52,14 +57,81 @@ def test_from_factors_preserves_scores_and_pair_wiring(scored):
     np.testing.assert_allclose(part_scores(pot), want, rtol=0, atol=1e-12)
 
 
-def test_each_score_multiplies_the_part_mask_it_keeps(scored):
-    # the mask factor on the tape is the potentials' boolean mask itself,
-    # not a float64 copy of it
+def test_each_score_node_keeps_its_part_mask_and_no_cubic_float_array(scored):
+    # one node per part type over that type's factors; besides its output it
+    # keeps the potentials' boolean mask itself, not a float64 copy of it,
+    # and no float (n+1)^3 array
     pot = from_factors(scored)
+    cube = (scored.edge_set.n + 1,) * 3
     assert pot.scores.keys() == pot.part_masks.keys() == {"sib", "cop", "gp"}
     for kind, s in pot.scores.items():
-        masked = s._parents[0] if kind in ("sib", "cop") else s  # sib, cop: s + its mirror
-        assert masked._parents[1].data is pot.part_masks[kind]
+        assert s._parents == scored.tri[kind]
+        kept = [cell.cell_contents for cell in s._vjp.__closure__]
+        arrays = [a for a in kept if isinstance(a, np.ndarray)]
+        assert any(a is pot.part_masks[kind] for a in arrays)
+        assert not any(a.shape == cube and a.dtype != bool for a in arrays)
+
+
+# all three part types, each pair of them (one disabled), and each alone
+PART_SETS = PART_SWITCHES + [
+    {"use_cop": False, "use_gp": False},
+    {"use_sib": False, "use_gp": False},
+    {"use_sib": False, "use_cop": False},
+]
+
+
+def _lbp_step(monkeypatch, build, model, sentence, gold):
+    """(potentials, loss, parameter gradients) of one LBP training loss
+    with ``build`` in place of ``from_factors``."""
+    built = []
+
+    def building(factors):
+        built.append(build(factors))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "from_factors", building)
+    model.zero_grad()
+    loss = sentence_loss(model, sentence, gold, TrainConfig(inference="lbp", iterations=3))
+    ad.backward([loss], [1.0])
+    return built[0], loss, {k: p.grad.copy() for k, p in model.params.items()
+                            if p.grad is not None}
+
+
+def _assert_matches_the_reference_chain(monkeypatch, model, sentence, gold):
+    pot, loss, grads = _lbp_step(monkeypatch, from_factors, model, sentence, gold)
+    ref_pot, ref_loss, ref_grads = _lbp_step(
+        monkeypatch, reference_from_factors, model, sentence, gold)
+    assert _same_bits(loss.data, ref_loss.data)
+    assert pot.scores.keys() == ref_pot.scores.keys()
+    for kind, s in pot.scores.items():
+        assert _same_bits(s.data, ref_pot.scores[kind].data), kind
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert _same_bits(g, ref_grads[name]), name
+    return pot, grads
+
+
+@pytest.mark.parametrize("switches", PART_SETS)
+@pytest.mark.parametrize("n", [2, 8])
+def test_part_score_node_matches_the_reference_chain_bitwise(monkeypatch, n, switches):
+    pot, grads = _assert_matches_the_reference_chain(monkeypatch, *_small_model(n, switches))
+    enabled = {kind for kind in ("sib", "cop", "gp") if switches.get(f"use_{kind}", True)}
+    assert set(pot.scores) == enabled
+    assert {name.split("_")[1] for name in grads if name.startswith("tri_")} == enabled
+
+
+def test_one_word_sentence_gets_no_score_tensor_from_either_build(monkeypatch):
+    pot, grads = _assert_matches_the_reference_chain(monkeypatch, *_small_model(1, {}))
+    assert pot.scores == {} and pot.part_masks == {}
+    assert not any(name.startswith("tri_") for name in grads)
+
+
+def test_part_score_node_matches_the_reference_chain_on_guarded_cells(monkeypatch):
+    """Trained-scale part scores (|s| up to about 50), on which the LBP
+    message kernel takes both of its guards."""
+    counts = _guard_counter(monkeypatch)
+    _assert_matches_the_reference_chain(monkeypatch, *_small_model(8, {}, tri_scale=2.5))
+    assert counts["cancel"] and counts["wide"]
 
 
 def test_from_arrays_validates_lengths():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,8 @@ from sdparse.training import (
     sentence_loss,
     train,
 )
+
+from test_autodiff import _graph_nodes
 
 TINY = ModelConfig(word_dim=4, pos_dim=3, encoder_layers=0, unary_dim=5, binary_dim=3)
 
@@ -65,6 +68,52 @@ def test_every_parameter_gradient_is_owned_and_summed_in_place(engine):
     for name, p in model.params.items():
         summed, alone = first[name]
         np.testing.assert_array_equal(summed, alone + p.grad)
+
+
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_after_backward_only_the_loss_keeps_an_interior_gradient(engine):
+    data = toy_corpus(np.random.default_rng(4), size=1, min_len=5, max_len=5)
+    model = _tiny_model(data)
+    loss = sentence_loss(model, *data[0], TrainConfig(inference=engine))
+    ad.backward([loss], [1.0])
+    assert loss.grad == 1.0
+    interior = [node for node in _graph_nodes(loss) if node._vjp is not None]
+    assert len(interior) > 10
+    assert all(node.grad is None for node in interior if node is not loss)
+
+
+def _recording_losses(monkeypatch):
+    """Wrap ``training.sentence_loss`` so that each call first checks that
+    no taped loss of an earlier call is still alive; returns the list of
+    weak references to the taped losses' values."""
+    taped = []
+
+    def recording(*args, **kwargs):
+        assert all(ref() is None for ref in taped)
+        loss = sentence_loss(*args, **kwargs)
+        if loss.requires_grad:
+            taped.append(weakref.ref(loss.data))
+        return loss
+
+    monkeypatch.setattr(training, "sentence_loss", recording)
+    return taped
+
+
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_train_frees_each_sentence_tape_before_the_next_forward(monkeypatch, engine):
+    data = toy_corpus(np.random.default_rng(4), size=6, min_len=4, max_len=6)
+    taped = _recording_losses(monkeypatch)
+    train(_tiny_model(data), data, data[:2],
+          TrainConfig(inference=engine, max_steps=4, batch_token_budget=12))
+    assert len(taped) > 4
+
+
+def test_gradcheck_frees_its_analytic_tape_before_the_finite_differences(monkeypatch):
+    data = toy_corpus(np.random.default_rng(5), size=2, min_len=3, max_len=3)
+    taped = _recording_losses(monkeypatch)
+    gradcheck(_tiny_model(data, seed=11), *data[0], TrainConfig(seed=0),
+              iteration_counts=(1, 2), coords=4, seed=0)
+    assert len(taped) == 4
 
 
 # ---------------------------------------------------------------- edge loss
