@@ -23,14 +23,14 @@ gradient, an array set by the caller) is replaced by a fresh sum first,
 so no array but that leaf's own gradient ever changes.
 
 The op set is what the parser needs: elementwise arithmetic with
-broadcasting, matmul and ``linear`` (x @ W^T, whose W gradient is fresh),
-axis permutations, gathers (take), reductions, stable nonlinearities, and
-two fused nodes: ``lstm``, a whole LSTM direction (no per-token tape
-entries), and ``prefix_trilinear``, the running-sum term of the factored
-mean-field field. ``message_kernel`` is the loopy-BP message arithmetic
-on arrays, one exponential per message, and ``shifted_logistic``
-rebuilds the second logistic its derivatives need from the first;
-``lbp.lbp_run`` records every sweep over them as one node.
+broadcasting, a 2-D matmul and ``linear`` (x @ W^T, whose W gradient is
+fresh), axis permutations, gathers (take), reductions, stable
+nonlinearities, and two fused nodes: ``lstm``, a whole LSTM direction (no
+per-token tape entries), and ``prefix_trilinear``, the running-sum term
+of the factored mean-field field. A module that builds its own node
+(``lbp.lbp_run``'s unrolled sweeps, ``potentials``' part scores) wraps
+its arrays in a ``Tensor`` with parents and a vjp; this module imports
+no other module of the package.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ __all__ = [
     "Tensor", "constant", "parameter", "backward", "no_grad", "records",
     "add", "sub", "mul", "neg", "matmul", "linear", "transpose",
     "reshape", "concat", "take", "tensor_sum", "prefix_trilinear",
-    "sigmoid", "softplus", "message_kernel", "message_shift", "shifted_logistic",
-    "leaky_relu", "lstm", "logsumexp", "clamp",
+    "sigmoid", "softplus", "leaky_relu", "lstm", "logsumexp", "clamp",
 ]
 
 
@@ -238,21 +237,10 @@ def neg(a):
 
 
 def matmul(a, b):
-    """Matrix product for the 2D@2D, 2D@1D and 1D@2D cases."""
+    """Matrix product of two 2-D tensors."""
     a, b = _wrap(a), _wrap(b)
     ad, bd = a.data, b.data
-    out = ad @ bd
-
-    def vjp(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return g @ bd.T, np.outer(ad, g)
-        raise ValueError(f"unsupported matmul ranks {ad.ndim}@{bd.ndim}")
-
-    return _op(out, (a, b), vjp)
+    return _op(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def linear(x, W):
@@ -420,96 +408,6 @@ def _softplus_and_logistic(x):
     e += 1.0
     logistic /= e
     return soft, logistic
-
-
-def _two_softplus(c, s):
-    """(softplus(c + s) - softplus(c), logistic(c), logistic(c + s)), each
-    from one shared e^-|x|: the message form that holds at every (c, s),
-    used by ``message_kernel`` where its one-exponential form would not."""
-    soft_shifted, logistic_shifted = _softplus_and_logistic(c + s)
-    soft, logistic = _softplus_and_logistic(c)
-    soft_shifted -= soft
-    return soft_shifted, logistic, logistic_shifted
-
-
-# |s| beyond which a message takes the two-softplus form, so that every
-# expm1(s) the one-exponential form reads is finite and above -1
-SHIFT_BOUND = 30.0
-
-
-def message_shift(s):
-    """The per-score-tensor half of ``message_kernel``: (expm1(s), the mask
-    of cells where |s| > SHIFT_BOUND, or None when there is none). The
-    scores are fixed for a sentence, so every message through them, in
-    both directions and every sweep, shares one shift."""
-    wide = np.abs(s) > SHIFT_BOUND
-    if not wide.any():
-        return np.expm1(s), None
-    return np.expm1(np.where(wide, 0.0, s)), wide
-
-
-def message_kernel(source, reverse, s, shift, keep=False):
-    """The loopy-BP message softplus(c + s) - softplus(c) of the cavity
-    c = source - reverse (``reverse`` None: c = source), on arrays.
-    ``source`` broadcasts against the score array ``s``, which has the
-    message's shape, as ``reverse`` has; ``shift`` is ``message_shift(s)``.
-    Returns (message, logistic(c), guarded). The message's derivatives are
-    d/ds = logistic(c + s) and d/dc = logistic(c + s) - logistic(c) =
-    -d/dreverse; ``shifted_logistic`` rebuilds logistic(c + s) from
-    logistic(c), expm1(s) and ``guarded``, with no exponential, so a
-    backward pass that keeps logistic(c) computes none. Unless ``keep``,
-    logistic(c) and ``guarded`` are None. logistic(c) has the cavity's
-    broadcast shape when no cell is guarded, the message's otherwise.
-
-    With E = expm1(s) and P = logistic(c) E the message is log1p(P), so
-    this takes one exponential, for logistic(c) = 1 / (1 + e^-c). Where
-    1 + P can cancel (P < -1/2) or |s| > SHIFT_BOUND, the cells take the
-    two-softplus form; ``guarded`` holds those cells' flat indices in the
-    message and their logistic(c + s) from that form, or is None when no
-    cell is guarded. A cell with s = 0 gives exactly 0.
-    """
-    expm1_s, wide = shift
-    # -c, then e^-c and the logistic of c, in the cavity's one buffer
-    logistic = np.negative(source) if reverse is None else np.subtract(reverse, source)
-    with np.errstate(over="ignore"):
-        np.exp(logistic, out=logistic)
-    logistic += 1.0
-    np.reciprocal(logistic, out=logistic)
-    scaled = np.multiply(logistic, expm1_s)
-    out = np.log1p(scaled)
-    guard = scaled < -0.5
-    if wide is not None:
-        guard |= wide
-    del scaled
-    guarded = None
-    if guard.any():
-        flat = np.flatnonzero(guard)
-        cells = np.unravel_index(flat, out.shape)
-        c = np.broadcast_to(source, out.shape)[cells]
-        if reverse is not None:
-            c = c - reverse[cells]
-        out[cells], guarded_logistic, guarded_shifted = _two_softplus(c, s[cells])
-        if keep:
-            if logistic.shape != out.shape:
-                logistic = np.array(np.broadcast_to(logistic, out.shape))
-            logistic[cells] = guarded_logistic
-            guarded = flat, guarded_shifted
-    return out, (logistic if keep else None), guarded
-
-
-def shifted_logistic(logistic, expm1_s, guarded, out=None):
-    """logistic(c + s) of every cell of a message, from what
-    ``message_kernel(..., keep=True)`` returned and E = expm1(s), with no
-    exponential: (logistic(c) + P) / (1 + P) with P = logistic(c) E, by
-    the kernel's own operations, then the guarded cells written over.
-    ``out`` (the message's shape) receives it when given."""
-    shifted = np.multiply(logistic, expm1_s, out=out)
-    scaled = shifted + 1.0
-    shifted += logistic
-    shifted /= scaled
-    if guarded is not None:
-        np.put(shifted, *guarded)
-    return shifted
 
 
 def lstm(x, Wx, Wh, b, recur_mask=None):

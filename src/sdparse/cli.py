@@ -18,7 +18,6 @@ from . import exact, metrics, synthetic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config_file, parse_overrides
 from .errors import CapacityError, ConfigError, DataError, NumericError
-from .graph import SemGraph, Sentence, Token
 from .model import ModelConfig, ParserModel
 from .pipeline import parse_sentence, run_inference, trace_sentence
 from .sdp_io import build_vocab, load_pretrained, parse_sdp, write_sdp
@@ -146,9 +145,11 @@ def cmd_trace(args):
 
 
 def cmd_oracle_compare(args):
-    for flag, value in (("--instances", args.instances), ("--length", args.length)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    # numpy seeds a generator only from a non-negative integer
+    for flag, value, least in (("--instances", args.instances, 1),
+                               ("--length", args.length, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     for flag, scale in (("--unary-scale", args.unary_scale),
                         ("--coupling-scale", args.coupling_scale)):
         if not scale >= 0.0:
@@ -183,9 +184,10 @@ def cmd_oracle_compare(args):
 
 
 def cmd_gradcheck(args):
-    for flag, value in (("--length", args.length), ("--coords", args.coords)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    for flag, value, least in (("--length", args.length, 1),
+                               ("--coords", args.coords, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     rng = np.random.default_rng(args.seed)
     data = synthetic.toy_corpus(rng, size=1, min_len=args.length,
                                 max_len=args.length)

@@ -29,19 +29,20 @@ l is an (n+1) x (n+1) head-by-dependent grid, and the messages are dense
     gp down  d[i,j,k]    (i,j) -> (j,k)   u                 over axis 0
     gp up    u[i,j,k]    (j,k) -> (i,j)   d                 over axis 2
 
-Each update is ``autodiff.message_kernel`` on arrays: it takes the source
+Each update is ``message_kernel``, below, on arrays: it takes the source
 grid broadcast along one axis, the aligned reverse tensor (none on the
 first sweep) and the type's score tensor s, and computes the message as
 
     r_new = log1p(logistic(c) * E),   E = expm1(s),
 
 with one exponential, for logistic(c). E depends only on the scores, so
-``lbp_run`` computes it once per part type (``autodiff.message_shift``)
-for both directions and every sweep. Cells where logistic(c) * E < -1/2
-(1 + it could cancel) or |s| > ``autodiff.SHIFT_BOUND`` take the
-two-softplus form above. A score tensor is 0 off its type's geometry,
-where E = 0 and the message is exactly 0, so no message needs a mask.
-Updates are synchronous; messages start at 0.
+``lbp_run`` computes it once per part type (``message_shift``) for both
+directions and every sweep. Cells where logistic(c) * E < -1/2 (1 + it
+could cancel) or |s| > ``SHIFT_BOUND`` take the two-softplus form above.
+A score tensor is 0 off its type's geometry, where E = 0 and the message
+is exactly 0, so no message needs a mask. With no part (a one-word
+sentence, or every part type off) a sweep sends nothing, and every
+iterate is the unary grid. Updates are synchronous; messages start at 0.
 
 All T sweeps are one autodiff node, the last logit grid, with the edge
 scores and the score tensors as parents; only that grid carries gradient.
@@ -50,19 +51,20 @@ logistic(c + s) and each part type's E: the last sweep's messages and the
 earlier grids go to the state as constants. Its backward walks the
 sweeps in reverse once and computes no exponential. It rebuilds each
 message's logistic(c + s) = (logistic(c) + P) / (1 + P), P =
-logistic(c) E (``autodiff.shifted_logistic``), by the forward's own
-operations, so it is bitwise the forward's value, in the buffer that
-becomes the message's score gradient. A message's gradient (its target
-grid's, broadcast, less the aligned cavity gradient of the next sweep's
-message that read it as its reverse) is written into that cavity
-gradient's buffer, and each part type's score gradient is summed in
-place. When the node would not be recorded (``autodiff.records``: under
+logistic(c) E (``shifted_logistic``), by the forward's own operations,
+so it is bitwise the forward's value, in the buffer that becomes the
+message's score gradient. A message's gradient (its target grid's,
+broadcast, less the aligned cavity gradient of the next sweep's message
+that read it as its reverse) is written into that cavity gradient's
+buffer, and each part type's score gradient is summed in place. When
+the node would not be recorded (``autodiff.records``: under
 ``autodiff.no_grad``, or when no input requires gradients) no logistic
 is kept, and the last grid is a constant too.
 The state (``potentials.InferenceState``) keeps the grid l of each
 iteration and the last sweep's message tensors, and reads the edges'
 beliefs from l through the edge mask: b1 = exp(-softplus(-l)) is the
-logistic of l.
+logistic of l. The message arithmetic below takes and returns arrays
+and serves only ``lbp_run`` and its backward; it is not exported.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import _softplus_and_logistic
 from .errors import ConfigError
 from .potentials import MESSAGES, InferenceState, aligned
 
@@ -84,13 +87,9 @@ def lbp_run(pot, iterations=3):
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     state = InferenceState(pot, [pot.edge_scores])
-    if not pot.scores:
-        # no part sends a message: every iterate is the unary grid
-        state.logits += [pot.edge_scores] * iterations
-        return state
     names = [name for name, spec in MESSAGES.items() if spec[0] in pot.scores]
     scores = {kind: s.data for kind, s in pot.scores.items()}
-    shifts = {kind: ad.message_shift(s) for kind, s in scores.items()}
+    shifts = {kind: message_shift(s) for kind, s in scores.items()}
     parents = (pot.edge_scores,) + tuple(pot.scores.values())
     keep = ad.records(parents)
     logistics = []      # per sweep, name -> (logistic(c), guarded cells) if kept
@@ -100,7 +99,7 @@ def lbp_run(pot, iterations=3):
         total = pot.edge_scores.data
         for name in names:
             kind, source, target, reverse = MESSAGES[name]
-            message, logistic, guarded = ad.message_kernel(
+            message, logistic, guarded = message_kernel(
                 np.expand_dims(grid, source),
                 aligned(previous[reverse], kind) if previous else None,
                 scores[kind], shifts[kind], keep)
@@ -141,7 +140,7 @@ def _unrolled_vjp(names, logistics, shifts):
                     np.subtract(incoming, grad, out=grad)
                 else:
                     grad = np.array(np.broadcast_to(incoming, expm1[kind].shape))
-                ds = ad.shifted_logistic(logistic, expm1[kind], guarded, out=scratch)
+                ds = shifted_logistic(logistic, expm1[kind], guarded, out=scratch)
                 ds *= grad
                 grad *= logistic
                 # d/dc = d/ds - grad * logistic(c), written over the gradient
@@ -159,3 +158,89 @@ def _unrolled_vjp(names, logistics, shifts):
         return (edge_grad,) + tuple(score_grads[kind] for kind in expm1)
 
     return vjp
+
+
+def _two_softplus(c, s):
+    """(softplus(c + s) - softplus(c), logistic(c), logistic(c + s)), each
+    from one shared e^-|x|: the message form that holds at every (c, s),
+    used by ``message_kernel`` where its one-exponential form would not."""
+    soft_shifted, logistic_shifted = _softplus_and_logistic(c + s)
+    soft, logistic = _softplus_and_logistic(c)
+    soft_shifted -= soft
+    return soft_shifted, logistic, logistic_shifted
+
+
+# |s| beyond which a message takes the two-softplus form, so that every
+# expm1(s) the one-exponential form reads is finite and above -1
+SHIFT_BOUND = 30.0
+
+
+def message_shift(s):
+    """The per-score-tensor half of ``message_kernel``: (expm1(s), the mask
+    of cells where |s| > SHIFT_BOUND, or None when there is none). The
+    scores are fixed for a sentence, so every message through them, in
+    both directions and every sweep, shares one shift."""
+    wide = np.abs(s) > SHIFT_BOUND
+    if not wide.any():
+        return np.expm1(s), None
+    return np.expm1(np.where(wide, 0.0, s)), wide
+
+
+def message_kernel(source, reverse, s, shift, keep=False):
+    """The loopy-BP message softplus(c + s) - softplus(c) of the cavity
+    c = source - reverse (``reverse`` None: c = source), on arrays.
+    ``source`` broadcasts against the score array ``s``, which has the
+    message's shape, as ``reverse`` has; ``shift`` is ``message_shift(s)``.
+    Returns (message, logistic(c), guarded). The message's derivatives are
+    d/ds = logistic(c + s) and d/dc = logistic(c + s) - logistic(c) =
+    -d/dreverse; ``shifted_logistic`` rebuilds logistic(c + s) from
+    logistic(c), expm1(s) and ``guarded``, with no exponential, so a
+    backward pass that keeps logistic(c) computes none. Unless ``keep``,
+    logistic(c) and ``guarded`` are None. logistic(c) has the cavity's
+    broadcast shape when no cell is guarded, the message's otherwise.
+    ``guarded`` holds the flat indices, in the message, of the cells that
+    take the two-softplus form (module docstring) and their logistic(c + s)
+    from that form, or is None when no cell is guarded.
+    """
+    expm1_s, wide = shift
+    # -c, then e^-c and the logistic of c, in the cavity's one buffer
+    logistic = np.negative(source) if reverse is None else np.subtract(reverse, source)
+    with np.errstate(over="ignore"):
+        np.exp(logistic, out=logistic)
+    logistic += 1.0
+    np.reciprocal(logistic, out=logistic)
+    scaled = np.multiply(logistic, expm1_s)
+    out = np.log1p(scaled)
+    guard = scaled < -0.5
+    if wide is not None:
+        guard |= wide
+    del scaled
+    guarded = None
+    if guard.any():
+        flat = np.flatnonzero(guard)
+        cells = np.unravel_index(flat, out.shape)
+        c = np.broadcast_to(source, out.shape)[cells]
+        if reverse is not None:
+            c = c - reverse[cells]
+        out[cells], guarded_logistic, guarded_shifted = _two_softplus(c, s[cells])
+        if keep:
+            if logistic.shape != out.shape:
+                logistic = np.array(np.broadcast_to(logistic, out.shape))
+            logistic[cells] = guarded_logistic
+            guarded = flat, guarded_shifted
+    return out, (logistic if keep else None), guarded
+
+
+def shifted_logistic(logistic, expm1_s, guarded, out=None):
+    """logistic(c + s) of every cell of a message, from what
+    ``message_kernel(..., keep=True)`` returned and E = expm1(s), with no
+    exponential: (logistic(c) + P) / (1 + P) with P = logistic(c) E, by
+    the kernel's own operations, then the guarded cells written over.
+    ``out`` (the message's shape) receives it when given."""
+    shifted = np.multiply(logistic, expm1_s, out=out)
+    scaled = shifted + 1.0
+    shifted += logistic
+    shifted /= scaled
+    if guarded is not None:
+        np.put(shifted, *guarded)
+    return shifted

@@ -44,7 +44,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError
 from .graph import build_candidate_edges
-from .sdp_io import Vocabulary
 
 __all__ = ["ModelConfig", "ParserModel", "ScoreFactors", "ROLES"]
 
@@ -278,18 +277,19 @@ class ParserModel:
 
     # ----------------------------------------------------------- forward ops
 
-    def embed(self, sentence, train=False, rng=None):
+    def embed(self, sentence, rng=None):
         """Input vectors o_0..o_n as an (n+1, input_dim) tensor.
 
         Position 0 uses the reserved root rows; unseen forms fall back to
-        the unknown row.
+        the unknown row. Embedding dropout draws from ``rng`` when one is
+        given.
         """
         v = self.vocab
         word_ids = [v.TOP_ID] + [v.word_id(t.form) for t in sentence.tokens]
         pos_ids = [v.TOP_ID] + [v.pos_id(t.pos) for t in sentence.tokens]
         words = ad.take(self.params["word_emb"], word_ids)
         tags = ad.take(self.params["pos_emb"], pos_ids)
-        if train:
+        if rng is not None:
             p = self.config.dropout_embed
             words = _dropout(words, p, rng)
             tags = _dropout(tags, p, rng)
@@ -298,7 +298,7 @@ class ParserModel:
             raw = ad.constant(self.pretrained_table[word_ids])
             proj = ad.linear(raw, self.params["pretrained_proj_W"])
             proj = proj + self.params["pretrained_proj_b"]
-            if train:
+            if rng is not None:
                 proj = _dropout(proj, self.config.dropout_embed, rng)
             channels.append(proj)
         return ad.concat(channels, axis=1)
@@ -307,21 +307,22 @@ class ParserModel:
         p = self.params
         return ad.lstm(rows, p[f"{prefix}_Wx"], p[f"{prefix}_Wh"], p[f"{prefix}_b"], recur_mask)
 
-    def encode(self, inputs, train=False, rng=None):
+    def encode(self, inputs, rng=None):
         """Bidirectional LSTM over positions 0..n; identity when layers=0.
 
         Each direction of each layer is one ``autodiff.lstm`` node; the
-        backward direction runs over the reversed rows. Dropout masks are
-        drawn per layer in the order: feed-forward mask over the inputs,
-        forward recurrent mask, backward recurrent mask.
+        backward direction runs over the reversed rows. Given ``rng``,
+        dropout masks are drawn from it per layer in the order:
+        feed-forward mask over the inputs, forward recurrent mask,
+        backward recurrent mask.
         """
         cfg = self.config
         current = inputs
         for layer in range(cfg.encoder_layers):
-            if train:
+            if rng is not None:
                 current = _dropout(current, cfg.dropout_lstm_ff, rng)
             fw_mask = bw_mask = None
-            if train and cfg.dropout_lstm_recur > 0.0:
+            if rng is not None and cfg.dropout_lstm_recur > 0.0:
                 p = cfg.dropout_lstm_recur
                 fw_mask, bw_mask = ((rng.random(cfg.encoder_hidden) >= p) / (1.0 - p)
                                     for _ in range(2))
@@ -330,15 +331,16 @@ class ParserModel:
             current = ad.concat([fw, bw[::-1]], axis=1)
         return current
 
-    def project_roles(self, context, train=False, rng=None):
-        """One leaky-ReLU projection of the context vectors per role."""
+    def project_roles(self, context, rng=None):
+        """One leaky-ReLU projection of the context vectors per role, with
+        its role's dropout drawn from ``rng`` when one is given."""
         cfg = self.config
         out = {}
         for role in ROLES:
             W = self.params[f"proj_{role}_W"]
             b = self.params[f"proj_{role}_b"]
             h = ad.leaky_relu(ad.linear(context, W) + b, cfg.leaky_slope)
-            if train:
+            if rng is not None:
                 if role in ("edge_head", "edge_dep"):
                     h = _dropout(h, cfg.dropout_unary, rng)
                 elif role in ("label_head", "label_dep"):
@@ -348,13 +350,14 @@ class ParserModel:
             out[role] = h
         return out
 
-    def score_factors(self, sentence, train=False, rng=None):
+    def score_factors(self, sentence, rng=None):
         """ScoreFactors for one sentence: dense edge scores, label scores
         per candidate edge, and the trilinear factors of each part type
-        enabled in the config."""
+        enabled in the config. Dropout is on exactly when a generator
+        ``rng`` is given; a training step passes one, a parse none."""
         edge_set = build_candidate_edges(sentence.n)
-        context = self.encode(self.embed(sentence, train, rng), train, rng)
-        roles = self.project_roles(context, train, rng)
+        context = self.encode(self.embed(sentence, rng), rng)
+        roles = self.project_roles(context, rng)
         p = self.params
 
         # s_edge(h, d) = dep(d)^T U head(h) + b for every (h, d) at once

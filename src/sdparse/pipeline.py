@@ -53,13 +53,14 @@ def run_inference(pot, engine="mf", iterations=3, clamp=mf.DEFAULT_CLAMP):
     raise ConfigError(f"unknown inference engine {engine!r} (expected 'mf' or 'lbp')")
 
 
-def sentence_potentials(model, sentence, engine="mf", train=False, rng=None):
+def sentence_potentials(model, sentence, engine="mf", rng=None):
     """(scores, potentials) to run ``engine`` on: the scorer's ScoreFactors
-    and, for mean-field, the factors again, otherwise the dense
-    LogPotentials built from them. The dense path raises CapacityError
-    above PAIR_LENGTH_CAP tokens, before any (n+1)^3 tensor is built."""
+    (with dropout drawn from ``rng`` when one is given) and, for
+    mean-field, the factors again, otherwise the dense LogPotentials built
+    from them. The dense path raises CapacityError above PAIR_LENGTH_CAP
+    tokens, before any (n+1)^3 tensor is built."""
     check_length(sentence, engine)
-    factors = model.score_factors(sentence, train=train, rng=rng)
+    factors = model.score_factors(sentence, rng=rng)
     return factors, factors if engine == "mf" else from_factors(factors)
 
 

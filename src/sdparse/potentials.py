@@ -64,13 +64,9 @@ _MIRROR = {"sib": (0, 2, 1), "cop": (1, 0, 2)}
 
 
 def aligned(tensor, kind):
-    """A message tensor (ndarray or Tensor) of ``kind`` permuted so that
-    its cell [a,b,c] holds the reverse of the message at [a,b,c]."""
-    if kind not in _MIRROR:
-        return tensor
-    if isinstance(tensor, Tensor):
-        return ad.transpose(tensor, _MIRROR[kind])
-    return tensor.transpose(_MIRROR[kind])
+    """A message array of ``kind`` permuted (a view) so that its cell
+    [a,b,c] holds the reverse of the message at [a,b,c]."""
+    return tensor.transpose(_MIRROR[kind]) if kind in _MIRROR else tensor
 
 
 @dataclass

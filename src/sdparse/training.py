@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ConfigError, NumericError
 from .metrics import f1
 from .mf import DEFAULT_CLAMP
@@ -72,11 +71,17 @@ class TrainConfig:
             raise ConfigError(f"inference must be 'mf' or 'lbp', got {self.inference!r}")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
+        if self.seed < 0:   # numpy seeds a generator only from one >= 0
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # each check is written so that NaN fails it
         for name in ("learning_rate", "epsilon", "decay_every_steps", "max_steps",
                      "batch_token_budget", "max_sentence_length"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        # an infinite learning rate, epsilon or L2 weight makes every update NaN or 0
+        for name in ("learning_rate", "epsilon", "l2"):
+            if math.isinf(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("beta1", "beta2", "threshold"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0,1)")
@@ -134,9 +139,10 @@ def combined_loss(edge_term, label_term, interpolation):
                   ad.mul(ad.constant(1.0 - lam), edge_term))
 
 
-def sentence_loss(model, sentence, gold, cfg, train=False, rng=None):
-    """Combined loss of one sentence under the configured engine."""
-    scores, pot = sentence_potentials(model, sentence, cfg.inference, train=train, rng=rng)
+def sentence_loss(model, sentence, gold, cfg, rng=None):
+    """Combined loss of one sentence under the configured engine, with
+    dropout drawn from ``rng`` when one is given."""
+    scores, pot = sentence_potentials(model, sentence, cfg.inference, rng=rng)
     state = run_inference(pot, cfg.inference, cfg.iterations, cfg.logit_clamp)
     return combined_loss(edge_loss(state, gold),
                          label_loss(scores, gold, model.vocab),
@@ -325,8 +331,7 @@ def train(model, train_data, dev_data, cfg, log=None):
             model.zero_grad()
             seed = 1.0 / len(batch)
             for sentence, gold in batch:
-                loss = sentence_loss(model, sentence, gold, cfg,
-                                     train=True, rng=dropout_rng)
+                loss = sentence_loss(model, sentence, gold, cfg, rng=dropout_rng)
                 ad.backward([loss], [seed])
                 epoch_losses.append(loss.item())
                 # the tape goes before the next sentence's forward

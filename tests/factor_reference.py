@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import sdparse.autodiff as ad
 from sdparse.graph import part_mask
-from sdparse.potentials import LogPotentials, aligned
+from sdparse.potentials import LogPotentials
+
+from message_reference import aligned_tensor
 
 
 def reference_from_factors(factors):
@@ -29,5 +31,5 @@ def reference_from_factors(factors):
             table = ad.transpose(table, (0, 2, 1))
         masks[kind] = part_mask(n, kind)
         s = ad.mul(table, ad.constant(masks[kind]))
-        scores[kind] = ad.add(s, aligned(s, kind)) if kind in ("sib", "cop") else s
+        scores[kind] = ad.add(s, aligned_tensor(s, kind)) if kind in ("sib", "cop") else s
     return LogPotentials(factors.edge_set, factors.edge_scores, scores, masks)

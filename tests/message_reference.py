@@ -1,7 +1,7 @@
 """The per-message loopy BP that the one-node unrolled sweeps replaced,
 kept as a reference for it.
 
-Each message update is its own tape node over ``autodiff.message_kernel``,
+Each message update is its own tape node over ``lbp.message_kernel``,
 and each sweep is ``sweep`` below, a pass over ``potentials.MESSAGES``
 (dense mean-field runs the same pass in ``mf._dense_field``): the source
 grid reshaped to a unit axis, the reverse tensor aligned by a transpose
@@ -13,23 +13,30 @@ carries gradient; the state keeps the last sweep's messages.
 from __future__ import annotations
 
 import sdparse.autodiff as ad
-from sdparse.potentials import MESSAGES, InferenceState, aligned
+from sdparse import lbp
+from sdparse.potentials import _MIRROR, MESSAGES, InferenceState
+
+
+def aligned_tensor(tensor, kind):
+    """``potentials.aligned`` on a Tensor: a ``transpose`` node for a
+    symmetric part type, the tensor itself for gp."""
+    return ad.transpose(tensor, _MIRROR[kind]) if kind in _MIRROR else tensor
 
 
 def cavity_message(source, reverse, s, shift):
     """The message softplus(c + s) - softplus(c) of the cavity
     c = source - reverse (``reverse`` None: c = source) as one node;
-    ``shift`` is ``autodiff.message_shift(s.data)``. The backward reads
+    ``shift`` is ``lbp.message_shift(s.data)``. The backward reads
     the kernel's logistic(c) and rebuilds logistic(c + s):
     d/ds = logistic(c + s) and d/dc = logistic(c + s) - logistic(c) =
     -d/dreverse."""
     source, s = ad._wrap(source), ad._wrap(s)
     parents = (source, s) if reverse is None else (source, s, reverse)
-    out, logistic, guarded = ad.message_kernel(
+    out, logistic, guarded = lbp.message_kernel(
         source.data, None if reverse is None else reverse.data, s.data, shift, keep=True)
 
     def vjp(g):
-        ds = g * ad.shifted_logistic(logistic, shift[0], guarded)
+        ds = g * lbp.shifted_logistic(logistic, shift[0], guarded)
         dc = g * logistic
         dc = ds - dc
         dsource = ad._unbroadcast(dc, source.data.shape)
@@ -56,12 +63,12 @@ def sweep(pot, grid, message, total):
 def reference_lbp_run(pot, iterations=3):
     """``lbp.lbp_run`` with one node per message and sweep."""
     state = InferenceState(pot, [pot.edge_scores])
-    shifts = {kind: ad.message_shift(s.data) for kind, s in pot.scores.items()}
+    shifts = {kind: lbp.message_shift(s.data) for kind, s in pot.scores.items()}
 
     def update(kind, reverse, source):
         previous = state.messages
-        return cavity_message(source, aligned(previous[reverse], kind) if previous else None,
-                              pot.scores[kind], shifts[kind])
+        reverse_tensor = aligned_tensor(previous[reverse], kind) if previous else None
+        return cavity_message(source, reverse_tensor, pot.scores[kind], shifts[kind])
 
     for _ in range(iterations):
         state.messages, logit = sweep(pot, state.logits[-1], update, pot.edge_scores)

@@ -140,7 +140,10 @@ OUT_OF_RANGE_ARGUMENTS = [
      "--coupling-scale must be >= 0, got -1.0"),
     (["oracle-compare", "--length", "2", "--instances", "1", "--unary-scale", "-1"],
      "--unary-scale must be >= 0, got -1.0"),
+    (["oracle-compare", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["parse", "--set", "seed=-1"], "seed must be >= 0, got -1"),
     (["gradcheck", "--length", "0"], "--length"),
+    (["gradcheck", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["gradcheck", "--coords", "0"], "--coords must be >= 1, got 0"),
     (["gradcheck", "--coords", "-5"], "--coords must be >= 1, got -5"),
 ]
@@ -158,7 +161,8 @@ def test_out_of_range_argument_exits_2(tmp_path, trained, corpus_path, capsys, a
     assert message in capsys.readouterr().err
 
 
-# the schedule's values, refused before anything is written
+# the schedule's and optimizer's values, refused before anything is
+# written; each follows TRAIN_SETS, whose seed would otherwise win
 SCHEDULE_SETTINGS = [
     ("lr_decay=nan", "lr_decay must be in (0,1], got nan"),
     ("lr_decay=-1", "lr_decay must be in (0,1], got -1.0"),
@@ -168,6 +172,10 @@ SCHEDULE_SETTINGS = [
     ("amsgrad_patience_steps=nan", "bad value for 'amsgrad_patience_steps'"),
     ("early_stop_steps=-1", "early_stop_steps must be >= 0, got -1"),
     ("early_stop_steps=nan", "bad value for 'early_stop_steps'"),
+    ("learning_rate=inf", "learning_rate must be finite, got inf"),
+    ("epsilon=inf", "epsilon must be finite, got inf"),
+    ("l2=inf", "l2 must be finite, got inf"),
+    ("seed=-1", "seed must be >= 0, got -1"),
 ]
 
 
@@ -177,7 +185,7 @@ def test_train_with_an_out_of_range_schedule_value_exits_2(tmp_path, corpus_path
                                                            setting, message):
     out = tmp_path / "run"
     rc = cli.main(["train", "--train", corpus_path, "--out", str(out),
-                   "--set", "decay_every_steps=2", "--set", setting] + TRAIN_SETS)
+                   "--set", "decay_every_steps=2"] + TRAIN_SETS + ["--set", setting])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

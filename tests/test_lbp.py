@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 import sdparse.autodiff as ad
-from sdparse import pipeline
+from sdparse import lbp, pipeline
 from sdparse.config import RunConfig
-from sdparse.errors import CapacityError
+from sdparse.errors import CapacityError, ConfigError
 from sdparse.exact import exact_infer
-from sdparse.graph import decode
+from sdparse.graph import SemGraph, decode
 from sdparse.lbp import lbp_run
 from sdparse.model import ModelConfig, ParserModel
 from sdparse.pipeline import (PAIR_BYTES_PER_CELL, parse_sentence, run_inference,
@@ -241,22 +241,50 @@ def test_directed_messages_list_both_directions_per_part():
     assert dirs[1] == ((0, 1), (0, 2), "sib", (0, 1, 2))
 
 
+def test_lbp_run_refuses_fewer_than_one_iteration():
+    with pytest.raises(ConfigError, match="iterations must be >= 1, got 0"):
+        lbp_run(two_edge_instance(0.3), iterations=0)
+
+
+def test_run_inference_refuses_an_unknown_engine():
+    with pytest.raises(ConfigError, match="unknown inference engine 'bp'"):
+        run_inference(two_edge_instance(0.3), "bp")
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_with_no_part_every_iterate_is_the_unary_grid(iterations):
+    """A sweep with no part sends nothing: every grid is the edge scores,
+    and the edge loss's gradient is the logistic of the score less gold."""
+    pot = from_arrays(((0, 1), (1, 2), (2, 1)), np.array([0.3, -0.2, 1.1]), [],
+                      requires_grad=True)
+    state = lbp_run(pot, iterations)
+    assert state.iterations == iterations and state.messages == {}
+    assert all(_same_bits(logit.data, pot.edge_scores.data) for logit in state.logits)
+    ad.backward([edge_loss(state, SemGraph(2, [(0, 1, "x")]))], [np.ones(())])
+    s = unary_scores(pot)
+    mask = pot.edge_set.mask
+    np.testing.assert_allclose(pot.edge_scores.grad[mask],
+                               1.0 / (1.0 + np.exp(-s)) - np.array([1.0, 0.0, 0.0]),
+                               rtol=0, atol=1e-15)
+    assert not pot.edge_scores.grad[~mask].any()
+
+
 def _guard_counter(monkeypatch):
-    """Counts, over every ``autodiff.message_kernel`` call from here on,
+    """Counts, over every ``lbp.message_kernel`` call from here on,
     the cells on each of its guards: P = logistic(c) expm1(s) < -1/2 with
     |s| <= SHIFT_BOUND ("cancel"), and |s| > SHIFT_BOUND ("wide")."""
     counts = {"cancel": 0, "wide": 0}
-    kernel = ad.message_kernel
+    kernel = lbp.message_kernel
 
     def counting(source, reverse, s, shift, keep=False):
         c = source - (0.0 if reverse is None else reverse)
-        wide = np.abs(s) > ad.SHIFT_BOUND
+        wide = np.abs(s) > lbp.SHIFT_BOUND
         p = np.exp(-np.logaddexp(0.0, -c)) * np.expm1(np.where(wide, 0.0, s))
         counts["cancel"] += int(np.count_nonzero((p < -0.5) & ~wide))
         counts["wide"] += int(np.count_nonzero(wide))
         return kernel(source, reverse, s, shift, keep)
 
-    monkeypatch.setattr(ad, "message_kernel", counting)
+    monkeypatch.setattr(lbp, "message_kernel", counting)
     return counts
 
 
@@ -516,14 +544,14 @@ def test_no_grad_is_restored_when_nested_and_after_a_parse_raises(monkeypatch):
 def test_lbp_run_under_no_grad_keeps_no_logistics(monkeypatch):
     base = random_potentials(5, np.random.default_rng(5), coupling_scale=0.5)
     pot = from_arrays(base.edge_set.edges, unary_scores(base), pair_list(base), requires_grad=True)
-    kernel, logistics = ad.message_kernel, []
+    kernel, logistics = lbp.message_kernel, []
 
     def recording(*args):
         out = kernel(*args)
         logistics.append(out[1:])
         return out
 
-    monkeypatch.setattr(ad, "message_kernel", recording)
+    monkeypatch.setattr(lbp, "message_kernel", recording)
     taped = lbp_run(pot, iterations=3)
     assert taped.logits[-1].requires_grad
     # the node keeps logistic(c) of each message

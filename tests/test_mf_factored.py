@@ -59,9 +59,9 @@ def _sentence(n, seed):
 _sentence_potentials = pipeline.sentence_potentials
 
 
-def _pair_list(model, sentence, engine="mf", train=False, rng=None):
+def _pair_list(model, sentence, engine="mf", rng=None):
     """The dense LogPotentials of every part, whatever the engine."""
-    return _sentence_potentials(model, sentence, "lbp", train=train, rng=rng)
+    return _sentence_potentials(model, sentence, "lbp", rng=rng)
 
 
 @pytest.mark.parametrize("clamp", [30.0, None])

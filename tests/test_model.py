@@ -55,6 +55,11 @@ def test_config_validation_rejects_bad_values():
         ModelConfig(encoder_layers=-1).validate()
 
 
+def test_use_pretrained_without_a_table_is_a_config_error(vocab):
+    with pytest.raises(ConfigError, match="no embedding table was given"):
+        ParserModel(ModelConfig(use_pretrained=True), vocab, np.random.default_rng(0))
+
+
 def test_embed_shape_and_reserved_root_row(model, sentence, vocab):
     out = model.embed(sentence)
     assert out.data.shape == (sentence.n + 1, 7)
@@ -77,7 +82,7 @@ def test_embed_unknown_form_uses_unknown_row(model, vocab):
 
 def test_encoder_disabled_is_identity(model, sentence):
     emb = model.embed(sentence)
-    ctx = model.encode(emb, train=False, rng=None)
+    ctx = model.encode(emb)
     np.testing.assert_array_equal(ctx.data, emb.data)
 
 
@@ -85,9 +90,9 @@ def test_encoder_enabled_changes_shape_and_values(vocab, sentence):
     cfg = ModelConfig(word_dim=4, pos_dim=3, encoder_layers=1, encoder_hidden=4,
                       unary_dim=5, binary_dim=3)
     m = ParserModel(cfg, vocab, np.random.default_rng(9))
-    ctx = m.encode(m.embed(sentence), train=False, rng=None)
+    ctx = m.encode(m.embed(sentence))
     assert ctx.data.shape == (sentence.n + 1, 8)
-    rerun = m.encode(m.embed(sentence), train=False, rng=None)
+    rerun = m.encode(m.embed(sentence))
     np.testing.assert_array_equal(ctx.data, rerun.data)
 
 
@@ -96,10 +101,16 @@ def _tanh(x):
     return ad.sub(ad.mul(ad.sigmoid(ad.mul(x, 2.0)), 2.0), 1.0)
 
 
-def reference_encode(model, inputs, train=False, rng=None):
+def _matvec(M, v):
+    """M @ v for a vector v, as the 2-D product of M and v as a column."""
+    return ad.reshape(ad.matmul(M, ad.reshape(v, (-1, 1))), (-1,))
+
+
+def reference_encode(model, inputs, rng=None):
     """The encoder as per-token autodiff ops: one gate matmul, slice and
     nonlinearity per position and direction, rows re-stacked at the end.
-    Draws dropout masks in the order ``ParserModel.encode`` does."""
+    Given ``rng``, draws dropout masks in the order ``ParserModel.encode``
+    does."""
     cfg = model.config
     h_dim = cfg.encoder_hidden
 
@@ -108,13 +119,13 @@ def reference_encode(model, inputs, train=False, rng=None):
         h = ad.constant(np.zeros(h_dim))
         cell = ad.constant(np.zeros(h_dim))
         recur_mask = None
-        if train and cfg.dropout_lstm_recur > 0.0:
+        if rng is not None and cfg.dropout_lstm_recur > 0.0:
             p = cfg.dropout_lstm_recur
             recur_mask = ad.constant((rng.random(h_dim) >= p) / (1.0 - p))
         outs = []
         for x in rows:
             h_in = ad.mul(h, recur_mask) if recur_mask is not None else h
-            gates = ad.matmul(Wx, x) + ad.matmul(Wh, h_in) + b
+            gates = _matvec(Wx, x) + _matvec(Wh, h_in) + b
             i = ad.sigmoid(gates[0:h_dim])
             f = ad.sigmoid(gates[h_dim:2 * h_dim])
             g = _tanh(gates[2 * h_dim:3 * h_dim])
@@ -126,7 +137,7 @@ def reference_encode(model, inputs, train=False, rng=None):
 
     current = inputs
     for layer in range(cfg.encoder_layers):
-        if train and cfg.dropout_lstm_ff > 0.0:
+        if rng is not None and cfg.dropout_lstm_ff > 0.0:
             p = cfg.dropout_lstm_ff
             current = ad.mul(current, ad.constant((rng.random(current.shape) >= p) / (1.0 - p)))
         rows = [current[t] for t in range(current.shape[0])]
@@ -153,7 +164,7 @@ def test_fused_encoder_matches_per_token_reference(vocab, n):
     def run(encode):
         rng = np.random.default_rng(4)
         m.zero_grad()
-        out = encode(m.embed(sent, train=True, rng=rng), train=True, rng=rng)
+        out = encode(m.embed(sent, rng=rng), rng=rng)
         ad.backward([out], [upstream])
         grads = {name: p.grad for name, p in m.params.items() if p.grad is not None}
         return out.data, grads, rng.random(4)
@@ -179,8 +190,8 @@ def test_fused_encoder_matches_reference_in_eval_mode(vocab, sentence):
 
 
 def test_role_projections_shapes_and_values(model, sentence):
-    ctx = model.encode(model.embed(sentence), train=False, rng=None)
-    roles = model.project_roles(ctx, train=False, rng=None)
+    ctx = model.encode(model.embed(sentence))
+    roles = model.project_roles(ctx)
     assert set(roles) == set(ROLES)
     slope = model.config.leaky_slope
     for name, t in roles.items():
@@ -193,18 +204,18 @@ def test_role_projections_shapes_and_values(model, sentence):
 
 def biaffine(v1, v2, U, b):
     """v1^T U v2 + b for single vectors. v1 is the dependent role vector."""
-    return ad.tensor_sum(ad.mul(ad.matmul(U, v2), v1)) + b
+    return ad.tensor_sum(ad.mul(_matvec(U, v2), v1)) + b
 
 
 def diagonal_biaffine(v1, v2, W, b):
     """Per-label scores sum_m W[m,l] v1[m] v2[m] + b[l]."""
-    return ad.matmul(ad.mul(v1, v2), W) + b
+    return _matvec(ad.transpose(W), ad.mul(v1, v2)) + b
 
 
 def trilinear(v1, v2, v3, U1, U2, U3):
     """Rank-decomposed trilinear form: sum_m (U1 v1)_m (U2 v2)_m (U3 v3)_m."""
-    return ad.tensor_sum(ad.mul(ad.mul(ad.matmul(U1, v1), ad.matmul(U2, v2)),
-                                ad.matmul(U3, v3)))
+    return ad.tensor_sum(ad.mul(ad.mul(_matvec(U1, v1), _matvec(U2, v2)),
+                                _matvec(U3, v3)))
 
 
 def test_biaffine_hand_value():
@@ -250,8 +261,8 @@ def test_trilinear_equals_full_tensor_contraction():
 
 def _scores_and_roles(model, sentence):
     factors = model.score_factors(sentence)
-    ctx = model.encode(model.embed(sentence), train=False, rng=None)
-    roles = {k: v.data for k, v in model.project_roles(ctx, train=False, rng=None).items()}
+    ctx = model.encode(model.embed(sentence))
+    roles = {k: v.data for k, v in model.project_roles(ctx).items()}
     return factors, from_factors(factors), roles
 
 
@@ -433,8 +444,8 @@ def test_eval_mode_ignores_dropout_config(vocab, sentence):
                                       dropout_binary=0.5, dropout_lstm_ff=0.5,
                                       dropout_lstm_recur=0.5, dropout_label=0.5),
                           vocab, np.random.default_rng(9))
-    a = plain.score_factors(sentence, train=False)
-    b = dropped.score_factors(sentence, train=False)
+    a = plain.score_factors(sentence)
+    b = dropped.score_factors(sentence)
     np.testing.assert_array_equal(a.edge_scores.data, b.edge_scores.data)
 
 
@@ -442,9 +453,9 @@ def test_train_mode_dropout_is_seeded(vocab, sentence):
     cfg = ModelConfig(word_dim=4, pos_dim=3, encoder_layers=0, unary_dim=5,
                       binary_dim=3, dropout_unary=0.5)
     m = ParserModel(cfg, vocab, np.random.default_rng(9))
-    a = m.score_factors(sentence, train=True, rng=np.random.default_rng(4))
-    b = m.score_factors(sentence, train=True, rng=np.random.default_rng(4))
-    c = m.score_factors(sentence, train=True, rng=np.random.default_rng(5))
+    a = m.score_factors(sentence, rng=np.random.default_rng(4))
+    b = m.score_factors(sentence, rng=np.random.default_rng(4))
+    c = m.score_factors(sentence, rng=np.random.default_rng(5))
     np.testing.assert_array_equal(a.edge_scores.data, b.edge_scores.data)
     assert not np.array_equal(a.edge_scores.data, c.edge_scores.data)
 

@@ -361,6 +361,16 @@ def test_non_finite_gradient_in_a_late_block_names_the_parameter():
     assert "'big'" in str(err.value) and "step 1" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+def test_interpolation_out_of_range_is_a_config_error(value):
+    with pytest.raises(ConfigError, match="interpolation must be in"):
+        TrainConfig(interpolation=value).validate()
+
+
+def test_an_infinite_logit_clamp_is_no_clamp():
+    TrainConfig(logit_clamp=math.inf).validate()
+
+
 def test_l2_default_depends_on_inference_engine():
     assert TrainConfig(inference="mf").l2 == pytest.approx(3e-9)
     assert TrainConfig(inference="lbp").l2 == pytest.approx(3e-8)
