@@ -10,10 +10,10 @@ pass. Grad is on unless a ``no_grad()`` block is open: inside one every
 op returns a constant, so a forward-only call (a parse, a trace, a
 finite-difference loss) keeps no backward state.
 
-``backward(outputs, seeds)`` runs one reverse sweep. An interior node's
+``backward(output, seed)`` runs one reverse sweep. An interior node's
 gradient is freed as soon as its parents' gradients are taken, so a sweep
 holds only the gradients it has yet to pass on, and after it only the
-outputs keep theirs (their seeds, reset at the start of the next sweep).
+output keeps its own (its seed, reset at the start of the next sweep).
 The vjp closures stay, so the same graph can be swept again. Gradients of
 leaves (the actual parameters) accumulate across sweeps until the caller
 clears them, which is what lets a batch sum per-sentence gradients. A leaf
@@ -24,7 +24,7 @@ so no array but that leaf's own gradient ever changes.
 
 The op set is what the parser needs: elementwise arithmetic with
 broadcasting, a 2-D matmul and ``linear`` (x @ W^T, whose W gradient is
-fresh), axis permutations, gathers (take), reductions, stable
+fresh), the 2-D transpose, gathers (take), reductions, stable
 nonlinearities, and two fused nodes: ``lstm``, a whole LSTM direction (no
 per-token tape entries), and ``prefix_trilinear``, the running-sum term
 of the factored mean-field field. A module that builds its own node
@@ -74,9 +74,6 @@ class Tensor:
     # the operator sugar the parser uses
     def __add__(self, other):
         return add(self, _wrap(other))
-
-    def __getitem__(self, key):
-        return _getitem(self, key)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -137,13 +134,13 @@ def _unbroadcast(grad, shape):
     return grad if grad.shape == shape else grad.reshape(shape)
 
 
-def backward(outputs, seeds):
-    """Reverse sweep from ``outputs`` seeded with ``seeds``.
+def backward(output, seed):
+    """Reverse sweep from ``output`` seeded with ``seed``.
 
     Interior-node gradients are cleared first so a tensor reused across
     sweeps cannot leak stale gradient, and each is set to None again once
-    its parents' gradients are taken: after the sweep only ``outputs``
-    hold a gradient among the interior nodes. Leaf gradients accumulate.
+    its parents' gradients are taken: after the sweep only ``output``
+    holds a gradient among the interior nodes. Leaf gradients accumulate.
 
     A leaf's gradient is added to in place only while it is an array this
     function owns: either a vjp result that is a fresh array no one else
@@ -159,7 +156,7 @@ def backward(outputs, seeds):
     """
     topo = []
     visited = set()
-    stack = [(o, False) for o in outputs]
+    stack = [(output, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -177,11 +174,9 @@ def backward(outputs, seeds):
         if node._vjp is not None:
             node.grad = None
 
-    for out, seed in zip(outputs, seeds):
-        g = np.broadcast_to(np.asarray(seed, dtype=np.float64), out.data.shape)
-        out.grad = np.array(g) if out.grad is None else out.grad + g
+    g = np.broadcast_to(np.asarray(seed, dtype=np.float64), output.data.shape)
+    output.grad = np.array(g) if output.grad is None else output.grad + g
 
-    kept = {id(out) for out in outputs}
     for node in reversed(topo):
         if node.grad is None or node._vjp is None:
             continue
@@ -204,7 +199,7 @@ def backward(outputs, seeds):
                 parent.grad = np.add(parent.grad, pgrad, out=np.empty(parent.data.shape))
                 parent._owned = weakref.ref(parent.grad)
         # only now: the ownership test above compares with node.grad
-        if id(node) not in kept:
+        if node is not output:
             node.grad = None
 
 
@@ -253,12 +248,11 @@ def linear(x, W):
                lambda g: (g @ Wd if x.requires_grad else None, g.T @ xd))
 
 
-def transpose(a, axes=None):
-    """Permute the axes (reverse them when ``axes`` is None); the result
-    is a view, and the backward pass applies the inverse permutation."""
+def transpose(a):
+    """The transpose of a 2-D tensor, a view; the backward pass
+    transposes the gradient back."""
     a = _wrap(a)
-    inverse = None if axes is None else np.argsort(axes)
-    return _op(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
+    return _op(a.data.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape):
@@ -276,18 +270,6 @@ def concat(tensors, axis=0):
         return tuple(np.split(g, splits, axis=axis))
 
     return _op(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp)
-
-
-def _getitem(a, key):
-    a = _wrap(a)
-    shape = a.data.shape
-
-    def vjp(g):
-        full = np.zeros(shape, dtype=np.float64)
-        full[key] += g
-        return (full,)
-
-    return _op(a.data[key], (a,), vjp)
 
 
 def take(a, indices):

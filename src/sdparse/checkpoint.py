@@ -57,8 +57,10 @@ def load_checkpoint(path, expected_config=None):
     If ``expected_config`` is given, the structural keys it was given
     (``RunConfig.given``) must agree with the stored echo; any
     disagreement is listed in the raised error. A meta record that is
-    not a JSON object with a config and a vocabulary raises DataError, a
-    config echo with unknown keys ConfigError. So does (DataError) an
+    not a JSON object with a config and a vocabulary, or whose vocabulary
+    id maps are not bijections, raises DataError. The config echo is
+    resolved as a config file is (``RunConfig.resolve``), so an unknown
+    key or a bad value raises ConfigError. DataError is also raised for an
     array buffer that is not 1-D float64, does not match its sha256, or
     that an index entry overruns, and an index whose names or shapes are
     not the model's.
@@ -96,12 +98,9 @@ def load_checkpoint(path, expected_config=None):
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {path} meta record lacks a config or vocabulary: "
                         f"{exc!r}") from None
-    unknown = sorted(set(stored) - set(RunConfig.__dataclass_fields__))
-    if unknown:
-        raise ConfigError(f"checkpoint {path} config has unknown keys {unknown}")
+    run_config = RunConfig.resolve(stored)
     if expected_config is not None:
-        ensure_structure_match(stored, expected_config.given())
-    run_config = RunConfig(**stored)
+        ensure_structure_match(run_config.to_dict(), expected_config.given())
     model = ParserModel(run_config.model_config(), vocab,
                         state=_unpack(path, archive.get(BUFFER), meta))
     return model, run_config, vocab

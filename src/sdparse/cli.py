@@ -115,6 +115,10 @@ def cmd_eval(args):
     if len(pred) != len(gold):
         raise DataError(
             f"prediction has {len(pred)} sentences, gold has {len(gold)}")
+    for idx, ((pred_sentence, _), (gold_sentence, _)) in enumerate(zip(pred, gold)):
+        if pred_sentence.n != gold_sentence.n:
+            raise DataError(f"sentence {idx}: prediction has {pred_sentence.n} tokens, "
+                            f"gold has {gold_sentence.n}")
     report = metrics.evaluate([g for _, g in pred], [g for _, g in gold],
                               include_top=args.include_top)
     sys.stdout.write(report.to_text())
@@ -154,6 +158,8 @@ def cmd_oracle_compare(args):
                         ("--coupling-scale", args.coupling_scale)):
         if not scale >= 0.0:
             raise ConfigError(f"{flag} must be >= 0, got {scale}")
+        if np.isinf(scale):
+            raise ConfigError(f"{flag} must be finite, got {scale}")
     # a length-n instance has n^2 edge variables; refuse before building any
     if args.length ** 2 > exact.ENUMERATION_CAP:
         raise CapacityError(
@@ -174,6 +180,10 @@ def cmd_oracle_compare(args):
                 state = run_inference(pot, engine, iterations)
                 q = state.marginals()
                 errors.extend(abs(q[e] - reference.marginals[e]) for e in pot.edge_set.edges)
+            # an error is NaN exactly when the engine's or the oracle's marginal is
+            if not np.all(np.isfinite(errors)):
+                raise NumericError(f"non-finite marginals from {engine} (T={iterations}) "
+                                   f"or the enumeration oracle at these scales")
             mean_err, max_err = float(np.mean(errors)), float(np.max(errors))
             worst = max(worst, max_err)
             print(f"engine={engine} iterations={iterations} "
@@ -206,7 +216,10 @@ def cmd_gradcheck(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="sdparse",
         description="Second-order semantic dependency parser with "
@@ -264,15 +277,8 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The argument parser, built once per process; parsing leaves it
-    unchanged."""
-    return build_parser()
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # looked up per call, so the handler is the module's current cmd_*
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:

@@ -4,7 +4,9 @@ Files hold one ``key=value`` per line with ``#`` comments. Unknown keys
 are hard errors, command-line overrides win over file values, and every
 run can echo its fully resolved configuration. The key ``lambda`` is an
 accepted alias for ``interpolation`` (the label-loss weight); ``l2`` may
-be the string ``auto`` to pick the engine's default.
+be the string ``auto`` to pick the engine's default. A checkpoint's
+JSON echo is resolved the same way: a value that is not text must
+already have its key's type.
 """
 
 from __future__ import annotations
@@ -99,10 +101,18 @@ def _canonical(key):
     return key
 
 
+# the JSON types a checkpoint's echo may hold per field type; a bool is no int
+_JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+
+
 def _cast(key, text):
-    if not isinstance(text, str):
-        return text
+    """The value of ``key`` parsed from ``text``, or a JSON value of its
+    field's type as it is."""
     field = _FIELDS[key]
+    if not isinstance(text, str):
+        if text is None and key == "l2" or type(text) in _JSON_TYPES[field.type]:
+            return text
+        raise ConfigError(f"bad value for {key!r}: expected {field.type}, got {text!r}")
     try:
         if key == "l2":
             return None if text.lower() in ("auto", "none") else float(text)

@@ -89,16 +89,14 @@ class ModelConfig:
     dropout_binary: float = 0.0
 
     @classmethod
-    def full(cls, **overrides):
-        base = dict(
+    def full(cls):
+        return cls(
             word_dim=100, pos_dim=50, use_pretrained=True,
             pretrained_proj_dim=125, encoder_layers=3, encoder_hidden=600,
             unary_dim=600, binary_dim=150,
             dropout_embed=0.2, dropout_lstm_ff=0.45, dropout_lstm_recur=0.25,
             dropout_unary=0.25, dropout_label=0.33, dropout_binary=0.25,
         )
-        base.update(overrides)
-        return cls(**base)
 
     def validate(self):
         for f in fields(self):
@@ -311,13 +309,14 @@ class ParserModel:
         """Bidirectional LSTM over positions 0..n; identity when layers=0.
 
         Each direction of each layer is one ``autodiff.lstm`` node; the
-        backward direction runs over the reversed rows. Given ``rng``,
-        dropout masks are drawn from it per layer in the order:
+        backward direction runs over the rows reversed by ``take``. Given
+        ``rng``, dropout masks are drawn from it per layer in the order:
         feed-forward mask over the inputs, forward recurrent mask,
         backward recurrent mask.
         """
         cfg = self.config
         current = inputs
+        reverse = np.arange(inputs.shape[0])[::-1]
         for layer in range(cfg.encoder_layers):
             if rng is not None:
                 current = _dropout(current, cfg.dropout_lstm_ff, rng)
@@ -327,8 +326,8 @@ class ParserModel:
                 fw_mask, bw_mask = ((rng.random(cfg.encoder_hidden) >= p) / (1.0 - p)
                                     for _ in range(2))
             fw = self._lstm(f"lstm{layer}_fw", current, fw_mask)
-            bw = self._lstm(f"lstm{layer}_bw", current[::-1], bw_mask)
-            current = ad.concat([fw, bw[::-1]], axis=1)
+            bw = self._lstm(f"lstm{layer}_bw", ad.take(current, reverse), bw_mask)
+            current = ad.concat([fw, ad.take(bw, reverse)], axis=1)
         return current
 
     def project_roles(self, context, rng=None):

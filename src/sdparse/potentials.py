@@ -112,7 +112,7 @@ class InferenceState:
     Under loopy BP all T sweeps are one autodiff node, ``logits[-1]``:
     past the edge scores at t = 0, only the last grid carries gradient, and
     the other grids and the message tensors are constants, so a loss reads
-    the last grid (``final_log_marginals`` does). Mean-field's grids and
+    the last grid (``training.edge_loss`` does). Mean-field's grids and
     message tensors all stay on the tape. A run under ``autodiff.no_grad``
     records none: every tensor of its state is a constant."""
 
@@ -129,15 +129,10 @@ class InferenceState:
         (E,) array."""
         return ad.sigmoid(self.logits[t].data[self.pot.edge_set.mask]).data
 
-    def marginals(self, t=-1):
-        """Q(edge on) after iteration t by (head, dep), in edge order."""
-        return dict(zip(self.pot.edge_set.edges, self.q1(t).tolist()))
-
-    def final_log_marginals(self):
-        """(log Q(0), log Q(1)) of the last iterate as (E,) tensors,
-        stable for extreme logits."""
-        logit = ad.take(ad.reshape(self.logits[-1], (-1,)), np.flatnonzero(self.pot.edge_set.mask))
-        return ad.neg(ad.softplus(logit)), ad.neg(ad.softplus(ad.neg(logit)))
+    def marginals(self):
+        """Q(edge on) after the last iteration by (head, dep), in edge
+        order."""
+        return dict(zip(self.pot.edge_set.edges, self.q1().tolist()))
 
     def directed_messages(self):
         """(src_edge, dst_edge, part_type, part) per direction of every pair

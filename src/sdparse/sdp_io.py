@@ -93,8 +93,13 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(dict(d["form2id"]), dict(d["pos2id"]), dict(d["label2id"]),
-                   int(d["min_count"]))
+        """The vocabulary ``to_dict`` gave; each id map must be a bijection
+        onto 0..len-1, or DataError is raised."""
+        maps = {key: dict(d[key]) for key in ("form2id", "pos2id", "label2id")}
+        for key, ids in maps.items():
+            if sorted(ids.values()) != list(range(len(ids))):
+                raise DataError(f"vocabulary {key} does not map onto the ids 0..{len(ids) - 1}")
+        return cls(**maps, min_count=int(d["min_count"]))
 
 
 def build_vocab(data, min_count=7):

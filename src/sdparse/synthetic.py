@@ -12,23 +12,22 @@ from .potentials import PART_TYPE_ORDER, _scatter, from_arrays
 __all__ = ["random_potentials", "two_edge_instance", "toy_corpus"]
 
 
-def random_potentials(n, rng, unary_scale=1.0, coupling_scale=0.1,
-                      requires_grad=False):
-    """Full candidate-set potentials with Gaussian scores: the unaries in
-    edge order, then the parts in part order (each part mask's row-major
-    order, sib, cop, then gp)."""
+def random_potentials(n, rng, unary_scale=1.0, coupling_scale=0.1):
+    """Full candidate-set potentials with Gaussian scores, as constants:
+    the unaries in edge order, then the parts in part order (each part
+    mask's row-major order, sib, cop, then gp)."""
     edge_set = build_candidate_edges(n)
     masks = {kind: part_mask(n, kind) for kind in PART_TYPE_ORDER} if n > 1 else {}
     unary = rng.normal(0.0, unary_scale, size=len(edge_set))
     scores = rng.normal(0.0, coupling_scale, size=sum(map(np.count_nonzero, masks.values())))
-    return _scatter(edge_set, unary, masks, scores, requires_grad)
+    return _scatter(edge_set, unary, masks, scores, requires_grad=False)
 
 
-def two_edge_instance(coupling, unaries=(0.0, 0.0), requires_grad=False):
-    """Two edge variables joined by a single sibling part."""
+def two_edge_instance(coupling, unaries=(0.0, 0.0)):
+    """Two edge variables joined by a single sibling part, as constants."""
     edges = ((0, 1), (0, 2))
     pairs = [((0, 1), (0, 2), coupling, "sib")]
-    return from_arrays(edges, unaries, pairs, requires_grad=requires_grad)
+    return from_arrays(edges, unaries, pairs, requires_grad=False)
 
 
 def _sentence(forms, pos):

@@ -92,6 +92,14 @@ def joint_log_score(pot, on_edges):
     return float(unary_scores(pot)[on].sum()) + float(part_scores(pot)[on[first] & on[second]].sum())
 
 
+def log_marginals(state):
+    """(log Q(0), log Q(1)) of a state's last iterate as (E,) tensors in
+    edge order: -softplus(l) and -softplus(-l) of the last logit grid's
+    edge cells, stable for extreme logits."""
+    logit = ad.take(ad.reshape(state.logits[-1], (-1,)), np.flatnonzero(state.pot.edge_set.mask))
+    return ad.neg(ad.softplus(logit)), ad.neg(ad.softplus(ad.neg(logit)))
+
+
 def potential_grads(upstream, state):
     """Gradients of <upstream, Q^(T)> w.r.t. the unary scores (edge order)
     and the pair scores (part order) of the LogPotentials an
@@ -99,8 +107,8 @@ def potential_grads(upstream, state):
     exp(log Q(1)) of the final log-marginals, so the sweep starts at
     log Q(1) seeded with upstream * Q."""
     pot = state.pot
-    log_q = state.final_log_marginals()[1]
-    ad.backward([log_q], [np.asarray(upstream, dtype=np.float64) * np.exp(log_q.data)])
+    log_q = log_marginals(state)[1]
+    ad.backward(log_q, np.asarray(upstream, dtype=np.float64) * np.exp(log_q.data))
     grid = pot.edge_scores.grad
     # a sib or cop score sits in both orientations' cells
     grads = {kind: s.grad if kind == "gp" else s.grad + aligned(s.grad, kind)

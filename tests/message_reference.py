@@ -5,22 +5,33 @@ Each message update is its own tape node over ``lbp.message_kernel``,
 and each sweep is ``sweep`` below, a pass over ``potentials.MESSAGES``
 (dense mean-field runs the same pass in ``mf._dense_field``): the source
 grid reshaped to a unit axis, the reverse tensor aligned by a transpose
-node, and every message summed into the next grid by a ``tensor_sum`` and
-an ``add`` node. Every logit grid and message tensor of the trajectory
-carries gradient; the state keeps the last sweep's messages.
+node (``transpose_node``, which permutes any axes; ``autodiff.transpose``
+is 2-D only), and every message summed into the next grid by a
+``tensor_sum`` and an ``add`` node. Every logit grid and message tensor
+of the trajectory carries gradient; the state keeps the last sweep's
+messages.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 import sdparse.autodiff as ad
 from sdparse import lbp
 from sdparse.potentials import _MIRROR, MESSAGES, InferenceState
 
 
+def transpose_node(a, axes):
+    """``a`` with its axes permuted by ``axes`` as one node, a view; the
+    backward pass applies the inverse permutation."""
+    inverse = np.argsort(axes)
+    return ad._op(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
+
+
 def aligned_tensor(tensor, kind):
-    """``potentials.aligned`` on a Tensor: a ``transpose`` node for a
+    """``potentials.aligned`` on a Tensor: a transpose node for a
     symmetric part type, the tensor itself for gp."""
-    return ad.transpose(tensor, _MIRROR[kind]) if kind in _MIRROR else tensor
+    return transpose_node(tensor, _MIRROR[kind]) if kind in _MIRROR else tensor
 
 
 def cavity_message(source, reverse, s, shift):

@@ -12,13 +12,11 @@ way, and the messages are gathered and scatter-added with index arrays:
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 
 import sdparse.autodiff as ad
 from sdparse.graph import PART_EDGE_COLUMNS, part_mask
-from sdparse.training import combined_loss, edge_loss, label_loss
+from sdparse.training import combined_loss, label_loss
 
 PART_TYPE_ORDER = ("sib", "cop", "gp")
 # the columns of a stored triple that hold the factors' first edge (a, b)
@@ -84,11 +82,15 @@ def pair_list_lbp(unary, first, second, scores, iterations):
 
 
 def reference_sentence_loss(model, sentence, gold, cfg):
-    """``training.sentence_loss`` with LBP (no dropout) on the pair list."""
+    """``training.sentence_loss`` with LBP (no dropout) on the pair list,
+    its edge term the cross-entropy -sum(gold log b1 + (1 - gold) log b0)
+    written out."""
     factors = model.score_factors(sentence)
     first, second, scores = pair_list(factors)
     unary = ad.take(ad.reshape(factors.edge_scores, (-1,)), np.flatnonzero(factors.edge_set.mask))
     log_b0, log_b1 = pair_list_lbp(unary, first, second, scores, cfg.iterations)
-    state = SimpleNamespace(pot=factors, final_log_marginals=lambda: (log_b0, log_b1))
-    return combined_loss(edge_loss(state, gold), label_loss(factors, gold, model.vocab),
-                         cfg.interpolation)
+    gold_edges = gold.edge_pairs()
+    on = np.array([edge in gold_edges for edge in factors.edge_set.edges], dtype=np.float64)
+    edge_term = ad.neg(ad.tensor_sum(ad.add(ad.mul(ad.constant(on), log_b1),
+                                            ad.mul(ad.constant(1.0 - on), log_b0))))
+    return combined_loss(edge_term, label_loss(factors, gold, model.vocab), cfg.interpolation)

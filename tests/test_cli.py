@@ -140,6 +140,10 @@ OUT_OF_RANGE_ARGUMENTS = [
      "--coupling-scale must be >= 0, got -1.0"),
     (["oracle-compare", "--length", "2", "--instances", "1", "--unary-scale", "-1"],
      "--unary-scale must be >= 0, got -1.0"),
+    (["oracle-compare", "--length", "2", "--instances", "1", "--coupling-scale", "inf"],
+     "--coupling-scale must be finite, got inf"),
+    (["oracle-compare", "--length", "2", "--instances", "1", "--unary-scale", "inf"],
+     "--unary-scale must be finite, got inf"),
     (["oracle-compare", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["parse", "--set", "seed=-1"], "seed must be >= 0, got -1"),
     (["gradcheck", "--length", "0"], "--length"),
@@ -278,17 +282,50 @@ def _rewrite_checkpoint(tmp_path, trained, edit):
     return path
 
 
+def _label_past_the_end(meta, arrays):
+    labels = meta["vocab"]["label2id"]
+    labels[max(labels, key=labels.get)] = len(labels)
+
+
+def _labels_sharing_an_id(meta, arrays):
+    labels = meta["vocab"]["label2id"]
+    labels[max(labels, key=labels.get)] = 1
+
+
+def _form_id_999(meta, arrays):
+    forms = meta["vocab"]["form2id"]
+    forms[max(forms, key=forms.get)] = 999
+
+
 @pytest.mark.parametrize("edit,code,message", [
     ("{format_version: 1", 3, "not a JSON object"),
     ("[1, 2]", 3, "not a JSON object"),
     (lambda meta, arrays: meta.pop("config"), 3, "lacks a config"),
     (lambda meta, arrays: meta["config"].update(bogus_key=1), 2, "bogus_key"),
-], ids=["not-json", "json-list", "no-config", "unknown-config-key"])
+    (_label_past_the_end, 3, "label2id does not map onto the ids 0.."),
+    (_labels_sharing_an_id, 3, "label2id does not map onto the ids 0.."),
+    (_form_id_999, 3, "form2id does not map onto the ids 0.."),
+    (lambda meta, arrays: meta["config"].update(encoder_hidden="abc"), 2,
+     "bad value for 'encoder_hidden'"),
+    (lambda meta, arrays: meta["config"].update(encoder_hidden=4.5), 2,
+     "bad value for 'encoder_hidden': expected int, got 4.5"),
+    (lambda meta, arrays: meta["config"].update(use_sib=1), 2,
+     "bad value for 'use_sib': expected bool, got 1"),
+], ids=["not-json", "json-list", "no-config", "unknown-config-key", "label-id-past-the-end",
+        "labels-sharing-an-id", "form-id-999", "text-not-an-int", "float-not-an-int",
+        "int-not-a-bool"])
 def test_parse_with_malformed_checkpoint_meta_exits_with_its_code(
         tmp_path, trained, corpus_path, capsys, edit, code, message):
     path = _rewrite_checkpoint(tmp_path, trained, edit)
     assert _parse_checkpoint(path, tmp_path, corpus_path) == code
     assert message in capsys.readouterr().err
+
+
+def test_a_checkpoint_echo_reads_text_as_a_config_file_does(tmp_path, trained):
+    path = _rewrite_checkpoint(tmp_path, trained,
+                               lambda meta, arrays: meta["config"].update(use_sib="no"))
+    _, cfg, _ = load_checkpoint(path)
+    assert cfg.use_sib is False
 
 
 def _index_entry(meta, name):
@@ -357,6 +394,14 @@ def test_eval_length_mismatch_exits_3(tmp_path, corpus_path, capsys):
     rc = cli.main(["eval", "--pred", str(short), "--gold", corpus_path])
     assert rc == 3
     assert "2 sentences" in capsys.readouterr().err
+
+
+def test_eval_of_a_sentence_with_another_token_count_exits_3(tmp_path, capsys):
+    pred, gold = tmp_path / "pred.sdp", tmp_path / "gold.sdp"
+    write_sdp(toy_corpus(np.random.default_rng(1), size=2, min_len=3, max_len=3), pred)
+    write_sdp(toy_corpus(np.random.default_rng(1), size=2, min_len=6, max_len=6), gold)
+    assert cli.main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 3
+    assert "sentence 0: prediction has 3 tokens, gold has 6" in capsys.readouterr().err
 
 
 def test_checkpoint_structure_mismatch_exits_2(tmp_path, trained, corpus_path,
@@ -763,6 +808,18 @@ def test_oracle_compare_small_coupling_reports_small_error(capsys):
     out = capsys.readouterr().out
     worst = float(out.rsplit("worst_max_abs_err=", 1)[1])
     assert 0.0 < worst < 0.05
+
+
+# numpy warns of the overflow and of the NaN it makes, which the suite
+# would otherwise raise as errors; the command line prints them and goes on
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flag", ["--unary-scale", "--coupling-scale"])
+def test_oracle_compare_with_non_finite_marginals_exits_4(capsys, flag):
+    rc = cli.main(["oracle-compare", "--instances", "2", "--length", "3", flag, "1e308"])
+    assert rc == 4
+    out, err = capsys.readouterr()
+    assert "non-finite marginals from mf (T=1)" in err
+    assert "worst_max_abs_err" not in out
 
 
 def test_oracle_compare_accepts_length_at_the_enumeration_cap(capsys):

@@ -30,8 +30,8 @@ from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 from sdparse.training import (TrainConfig, combined_loss, edge_loss, label_loss, sentence_loss,
                               train)
 
-from conftest import (numeric_grad, pair_arrays, pair_list, pair_tuples, part_scores,
-                      potential_grads, unary_scores)
+from conftest import (log_marginals, numeric_grad, pair_arrays, pair_list, pair_tuples,
+                      part_scores, potential_grads, unary_scores)
 from message_reference import reference_lbp_run
 from pair_list_reference import reference_sentence_loss
 
@@ -101,7 +101,7 @@ def test_beliefs_stay_normalized():
     pot = random_potentials(3, np.random.default_rng(2), coupling_scale=0.8)
     states = [lbp_run(pot, iterations=t) for t in range(1, 5)]
     for state in states:
-        log_b0, log_b1 = state.final_log_marginals()
+        log_b0, log_b1 = log_marginals(state)
         total = np.logaddexp(log_b0.data, log_b1.data)
         np.testing.assert_allclose(total, 0.0, atol=1e-12)
 
@@ -217,19 +217,11 @@ def test_permutation_equivariance(rng):
     edges = pot.edge_set.edges
     pairs = pair_list(pot)[::-1]
     shuffled = from_arrays([edges[i] for i in order], unary_scores(pot)[order], pairs)
-    a = lbp_run(pot, iterations=3).marginals(3)
-    b = lbp_run(shuffled, iterations=3).marginals(3)
+    a = lbp_run(pot, iterations=3).marginals()
+    b = lbp_run(shuffled, iterations=3).marginals()
     assert list(a) == list(b) == list(edges)
     for e in edges:
         assert a[e] == pytest.approx(b[e], abs=1e-12)
-
-
-def test_final_log_marginals_are_consistent():
-    state = lbp_run(two_edge_instance(math.log(2.0)), iterations=3)
-    log_off, log_on = state.final_log_marginals()
-    q = state.q1(3)
-    np.testing.assert_allclose(np.exp(log_on.data), q, atol=1e-12)
-    np.testing.assert_allclose(np.exp(log_off.data), 1.0 - q, atol=1e-12)
 
 
 def test_directed_messages_list_both_directions_per_part():
@@ -260,7 +252,7 @@ def test_with_no_part_every_iterate_is_the_unary_grid(iterations):
     state = lbp_run(pot, iterations)
     assert state.iterations == iterations and state.messages == {}
     assert all(_same_bits(logit.data, pot.edge_scores.data) for logit in state.logits)
-    ad.backward([edge_loss(state, SemGraph(2, [(0, 1, "x")]))], [np.ones(())])
+    ad.backward(edge_loss(state, SemGraph(2, [(0, 1, "x")])), np.ones(()))
     s = unary_scores(pot)
     mask = pot.edge_set.mask
     np.testing.assert_allclose(pot.edge_scores.grad[mask],
@@ -360,7 +352,7 @@ def test_sentence_loss_matches_the_pair_list_engine(n, switches):
     def gradients(loss_fn):
         model.zero_grad()
         loss = loss_fn(model, sentence, gold, train_cfg)
-        ad.backward([loss], [1.0])
+        ad.backward(loss, 1.0)
         return loss.item(), {k: p.grad for k, p in model.params.items() if p.grad is not None}
 
     got_loss, got = gradients(sentence_loss)
@@ -392,7 +384,7 @@ def _assert_matches_the_per_message_reference(model, sentence, gold):
         state = engine(pot, cfg.iterations)
         loss = combined_loss(edge_loss(state, gold), label_loss(scores, gold, model.vocab),
                              cfg.interpolation)
-        ad.backward([loss], [1.0])
+        ad.backward(loss, 1.0)
         return state, {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
 
     got_state, got = run(lbp_run)
@@ -428,7 +420,7 @@ def test_backward_twice_gives_equal_gradients():
     grads = []
     for _ in range(2):
         model.zero_grad()
-        ad.backward([loss], [1.0])
+        ad.backward(loss, 1.0)
         grads.append({k: p.grad.copy() for k, p in model.params.items() if p.grad is not None})
     assert grads[0].keys() == grads[1].keys()
     for name, g in grads[0].items():
@@ -436,21 +428,23 @@ def test_backward_twice_gives_equal_gradients():
 
 
 def test_all_sweeps_are_one_node_and_only_the_last_grid_carries_gradient():
-    pot = random_potentials(4, np.random.default_rng(5), coupling_scale=0.5, requires_grad=True)
+    base = random_potentials(4, np.random.default_rng(5), coupling_scale=0.5)
+    pot = from_arrays(base.edge_set.edges, unary_scores(base), pair_list(base), requires_grad=True)
     state = lbp_run(pot, iterations=3)
     assert state.logits[0] is pot.edge_scores
     assert state.logits[-1]._parents == (pot.edge_scores, *pot.scores.values())
     assert not any(grid.requires_grad for grid in state.logits[1:-1])
     for t in (1, 2, 3):
         assert not any(m.requires_grad for m in lbp_run(pot, iterations=t).messages.values())
-    fixed = lbp_run(random_potentials(4, np.random.default_rng(5), coupling_scale=0.5), 3)
+    fixed = lbp_run(base, 3)
     assert not fixed.logits[-1].requires_grad
     np.testing.assert_array_equal(fixed.logits[-1].data, state.logits[-1].data)
 
 
 @pytest.mark.parametrize("iterations", [1, 3])
 def test_the_state_keeps_one_dict_of_the_last_sweeps_messages(iterations):
-    pot = random_potentials(4, np.random.default_rng(5), coupling_scale=0.5, requires_grad=True)
+    base = random_potentials(4, np.random.default_rng(5), coupling_scale=0.5)
+    pot = from_arrays(base.edge_set.edges, unary_scores(base), pair_list(base), requires_grad=True)
     state = lbp_run(pot, iterations)
     assert list(state.messages) == ["sib", "cop", "down", "up"]
     _assert_messages_equal(state, reference_lbp_run(pot, iterations))
@@ -537,7 +531,7 @@ def test_no_grad_is_restored_when_nested_and_after_a_parse_raises(monkeypatch):
             parse_sentence(model, sentence, "lbp")
     assert ad.records(params)
     model.zero_grad()
-    ad.backward([sentence_loss(model, sentence, gold, TrainConfig(inference="lbp"))], [1.0])
+    ad.backward(sentence_loss(model, sentence, gold, TrainConfig(inference="lbp")), 1.0)
     assert all(p.grad is not None for p in params)
 
 
@@ -581,7 +575,7 @@ def test_one_training_step_peaks_below_the_declared_bytes_per_cell():
     try:
         start = tracemalloc.get_traced_memory()[0]
         loss = sentence_loss(model, sentence, gold, TrainConfig(inference="lbp", iterations=3))
-        ad.backward([loss], [1.0])
+        ad.backward(loss, 1.0)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -109,7 +109,7 @@ def test_loss_gradients_match_the_pair_list(monkeypatch, switches, clamp):
     def gradients():
         model.zero_grad()
         loss = sentence_loss(model, sentence, gold, cfg)
-        ad.backward([loss], [1.0])
+        ad.backward(loss, 1.0)
         # parameters of a switched-off part type get no gradient at all
         return loss.item(), {k: p.grad for k, p in model.params.items()
                              if p.grad is not None}

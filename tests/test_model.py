@@ -107,7 +107,7 @@ def _matvec(M, v):
 
 
 def reference_encode(model, inputs, rng=None):
-    """The encoder as per-token autodiff ops: one gate matmul, slice and
+    """The encoder as per-token autodiff ops: one gate matmul, gather and
     nonlinearity per position and direction, rows re-stacked at the end.
     Given ``rng``, draws dropout masks in the order ``ParserModel.encode``
     does."""
@@ -126,10 +126,9 @@ def reference_encode(model, inputs, rng=None):
         for x in rows:
             h_in = ad.mul(h, recur_mask) if recur_mask is not None else h
             gates = _matvec(Wx, x) + _matvec(Wh, h_in) + b
-            i = ad.sigmoid(gates[0:h_dim])
-            f = ad.sigmoid(gates[h_dim:2 * h_dim])
-            g = _tanh(gates[2 * h_dim:3 * h_dim])
-            o = ad.sigmoid(gates[3 * h_dim:4 * h_dim])
+            i, f, g, o = (ad.take(gates, np.arange(k * h_dim, (k + 1) * h_dim))
+                          for k in range(4))
+            i, f, g, o = ad.sigmoid(i), ad.sigmoid(f), _tanh(g), ad.sigmoid(o)
             cell = ad.add(ad.mul(f, cell), ad.mul(i, g))
             h = ad.mul(o, _tanh(cell))
             outs.append(h)
@@ -140,7 +139,7 @@ def reference_encode(model, inputs, rng=None):
         if rng is not None and cfg.dropout_lstm_ff > 0.0:
             p = cfg.dropout_lstm_ff
             current = ad.mul(current, ad.constant((rng.random(current.shape) >= p) / (1.0 - p)))
-        rows = [current[t] for t in range(current.shape[0])]
+        rows = [ad.take(current, t) for t in range(current.shape[0])]
         fw = direction(rows, f"lstm{layer}_fw")
         bw = direction(list(reversed(rows)), f"lstm{layer}_bw")
         bw.reverse()
@@ -165,7 +164,7 @@ def test_fused_encoder_matches_per_token_reference(vocab, n):
         rng = np.random.default_rng(4)
         m.zero_grad()
         out = encode(m.embed(sent, rng=rng), rng=rng)
-        ad.backward([out], [upstream])
+        ad.backward(out, upstream)
         grads = {name: p.grad for name, p in m.params.items() if p.grad is not None}
         return out.data, grads, rng.random(4)
 
@@ -424,7 +423,8 @@ def test_dense_part_score_gradients_match_per_part_gathers(vocab, n, switches):
 
     def param_grads(outputs, seeds):
         m.zero_grad()
-        ad.backward(list(outputs.values()), [seeds[kind] for kind in outputs])
+        for kind, out in outputs.items():
+            ad.backward(out, seeds[kind])
         return {name: p.grad for name, p in m.params.items()}
 
     got = param_grads(pot.scores, upstream)
@@ -464,8 +464,8 @@ def test_score_backward_reaches_every_group(model, sentence):
     factors = model.score_factors(sentence)
     pot = from_factors(factors)
     model.zero_grad()
-    outputs = [pot.edge_scores, factors.s_label, *pot.scores.values()]
-    ad.backward(outputs, [np.ones_like(t.data) for t in outputs])
+    for out in [pot.edge_scores, factors.s_label, *pot.scores.values()]:
+        ad.backward(out, np.ones_like(out.data))
     groups = model.param_groups()
     for name in ("embeddings", "projections", "edge_biaffine", "label_biaffine", "trilinear"):
         touched = [model.params[p].grad for p in groups[name]]
@@ -476,7 +476,7 @@ def test_edge_bias_gradient_is_edge_count(model, sentence):
     pot = from_factors(model.score_factors(sentence))
     model.zero_grad()
     # one unit of upstream gradient on each candidate edge's score
-    ad.backward([pot.edge_scores], [pot.edge_set.mask.astype(np.float64)])
+    ad.backward(pot.edge_scores, pot.edge_set.mask.astype(np.float64))
     assert model.params["edge_b"].grad == pytest.approx(sentence.n ** 2)
 
 

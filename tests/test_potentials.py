@@ -92,7 +92,7 @@ def _lbp_step(monkeypatch, build, model, sentence, gold):
     monkeypatch.setattr(pipeline, "from_factors", building)
     model.zero_grad()
     loss = sentence_loss(model, sentence, gold, TrainConfig(inference="lbp", iterations=3))
-    ad.backward([loss], [1.0])
+    ad.backward(loss, 1.0)
     return built[0], loss, {k: p.grad.copy() for k, p in model.params.items()
                             if p.grad is not None}
 

@@ -16,6 +16,7 @@ from sdparse import pipeline, training
 from sdparse.errors import CapacityError, ConfigError, NumericError
 from sdparse.graph import SemGraph, build_candidate_edges
 from sdparse.mf import mf_run
+from sdparse.pipeline import run_inference
 from sdparse.model import ModelConfig, ParserModel
 from sdparse.potentials import from_arrays
 from sdparse.sdp_io import build_vocab
@@ -56,15 +57,15 @@ def test_every_parameter_gradient_is_owned_and_summed_in_place(engine):
                          "use_pretrained": True, "pretrained_proj_dim": 2})
     model = ParserModel(cfg, vocab, np.random.default_rng(9), pretrained=(table, 3))
     train_cfg = TrainConfig(inference=engine, iterations=2)
-    ad.backward([sentence_loss(model, *data[0], train_cfg)], [1.0])
+    ad.backward(sentence_loss(model, *data[0], train_cfg), 1.0)
     for name, p in model.params.items():
         assert p.grad is not None and p._owned() is p.grad, name
     first = {name: (p.grad, p.grad.copy()) for name, p in model.params.items()}
-    ad.backward([sentence_loss(model, *data[1], train_cfg)], [1.0])
+    ad.backward(sentence_loss(model, *data[1], train_cfg), 1.0)
     assert all(p.grad is first[name][0] for name, p in model.params.items())
     # what was added in place is the second sentence's gradient
     model.zero_grad()
-    ad.backward([sentence_loss(model, *data[1], train_cfg)], [1.0])
+    ad.backward(sentence_loss(model, *data[1], train_cfg), 1.0)
     for name, p in model.params.items():
         summed, alone = first[name]
         np.testing.assert_array_equal(summed, alone + p.grad)
@@ -75,7 +76,7 @@ def test_after_backward_only_the_loss_keeps_an_interior_gradient(engine):
     data = toy_corpus(np.random.default_rng(4), size=1, min_len=5, max_len=5)
     model = _tiny_model(data)
     loss = sentence_loss(model, *data[0], TrainConfig(inference=engine))
-    ad.backward([loss], [1.0])
+    ad.backward(loss, 1.0)
     assert loss.grad == 1.0
     interior = [node for node in _graph_nodes(loss) if node._vjp is not None]
     assert len(interior) > 10
@@ -111,9 +112,8 @@ def test_train_frees_each_sentence_tape_before_the_next_forward(monkeypatch, eng
 def test_gradcheck_frees_its_analytic_tape_before_the_finite_differences(monkeypatch):
     data = toy_corpus(np.random.default_rng(5), size=2, min_len=3, max_len=3)
     taped = _recording_losses(monkeypatch)
-    gradcheck(_tiny_model(data, seed=11), *data[0], TrainConfig(seed=0),
-              iteration_counts=(1, 2), coords=4, seed=0)
-    assert len(taped) == 4
+    gradcheck(_tiny_model(data, seed=11), *data[0], TrainConfig(seed=0), coords=4, seed=0)
+    assert len(taped) == 6
 
 
 # ---------------------------------------------------------------- edge loss
@@ -140,11 +140,22 @@ def test_edge_loss_charges_confident_mistakes():
     assert float(loss.data) == pytest.approx(-math.log(0.25), abs=1e-12)
 
 
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_edge_loss_is_the_log_loss_of_the_final_marginals(engine):
+    state = run_inference(random_potentials(3, np.random.default_rng(3), coupling_scale=0.8),
+                          engine, 3)
+    gold = SemGraph(3, [(0, 2, "TOP"), (2, 1, "a"), (1, 3, "b")])
+    on = np.array([edge in gold.edge_pairs() for edge in state.pot.edge_set.edges])
+    q = state.q1()
+    want = -np.sum(np.log(np.where(on, q, 1.0 - q)))
+    assert edge_loss(state, gold).item() == pytest.approx(want, rel=1e-12)
+
+
 def test_edge_loss_gradient_is_marginal_minus_gold():
     pot = from_arrays(((0, 1), (1, 2)), np.array([0.3, -0.2]), [], requires_grad=True)
     state = mf_run(pot, iterations=1)
     loss = edge_loss(state, SemGraph(2, [(0, 1, "x")]))
-    ad.backward([loss], [np.ones(())])
+    ad.backward(loss, np.ones(()))
     q = state.q1(1)
     np.testing.assert_allclose(pot.edge_scores.grad[pot.edge_set.mask], q - np.array([1.0, 0.0]),
                                atol=1e-12)
@@ -216,7 +227,7 @@ def test_interpolation_zero_leaves_label_scorer_untrained():
     sent, gold = data[0]
     model.zero_grad()
     loss = sentence_loss(model, sent, gold, cfg)
-    ad.backward([loss], [np.ones(())])
+    ad.backward(loss, np.ones(()))
     for name in ("label_W", "label_b", "proj_label_head_W", "proj_label_dep_W"):
         g = model.params[name].grad
         assert g is None or not np.any(g)
@@ -504,12 +515,11 @@ def test_gradcheck_passes_on_a_tiny_model():
     model = _tiny_model(data, seed=11)
     sent, gold = data[0]
     cfg = TrainConfig(seed=0)
-    result = gradcheck(model, sent, gold, cfg, engines=("mf", "lbp"),
-                       iteration_counts=(1, 2), coords=40, seed=0)
-    assert result.coords_checked >= 4 * 40
-    assert set(result.per_combo) == {("mf", 1), ("mf", 2), ("lbp", 1), ("lbp", 2)}
+    result = gradcheck(model, sent, gold, cfg, coords=40, seed=0)
+    assert result.coords_checked >= 6 * 40
+    assert set(result.per_combo) == {(engine, t) for engine in ("mf", "lbp") for t in (1, 2, 3)}
     assert result.max_rel_error < 1e-5
-    assert result.ok(1e-4)
+    assert result.ok()
 
 
 def test_gradcheck_tapes_only_its_analytic_pass(monkeypatch):
@@ -526,13 +536,12 @@ def test_gradcheck_tapes_only_its_analytic_pass(monkeypatch):
 
     def check():
         model = _tiny_model(data, seed=11)
-        return gradcheck(model, sent, gold, TrainConfig(seed=0), iteration_counts=(1, 2),
-                         coords=12, seed=0).per_combo
+        return gradcheck(model, sent, gold, TrainConfig(seed=0), coords=12, seed=0).per_combo
 
     monkeypatch.setattr(training, "sentence_loss", counting)
     per_combo = check()
     # one taped analytic pass per combination; every other loss is a constant
-    assert sum(taped_losses) == 4 and len(taped_losses) > 4 * 12
+    assert sum(taped_losses) == 6 and len(taped_losses) > 6 * 12
     monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
     taped_losses.clear()
     taped = check()
