@@ -274,8 +274,9 @@ def concat(tensors, axis=0):
 
 def take(a, indices):
     """Gather rows (axis 0). Backward scatter-adds, so repeats are fine;
-    strictly increasing indices name each row once, and scatter with one
-    fancy-index add, bitwise the same as ``np.add.at`` into zeros."""
+    non-negative indices that strictly increase or strictly decrease name
+    each row once, and scatter with one fancy-index add, bitwise the same
+    as ``np.add.at`` into zeros."""
     a = _wrap(a)
     idx = np.asarray(indices, dtype=np.intp)
     shape = a.data.shape
@@ -283,7 +284,8 @@ def take(a, indices):
     def vjp(g):
         full = np.zeros(shape, dtype=np.float64)
         flat = idx.ravel()
-        if flat.size and (flat[0] < 0 or np.any(flat[1:] <= flat[:-1])):
+        step = flat[1:] - flat[:-1]
+        if flat.size and (flat.min() < 0 or not (np.all(step > 0) or np.all(step < 0))):
             np.add.at(full, idx, g)
         else:
             full[idx] += g

@@ -7,6 +7,7 @@ codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -30,6 +31,16 @@ def _resolve_config(args):
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = parse_overrides(getattr(args, "set", None))
     return RunConfig.resolve(file_values, overrides)
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError raised in the block, which writes ``path``, into a
+    DataError naming the path (a missing directory, a file in the way)."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_corpus(path, what):
@@ -58,18 +69,22 @@ def cmd_train(args):
     model = ParserModel(cfg.model_config(), vocab,
                         np.random.default_rng(cfg.seed), pretrained=pretrained)
 
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "resolved.cfg"), "w", encoding="utf-8") as fh:
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+    resolved_path = os.path.join(args.out, "resolved.cfg")
+    with _writing(resolved_path), open(resolved_path, "w", encoding="utf-8") as fh:
         fh.write(cfg.to_text())
 
     metrics_path = os.path.join(args.out, "metrics.jsonl")
-    with open(metrics_path, "w", encoding="utf-8") as log_file:
+    with _writing(metrics_path), open(metrics_path, "w", encoding="utf-8") as log_file:
         def log(row):
             log_file.write(json.dumps(row, sort_keys=True) + "\n")
 
         result = train(model, train_data, dev_data, cfg.train_config(), log=log)
 
-    save_checkpoint(os.path.join(args.out, "checkpoint.npz"), model, cfg, vocab)
+    checkpoint_path = os.path.join(args.out, "checkpoint.npz")
+    with _writing(checkpoint_path):
+        save_checkpoint(checkpoint_path, model, cfg, vocab)
     print(f"best_dev_labeled_f1={result.best_score:.6f} at step {result.best_step} "
           f"({result.steps} steps run)")
     return 0
@@ -100,9 +115,10 @@ def cmd_parse(args):
                 "iterations": iterations,
                 "q": {f"{h}->{d}": float(p) for (h, d), p in sorted(q.items())},
             })
-    write_sdp(parsed, args.output)
+    with _writing(args.output):
+        write_sdp(parsed, args.output)
     if args.marginals:
-        with open(args.marginals, "w", encoding="utf-8") as fh:
+        with _writing(args.marginals), open(args.marginals, "w", encoding="utf-8") as fh:
             for row in marginal_rows:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
     print(f"parsed {len(parsed)} sentences with {engine} (T={iterations})")
@@ -119,11 +135,14 @@ def cmd_eval(args):
         if pred_sentence.n != gold_sentence.n:
             raise DataError(f"sentence {idx}: prediction has {pred_sentence.n} tokens, "
                             f"gold has {gold_sentence.n}")
+        # ``parse`` copies each token's form from its input
+        if [t.form for t in pred_sentence.tokens] != [t.form for t in gold_sentence.tokens]:
+            raise DataError(f"sentence {idx}: prediction's token forms differ from gold's")
     report = metrics.evaluate([g for _, g in pred], [g for _, g in gold],
                               include_top=args.include_top)
     sys.stdout.write(report.to_text())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with _writing(args.json), open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
     return 0
@@ -141,7 +160,7 @@ def cmd_trace(args):
     trace = trace_sentence(model, sentence, engine, iterations, cfg.logit_clamp)
     text = json.dumps(trace, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

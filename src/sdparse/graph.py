@@ -6,11 +6,11 @@ set for a length-n sentence therefore has exactly n^2 members.
 
 Edge variables live on the (n+1) x (n+1) head-by-dependent grid: a
 ``CandidateEdgeSet`` is a boolean mask of its cells, and edge order is
-the mask's row-major order. Per-edge vectors (marginals, label scores)
+the mask's row-major order. Per-edge vectors (marginals, unary scores)
 are the grid gathered through the mask; the (head, dep) tuples and the
-position grid are built only where a caller asks for them. ``decode``
-keeps the edges of such vectors whose marginal is above a threshold and
-builds their graph from the kept (head, dep, label-id) arrays.
+position grid are built only where a caller asks for them. ``kept_edges``
+gives the (head, dep) arrays of the edges whose marginal is above a
+threshold, and ``decode`` builds their graph from them and their labels.
 
 Three families of second-order parts tie candidate edges together:
 
@@ -40,7 +40,7 @@ from .errors import DataError
 
 __all__ = [
     "Token", "Sentence", "SemGraph", "CandidateEdgeSet",
-    "build_candidate_edges", "part_mask", "decode", "has_cycle",
+    "build_candidate_edges", "part_mask", "kept_edges", "decode", "has_cycle",
     "TOP_LABEL",
 ]
 
@@ -178,20 +178,20 @@ def part_mask(n, kind):
     return _read_only(geometry[kind] & (a != b) & (b != c) & (a != c))
 
 
-def decode(edge_set, marginals, label_scores, labels, threshold=0.5):
-    """The graph of every edge whose marginal is strictly above the
-    threshold, labelled with its highest-scoring label.
-
-    ``marginals`` (E,) and the rows of ``label_scores`` (E, L) follow the
-    edge order of ``edge_set``; ``labels`` names the L label ids. Only the
-    kept rows are read for a label. Cycles are permitted; the output is
-    whatever the marginals support.
-    """
-    kept = np.flatnonzero(marginals > threshold)
+def kept_edges(edge_set, marginals, threshold):
+    """(heads, deps) arrays, in edge order, of the edges whose marginal
+    (``marginals`` (E,) in edge order) is strictly above the threshold."""
     heads, deps = np.nonzero(edge_set.mask)
-    label_ids = np.argmax(label_scores[kept], axis=1)
-    return SemGraph.from_arrays(edge_set.n, heads[kept], deps[kept],
-                                [labels[i] for i in label_ids.tolist()])
+    kept = marginals > threshold
+    return heads[kept], deps[kept]
+
+
+def decode(n, heads, deps, label_scores, labels):
+    """The graph over nodes 0..n of the edges (heads[k], deps[k]), each
+    labelled with the best of its row of ``label_scores`` (K, L), whose
+    L ids ``labels`` names. Cycles are permitted."""
+    label_ids = np.argmax(label_scores, axis=1)
+    return SemGraph.from_arrays(n, heads, deps, [labels[i] for i in label_ids.tolist()])
 
 
 def has_cycle(graph):

@@ -26,11 +26,12 @@ Sibling parts read (head_i, dep_j, dep_k), co-parent parts
 (head_i, dep_j, head_k), grandparent parts (head_i, head_dep_j, dep_k).
 
 ``score_factors`` is the scorer's output. It enumerates no part: it
-returns the edge scores as a dense head-by-dependent matrix and, per part
-type, the factor matrices g1 = role1 U1^T, g2 = role2 U2^T, g3 = role3
-U3^T whose row products make up every part score. Mean-field runs on the
-factors directly; ``potentials.from_factors`` turns them into the dense
-(n+1)^3 score tensors that loopy BP and ``trace`` read.
+returns the edge scores as a dense head-by-dependent matrix, the label
+role vectors (``label_scores`` scores only the edges a caller names) and,
+per part type, the factor matrices g1 = role1 U1^T, g2 = role2 U2^T,
+g3 = role3 U3^T whose row products make up every part score. Mean-field
+runs on the factors directly; ``potentials.from_factors`` turns them into
+the dense (n+1)^3 score tensors that loopy BP and ``trace`` read.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ class ScoreFactors:
 
     edge_set: object
     edge_scores: Tensor   # (n+1, n+1)
-    s_label: Tensor       # (E, num_labels), in edge order
+    label_head: Tensor    # (n+1, unary_dim), read by ParserModel.label_scores
+    label_dep: Tensor     # (n+1, unary_dim), read by ParserModel.label_scores
     tri: dict
 
 
@@ -350,8 +352,8 @@ class ParserModel:
         return out
 
     def score_factors(self, sentence, rng=None):
-        """ScoreFactors for one sentence: dense edge scores, label scores
-        per candidate edge, and the trilinear factors of each part type
+        """ScoreFactors for one sentence: dense edge scores, the label
+        role vectors, and the trilinear factors of each part type
         enabled in the config. Dropout is on exactly when a generator
         ``rng`` is given; a training step passes one, a parse none."""
         edge_set = build_candidate_edges(sentence.n)
@@ -364,21 +366,19 @@ class ParserModel:
                                 ad.transpose(ad.matmul(roles["edge_dep"], p["edge_U"])))
         edge_scores = edge_scores + p["edge_b"]
 
-        # head * dep on the whole (N, N, u) grid, its edge cells taken in
-        # increasing flat order, so the gradient scatters without np.add.at
-        N, u = sentence.n + 1, self.config.unary_dim
-        pairs = ad.mul(ad.reshape(roles["label_head"], (N, 1, u)),
-                       ad.reshape(roles["label_dep"], (1, N, u)))
-        on_edges = ad.take(ad.reshape(pairs, (N * N, u)), np.flatnonzero(edge_set.mask))
-        s_label = ad.matmul(on_edges, p["label_W"]) + p["label_b"]
-
         tri = {}
         for kind, role_names in TRI_ROLES.items():
             if getattr(self.config, f"use_{kind}"):
                 tri[kind] = tuple(
                     ad.linear(roles[role], p[f"tri_{kind}_{slot}"])
                     for role, slot in zip(role_names, ("U1", "U2", "U3")))
-        return ScoreFactors(edge_set, edge_scores, s_label, tri)
+        return ScoreFactors(edge_set, edge_scores, roles["label_head"], roles["label_dep"], tri)
+
+    def label_scores(self, factors, heads, deps):
+        """(K, num_labels) label scores (label_head[h] * label_dep[d]) W + b
+        of the K edges (heads[k], deps[k]) alone."""
+        pairs = ad.mul(ad.take(factors.label_head, heads), ad.take(factors.label_dep, deps))
+        return ad.matmul(pairs, self.params["label_W"]) + self.params["label_b"]
 
 
 def _check_arrays(declared, arrays):

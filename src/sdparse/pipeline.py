@@ -8,9 +8,8 @@ part-shaped is cached between sentences. That path refuses a sentence
 longer than ``PAIR_LENGTH_CAP`` with a CapacityError before it builds any
 (n+1)^3 tensor. Only ``trace_sentence`` reads the parts out of their
 masks, through the state's ``directed_messages`` and ``message_values``.
-Decoding is ``graph.decode`` on arrays in edge order: the final
-marginals, the label scores and the vocabulary's label names; it reads a
-label only for the edges whose marginal clears the threshold.
+Decoding scores labels only for the edges whose final marginal clears the
+threshold (``graph.kept_edges``), and ``graph.decode`` builds their graph.
 
 ``parse_sentence`` and ``trace_sentence`` are forward-only: they run
 under ``autodiff.no_grad``, so no tape is recorded, LBP keeps no
@@ -24,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import lbp, mf
 from .errors import CapacityError, ConfigError, NumericError
-from .graph import decode
+from .graph import decode, kept_edges
 from .potentials import from_factors
 
 __all__ = ["run_inference", "parse_sentence", "trace_sentence", "PAIR_LENGTH_CAP"]
@@ -88,7 +87,9 @@ def parse_sentence(model, sentence, engine="mf", iterations=3, threshold=0.5,
     if not np.all(np.isfinite(q)):
         raise NumericError(f"non-finite edge marginals from {engine} (T={iterations}) "
                            f"on a {sentence.n}-token sentence")
-    graph = decode(pot.edge_set, q, scores.s_label.data, model.vocab.id2label, threshold)
+    heads, deps = kept_edges(pot.edge_set, q, threshold)
+    graph = decode(sentence.n, heads, deps, model.label_scores(scores, heads, deps).data,
+                   model.vocab.id2label)
     return graph, state, scores
 
 

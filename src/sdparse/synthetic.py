@@ -23,11 +23,11 @@ def random_potentials(n, rng, unary_scale=1.0, coupling_scale=0.1):
     return _scatter(edge_set, unary, masks, scores, requires_grad=False)
 
 
-def two_edge_instance(coupling, unaries=(0.0, 0.0)):
-    """Two edge variables joined by a single sibling part, as constants."""
+def two_edge_instance(coupling):
+    """Two zero-unary edge variables joined by a single sibling part, as constants."""
     edges = ((0, 1), (0, 2))
     pairs = [((0, 1), (0, 2), coupling, "sib")]
-    return from_arrays(edges, unaries, pairs, requires_grad=False)
+    return from_arrays(edges, (0.0, 0.0), pairs, requires_grad=False)
 
 
 def _sentence(forms, pos):

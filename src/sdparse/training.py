@@ -119,18 +119,17 @@ def edge_loss(state, gold):
     return ad.tensor_sum(ad.softplus(ad.mul(logit, ad.constant(sign[mask]))))
 
 
-def label_loss(scores, gold, vocab):
-    """Summed softmax cross-entropy of label scores over gold edges."""
+def label_loss(model, scores, gold):
+    """Summed softmax cross-entropy of label scores, scored on gold edges only."""
     heads, deps = _gold_cells(gold)
     if not len(heads):
         return ad.constant(0.0)
-    rows = scores.edge_set.positions()[heads, deps]
-    gold_ids = [vocab.label_id(gold.label_of(h, d))
+    gold_ids = [model.vocab.label_id(gold.label_of(h, d))
                 for h, d in zip(heads.tolist(), deps.tolist())]
-    picked = ad.take(scores.s_label, rows)
+    picked = model.label_scores(scores, heads, deps)
     lse = ad.logsumexp(picked, axis=1)
     # row k's gold cell of the flattened (gold edges, labels) scores
-    cells = np.arange(len(rows)) * picked.shape[1] + gold_ids
+    cells = np.arange(len(heads)) * picked.shape[1] + gold_ids
     gold_scores = ad.take(ad.reshape(picked, (-1,)), cells)
     return ad.tensor_sum(ad.sub(lse, gold_scores))
 
@@ -147,7 +146,7 @@ def sentence_loss(model, sentence, gold, cfg, rng=None):
     scores, pot = sentence_potentials(model, sentence, cfg.inference, rng=rng)
     state = run_inference(pot, cfg.inference, cfg.iterations, cfg.logit_clamp)
     return combined_loss(edge_loss(state, gold),
-                         label_loss(scores, gold, model.vocab),
+                         label_loss(model, scores, gold),
                          cfg.interpolation)
 
 

@@ -93,4 +93,4 @@ def reference_sentence_loss(model, sentence, gold, cfg):
     on = np.array([edge in gold_edges for edge in factors.edge_set.edges], dtype=np.float64)
     edge_term = ad.neg(ad.tensor_sum(ad.add(ad.mul(ad.constant(on), log_b1),
                                             ad.mul(ad.constant(1.0 - on), log_b0))))
-    return combined_loss(edge_term, label_loss(factors, gold, model.vocab), cfg.interpolation)
+    return combined_loss(edge_term, label_loss(model, factors, gold), cfg.interpolation)

@@ -25,6 +25,7 @@ from sdparse.graph import build_candidate_edges, part_mask
 from sdparse.metrics import f1
 from sdparse.model import ModelConfig, ParserModel
 from sdparse.pipeline import parse_sentence, run_inference
+from sdparse.potentials import from_arrays
 from sdparse.sdp_io import build_vocab, format_sdp, parse_sdp_lines, write_sdp
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 from sdparse.training import TrainConfig, gradcheck, train
@@ -99,13 +100,13 @@ def test_lbp_is_exact_on_tree_structured_instances():
     worst = 0.0
     rng = np.random.default_rng(7)
     for _ in range(10):
-        pot = two_edge_instance(float(rng.normal(0.0, 1.0)),
-                                unaries=tuple(rng.normal(0.0, 1.0, size=2)))
+        coupling = float(rng.normal(0.0, 1.0))
+        pot = from_arrays(((0, 1), (0, 2)), rng.normal(0.0, 1.0, size=2),
+                          [((0, 1), (0, 2), coupling, "sib")], requires_grad=False)
         ref = exact_infer(pot)
         q = run_inference(pot, "lbp", 2).marginals()
         worst = max(worst, max(abs(q[e] - ref.marginals[e]) for e in pot.edge_set.edges))
 
-    from sdparse.potentials import from_arrays
     edges = ((0, 1), (0, 2), (0, 3))
     chain = from_arrays(edges, rng.normal(0.0, 1.0, size=3),
                         [((0, 1), (0, 2), float(rng.normal()), "sib"),

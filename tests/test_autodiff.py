@@ -90,7 +90,26 @@ def test_structural_ops(rng):
         _check(lambda x: transpose_node(x, axes), cube)
 
 
-def test_take(rng):
+class _AddWithoutAt:
+    """np.add, whose ``at`` fails the test."""
+
+    def __call__(self, *args, **kwargs):
+        return np.add(*args, **kwargs)
+
+    def at(self, *args):
+        pytest.fail("np.add.at was called")
+
+
+class _NumpyWithoutAddAt:
+    """numpy, but for np.add.at."""
+
+    add = _AddWithoutAt()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_take(rng, monkeypatch):
     a = rng.normal(size=(5, 3))
     _check(lambda x: ad.take(x, np.array([0, 2, 2, 4])), a)
     # the reversal the encoder's backward direction reads its rows through
@@ -100,11 +119,25 @@ def test_take(rng):
     out = ad.tensor_sum(ad.take(p, np.array([1, 1, 1])))
     ad.backward(out, np.ones(()))
     np.testing.assert_array_equal(p.grad, [[0, 0], [3, 3], [0, 0]])
+    # a strictly decreasing index names each row once: its backward is
+    # bitwise np.add.at into zeros, with one fancy-index add instead
+    idx = np.array([4, 3, 1, 0])
+    g = rng.normal(size=(4, 3))
+    g[:, 0] = -0.0
+    want = np.zeros((5, 3))
+    np.add.at(want, idx, g)
+    p = ad.parameter(a)
+    out = ad.take(p, idx)
+    monkeypatch.setattr(ad, "np", _NumpyWithoutAddAt())
+    ad.backward(out, g)
+    assert p.grad.tobytes() == want.tobytes()   # signed zeros included
 
 
-# strictly increasing (scattered by one fancy-index add), then unsorted,
-# repeated, and negative indices (np.add.at); -1 and 4 name the same row
-TAKE_INDICES = [[0, 2, 3, 4], [[0, 1], [3, 4]], [], [4, 0, 2], [1, 1, 3], [-1, 4], [-5, 2]]
+# strictly increasing and strictly decreasing (scattered by one fancy-index
+# add), then unsorted, repeated, and negative indices (np.add.at); -1 and 4
+# name the same row
+TAKE_INDICES = [[0, 2, 3, 4], [[0, 1], [3, 4]], [], [4, 2, 1], [4, 0, 2], [1, 1, 3], [-1, 4],
+                [4, -1], [-5, 2]]
 
 
 @pytest.mark.parametrize("indices", TAKE_INDICES, ids=str)

@@ -404,6 +404,44 @@ def test_eval_of_a_sentence_with_another_token_count_exits_3(tmp_path, capsys):
     assert "sentence 0: prediction has 3 tokens, gold has 6" in capsys.readouterr().err
 
 
+def test_eval_of_other_sentences_with_the_same_token_counts_exits_3(tmp_path, capsys):
+    pred, gold = tmp_path / "pred.sdp", tmp_path / "gold.sdp"
+    write_sdp(toy_corpus(np.random.default_rng(1), size=2, min_len=4, max_len=4), pred)
+    write_sdp(toy_corpus(np.random.default_rng(2), size=2, min_len=4, max_len=4), gold)
+    assert cli.main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 3
+    assert "sentence 0: prediction's token forms differ from gold's" in capsys.readouterr().err
+
+
+# (command, output flag, a path under tmp_path that cannot be written: in a
+# directory that does not exist, below a file, or a file where a directory goes)
+UNWRITABLE_OUTPUTS = [
+    ("parse", "--output", "missing/o.sdp"),
+    ("parse", "--marginals", "missing/m.jsonl"),
+    ("trace", "--out", "missing/t.json"),
+    ("eval", "--json", "file/x.json"),
+    ("train", "--out", "file"),
+]
+
+
+@pytest.mark.parametrize("command, flag, target", UNWRITABLE_OUTPUTS,
+                         ids=[f"{command} {flag}" for command, flag, _ in UNWRITABLE_OUTPUTS])
+def test_an_output_path_that_cannot_be_written_exits_3(tmp_path, trained, corpus_path, capsys,
+                                                       command, flag, target):
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / target)
+    checkpoint = str(trained / "checkpoint.npz")
+    argv = {
+        "parse": ["parse", "--checkpoint", checkpoint, "--input", corpus_path],
+        "trace": ["trace", "--checkpoint", checkpoint, "--input", corpus_path],
+        "eval": ["eval", "--pred", corpus_path, "--gold", corpus_path],
+        "train": ["train", "--train", corpus_path] + TRAIN_SETS,
+    }[command]
+    if command == "parse" and flag != "--output":
+        argv += ["--output", str(tmp_path / "o.sdp")]
+    assert cli.main(argv + [flag, path]) == 3
+    assert f"cannot write {path}" in capsys.readouterr().err
+
+
 def test_checkpoint_structure_mismatch_exits_2(tmp_path, trained, corpus_path,
                                                capsys):
     clash = tmp_path / "clash.cfg"

@@ -16,6 +16,7 @@ from sdparse.graph import (
     build_candidate_edges,
     decode,
     has_cycle,
+    kept_edges,
     part_mask,
 )
 
@@ -186,15 +187,23 @@ DECODE_LABELS = ["TOP", "a", "b"]
 DECODE_SCORES = np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 3.0], [0.0, 1.0, 0.5], [0.0, 0.2, 0.1]])
 
 
+def _decode(marginals, threshold=0.5):
+    """decode of the kept edges of n = 2, given only their DECODE_SCORES rows."""
+    edge_set = build_candidate_edges(2)
+    heads, deps = kept_edges(edge_set, marginals, threshold)
+    return decode(2, heads, deps, DECODE_SCORES[edge_set.positions()[heads, deps]],
+                  DECODE_LABELS)
+
+
 def test_decode_threshold_is_strict():
     marginals = np.array([0.5, 0.2, 0.500001, 0.49])
-    g = decode(build_candidate_edges(2), marginals, DECODE_SCORES, DECODE_LABELS)
+    g = _decode(marginals)
     assert g == SemGraph(2, [(1, 2, "a")])
 
 
 def test_decode_labels_each_kept_edge_with_its_best_label():
     marginals = np.array([0.9, 0.7, 0.6, 0.3])
-    g = decode(build_candidate_edges(2), marginals, DECODE_SCORES, DECODE_LABELS)
+    g = _decode(marginals)
     assert g == SemGraph(2, [(0, 1, "TOP"), (0, 2, "b"), (1, 2, "a")])
     assert g.label_of(0, 2) == "b"
     assert g.edge_pairs() == {(0, 1), (0, 2), (1, 2)}
@@ -202,8 +211,7 @@ def test_decode_labels_each_kept_edge_with_its_best_label():
 
 def test_decode_monotone_in_threshold():
     marginals = np.array([0.9, 0.1, 0.6, 0.3])
-    sizes = [len(decode(build_candidate_edges(2), marginals, DECODE_SCORES, DECODE_LABELS,
-                        threshold=t).edges) for t in (0.2, 0.5, 0.8, 0.95)]
+    sizes = [len(_decode(marginals, threshold=t).edges) for t in (0.2, 0.5, 0.8, 0.95)]
     assert sizes == sorted(sizes, reverse=True)
     assert sizes[-1] == 0
 

@@ -19,7 +19,7 @@ from sdparse import lbp, pipeline
 from sdparse.config import RunConfig
 from sdparse.errors import CapacityError, ConfigError
 from sdparse.exact import exact_infer
-from sdparse.graph import SemGraph, decode
+from sdparse.graph import SemGraph, decode, kept_edges
 from sdparse.lbp import lbp_run
 from sdparse.model import ModelConfig, ParserModel
 from sdparse.pipeline import (PAIR_BYTES_PER_CELL, parse_sentence, run_inference,
@@ -382,7 +382,7 @@ def _assert_matches_the_per_message_reference(model, sentence, gold):
         model.zero_grad()
         scores, pot = sentence_potentials(model, sentence, "lbp")
         state = engine(pot, cfg.iterations)
-        loss = combined_loss(edge_loss(state, gold), label_loss(scores, gold, model.vocab),
+        loss = combined_loss(edge_loss(state, gold), label_loss(model, scores, gold),
                              cfg.interpolation)
         ad.backward(loss, 1.0)
         return state, {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
@@ -491,7 +491,8 @@ def _tensors(state, scores):
     yield pot.edge_scores
     yield from getattr(pot, "scores", {}).values()
     yield scores.edge_scores
-    yield scores.s_label
+    yield scores.label_head
+    yield scores.label_dep
     for factors in scores.tri.values():
         yield from factors
 
@@ -508,8 +509,12 @@ def test_parse_sentence_is_bitwise_a_taped_run_and_returns_no_gradient(engine):
     assert state.messages.keys() == taped.messages.keys()
     assert all(_same_bits(state.messages[k].data, m.data) for k, m in taped.messages.items())
     assert _same_bits(state.q1(), taped.q1())
-    assert _same_bits(scores.s_label.data, taped_scores.s_label.data)
-    want = decode(pot.edge_set, taped.q1(), taped_scores.s_label.data, model.vocab.id2label, 0.5)
+    heads, deps = kept_edges(pot.edge_set, taped.q1(), 0.5)
+    assert len(heads)
+    taped_rows = model.label_scores(taped_scores, heads, deps)
+    assert taped_rows.requires_grad
+    assert _same_bits(model.label_scores(scores, heads, deps).data, taped_rows.data)
+    want = decode(sentence.n, heads, deps, taped_rows.data, model.vocab.id2label)
     assert graph.edges == want.edges
     assert not any(t.requires_grad for t in _tensors(state, scores))
 

@@ -168,7 +168,8 @@ def test_second_order_field_matches_vectorized_update(rng):
 
 def test_message_values_name_both_directions():
     # unequal unaries, so the two directions carry different values
-    pot = two_edge_instance(math.log(2.0), unaries=(1.0, -0.5))
+    pot = from_arrays(((0, 1), (0, 2)), (1.0, -0.5), [((0, 1), (0, 2), math.log(2.0), "sib")],
+                      requires_grad=False)
     state = mf_run(pot, iterations=2)
     assert state.directed_messages() == [((0, 2), (0, 1), "sib", (0, 1, 2)),
                                          ((0, 1), (0, 2), "sib", (0, 1, 2))]

@@ -3,6 +3,9 @@ scorers, checked against direct numpy recomputation."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ import sdparse.autodiff as ad
 from sdparse.errors import ConfigError
 from sdparse.graph import Sentence, Token
 from sdparse.model import ROLES, ModelConfig, ParserModel
+from sdparse.pipeline import parse_sentence
 from sdparse.potentials import from_factors
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import toy_corpus
@@ -269,7 +273,8 @@ def test_score_counts_for_two_words(model, corpus):
     sent = Sentence(tokens=corpus[0][0].tokens[:2])
     factors, pot, _ = _scores_and_roles(model, sent)
     assert unary_scores(pot).shape == (4,)
-    assert factors.s_label.data.shape == (4, len(model.vocab.label2id))
+    heads, deps = np.nonzero(factors.edge_set.mask)
+    assert model.label_scores(factors, heads, deps).shape == (4, len(model.vocab.label2id))
     assert [np.count_nonzero(pot.part_masks[kind]) for kind in ("sib", "cop", "gp")] == [1, 2, 2]
     assert {kind: s.shape for kind, s in pot.scores.items()} == {
         "sib": (3, 3, 3), "cop": (3, 3, 3), "gp": (3, 3, 3)}
@@ -289,9 +294,11 @@ def test_label_scores_match_direct_product(model, sentence):
     factors, _, roles = _scores_and_roles(model, sentence)
     W = model.params["label_W"].data
     b = model.params["label_b"].data
+    heads, deps = np.nonzero(factors.edge_set.mask)
+    got = model.label_scores(factors, heads, deps).data
     for pos, (h, d) in enumerate(factors.edge_set.edges):
         want = (roles["label_dep"][d] * roles["label_head"][h]) @ W + b
-        np.testing.assert_allclose(factors.s_label.data[pos], want, atol=1e-12)
+        np.testing.assert_allclose(got[pos], want, atol=1e-12)
 
 
 def _tri(roles, model, kind, r1, r2, r3, nodes):
@@ -463,8 +470,9 @@ def test_train_mode_dropout_is_seeded(vocab, sentence):
 def test_score_backward_reaches_every_group(model, sentence):
     factors = model.score_factors(sentence)
     pot = from_factors(factors)
+    label_rows = model.label_scores(factors, *np.nonzero(factors.edge_set.mask))
     model.zero_grad()
-    for out in [pot.edge_scores, factors.s_label, *pot.scores.values()]:
+    for out in [pot.edge_scores, label_rows, *pot.scores.values()]:
         ad.backward(out, np.ones_like(out.data))
     groups = model.param_groups()
     for name in ("embeddings", "projections", "edge_biaffine", "label_biaffine", "trilinear"):
@@ -506,3 +514,25 @@ def test_pretrained_channel_shapes_and_fallback(corpus):
     s2 = Sentence(tokens=(Token(known, "x", "N"),))
     got = m.embed(s2).data[1, 7:]
     np.testing.assert_allclose(got, W @ table[known] + b, atol=1e-12)
+
+
+def test_a_mean_field_parse_at_unary_dim_600_peaks_below_1500_bytes_per_cell():
+    """Label scores are computed only for the kept edges, so a mean-field
+    parse at the paper's unary_dim (600) that keeps no edge builds no
+    (n+1)^2 x unary_dim array, which alone would take 4,800 bytes per
+    (n+1)^2 cell: n = 40 peaks near 720 bytes per cell."""
+    n = 40
+    sentence, gold = toy_corpus(np.random.default_rng(3), size=1, min_len=n, max_len=n)[0]
+    model = ParserModel(ModelConfig(unary_dim=600), build_vocab([(sentence, gold)], min_count=1),
+                        np.random.default_rng(0))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        # no marginal is above 1, so no edge is kept
+        graph, _, _ = parse_sentence(model, sentence, "mf", iterations=3, threshold=1.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert not graph.edges
+    assert peak < 1500 * (n + 1) ** 2

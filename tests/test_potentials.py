@@ -171,7 +171,8 @@ def test_from_arrays_rejects_bad_edges_and_repeated_parts():
 
 def test_joint_log_score_enumerates_two_edges():
     s = np.log(2.0)
-    pot = two_edge_instance(s, unaries=(0.25, -0.5))
+    pot = from_arrays(((0, 1), (0, 2)), (0.25, -0.5), [((0, 1), (0, 2), s, "sib")],
+                      requires_grad=False)
     e1, e2 = pot.edge_set.edges
     assert joint_log_score(pot, set()) == pytest.approx(0.0)
     assert joint_log_score(pot, {e1}) == pytest.approx(0.25)
@@ -180,7 +181,8 @@ def test_joint_log_score_enumerates_two_edges():
 
 
 def test_accessors_look_up_by_edge_and_pair():
-    pot = two_edge_instance(1.5, unaries=(0.25, -0.5))
+    pot = from_arrays(((0, 1), (0, 2)), (0.25, -0.5), [((0, 1), (0, 2), 1.5, "sib")],
+                      requires_grad=False)
     assert unary_log(pot, pot.edge_set.edges[0], 1) == pytest.approx(0.25)
     assert unary_log(pot, pot.edge_set.edges[0], 0) == 0.0
     assert pair_log(pot, 0, 1, 1) == pytest.approx(1.5)

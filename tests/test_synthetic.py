@@ -150,11 +150,11 @@ def test_omniscient_predictor_scores_one():
 # --------------------------------------------------- potential generators
 
 def test_two_edge_instance_structure():
-    pot = two_edge_instance(np.log(2.0), unaries=(0.5, -0.5))
+    pot = two_edge_instance(np.log(2.0))
     assert isinstance(pot, LogPotentials)
+    assert not pot.edge_scores.requires_grad
     assert pot.edge_set.edges == ((0, 1), (0, 2))
-    assert unary_log(pot, (0, 1), 1) == pytest.approx(0.5)
-    assert unary_log(pot, (0, 2), 1) == pytest.approx(-0.5)
+    assert unary_log(pot, (0, 1), 1) == unary_log(pot, (0, 2), 1) == 0.0
     assert unary_log(pot, (0, 1), 0) == 0.0
     assert len(part_scores(pot)) == 1
     assert pair_tuples(pot) == [((0, 1), (0, 2), "sib", (0, 1, 2))]

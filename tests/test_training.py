@@ -14,7 +14,7 @@ import pytest
 import sdparse.autodiff as ad
 from sdparse import pipeline, training
 from sdparse.errors import CapacityError, ConfigError, NumericError
-from sdparse.graph import SemGraph, build_candidate_edges
+from sdparse.graph import SemGraph, build_candidate_edges, kept_edges
 from sdparse.mf import mf_run
 from sdparse.pipeline import run_inference
 from sdparse.model import ModelConfig, ParserModel
@@ -34,6 +34,7 @@ from sdparse.training import (
     train,
 )
 
+from label_reference import reference_label_loss, reference_label_rows
 from test_autodiff import _graph_nodes
 
 TINY = ModelConfig(word_dim=4, pos_dim=3, encoder_layers=0, unary_dim=5, binary_dim=3)
@@ -163,14 +164,18 @@ def test_edge_loss_gradient_is_marginal_minus_gold():
 
 # --------------------------------------------------------------- label loss
 
-def _label_fixture(scores_rows, labels=("TOP", "a", "b", "c")):
-    """A ScoreFactors stand-in with controlled label scores for n=1."""
-    from sdparse.model import ScoreFactors
+def _label_fixture(scores_row, labels=("TOP", "a", "b", "c")):
+    """ScoreFactors and a model stand-in for n=1 whose one candidate edge
+    (0, 1) scores ``scores_row``: the label role vectors are 1-D ones and
+    the label weights zero, so the edge's label scores are the bias."""
+    from sdparse.model import ParserModel, ScoreFactors
 
+    ones = ad.constant(np.ones((2, 1)))
     s = ScoreFactors(
         edge_set=build_candidate_edges(1),
         edge_scores=ad.constant(np.zeros((2, 2))),
-        s_label=ad.constant(np.asarray(scores_rows, dtype=np.float64)),
+        label_head=ones,
+        label_dep=ones,
         tri={},
     )
 
@@ -180,36 +185,71 @@ def _label_fixture(scores_rows, labels=("TOP", "a", "b", "c")):
         def label_id(self, lab):
             return self.label2id[lab]
 
-    return s, Vocab()
+    class Model:
+        vocab = Vocab()
+        params = {"label_W": ad.constant(np.zeros((1, len(labels)))),
+                  "label_b": ad.constant(np.asarray(scores_row, dtype=np.float64))}
+        label_scores = ParserModel.label_scores
+
+    return s, Model()
 
 
 def test_label_loss_without_gold_edges_is_zero():
-    scores, vocab = _label_fixture([[1.0, 2.0, 3.0, 4.0]])
-    loss = label_loss(scores, SemGraph(1, []), vocab)
+    scores, model = _label_fixture([1.0, 2.0, 3.0, 4.0])
+    loss = label_loss(model, scores, SemGraph(1, []))
     assert float(loss.data) == 0.0
 
 
 def test_label_loss_uniform_scores_cost_log_c():
-    scores, vocab = _label_fixture([[2.0, 2.0, 2.0, 2.0]])
-    loss = label_loss(scores, SemGraph(1, [(0, 1, "a")]), vocab)
+    scores, model = _label_fixture([2.0, 2.0, 2.0, 2.0])
+    loss = label_loss(model, scores, SemGraph(1, [(0, 1, "a")]))
     assert float(loss.data) == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_label_loss_strong_correct_score_hand_value():
     # gold label 10, three competitors at 0: log(1 + 3 e^-10)
-    scores, vocab = _label_fixture([[0.0, 10.0, 0.0, 0.0]])
-    loss = label_loss(scores, SemGraph(1, [(0, 1, "a")]), vocab)
+    scores, model = _label_fixture([0.0, 10.0, 0.0, 0.0])
+    loss = label_loss(model, scores, SemGraph(1, [(0, 1, "a")]))
     want = math.log1p(3.0 * math.exp(-10.0))
     assert float(loss.data) == pytest.approx(want, rel=1e-12)
     assert float(loss.data) == pytest.approx(1.3619e-4, rel=1e-3)
 
 
 def test_label_loss_only_reads_gold_edges():
-    scores, vocab = _label_fixture([[0.0, 1.0, 0.0, 0.0]])
-    a = label_loss(scores, SemGraph(1, [(0, 1, "a")]), vocab)
-    scores2, _ = _label_fixture([[0.0, 1.0, 0.0, 0.0]])
-    b = label_loss(scores2, SemGraph(1, [(0, 1, "b")]), vocab)
+    scores, model = _label_fixture([0.0, 1.0, 0.0, 0.0])
+    a = label_loss(model, scores, SemGraph(1, [(0, 1, "a")]))
+    scores2, model2 = _label_fixture([0.0, 1.0, 0.0, 0.0])
+    b = label_loss(model2, scores2, SemGraph(1, [(0, 1, "b")]))
     assert float(a.data) < float(b.data)
+
+
+@pytest.mark.parametrize("n", [1, 7, 20])
+def test_label_scores_and_loss_are_bitwise_the_grid_reference(n):
+    """Scoring only the named edges gives, byte for byte, the rows that the
+    whole-grid path gives those edges (gold and kept), and the same label
+    loss and parameter gradients, with label dropout drawn."""
+    data = toy_corpus(np.random.default_rng(n), size=1, min_len=n, max_len=n)
+    sentence, gold = data[0]
+    model = ParserModel(ModelConfig(dropout_label=0.3, dropout_unary=0.3),
+                        build_vocab(data, min_count=1), np.random.default_rng(5))
+    factors = model.score_factors(sentence, rng=np.random.default_rng(11))
+    grid = reference_label_rows(model, factors).data
+    positions = factors.edge_set.positions()
+    q = run_inference(factors, "mf", 3).q1()
+    gold_cells = np.array(sorted(gold.edge_pairs())).T
+    for heads, deps in (gold_cells, kept_edges(factors.edge_set, q, 0.5)):
+        rows = model.label_scores(factors, heads, deps).data
+        assert rows.tobytes() == grid[positions[heads, deps]].tobytes()
+
+    grads = []
+    for loss_fn in (label_loss, reference_label_loss):
+        model.zero_grad()
+        loss = loss_fn(model, factors, gold)
+        ad.backward(loss, 1.0)
+        grads.append((loss.data.tobytes(),
+                      {k: p.grad.tobytes() for k, p in model.params.items() if p.grad is not None}))
+    assert grads[0] == grads[1]
+    assert "label_W" in grads[0][1] and "proj_label_dep_W" in grads[0][1]
 
 
 def test_combined_loss_interpolates():
