@@ -4,11 +4,13 @@ Everything is float64 but a boolean array, which stays boolean as a
 constant factor (a mask): its product with a float64 array, and that
 product's vjp, are bitwise the float ones. A ``Tensor`` wraps an ndarray
 plus an optional tape entry (parent tensors and a vector-Jacobian-product
-closure). Ops only record a tape entry while grad is on and some input
-requires gradients, so constant subgraphs cost nothing on the backward
-pass. Grad is on unless a ``no_grad()`` block is open: inside one every
-op returns a constant, so a forward-only call (a parse, a trace, a
-finite-difference loss) keeps no backward state.
+closure); it has no operators. Every op takes Tensor operands only and
+converts none: wrap an array or a number with ``constant`` (or
+``parameter``) first. Ops only record a tape entry while grad is on and
+some input requires gradients, so constant subgraphs cost nothing on the
+backward pass. Grad is on unless a ``no_grad()`` block is open: inside
+one every op returns a constant, so a forward-only call (a parse, a
+trace, a finite-difference loss) keeps no backward state.
 
 ``backward(output, seed)`` runs one reverse sweep. An interior node's
 gradient is freed as soon as its parents' gradients are taken, so a sweep
@@ -71,10 +73,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    # the operator sugar the parser uses
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -85,10 +83,6 @@ def constant(data):
 
 def parameter(data):
     return Tensor(data, requires_grad=True)
-
-
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 _grad_on = True
@@ -206,13 +200,11 @@ def backward(output, seed):
 # ---------------------------------------------------------------- arithmetic
 
 def add(a, b):
-    a, b = _wrap(a), _wrap(b)
     return _op(a.data + b.data, (a, b),
                lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
     return _op(a.data - b.data, (a, b),
                lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
@@ -220,20 +212,17 @@ def sub(a, b):
 def mul(a, b):
     """a * b; a constant factor (a mask, a loss weight) gets no gradient,
     so its product is never formed."""
-    a, b = _wrap(a), _wrap(b)
     return _op(a.data * b.data, (a, b),
                lambda g: (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
                           _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None))
 
 
 def neg(a):
-    a = _wrap(a)
     return _op(-a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a, b):
     """Matrix product of two 2-D tensors."""
-    a, b = _wrap(a), _wrap(b)
     ad, bd = a.data, b.data
     return _op(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
@@ -242,7 +231,6 @@ def linear(x, W):
     """x @ W^T for x (T, in) and W (out, in), as one node: W's gradient
     g^T x is a fresh array, so ``backward`` can accumulate a parameter's
     gradient in place (through a ``transpose`` node it would be a view)."""
-    x, W = _wrap(x), _wrap(W)
     xd, Wd = x.data, W.data
     return _op(xd @ Wd.T, (x, W),
                lambda g: (g @ Wd if x.requires_grad else None, g.T @ xd))
@@ -251,18 +239,15 @@ def linear(x, W):
 def transpose(a):
     """The transpose of a 2-D tensor, a view; the backward pass
     transposes the gradient back."""
-    a = _wrap(a)
     return _op(a.data.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape):
-    a = _wrap(a)
     old = a.data.shape
     return _op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def concat(tensors, axis=0):
-    tensors = [_wrap(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -277,7 +262,6 @@ def take(a, indices):
     non-negative indices that strictly increase or strictly decrease name
     each row once, and scatter with one fancy-index add, bitwise the same
     as ``np.add.at`` into zeros."""
-    a = _wrap(a)
     idx = np.asarray(indices, dtype=np.intp)
     shape = a.data.shape
 
@@ -295,7 +279,6 @@ def take(a, indices):
 
 
 def tensor_sum(a, axis=None):
-    a = _wrap(a)
     shape = a.data.shape
 
     # a read-only broadcast view: no vjp writes into its incoming gradient
@@ -314,7 +297,6 @@ def prefix_trilinear(g, u, v, w):
     and contracts it with w[r] by a batched matrix product. It keeps no
     (N, R, M) array: the backward rebuilds P.
     """
-    g, u, v, w = _wrap(g), _wrap(u), _wrap(v), _wrap(w)
     gd, ud, vd, wd = g.data, u.data, v.data, w.data
 
     def running():
@@ -369,14 +351,12 @@ def _expit(x):
 
 
 def sigmoid(a):
-    a = _wrap(a)
     out = _expit(a.data)
     return _op(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(a):
     """log(1 + e^x), computed stably; the gradient is the logistic."""
-    a = _wrap(a)
     out, logistic = _softplus_and_logistic(a.data)
     return _op(out, (a,), lambda g: (g * logistic,))
 
@@ -404,7 +384,6 @@ def lstm(x, Wx, Wh, b, recur_mask=None):
     loops. Returns H (T, h). The backward loop fills the (T, 4h) gate
     gradients, after which every parameter gradient is one product.
     """
-    x, Wx, Wh, b = _wrap(x), _wrap(Wx), _wrap(Wh), _wrap(b)
     xd, Wxd, Whd = x.data, Wx.data, Wh.data
     T, h = xd.shape[0], Whd.shape[1]
     pre = xd @ Wxd.T + b.data
@@ -454,13 +433,11 @@ def lstm(x, Wx, Wh, b, recur_mask=None):
 
 
 def leaky_relu(a, slope=0.1):
-    a = _wrap(a)
     factor = np.where(a.data > 0, 1.0, slope)
     return _op(a.data * factor, (a,), lambda g: (g * factor,))
 
 
 def logsumexp(a, axis):
-    a = _wrap(a)
     m = np.max(a.data, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     out = np.log(np.sum(np.exp(a.data - m), axis=axis)) + np.squeeze(m, axis=axis)
@@ -474,6 +451,5 @@ def logsumexp(a, axis):
 
 def clamp(a, lo, hi):
     """Clip to [lo, hi]; gradient passes only where strictly inside."""
-    a = _wrap(a)
     mask = (a.data > lo) & (a.data < hi)
     return _op(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))

@@ -21,7 +21,7 @@ import zlib
 
 import numpy as np
 
-from .config import RunConfig, ensure_structure_match
+from .config import RunConfig
 from .errors import ConfigError, DataError
 from .model import ParserModel
 from .sdp_io import Vocabulary
@@ -51,19 +51,16 @@ def save_checkpoint(path, model, run_config, vocab):
     np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **{BUFFER: buffer})
 
 
-def load_checkpoint(path, expected_config=None):
+def load_checkpoint(path):
     """Rebuild (model, run_config, vocab) from a checkpoint file.
 
-    If ``expected_config`` is given, the structural keys it was given
-    (``RunConfig.given``) must agree with the stored echo; any
-    disagreement is listed in the raised error. A meta record that is
-    not a JSON object with a config and a vocabulary, or whose vocabulary
-    id maps are not bijections, raises DataError. The config echo is
-    resolved as a config file is (``RunConfig.resolve``), so an unknown
-    key or a bad value raises ConfigError. DataError is also raised for an
-    array buffer that is not 1-D float64, does not match its sha256, or
-    that an index entry overruns, and an index whose names or shapes are
-    not the model's.
+    A meta record that is not a JSON object with a config and a
+    vocabulary, or whose vocabulary id maps are not bijections, raises
+    DataError. The config echo is resolved as a config file is
+    (``RunConfig.resolve``), so an unknown key or a bad value raises
+    ConfigError. DataError is also raised for an array buffer that is not
+    1-D float64, does not match its sha256, or that an index entry
+    overruns, and an index whose names or shapes are not the model's.
     """
     try:
         # np.load leaks a handle it opened itself on a bad zip directory
@@ -99,8 +96,6 @@ def load_checkpoint(path, expected_config=None):
         raise DataError(f"checkpoint {path} meta record lacks a config or vocabulary: "
                         f"{exc!r}") from None
     run_config = RunConfig.resolve(stored)
-    if expected_config is not None:
-        ensure_structure_match(run_config.to_dict(), expected_config.given())
     model = ParserModel(run_config.model_config(), vocab,
                         state=_unpack(path, archive.get(BUFFER), meta))
     return model, run_config, vocab

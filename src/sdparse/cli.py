@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exact, metrics, synthetic
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, parse_config_file, parse_overrides
+from .config import RunConfig, ensure_structure_match, parse_config_file, parse_overrides
 from .errors import CapacityError, ConfigError, DataError, NumericError
 from .model import ModelConfig, ParserModel
 from .pipeline import parse_sentence, run_inference, trace_sentence
@@ -27,10 +27,13 @@ from .training import TrainConfig, gradcheck, train
 __all__ = ["main"]
 
 
-def _resolve_config(args):
-    file_values = parse_config_file(args.config) if args.config else {}
-    overrides = parse_overrides(getattr(args, "set", None))
-    return RunConfig.resolve(file_values, overrides)
+def _resolve_config(args, base=None):
+    """The --config file's values over ``base`` (a config echo), then
+    the --set overrides, resolved."""
+    file_values = dict(base or {})
+    if args.config:
+        file_values.update(parse_config_file(args.config))
+    return RunConfig.resolve(file_values, parse_overrides(args.set))
 
 
 @contextlib.contextmanager
@@ -91,9 +94,11 @@ def cmd_train(args):
 
 
 def cmd_parse(args):
-    # --config and --set check the structural keys they give against the checkpoint
-    expected = _resolve_config(args) if args.config or args.set else None
-    model, cfg, _ = load_checkpoint(args.checkpoint, expected_config=expected)
+    model, cfg, _ = load_checkpoint(args.checkpoint)
+    if args.config or args.set:
+        # resolved over the checkpoint's echo, they may not move a structural key
+        stored = cfg.to_dict()
+        ensure_structure_match(stored, _resolve_config(args, stored).to_dict())
     engine = args.engine or cfg.inference
     iterations = cfg.iterations if args.iterations is None else args.iterations
     threshold = cfg.threshold if args.threshold is None else args.threshold

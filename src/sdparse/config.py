@@ -23,13 +23,11 @@ __all__ = ["RunConfig", "parse_config_file", "MODEL_STRUCTURE_KEYS"]
 
 _ALIASES = {"lambda": "interpolation"}
 
-# keys that determine parameter shapes/meaning; a checkpoint refuses to
-# load against a config that disagrees on any of these
-MODEL_STRUCTURE_KEYS = (
-    "word_dim", "pos_dim", "use_pretrained", "pretrained_proj_dim",
-    "encoder_layers", "encoder_hidden", "unary_dim", "binary_dim",
-    "leaky_slope", "use_sib", "use_cop", "use_gp", "min_count",
-)
+# keys that fix the parameters' shapes and meaning: every model field but
+# the dropouts, and the vocabulary cut-off; ``parse`` refuses a
+# --config/--set that moves any of them off the checkpoint's value
+MODEL_STRUCTURE_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig)
+                             if not f.name.startswith("dropout")) + ("min_count",)
 
 
 @dataclass
@@ -53,13 +51,6 @@ class _RunConfigBase:
     def to_dict(self):
         return dataclasses.asdict(self)
 
-    def given(self):
-        """key -> value of the keys ``resolve`` read from a file or an
-        override; every key for a config built directly."""
-        values = self.to_dict()
-        keys = getattr(self, "_given", values)
-        return {key: values[key] for key in keys}
-
     def to_text(self):
         lines = [f"{k}={_render(v)}" for k, v in sorted(self.to_dict().items())]
         return "\n".join(lines) + "\n"
@@ -73,7 +64,6 @@ class _RunConfigBase:
                 merged[_canonical(key)] = text
         kwargs = {k: _cast(k, v) for k, v in merged.items()}
         cfg = cls(**kwargs)
-        cfg._given = tuple(merged)
         cfg.model_config().validate()
         cfg.train_config().validate()
         return cfg
@@ -164,12 +154,12 @@ def parse_overrides(pairs):
     return values
 
 
-def ensure_structure_match(stored, given):
+def ensure_structure_match(stored, resolved):
     """Hard error when two config echoes disagree on structural keys."""
     mismatches = [
-        f"{key}: checkpoint={stored.get(key)!r} requested={given.get(key)!r}"
+        f"{key}: checkpoint={stored[key]!r} requested={resolved[key]!r}"
         for key in MODEL_STRUCTURE_KEYS
-        if key in given and given[key] != stored.get(key)
+        if resolved[key] != stored[key]
     ]
     if mismatches:
         raise ConfigError("checkpoint/config mismatch: " + "; ".join(mismatches))

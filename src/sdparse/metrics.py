@@ -27,7 +27,21 @@ def _edge_items(graph, labeled, include_top):
     return items
 
 
-def _prf(n_pred, n_gold, n_correct):
+def _counts(predictions, golds, items):
+    """(predicted, gold, correct) counts of the sets ``items(graph)`` per
+    sentence; the two lists must pair up one to one."""
+    if len(predictions) != len(golds):
+        raise DataError(f"{len(predictions)} predictions for {len(golds)} gold graphs")
+    counts = []
+    for pred, gold in zip(predictions, golds):
+        p_items, g_items = items(pred), items(gold)
+        counts.append((len(p_items), len(g_items), len(p_items & g_items)))
+    return counts
+
+
+def _prf(counts):
+    """Micro-averaged (precision, recall, F1) of per-sentence counts."""
+    n_pred, n_gold, n_correct = (sum(c[i] for c in counts) for i in range(3))
     p = n_correct / n_pred if n_pred else 0.0
     r = n_correct / n_gold if n_gold else 0.0
     score = 2 * p * r / (p + r) if p + r else 0.0
@@ -36,28 +50,12 @@ def _prf(n_pred, n_gold, n_correct):
 
 def f1(predictions, golds, labeled=True, include_top=False):
     """Micro-averaged (precision, recall, F1) over sentences."""
-    if len(predictions) != len(golds):
-        raise DataError(f"{len(predictions)} predictions for {len(golds)} gold graphs")
-    n_pred = n_gold = n_correct = 0
-    for pred, gold in zip(predictions, golds):
-        p_items = _edge_items(pred, labeled, include_top)
-        g_items = _edge_items(gold, labeled, include_top)
-        n_pred += len(p_items)
-        n_gold += len(g_items)
-        n_correct += len(p_items & g_items)
-    return _prf(n_pred, n_gold, n_correct)
+    return _prf(_counts(predictions, golds, lambda g: _edge_items(g, labeled, include_top)))
 
 
 def top_f1(predictions, golds):
     """(precision, recall, F1) over root edges only, label-blind."""
-    n_pred = n_gold = n_correct = 0
-    for pred, gold in zip(predictions, golds):
-        p_items = {(h, d) for h, d, _ in pred.edges if h == 0}
-        g_items = {(h, d) for h, d, _ in gold.edges if h == 0}
-        n_pred += len(p_items)
-        n_gold += len(g_items)
-        n_correct += len(p_items & g_items)
-    return _prf(n_pred, n_gold, n_correct)
+    return _prf(_counts(predictions, golds, lambda g: {(h, d) for h, d, _ in g.edges if h == 0}))
 
 
 def _bucket(n):
@@ -66,13 +64,11 @@ def _bucket(n):
 
 def bucket_f1(predictions, golds, labeled=True, include_top=False):
     """Per-sentence-length-bucket F1; buckets with no sentences are absent."""
+    counts = _counts(predictions, golds, lambda g: _edge_items(g, labeled, include_top))
     grouped = {}
-    for pred, gold in zip(predictions, golds):
-        grouped.setdefault(_bucket(gold.n), ([], []))
-        grouped[_bucket(gold.n)][0].append(pred)
-        grouped[_bucket(gold.n)][1].append(gold)
-    return {name: f1(p, g, labeled, include_top)[2]
-            for name, (p, g) in grouped.items()}
+    for gold, count in zip(golds, counts):
+        grouped.setdefault(_bucket(gold.n), []).append(count)
+    return {name: _prf(group)[2] for name, group in grouped.items()}
 
 
 def cycle_rate(predictions):

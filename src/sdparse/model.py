@@ -297,7 +297,7 @@ class ParserModel:
         if self.config.use_pretrained:
             raw = ad.constant(self.pretrained_table[word_ids])
             proj = ad.linear(raw, self.params["pretrained_proj_W"])
-            proj = proj + self.params["pretrained_proj_b"]
+            proj = ad.add(proj, self.params["pretrained_proj_b"])
             if rng is not None:
                 proj = _dropout(proj, self.config.dropout_embed, rng)
             channels.append(proj)
@@ -340,7 +340,7 @@ class ParserModel:
         for role in ROLES:
             W = self.params[f"proj_{role}_W"]
             b = self.params[f"proj_{role}_b"]
-            h = ad.leaky_relu(ad.linear(context, W) + b, cfg.leaky_slope)
+            h = ad.leaky_relu(ad.add(ad.linear(context, W), b), cfg.leaky_slope)
             if rng is not None:
                 if role in ("edge_head", "edge_dep"):
                     h = _dropout(h, cfg.dropout_unary, rng)
@@ -364,7 +364,7 @@ class ParserModel:
         # s_edge(h, d) = dep(d)^T U head(h) + b for every (h, d) at once
         edge_scores = ad.matmul(roles["edge_head"],
                                 ad.transpose(ad.matmul(roles["edge_dep"], p["edge_U"])))
-        edge_scores = edge_scores + p["edge_b"]
+        edge_scores = ad.add(edge_scores, p["edge_b"])
 
         tri = {}
         for kind, role_names in TRI_ROLES.items():
@@ -378,7 +378,7 @@ class ParserModel:
         """(K, num_labels) label scores (label_head[h] * label_dep[d]) W + b
         of the K edges (heads[k], deps[k]) alone."""
         pairs = ad.mul(ad.take(factors.label_head, heads), ad.take(factors.label_dep, deps))
-        return ad.matmul(pairs, self.params["label_W"]) + self.params["label_b"]
+        return ad.add(ad.matmul(pairs, self.params["label_W"]), self.params["label_b"])
 
 
 def _check_arrays(declared, arrays):

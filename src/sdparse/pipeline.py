@@ -29,19 +29,28 @@ from .potentials import from_factors
 __all__ = ["run_inference", "parse_sentence", "trace_sentence", "PAIR_LENGTH_CAP"]
 
 # Longest sentence the dense (n+1)^3 path accepts: the longest whose LBP
-# training (``train`` on a batch, T = 3, desk dims) fits the budget the
-# pair list had at n = 90. Traced peaks per (n+1)^3 cell, which fall with n:
-#   train, a batch  264 and 227 bytes at n = 30 and 45 (two sentences in
-#                   one step), under PAIR_BYTES_PER_CELL from n = 30 on,
-#                   so n = 154 (3.72M cells) peaks below 1.04 GiB;
-#   one step        246, 221 and 211 bytes at n = 30, 45 and 60: a batch
-#                   adds the optimizer and its gradients;
-#   parse           136, 134 and 133 bytes: ``parse_sentence`` records
-#                   no tape, so LBP keeps no logistics.
+# training (``train`` on a batch, desk dims) fits the budget the pair list
+# had at n = 90. Each taped sweep keeps four float64 logistics per cell, so
+# the declared bytes per (n+1)^3 cell are a fixed part plus a per-sweep
+# part, T < 3 counted as 3. Traced peaks per cell (n = 30, two sentences in
+# one step; they fall with n) are 185, 250, 346 and 474 bytes at T = 1, 3,
+# 6 and 10, against 300, 300, 408 and 552 declared: at T <= 3, n = 154
+# (3.72M cells) peaks below 1.04 GiB. A parse records no tape and peaks at
+# 134-138 bytes for T = 3-30 (n = 45), so it keeps the T = 3 cap at any T.
 # Mean-field is O(n^2) and uncapped.
 PAIR_MEMORY_BUDGET = 1.05 * 2**30
-PAIR_BYTES_PER_CELL = 300
-PAIR_LENGTH_CAP = int((PAIR_MEMORY_BUDGET / PAIR_BYTES_PER_CELL) ** (1 / 3)) - 1
+PAIR_BYTES_FIXED = 192
+PAIR_BYTES_PER_SWEEP = 36
+
+
+def _taped_length_cap(sweeps):
+    """The longest sentence whose LBP training batch with ``sweeps``
+    taped sweeps fits PAIR_MEMORY_BUDGET."""
+    per_cell = PAIR_BYTES_FIXED + PAIR_BYTES_PER_SWEEP * max(sweeps, 3)
+    return int((PAIR_MEMORY_BUDGET / per_cell) ** (1 / 3)) - 1
+
+
+PAIR_LENGTH_CAP = _taped_length_cap(3)
 
 
 def run_inference(pot, engine="mf", iterations=3, clamp=mf.DEFAULT_CLAMP):
@@ -63,14 +72,16 @@ def sentence_potentials(model, sentence, engine="mf", rng=None):
     return factors, factors if engine == "mf" else from_factors(factors)
 
 
-def check_length(sentence, engine):
+def check_length(sentence, engine, sweeps=0):
     """Raise CapacityError when ``engine`` runs on the dense (n+1)^3 layout
     (any engine but mean-field) and ``sentence`` is longer than
-    PAIR_LENGTH_CAP."""
-    if engine != "mf" and sentence.n > PAIR_LENGTH_CAP:
+    PAIR_LENGTH_CAP, or than the cap of a training run that tapes
+    ``sweeps`` LBP sweeps (a forward-only run tapes none)."""
+    cap = min(PAIR_LENGTH_CAP, _taped_length_cap(sweeps))
+    if engine != "mf" and sentence.n > cap:
         raise CapacityError(
             f"{sentence.n}-token sentence exceeds the length cap of "
-            f"{PAIR_LENGTH_CAP} (engine 'lbp' and trace); mean-field has no cap")
+            f"{cap} (engine 'lbp' and trace); mean-field has no cap")
 
 
 @ad.no_grad()

@@ -127,7 +127,7 @@ class InferenceState:
     def q1(self, t=-1):
         """Q(edge on) after iteration t, the logistic of its logit, as an
         (E,) array."""
-        return ad.sigmoid(self.logits[t].data[self.pot.edge_set.mask]).data
+        return ad.sigmoid(ad.constant(self.logits[t].data[self.pot.edge_set.mask])).data
 
     def marginals(self):
         """Q(edge on) after the last iteration by (head, dep), in edge

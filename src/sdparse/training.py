@@ -302,7 +302,8 @@ def train(model, train_data, dev_data, cfg, log=None):
     """Train in place; the model ends at its best-dev-F1 parameters.
 
     Sentences over the length cap are dropped from training (kept in dev).
-    A kept or dev sentence the engine cannot take (``check_length``) raises
+    A kept sentence the engine cannot take with ``cfg.iterations`` taped
+    sweeps, or a dev sentence it cannot parse (``check_length``), raises
     CapacityError before the first step. One history row per epoch goes
     to ``log`` if given.
     """
@@ -310,7 +311,9 @@ def train(model, train_data, dev_data, cfg, log=None):
     usable = [(s, g) for s, g in train_data if s.n <= cfg.max_sentence_length]
     if not usable:
         raise ConfigError("no training sentences under the length cap")
-    for sentence, _ in usable + list(dev_data or ()):
+    for sentence, _ in usable:
+        check_length(sentence, cfg.inference, cfg.iterations)
+    for sentence, _ in dev_data or ():
         check_length(sentence, cfg.inference)
     batch_rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(cfg.seed + 1)

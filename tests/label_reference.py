@@ -21,7 +21,7 @@ def reference_label_rows(model, factors):
     pairs = ad.mul(ad.reshape(factors.label_head, (N, 1, u)),
                    ad.reshape(factors.label_dep, (1, N, u)))
     on_edges = ad.take(ad.reshape(pairs, (N * N, u)), np.flatnonzero(factors.edge_set.mask))
-    return ad.matmul(on_edges, model.params["label_W"]) + model.params["label_b"]
+    return ad.add(ad.matmul(on_edges, model.params["label_W"]), model.params["label_b"])
 
 
 def reference_label_loss(model, factors, gold):

@@ -41,7 +41,6 @@ def cavity_message(source, reverse, s, shift):
     the kernel's logistic(c) and rebuilds logistic(c + s):
     d/ds = logistic(c + s) and d/dc = logistic(c + s) - logistic(c) =
     -d/dreverse."""
-    source, s = ad._wrap(source), ad._wrap(s)
     parents = (source, s) if reverse is None else (source, s, reverse)
     out, logistic, guarded = lbp.message_kernel(
         source.data, None if reverse is None else reverse.data, s.data, shift, keep=True)

@@ -69,7 +69,7 @@ def test_matmul_shapes(rng):
 def test_linear_is_the_product_with_the_transpose(rng):
     x = rng.normal(size=(3, 4))
     w = rng.normal(size=(2, 4))
-    np.testing.assert_array_equal(ad.linear(x, w).data, x @ w.T)
+    np.testing.assert_array_equal(ad.linear(ad.constant(x), ad.constant(w)).data, x @ w.T)
     _check(lambda a, b: ad.linear(a, b), x, w)
     # a constant input gets no gradient computed
     out = ad.linear(ad.constant(x), ad.parameter(w))
@@ -175,7 +175,7 @@ def test_prefix_trilinear_matches_a_loop_and_finite_differences(rng, by_columns)
     G = grid.T if by_columns else grid
     want = np.array([[sum(G[k, r] * np.sum(u[k] * v[s] * w[r]) for k in range(s + 1))
                       for r in range(R)] for s in range(N)])
-    got = build(ad.constant(grid), u, v, w).data
+    got = build(*(ad.constant(a) for a in (grid, u, v, w))).data
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
     _check(build, grid, u, v, w)
 
@@ -418,7 +418,7 @@ def test_lstm_steps_follow_the_gate_equations(rng):
     Wx, Wh = rng.normal(size=(4 * h, in_dim)), rng.normal(size=(4 * h, h))
     b = rng.normal(size=(4 * h,))
     mask = np.array([0.0, 2.0])
-    out = ad.lstm(x, Wx, Wh, b, recur_mask=mask).data
+    out = ad.lstm(*(ad.constant(a) for a in (x, Wx, Wh, b)), recur_mask=mask).data
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))

@@ -18,7 +18,7 @@ import sdparse.autodiff as ad
 import sdparse.cli as cli
 from sdparse import pipeline, training
 from sdparse.checkpoint import load_checkpoint, save_checkpoint
-from sdparse.config import parse_config_file
+from sdparse.config import MODEL_STRUCTURE_KEYS, parse_config_file
 from sdparse.errors import NumericError
 from sdparse.sdp_io import parse_sdp, write_sdp
 from sdparse.synthetic import toy_corpus
@@ -472,6 +472,40 @@ def test_parse_compares_only_the_structural_keys_given(tmp_path, trained, corpus
     if message:
         mismatches = err.split("checkpoint/config mismatch: ", 1)[1].strip()
         assert mismatches == message
+
+
+def _moved(value):
+    """A value of ``value``'s type that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    return value + (1 if isinstance(value, int) else 0.5)
+
+
+@pytest.mark.parametrize("key", MODEL_STRUCTURE_KEYS)
+def test_parse_refuses_each_structural_key_moved_off_the_checkpoint(tmp_path, trained,
+                                                                   corpus_path, capsys, key):
+    checkpoint = str(trained / "checkpoint.npz")
+    stored = load_checkpoint(checkpoint)[1].to_dict()[key]
+    moved = _moved(stored)
+    rc = cli.main(["parse", "--checkpoint", checkpoint, "--input", corpus_path,
+                   "--output", str(tmp_path / "o.sdp"), "--set", f"{key}={moved}"])
+    assert rc == 2
+    mismatches = capsys.readouterr().err.split("checkpoint/config mismatch: ", 1)[1].strip()
+    assert mismatches == f"{key}: checkpoint={stored!r} requested={moved!r}"
+
+
+def test_parse_ignores_non_structural_set_keys(tmp_path, trained, corpus_path):
+    """``--engine``, ``--iterations`` and ``--threshold`` choose how parse
+    runs; the config keys of the same names given with --set do not."""
+    def parse(name, extra):
+        out, marginals = tmp_path / f"{name}.sdp", tmp_path / f"{name}.jsonl"
+        assert cli.main(["parse", "--checkpoint", str(trained / "checkpoint.npz"),
+                         "--input", corpus_path, "--output", str(out),
+                         "--marginals", str(marginals)] + extra) == 0
+        return out.read_bytes(), marginals.read_bytes()
+
+    assert parse("set", ["--set", "iterations=1", "--set", "threshold=0.99",
+                         "--set", "inference=lbp"]) == parse("plain", [])
 
 
 # ---------------------------------------------------------- parse / eval

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +178,25 @@ def test_default_echo_and_field_defaults_are_pinned():
     assert cfg.train_config() == TrainConfig()
 
 
+def _table_keys(row):
+    """The keys a table row lists: its second cell's backquoted names,
+    less the values and aliases named in parentheses."""
+    return re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", row.split("|")[2]))
+
+
+def test_readme_config_table_names_every_key_once():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Configuration keys\n", 1)[1].split("\n## ", 1)[0]
+    rows = {row.split("|")[1].strip(): _table_keys(row) for row in section.splitlines()
+            if row.startswith("| ") and not row.startswith("| group")}
+    listed = Counter(key for keys in rows.values() for key in keys)
+    assert listed == Counter(RunConfig().to_dict().keys())
+    # the structural keys are the model shape keys and the vocabulary cut-off
+    assert rows["model shape"] + ["min_count"] == list(MODEL_STRUCTURE_KEYS)
+    structural = next(p for p in section.split("\n\n") if "structural" in p)
+    assert "`min_count`" in structural and "`parse`" in structural
+
+
 # ------------------------------------------------------------- checkpoints
 
 
@@ -266,20 +288,22 @@ def test_checkpoint_refuses_structural_mismatch(tmp_path):
     model, run_cfg, vocab = _small_model()
     path = tmp_path / "model.npz"
     save_checkpoint(path, model, run_cfg, vocab)
-    clash = RunConfig.resolve(overrides={
+    # ``parse`` resolves its --config/--set over the checkpoint's echo
+    stored = load_checkpoint(path)[1].to_dict()
+    clash = RunConfig.resolve(stored, {
         "word_dim": "8", "pos_dim": "3", "encoder_layers": "0",
         "unary_dim": "5", "binary_dim": "3", "min_count": "1",
     })
     with pytest.raises(ConfigError) as err:
-        load_checkpoint(path, expected_config=clash)
+        ensure_structure_match(stored, clash.to_dict())
     assert "word_dim" in str(err.value)
-    # matching structure with different training knobs loads fine
-    relaxed = RunConfig.resolve(overrides={
+    # matching structure with different training knobs passes
+    relaxed = RunConfig.resolve(stored, {
         "word_dim": "4", "pos_dim": "3", "encoder_layers": "0",
         "unary_dim": "5", "binary_dim": "3", "min_count": "1",
         "learning_rate": "0.123",
     })
-    load_checkpoint(path, expected_config=relaxed)
+    ensure_structure_match(stored, relaxed.to_dict())
 
 
 def test_checkpoint_version_gate(tmp_path):

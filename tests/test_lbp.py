@@ -22,8 +22,8 @@ from sdparse.exact import exact_infer
 from sdparse.graph import SemGraph, decode, kept_edges
 from sdparse.lbp import lbp_run
 from sdparse.model import ModelConfig, ParserModel
-from sdparse.pipeline import (PAIR_BYTES_PER_CELL, parse_sentence, run_inference,
-                              sentence_potentials, trace_sentence)
+from sdparse.pipeline import (PAIR_BYTES_FIXED, PAIR_BYTES_PER_SWEEP, parse_sentence,
+                              run_inference, sentence_potentials, trace_sentence)
 from sdparse.potentials import from_arrays
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
@@ -567,10 +567,15 @@ def test_lbp_run_under_no_grad_keeps_no_logistics(monkeypatch):
     assert all(_same_bits(state.messages[k].data, m.data) for k, m in taped.messages.items())
 
 
+def _declared_bytes_per_cell(iterations):
+    """The bytes per (n+1)^3 cell the length caps are derived from."""
+    return PAIR_BYTES_FIXED + PAIR_BYTES_PER_SWEEP * iterations
+
+
 def test_one_training_step_peaks_below_the_declared_bytes_per_cell():
-    """PAIR_LENGTH_CAP is derived from PAIR_BYTES_PER_CELL, an upper bound on
-    an LBP step's traced peak per (n+1)^3 cell from n = 30 on (the figure
-    falls with n); check it at n = 30, desk dims."""
+    """PAIR_LENGTH_CAP is derived from the declared bytes per cell at T = 3,
+    an upper bound on an LBP step's traced peak per (n+1)^3 cell from
+    n = 30 on (the figure falls with n); check it at n = 30, desk dims."""
     n = 30
     sentence, gold = toy_corpus(np.random.default_rng(3), size=1, min_len=n, max_len=n)[0]
     model = ParserModel(ModelConfig(), build_vocab([(sentence, gold)], min_count=1),
@@ -584,27 +589,31 @@ def test_one_training_step_peaks_below_the_declared_bytes_per_cell():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < PAIR_BYTES_PER_CELL * (n + 1) ** 3
+    assert peak < _declared_bytes_per_cell(3) * (n + 1) ** 3
 
 
 def test_a_training_batch_peaks_below_the_declared_bytes_per_cell():
-    """``train`` on two n = 30 sentences in one batch (desk dims, T = 3):
-    the sentence past the first starts its forward with no tape held, so
-    the step peaks near 264 bytes per (n+1)^3 cell."""
+    """``train`` on two n = 30 sentences in one batch (desk dims): the
+    sentence past the first starts its forward with no tape held, so the
+    step peaks near 250 bytes per (n+1)^3 cell at T = 3, and each further
+    sweep keeps four more float64 logistics (346 bytes at T = 6)."""
     n = 30
     data = toy_corpus(np.random.default_rng(3), size=2, min_len=n, max_len=n)
-    model = ParserModel(ModelConfig(), build_vocab(data, min_count=1), np.random.default_rng(0))
-    cfg = TrainConfig(inference="lbp", iterations=3, max_steps=1, batch_token_budget=2 * n)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = train(model, data, None, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert result.steps == 1
-    assert peak < PAIR_BYTES_PER_CELL * (n + 1) ** 3
+    for iterations in (3, 6):
+        model = ParserModel(ModelConfig(), build_vocab(data, min_count=1),
+                            np.random.default_rng(0))
+        cfg = TrainConfig(inference="lbp", iterations=iterations, max_steps=1,
+                          batch_token_budget=2 * n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = train(model, data, None, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert result.steps == 1
+        assert peak < _declared_bytes_per_cell(iterations) * (n + 1) ** 3, iterations
 
 
 def test_one_lbp_parse_peaks_below_200_bytes_per_cell():

@@ -56,6 +56,15 @@ def test_length_mismatch_is_an_error():
         cycle_rate([])
 
 
+@pytest.mark.parametrize("score", [f1, top_f1, bucket_f1], ids=lambda f: f.__name__)
+def test_every_score_refuses_lists_that_do_not_pair_up(score):
+    a, b = g(2, (0, 1, "TOP")), g(3, (0, 2, "TOP"))
+    with pytest.raises(DataError, match="1 predictions for 2 gold graphs"):
+        score([a], [a, b])
+    with pytest.raises(DataError, match="2 predictions for 1 gold graphs"):
+        score([a, b], [a])
+
+
 def test_top_f1_is_label_blind_and_root_only():
     pred = g(2, (0, 1, "TOP"), (1, 2, "a"))
     gold = g(2, (0, 1, "anything"), (2, 1, "b"))

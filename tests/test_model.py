@@ -102,7 +102,8 @@ def test_encoder_enabled_changes_shape_and_values(vocab, sentence):
 
 def _tanh(x):
     """tanh(x) = 2 sigmoid(2x) - 1, from the ops the parser has."""
-    return ad.sub(ad.mul(ad.sigmoid(ad.mul(x, 2.0)), 2.0), 1.0)
+    two = ad.constant(2.0)
+    return ad.sub(ad.mul(ad.sigmoid(ad.mul(x, two)), two), ad.constant(1.0))
 
 
 def _matvec(M, v):
@@ -129,7 +130,7 @@ def reference_encode(model, inputs, rng=None):
         outs = []
         for x in rows:
             h_in = ad.mul(h, recur_mask) if recur_mask is not None else h
-            gates = _matvec(Wx, x) + _matvec(Wh, h_in) + b
+            gates = ad.add(ad.add(_matvec(Wx, x), _matvec(Wh, h_in)), b)
             i, f, g, o = (ad.take(gates, np.arange(k * h_dim, (k + 1) * h_dim))
                           for k in range(4))
             i, f, g, o = ad.sigmoid(i), ad.sigmoid(f), _tanh(g), ad.sigmoid(o)
@@ -207,12 +208,12 @@ def test_role_projections_shapes_and_values(model, sentence):
 
 def biaffine(v1, v2, U, b):
     """v1^T U v2 + b for single vectors. v1 is the dependent role vector."""
-    return ad.tensor_sum(ad.mul(_matvec(U, v2), v1)) + b
+    return ad.add(ad.tensor_sum(ad.mul(_matvec(U, v2), v1)), b)
 
 
 def diagonal_biaffine(v1, v2, W, b):
     """Per-label scores sum_m W[m,l] v1[m] v2[m] + b[l]."""
-    return _matvec(ad.transpose(W), ad.mul(v1, v2)) + b
+    return ad.add(_matvec(ad.transpose(W), ad.mul(v1, v2)), b)
 
 
 def trilinear(v1, v2, v3, U1, U2, U3):

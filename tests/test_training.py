@@ -537,6 +537,28 @@ def test_a_sentence_over_the_lbp_cap_fails_before_the_first_step(monkeypatch):
         train(_tiny_model(data), data, data, replace(cfg, inference="mf"))
 
 
+def test_a_sentence_lbp_training_takes_at_three_sweeps_fails_at_ten(monkeypatch):
+    """Each taped sweep adds to the declared bytes per cell, so ``train``
+    derives its up-front cap from ``iterations``; a dev sentence is only
+    parsed, which tapes nothing, and keeps the three-sweep cap."""
+    data = toy_corpus(np.random.default_rng(42), size=6)   # lengths 3 and 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    # caps of 4 tokens at T = 3 and of 3 at T = 10
+    monkeypatch.setattr(pipeline, "PAIR_MEMORY_BUDGET", 50_000)
+    monkeypatch.setattr(training, "sentence_loss", refuse)
+    cfg = TrainConfig(inference="lbp", max_steps=2, seed=3)
+    with pytest.raises(AssertionError, match="a training step ran"):
+        train(_tiny_model(data), data, [], replace(cfg, iterations=3))
+    with pytest.raises(CapacityError, match="4-token sentence exceeds the length cap of 3"):
+        train(_tiny_model(data), data, [], replace(cfg, iterations=10))
+    # training keeps the 3-token sentences, dev the 4-token ones
+    with pytest.raises(AssertionError, match="a training step ran"):
+        train(_tiny_model(data), data, data, replace(cfg, iterations=10, max_sentence_length=3))
+
+
 def test_history_rows_carry_progress_fields():
     data = toy_corpus(np.random.default_rng(42), size=6)
     model = _tiny_model(data)
