@@ -18,6 +18,7 @@ Run:  python3 demos/message_trace_two_edges.py
 import math
 
 from sdparse.exact import exact_infer
+from sdparse.lbp import lbp_run
 from sdparse.pipeline import run_inference
 from sdparse.synthetic import two_edge_instance
 
@@ -47,8 +48,11 @@ for t in range(state.iterations + 1):
     q = float(state.q1(t)[0])
     print(f"  t={t}: belief = {q:.6f}")
 print("directed messages after the first round (log m(1) - log m(0)):")
-first = run_inference(pot, "lbp", 1)
-for (src, dst, kind, part), ratio in zip(first.directed_messages(), first.message_values()):
-    print(f"  {src} -> {dst} via {kind} part {part}: "
-          f"log-odds = {float(ratio):.6f} "
+# lbp_run hands each sweep's message tensors to on_sweep; the sibling
+# tensor's cell [i, j, k] carries the message (i, j) -> (i, k)
+sweeps = []
+lbp_run(pot, 1, on_sweep=sweeps.append)
+for i, j, k in ((0, 2, 1), (0, 1, 2)):
+    print(f"  {(i, j)} -> {(i, k)} via sib part (0, 1, 2): "
+          f"log-odds = {float(sweeps[0]['sib'][i, j, k]):.6f} "
           f"(closed form log 1.5 = {math.log(1.5):.6f})")

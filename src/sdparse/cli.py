@@ -162,13 +162,22 @@ def cmd_trace(args):
     sentence, _ = data[args.sentence]
     engine = args.engine or cfg.inference
     iterations = cfg.iterations if args.iterations is None else args.iterations
-    trace = trace_sentence(model, sentence, engine, iterations, cfg.logit_clamp)
-    text = json.dumps(trace, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    header, steps = trace_sentence(model, sentence, engine, iterations, cfg.logit_clamp)
+    encoder = json.JSONEncoder(sort_keys=True, indent=2)
+    with _writing(args.out or "standard output"), (
+            open(args.out, "w", encoding="utf-8") if args.out
+            else contextlib.nullcontext(sys.stdout)) as fh:
+        # json.dumps' text of the whole trace, a step at a time and each step
+        # chunk by chunk: "steps" sorts after every header key, and a JSON string
+        # holds no raw newline, so every newline in a chunk starts a step's line
+        fh.write(encoder.encode(header)[:-2] + ',\n  "steps": [')
+        separator = "\n    "
+        for step in steps:  # no enumerate: its cached tuple would keep a step alive
+            fh.write(separator)
+            fh.writelines(chunk.replace("\n", "\n    ") for chunk in encoder.iterencode(step))
+            separator = ",\n    "
+            del step
+        fh.write("\n  ]\n}\n")
     return 0
 
 

@@ -47,24 +47,24 @@ iterate is the unary grid. Updates are synchronous; messages start at 0.
 All T sweeps are one autodiff node, the last logit grid, with the edge
 scores and the score tensors as parents; only that grid carries gradient.
 It keeps logistic(c) of every message and sweep, the few guarded cells'
-logistic(c + s) and each part type's E: the last sweep's messages and the
-earlier grids go to the state as constants. Its backward walks the
-sweeps in reverse once and computes no exponential. It rebuilds each
-message's logistic(c + s) = (logistic(c) + P) / (1 + P), P =
-logistic(c) E (``shifted_logistic``), by the forward's own operations,
-so it is bitwise the forward's value, in the buffer that becomes the
-message's score gradient. A message's gradient (its target grid's,
-broadcast, less the aligned cavity gradient of the next sweep's message
-that read it as its reverse) is written into that cavity gradient's
-buffer, and each part type's score gradient is summed in place. When
-the node would not be recorded (``autodiff.records``: under
+logistic(c + s) and each part type's E: the earlier grids go to the
+state as constants, and each sweep's messages only to ``on_sweep``. Its
+backward walks the sweeps in reverse once and computes no exponential.
+It rebuilds each message's logistic(c + s) = (logistic(c) + P) / (1 + P),
+P = logistic(c) E (``shifted_logistic``), by the forward's own
+operations, so it is bitwise the forward's value, in the buffer that
+becomes the message's score gradient. A message's gradient (its target
+grid's, broadcast, less the aligned cavity gradient of the next sweep's
+message that read it as its reverse) is written into that cavity
+gradient's buffer, and each part type's score gradient is summed in
+place. When the node would not be recorded (``autodiff.records``: under
 ``autodiff.no_grad``, or when no input requires gradients) no logistic
 is kept, and the last grid is a constant too.
 The state (``potentials.InferenceState``) keeps the grid l of each
-iteration and the last sweep's message tensors, and reads the edges'
-beliefs from l through the edge mask: b1 = exp(-softplus(-l)) is the
-logistic of l. The message arithmetic below takes and returns arrays
-and serves only ``lbp_run`` and its backward; it is not exported.
+iteration and reads the edges' beliefs from l through the edge mask:
+b1 = exp(-softplus(-l)) is the logistic of l. The message arithmetic
+below takes and returns arrays and serves only ``lbp_run`` and its
+backward; it is not exported.
 """
 
 from __future__ import annotations
@@ -79,11 +79,13 @@ from .potentials import MESSAGES, InferenceState, aligned
 __all__ = ["lbp_run"]
 
 
-def lbp_run(pot, iterations=3):
+def lbp_run(pot, iterations=3, on_sweep=None):
     """Belief trajectory of ``iterations`` synchronous sweeps, each sending
     every message from the previous snapshot, then summing fresh beliefs.
     Messages start uniform (log-odds 0), so iteration 0's beliefs are the
-    normalized unaries. Only the last grid carries gradient."""
+    normalized unaries. Only the last grid carries gradient. ``on_sweep``,
+    when given, is called after each sweep with its messages (name of
+    ``MESSAGES`` -> (n+1)^3 array, which the caller must not write)."""
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     state = InferenceState(pot, [pot.edge_scores])
@@ -109,8 +111,9 @@ def lbp_run(pot, iterations=3):
             total = total + message.sum(axis=target)
         logistics.append(sweep)
         state.logits.append(ad.constant(total))
+        if on_sweep is not None:
+            on_sweep(messages)
         grid, previous = total, messages
-    state.messages = {name: ad.constant(r) for name, r in messages.items()}
     if keep:
         state.logits[-1] = ad.Tensor(total, requires_grad=True, _parents=parents,
                                      _vjp=_unrolled_vjp(names, logistics, shifts))

@@ -18,9 +18,8 @@ The field is computed in one of two ways, with the same result:
 * From a ``LogPotentials``' dense score tensors (``_dense_field``): per
   message tensor of ``potentials.MESSAGES``, the source edges' Q times
   the part scores, summed into the targets; O(n^3) per iteration.
-  Hand-built instances, ``trace`` and the tests use this form, and the
-  state keeps the last iteration's message tensors, so
-  ``message_values`` reads each part's two field terms.
+  Hand-built instances, ``trace`` and the tests use this form; no message
+  tensor is kept (``trace`` reads s_part * Q^{t-1}(src) per part).
 * From the scorer's factors (``ScoreFactors``). Every part score is the
   rank-d form sum_m g1[a,m] g2[b,m] g3[c,m] over the part's first edge
   (a, b) and third node c, so the field factorises over m:
@@ -69,28 +68,28 @@ def mf_run(pot, iterations=3, clamp=DEFAULT_CLAMP):
     state = InferenceState(pot, [_clamped(pot.edge_scores, clamp)])
     for _ in range(iterations):
         # Q is 0 off the edge mask, so padding never enters a field
-        state.messages, total = field(ad.mul(ad.sigmoid(state.logits[-1]), mask))
+        total = field(ad.mul(ad.sigmoid(state.logits[-1]), mask))
         state.logits.append(_clamped(ad.add(pot.edge_scores, total), clamp))
     return state
 
 
 def _dense_field(pot):
-    """Q -> (message tensors s_part * Q_src, field Q induces on every
-    (head, dep) cell), from the dense score tensors; O(n^3)."""
+    """Q -> the field Q induces on every (head, dep) cell, summed from the
+    message tensors s_part * Q_src of the dense score tensors; O(n^3)."""
     def field(q):
-        messages, total = {}, ad.constant(np.zeros(q.shape))
-        for name, (kind, source, target, _) in MESSAGES.items():
+        total = ad.constant(np.zeros(q.shape))
+        for kind, source, target, _ in MESSAGES.values():
             if kind in pot.scores:
                 shape = q.shape[:source] + (1,) + q.shape[source:]
-                messages[name] = ad.mul(pot.scores[kind], ad.reshape(q, shape))
-                total = ad.add(total, ad.tensor_sum(messages[name], axis=target))
-        return messages, total
+                message = ad.mul(pot.scores[kind], ad.reshape(q, shape))
+                total = ad.add(total, ad.tensor_sum(message, axis=target))
+        return total
 
     return field
 
 
 def _factored_field(pot):
-    """Q -> ({}, field Q induces on every (head, dep) cell), from one
+    """Q -> the field Q induces on every (head, dep) cell, from one
     running sum per sibling and co-parent type and matrix products over
     the part factors; O(n^2 d). The shared nodes and the grandparent
     two-cycle correction C + C^T are built once per run."""
@@ -117,11 +116,11 @@ def _factored_field(pot):
             as_second = ad.matmul(ad.mul(g2, ad.matmul(q_t, g1)), ad.transpose(g3))
             terms.append(ad.sub(ad.add(as_first, as_second), ad.mul(q_t, gp_cycle)))
         if not terms:
-            return {}, ad.constant(np.zeros(q.shape))
+            return ad.constant(np.zeros(q.shape))
         total = terms[0]
         for term in terms[1:]:
             total = ad.add(total, term)
-        return {}, total
+        return total
 
     return field
 

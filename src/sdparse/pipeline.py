@@ -7,8 +7,9 @@ Loopy BP and ``trace_sentence`` run on the dense (n+1)^3 layout that
 part-shaped is cached between sentences. That path refuses a sentence
 longer than ``PAIR_LENGTH_CAP`` with a CapacityError before it builds any
 (n+1)^3 tensor. Only ``trace_sentence`` reads the parts out of their
-masks, through the state's ``directed_messages`` and ``message_values``.
-Decoding scores labels only for the edges whose final marginal clears the
+masks, from one run: ``lbp_run`` hands it each sweep's messages, and
+mean-field's are the part scores times the kept marginals. Decoding
+scores labels only for the edges whose final marginal clears the
 threshold (``graph.kept_edges``), and ``graph.decode`` builds their graph.
 
 ``parse_sentence`` and ``trace_sentence`` are forward-only: they run
@@ -24,7 +25,7 @@ from . import autodiff as ad
 from . import lbp, mf
 from .errors import CapacityError, ConfigError, NumericError
 from .graph import decode, kept_edges
-from .potentials import from_factors
+from .potentials import FORWARD, MESSAGES, aligned, from_factors
 
 __all__ = ["run_inference", "parse_sentence", "trace_sentence", "PAIR_LENGTH_CAP"]
 
@@ -43,11 +44,25 @@ PAIR_BYTES_FIXED = 192
 PAIR_BYTES_PER_SWEEP = 36
 
 
+# ``trace`` holds one step's rows (two per part; parts per cell rise toward
+# 2) and, per sweep, each part's two values: it peaks at 1,248 / 1,304 bytes
+# per cell at n = 30, T = 1 / 3, and 1,329 / 1,358 at n = 45, T = 1 / 2 (desk
+# dims), and writes 761 (n = 30) and 805 (n = 45) bytes of text per cell and
+# sweep. Memory and text share the budget: 76 / 62 / 45 tokens at T = 1 / 3 / 10.
+TRACE_BYTES_FIXED = 1500
+TRACE_BYTES_PER_SWEEP = 950
+
+
+def _length_cap(bytes_per_cell):
+    """The longest sentence whose (n+1)^3 cells at ``bytes_per_cell`` fit
+    PAIR_MEMORY_BUDGET."""
+    return int((PAIR_MEMORY_BUDGET / bytes_per_cell) ** (1 / 3)) - 1
+
+
 def _taped_length_cap(sweeps):
     """The longest sentence whose LBP training batch with ``sweeps``
     taped sweeps fits PAIR_MEMORY_BUDGET."""
-    per_cell = PAIR_BYTES_FIXED + PAIR_BYTES_PER_SWEEP * max(sweeps, 3)
-    return int((PAIR_MEMORY_BUDGET / per_cell) ** (1 / 3)) - 1
+    return _length_cap(PAIR_BYTES_FIXED + PAIR_BYTES_PER_SWEEP * max(sweeps, 3))
 
 
 PAIR_LENGTH_CAP = _taped_length_cap(3)
@@ -107,40 +122,50 @@ def parse_sentence(model, sentence, engine="mf", iterations=3, threshold=0.5,
 @ad.no_grad()
 def trace_sentence(model, sentence, engine="mf", iterations=3,
                    clamp=mf.DEFAULT_CLAMP):
-    """Per-iteration marginals and per-part message terms, JSON-ready.
-
-    Each directed message of iteration t reports the ``message_values``
-    of a t-sweep run, whose sweeps are the first t of the full run because
-    both engines are deterministic: mean-field the signed field contribution
-    Q_src * s_part the source edge sends its partner (key ``value``),
-    belief propagation the log-odds log m(1) - log m(0) (key
-    ``log_odds``).
-    """
+    """(header, steps) of one forward-only run, JSON-ready: steps yields,
+    per iteration t, the marginals and, in part order, each part's two
+    messages of sweep t, into its first edge and then its second:
+    mean-field's Q^{t-1}(src) * s_part (key ``value``), loopy BP's
+    log m(1) - log m(0) (``log_odds``). Raises CapacityError above the
+    trace cap for T before scoring, and NumericError on a value that is
+    not finite before the first step."""
+    cap = _length_cap(TRACE_BYTES_FIXED + TRACE_BYTES_PER_SWEEP * max(iterations, 1))
+    if sentence.n > cap:
+        raise CapacityError(f"{sentence.n}-token sentence exceeds the trace length cap "
+                            f"of {cap} at T={iterations}")
     # both engines run on the dense layout, which names every part
     _, pot = sentence_potentials(model, sentence, engine="lbp")
-    state = run_inference(pot, engine, iterations, clamp)
+    first, second = pot.pair_edges()
+    sweeps = []  # per sweep, the (parts, 2) values into each part's first and second edge
+    if engine == "lbp":
+        def read(messages):
+            into_first = {k: aligned(messages[MESSAGES[FORWARD[k]][3]], k) for k in pot.scores}
+            into_second = {k: messages[FORWARD[k]] for k in pot.scores}
+            sweeps.append(np.stack([pot.gather(into_first), pot.gather(into_second)], axis=1))
+
+        state = lbp.lbp_run(pot, iterations, on_sweep=read)
+    else:
+        state = run_inference(pot, engine, iterations, clamp)
+        scores = pot.gather({kind: s.data for kind, s in pot.scores.items()})
+        sweeps = [np.stack([scores * q[second], scores * q[first]], axis=1)
+                  for q in map(state.q1, range(iterations))]
+    qs = [state.q1(t) for t in range(iterations + 1)]
+    if not all(np.isfinite(values).all() for values in qs + sweeps):
+        raise NumericError(f"non-finite marginals or messages from {engine} "
+                           f"(T={iterations}) on a {sentence.n}-token sentence")
+    names = [f"{head}->{dep}" for head, dep in pot.edge_set.edges]
+    kinds = [kind for kind, mask in pot._part_order() for _ in range(np.count_nonzero(mask))]
+    triples = np.concatenate([np.zeros((0, 3), np.intp)] + [
+        np.argwhere(mask) for _, mask in pot._part_order()]).tolist()
     key = "value" if engine == "mf" else "log_odds"
-    directed = state.directed_messages()
 
-    def name(edge):
-        return f"{edge[0]}->{edge[1]}"
+    def steps():
+        for t, q in enumerate(qs):
+            rows = []
+            for a, b, kind, part, (to_a, to_b) in zip(first.tolist(), second.tolist(), kinds,
+                                                      triples, sweeps[t - 1].tolist() if t else ()):
+                rows += ({"src": names[b], "dst": names[a], "type": kind, "part": part, key: to_a},
+                         {"src": names[a], "dst": names[b], "type": kind, "part": part, key: to_b})
+            yield {"iteration": t, "q": dict(zip(names, q.tolist())), "messages": rows}
 
-    steps = []
-    for t in range(state.iterations + 1):
-        q = state.q1(t)
-        values = run_inference(pot, engine, t, clamp).message_values().tolist() if t else []
-        steps.append({
-            "iteration": t,
-            "q": {name(e): float(q[k]) for k, e in enumerate(pot.edge_set.edges)},
-            "messages": [{"src": name(src), "dst": name(dst), "type": kind,
-                          "part": list(part), key: value}
-                         for (src, dst, kind, part), value in zip(directed, values)],
-        })
-
-    return {
-        "n": sentence.n,
-        "engine": engine,
-        "iterations": state.iterations,
-        "edges": [name(e) for e in pot.edge_set.edges],
-        "steps": steps,
-    }
+    return {"n": sentence.n, "engine": engine, "iterations": iterations, "edges": names}, steps()

@@ -26,11 +26,10 @@ arrays at every part, and ``pair_edges`` each part's two edge positions.
 enumerating a part; ``from_arrays`` scatters edges and pairs in.
 
 ``InferenceState`` is the trajectory both engines keep: per iteration
-one logit grid, read through the edge mask into per-edge vectors, and
-the last sweep's (n+1)^3 message tensors, read through the part masks
-into per-part values. Dense mean-field (``mf._dense_field``) makes one
-pass over ``MESSAGES`` per iteration on tensors; loopy BP makes the same
-pass on arrays inside its one unrolled node.
+one logit grid, read through the edge mask into per-edge vectors. Dense
+mean-field (``mf._dense_field``) makes one pass over ``MESSAGES`` per
+iteration on tensors; loopy BP makes the same pass on arrays inside its
+one unrolled node. Neither keeps a message tensor past its sweep.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .graph import PART_EDGE_COLUMNS, CandidateEdgeSet, part_mask
 
 __all__ = ["LogPotentials", "InferenceState", "MESSAGES", "from_factors", "from_arrays"]
@@ -101,24 +100,18 @@ class LogPotentials:
 class InferenceState:
     """The trajectory of either engine over the potentials ``pot`` (a
     LogPotentials or ScoreFactors): ``logits[t]`` is the (n+1) x (n+1)
-    grid of edge logits after iteration t, t = 0..T, and ``messages``
-    maps each name of ``MESSAGES`` to the (n+1)^3 message tensor of the
-    last sweep ({} on the factored mean-field path and with no parts).
-    The per-edge readings are the grids gathered through the edge mask, in
-    edge order; the per-part ones are the message tensors read through the
-    part masks, in part order. The engines are deterministic, so the
-    messages of sweep t are those of a t-sweep run.
+    grid of edge logits after iteration t, t = 0..T. The per-edge readings
+    are the grids gathered through the edge mask, in edge order.
 
     Under loopy BP all T sweeps are one autodiff node, ``logits[-1]``:
     past the edge scores at t = 0, only the last grid carries gradient, and
-    the other grids and the message tensors are constants, so a loss reads
-    the last grid (``training.edge_loss`` does). Mean-field's grids and
-    message tensors all stay on the tape. A run under ``autodiff.no_grad``
-    records none: every tensor of its state is a constant."""
+    the other grids are constants, so a loss reads the last grid
+    (``training.edge_loss`` does). Mean-field's grids all stay on the
+    tape. A run under ``autodiff.no_grad`` records none: every tensor of
+    its state is a constant."""
 
     pot: object
     logits: list = field(default_factory=list)    # Tensors, (n+1, n+1)
-    messages: dict = field(default_factory=dict)  # name -> Tensor, (n+1)^3
 
     @property
     def iterations(self):
@@ -133,37 +126,6 @@ class InferenceState:
         """Q(edge on) after the last iteration by (head, dep), in edge
         order."""
         return dict(zip(self.pot.edge_set.edges, self.q1().tolist()))
-
-    def directed_messages(self):
-        """(src_edge, dst_edge, part_type, part) per direction of every pair
-        of a LogPotentials, in part order: first the message from the
-        pair's second edge into its first, then the reverse. The order of
-        ``message_values``."""
-        pot, edges = self.pot, self.pot.edge_set.edges
-        first, second = (ends.tolist() for ends in pot.pair_edges())
-        parts = [(kind, tuple(part)) for kind, mask in pot._part_order()
-                 for part in np.argwhere(mask).tolist()]
-        return [message for a, b, (kind, part) in zip(first, second, parts)
-                for message in ((edges[b], edges[a], kind, part), (edges[a], edges[b], kind, part))]
-
-    def message_values(self):
-        """The last sweep's messages at each part of a LogPotentials, in
-        ``directed_messages()`` order: into the first edge from the aligned
-        reverse tensor, into the second from the forward one. Mean-field's
-        message is Q^{T-1}(src) * s_part, belief propagation's
-        log m(1) - log m(0). A factored mean-field state keeps no message
-        tensor and raises ConfigError."""
-        if not isinstance(self.pot, LogPotentials):
-            raise ConfigError(
-                "the factored mean-field path keeps no message tensors; read "
-                "per-part messages from `trace` or a state on the dense layout "
-                "(potentials.from_factors)")
-        messages = self.messages
-        into_first = self.pot.gather({
-            kind: aligned(messages[MESSAGES[FORWARD[kind]][3]].data, kind) for kind in self.pot.scores})
-        into_second = self.pot.gather({kind: messages[FORWARD[kind]].data
-                                       for kind in self.pot.scores})
-        return np.stack([into_first, into_second], axis=1).reshape(-1)
 
 
 def from_factors(factors):

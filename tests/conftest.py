@@ -7,7 +7,9 @@ import pytest
 
 import sdparse.autodiff as ad
 from sdparse.graph import part_mask
-from sdparse.potentials import InferenceState, aligned
+from sdparse.potentials import aligned
+
+from message_reference import directed_messages
 
 
 def numeric_grad(fn, arrays, step=1e-6):
@@ -52,7 +54,7 @@ def part_scores(pot):
 def pair_tuples(pot):
     """(first edge, second edge, part type, stored triple) per pair of a
     potential, in part order: every second of its directed messages."""
-    return InferenceState(pot).directed_messages()[1::2]
+    return directed_messages(pot)[1::2]
 
 
 def pair_list(pot, scores=None):

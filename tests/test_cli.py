@@ -748,6 +748,68 @@ def test_trace_sentence_index_out_of_range_exits_3(trained, corpus_path,
     assert "99" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_trace_streams_the_text_of_one_json_document(tmp_path, trained, corpus_path, capsys,
+                                                     engine):
+    """The steps are written one at a time, to --out or stdout, as the text
+    json.dumps gives the whole trace."""
+    model, cfg, _ = load_checkpoint(trained / "checkpoint.npz")
+    sentence, _ = parse_sdp(corpus_path)[3]
+    header, steps = pipeline.trace_sentence(model, sentence, engine, 2, cfg.logit_clamp)
+    want = json.dumps({**header, "steps": list(steps)}, sort_keys=True, indent=2) + "\n"
+    argv = ["trace", "--checkpoint", str(trained / "checkpoint.npz"), "--input", corpus_path,
+            "--sentence", "3", "--engine", engine, "--iterations", "2"]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "trace.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_trace_with_non_finite_output_exits_4(tmp_path, trained, corpus_path, capsys, engine):
+    """Part scores that overflow make messages (and marginals) that are not
+    finite; trace refuses them before it writes a byte, as parse does."""
+    model, cfg, vocab = load_checkpoint(trained / "checkpoint.npz")
+    for name, p in model.params.items():
+        if name.startswith("tri_"):
+            p.data = p.data * 1e110
+    broken = tmp_path / "huge.npz"
+    save_checkpoint(broken, model, cfg, vocab)
+    out = tmp_path / "trace.json"
+    rc = cli.main(["trace", "--checkpoint", str(broken), "--input", corpus_path,
+                   "--sentence", "3", "--engine", engine, "--out", str(out)])
+    assert rc == 4
+    assert "non-finite marginals or messages" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trace_over_its_length_cap_exits_3_before_scoring(monkeypatch, tmp_path, trained,
+                                                          capsys):
+    """The trace cap, from the declared bytes per (n+1)^3 cell of one
+    streamed step and of each sweep's kept values and text, patched down
+    to 4 tokens at T = 3: a 5-token sentence is refused before any score
+    is built, and the cap falls as T grows."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sentence over the trace cap was scored")
+
+    per_cell = pipeline.TRACE_BYTES_FIXED + 3 * pipeline.TRACE_BYTES_PER_SWEEP
+    monkeypatch.setattr(pipeline, "PAIR_MEMORY_BUDGET", 5.5 ** 3 * per_cell)
+    corpus = _five_token_corpus(tmp_path)
+    argv = ["trace", "--checkpoint", str(trained / "checkpoint.npz"), "--input", corpus,
+            "--out", str(tmp_path / "trace.json")]
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "sentence_potentials", refuse)
+        assert cli.main(argv + ["--iterations", "3"]) == 3
+        assert "5-token sentence exceeds the trace length cap of 4 at T=3" in capsys.readouterr().err
+        assert not (tmp_path / "trace.json").exists()
+    # a 5-token sentence fits the cap at T = 1 and not at T = 10
+    assert cli.main(argv + ["--iterations", "1"]) == 0
+    assert cli.main(argv + ["--iterations", "10"]) == 3
+
+
 # ------------------------------------------------------ damaged input files
 
 # XOR masks of the byte flips: the high bit (never UTF-8 on an ASCII byte),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import sdparse.autodiff as ad
-from sdparse import lbp, pipeline
+from sdparse import lbp, mf, pipeline
 from sdparse.config import RunConfig
 from sdparse.errors import CapacityError, ConfigError
 from sdparse.exact import exact_infer
@@ -32,7 +32,8 @@ from sdparse.training import (TrainConfig, combined_loss, edge_loss, label_loss,
 
 from conftest import (log_marginals, numeric_grad, pair_arrays, pair_list, pair_tuples,
                       part_scores, potential_grads, unary_scores)
-from message_reference import reference_lbp_run
+from message_reference import (directed_messages, last_sweep, message_values, reference_lbp_run,
+                               run_with_messages, sweep_values)
 from pair_list_reference import reference_sentence_loss
 
 
@@ -93,8 +94,7 @@ def test_message_log_odds_match_normalized_reference():
     pot = random_potentials(3, np.random.default_rng(2), coupling_scale=0.8)
     _, want = naive_lbp(pot, 4)
     for t in range(1, 5):
-        np.testing.assert_allclose(lbp_run(pot, iterations=t).message_values(), want[t],
-                                   atol=1e-12)
+        np.testing.assert_allclose(sweep_values(pot, "lbp", t), want[t], atol=1e-12)
 
 
 def test_beliefs_stay_normalized():
@@ -111,7 +111,7 @@ def test_two_edge_hand_messages_and_beliefs():
     # (2/5, 3/5) and both beliefs land exactly on the true marginal 0.6
     pot = two_edge_instance(math.log(2.0))
     state = lbp_run(pot, iterations=3)
-    ratio = lbp_run(pot, iterations=1).message_values()
+    ratio = sweep_values(pot, "lbp", 1)
     np.testing.assert_allclose(1.0 / (1.0 + np.exp(ratio)), 0.4, atol=1e-14)
     np.testing.assert_allclose(1.0 / (1.0 + np.exp(-ratio)), 0.6, atol=1e-14)
     np.testing.assert_allclose(ratio, math.log(1.5), atol=1e-14)
@@ -168,10 +168,10 @@ def test_dense_messages_match_naive_reference(n, off):
     pot = _without(random_potentials(n, np.random.default_rng(40 + n), coupling_scale=0.7), off)
     state = lbp_run(pot, iterations=4)
     want_q, want_ratios = naive_lbp(pot, 4)
-    assert state.message_values().shape == (2 * len(part_scores(pot)),)
+    assert sweep_values(pot, "lbp", 4).shape == (2 * len(part_scores(pot)),)
     for t in range(1, 5):
         np.testing.assert_allclose(state.q1(t), want_q[t], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(lbp_run(pot, iterations=t).message_values(),
+        np.testing.assert_allclose(sweep_values(pot, "lbp", t),
                                    want_ratios[t], rtol=0, atol=1e-12)
     if off is not None:
         assert off not in pot.scores and off not in pot.part_masks
@@ -188,11 +188,10 @@ def test_message_order_follows_the_parts():
                                 ((0, 1), (2, 1), "cop", (0, 2, 1)),
                                 ((1, 3), (3, 2), "gp", (1, 3, 2))]
     np.testing.assert_array_equal(part_scores(pot), [0.25, -0.5, 0.5])
-    state = lbp_run(pot, iterations=2)
-    assert [d[:2] for d in state.directed_messages()] == [
+    assert [d[:2] for d in directed_messages(pot)] == [
         ((0, 2), (0, 1)), ((0, 1), (0, 2)), ((2, 1), (0, 1)), ((0, 1), (2, 1)),
         ((3, 2), (1, 3)), ((1, 3), (3, 2))]
-    np.testing.assert_allclose(state.message_values(), naive_lbp(pot, 2)[1][2],
+    np.testing.assert_allclose(sweep_values(pot, "lbp", 2), naive_lbp(pot, 2)[1][2],
                                rtol=0, atol=1e-15)
 
 
@@ -225,9 +224,7 @@ def test_permutation_equivariance(rng):
 
 
 def test_directed_messages_list_both_directions_per_part():
-    pot = two_edge_instance(0.3)
-    state = lbp_run(pot, iterations=1)
-    dirs = state.directed_messages()
+    dirs = directed_messages(two_edge_instance(0.3))
     assert len(dirs) == 2
     assert dirs[0] == ((0, 2), (0, 1), "sib", (0, 1, 2))
     assert dirs[1] == ((0, 1), (0, 2), "sib", (0, 1, 2))
@@ -249,8 +246,9 @@ def test_with_no_part_every_iterate_is_the_unary_grid(iterations):
     and the edge loss's gradient is the logistic of the score less gold."""
     pot = from_arrays(((0, 1), (1, 2), (2, 1)), np.array([0.3, -0.2, 1.1]), [],
                       requires_grad=True)
-    state = lbp_run(pot, iterations)
-    assert state.iterations == iterations and state.messages == {}
+    sweeps = []
+    state = lbp_run(pot, iterations, on_sweep=sweeps.append)
+    assert state.iterations == iterations and sweeps == [{}] * iterations
     assert all(_same_bits(logit.data, pot.edge_scores.data) for logit in state.logits)
     ad.backward(edge_loss(state, SemGraph(2, [(0, 1, "x")])), np.ones(()))
     s = unary_scores(pot)
@@ -364,11 +362,11 @@ def test_sentence_loss_matches_the_pair_list_engine(n, switches):
 
 
 def _assert_messages_equal(got, want):
-    """Two states' message dicts hold bitwise-equal tensors under the same
+    """Two sweeps' message dicts hold bitwise-equal arrays under the same
     names."""
-    assert got.messages.keys() == want.messages.keys()
-    for name, message in want.messages.items():
-        np.testing.assert_array_equal(got.messages[name].data, message.data)
+    assert got.keys() == want.keys()
+    for name, message in want.items():
+        assert _same_bits(got[name], message), name
 
 
 def _assert_matches_the_per_message_reference(model, sentence, gold):
@@ -392,7 +390,8 @@ def _assert_matches_the_per_message_reference(model, sentence, gold):
     for t in range(cfg.iterations + 1):
         np.testing.assert_array_equal(got_state.logits[t].data, want_state.logits[t].data)
     for t in range(1, cfg.iterations + 1):
-        _assert_messages_equal(lbp_run(got_state.pot, t), reference_lbp_run(want_state.pot, t))
+        _assert_messages_equal(last_sweep(lbp_run, got_state.pot, t)[1],
+                               last_sweep(reference_lbp_run, want_state.pot, t)[1])
     assert got.keys() == want.keys()
     for name, g in want.items():
         assert np.max(np.abs(got[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
@@ -434,20 +433,26 @@ def test_all_sweeps_are_one_node_and_only_the_last_grid_carries_gradient():
     assert state.logits[0] is pot.edge_scores
     assert state.logits[-1]._parents == (pot.edge_scores, *pot.scores.values())
     assert not any(grid.requires_grad for grid in state.logits[1:-1])
-    for t in (1, 2, 3):
-        assert not any(m.requires_grad for m in lbp_run(pot, iterations=t).messages.values())
     fixed = lbp_run(base, 3)
     assert not fixed.logits[-1].requires_grad
     np.testing.assert_array_equal(fixed.logits[-1].data, state.logits[-1].data)
 
 
 @pytest.mark.parametrize("iterations", [1, 3])
-def test_the_state_keeps_one_dict_of_the_last_sweeps_messages(iterations):
+def test_on_sweep_sees_one_dict_of_each_sweeps_messages(iterations):
+    """A taped run hands its hook plain arrays, one dict per sweep, equal
+    to the per-message reference's; the state keeps none of them."""
     base = random_potentials(4, np.random.default_rng(5), coupling_scale=0.5)
     pot = from_arrays(base.edge_set.edges, unary_scores(base), pair_list(base), requires_grad=True)
-    state = lbp_run(pot, iterations)
-    assert list(state.messages) == ["sib", "cop", "down", "up"]
-    _assert_messages_equal(state, reference_lbp_run(pot, iterations))
+    got, want = [], []
+    state = lbp_run(pot, iterations, on_sweep=got.append)
+    reference_lbp_run(pot, iterations, on_sweep=want.append)
+    assert state.logits[-1].requires_grad and not hasattr(state, "messages")
+    assert len(got) == len(want) == iterations
+    for messages, reference in zip(got, want):
+        assert list(messages) == ["sib", "cop", "down", "up"]
+        assert all(type(m) is np.ndarray for m in messages.values())
+        _assert_messages_equal(messages, reference)
 
 
 @pytest.mark.parametrize("engine", ["mf", "lbp"])
@@ -462,8 +467,8 @@ def test_trace_sentence_reads_each_depth_from_a_run_of_that_depth(engine):
     steps = []
     for t in range(4):
         # a one-sweep run holds the grid of depth 0 too
-        state = run_inference(pot, engine, max(t, 1))
-        messages = zip(state.directed_messages(), state.message_values().tolist()) if t else ()
+        state, messages = run_with_messages(pot, engine, max(t, 1))
+        messages = zip(directed_messages(pot), message_values(pot, messages).tolist()) if t else ()
         steps.append({"iteration": t,
                       "q": dict(zip(map(name, pot.edge_set.edges), state.q1(t).tolist())),
                       "messages": [{"src": name(src), "dst": name(dst), "type": kind,
@@ -473,8 +478,26 @@ def test_trace_sentence_reads_each_depth_from_a_run_of_that_depth(engine):
     assert state.logits[-1].requires_grad
     want = {"n": 5, "engine": engine, "iterations": 3, "edges": list(map(name, pot.edge_set.edges)),
             "steps": steps}
-    got = trace_sentence(model, sentence, engine, iterations=3)
+    header, got = trace_sentence(model, sentence, engine, iterations=3)
+    got = {**header, "steps": list(got)}
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_a_trace_runs_its_engine_once(monkeypatch, engine):
+    """A T = 10 trace makes one engine call of T sweeps, and no other."""
+    model, sentence, _ = _small_model(5, {})
+    calls = []
+    for module, name in ((mf, "mf_run"), (lbp, "lbp_run")):
+        def counting(pot, iterations=3, *args, _run=getattr(module, name), _name=name,
+                     **kwargs):
+            calls.append((_name, iterations))
+            return _run(pot, iterations, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    header, steps = trace_sentence(model, sentence, engine, iterations=10)
+    assert len(list(steps)) == 11 and header["iterations"] == 10
+    assert calls == [(f"{engine}_run", 10)]
 
 
 # ------------------------------------------------- forward-only entry points
@@ -487,7 +510,6 @@ def _tensors(state, scores):
     """Every tensor of a parse's inference state and scores."""
     pot = state.pot
     yield from state.logits
-    yield from state.messages.values()
     yield pot.edge_scores
     yield from getattr(pot, "scores", {}).values()
     yield scores.edge_scores
@@ -506,8 +528,6 @@ def test_parse_sentence_is_bitwise_a_taped_run_and_returns_no_gradient(engine):
     assert taped.logits[-1].requires_grad
     assert len(state.logits) == len(taped.logits) == 4
     assert all(_same_bits(got.data, want.data) for got, want in zip(state.logits, taped.logits))
-    assert state.messages.keys() == taped.messages.keys()
-    assert all(_same_bits(state.messages[k].data, m.data) for k, m in taped.messages.items())
     assert _same_bits(state.q1(), taped.q1())
     heads, deps = kept_edges(pot.edge_set, taped.q1(), 0.5)
     assert len(heads)
@@ -551,20 +571,21 @@ def test_lbp_run_under_no_grad_keeps_no_logistics(monkeypatch):
         return out
 
     monkeypatch.setattr(lbp, "message_kernel", recording)
-    taped = lbp_run(pot, iterations=3)
+    taped_sweeps, sweeps = [], []
+    taped = lbp_run(pot, iterations=3, on_sweep=taped_sweeps.append)
     assert taped.logits[-1].requires_grad
     # the node keeps logistic(c) of each message
     assert len(logistics) == 12 and all(kept is not None for kept, _ in logistics)
     logistics.clear()
     with ad.no_grad():
-        state = lbp_run(pot, iterations=3)
+        state = lbp_run(pot, iterations=3, on_sweep=sweeps.append)
     assert logistics == [(None, None)] * 12
     # iterate 0 is the caller's edge scores; every later grid is a constant
     assert state.logits[0] is pot.edge_scores
-    tensors = state.logits[1:] + list(state.messages.values())
-    assert not any(t.requires_grad or t._parents for t in tensors)
+    assert not any(t.requires_grad or t._parents for t in state.logits[1:])
     assert all(_same_bits(got.data, want.data) for got, want in zip(state.logits, taped.logits))
-    assert all(_same_bits(state.messages[k].data, m.data) for k, m in taped.messages.items())
+    for got, want in zip(sweeps, taped_sweeps, strict=True):
+        _assert_messages_equal(got, want)
 
 
 def _declared_bytes_per_cell(iterations):

