@@ -27,12 +27,12 @@ so no array but that leaf's own gradient ever changes.
 The op set is what the parser needs: elementwise arithmetic with
 broadcasting, a 2-D matmul and ``linear`` (x @ W^T, whose W gradient is
 fresh), the 2-D transpose, gathers (take), reductions, stable
-nonlinearities, and two fused nodes: ``lstm``, a whole LSTM direction (no
-per-token tape entries), and ``prefix_trilinear``, the running-sum term
-of the factored mean-field field. A module that builds its own node
-(``lbp.lbp_run``'s unrolled sweeps, ``potentials``' part scores) wraps
-its arrays in a ``Tensor`` with parents and a vjp; this module imports
-no other module of the package.
+nonlinearities, and two fused nodes: ``bilstm``, a whole bidirectional
+LSTM layer (no per-token tape entries), and ``prefix_trilinear``, the
+running-sum term of the factored mean-field field. A module that builds
+its own node (``lbp.lbp_run``'s unrolled sweeps, ``potentials``' part
+scores) wraps its arrays in a ``Tensor`` with parents and a vjp; this
+module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
     "Tensor", "constant", "parameter", "backward", "no_grad", "records",
     "add", "sub", "mul", "neg", "matmul", "linear", "transpose",
     "reshape", "concat", "take", "tensor_sum", "prefix_trilinear",
-    "sigmoid", "softplus", "leaky_relu", "lstm", "logsumexp", "clamp",
+    "sigmoid", "softplus", "leaky_relu", "bilstm", "logsumexp", "clamp",
 ]
 
 
@@ -195,6 +195,9 @@ def backward(output, seed):
         # only now: the ownership test above compares with node.grad
         if node is not output:
             node.grad = None
+        # a gradient added into its parent's is dead: not held while the
+        # next node's vjp runs
+        pgrads = pgrad = None
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -343,11 +346,11 @@ def _accumulate(x, reverse=False):
 
 # ------------------------------------------------------------- nonlinearities
 
-def _expit(x):
+def _expit(x, out=None):
     """Logistic function: 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)
-    below, so no exponent overflows."""
+    below, so no exponent overflows; into ``out`` when given."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def sigmoid(a):
@@ -374,62 +377,111 @@ def _softplus_and_logistic(x):
     return soft, logistic
 
 
-def lstm(x, Wx, Wh, b, recur_mask=None):
-    """One LSTM direction over the rows of ``x`` (T, in), as one tape node.
+def bilstm(x, fw, bw, recur_masks=None):
+    """One bidirectional LSTM layer over the rows of ``x`` (T, in): H
+    (T, 2h), the forward direction's states then the backward direction's,
+    each row at its position.
 
-    Gates are stacked i, f, g, o in the 4h rows of ``Wx`` (4h, in), ``Wh``
-    (4h, h) and ``b`` (4h,); h_0 = c_0 = 0, and ``recur_mask`` (an (h,)
-    array), when given, scales h_{t-1} before it enters ``Wh``. The input
-    projection of every row is one matrix product; only the recurrence
-    loops. Returns H (T, h). The backward loop fills the (T, 4h) gate
-    gradients, after which every parameter gradient is one product.
+    ``fw`` and ``bw`` are each direction's (Wx, Wh, b) tensors, gates
+    stacked i, f, g, o in the 4h rows of Wx (4h, in), Wh (4h, h) and b
+    (4h,); the backward direction runs over the rows reversed. h_0 = c_0 =
+    0, and ``recur_masks`` (two (h,) arrays, forward then backward), when
+    given, scales h_{t-1} before it enters Wh. The tape holds three nodes:
+    each direction's input projection of every row, one matrix product
+    (``_projection``), and the recurrence, whose one loop steps both
+    directions over stacked (2, .) arrays, each with its own recurrent
+    product. Its backward loop fills the (2, T, 4h) gate gradients, after
+    which every parameter gradient is one product; each projection takes
+    its Wx and b gradients in its own node, so no more than one
+    direction's input weights' gradients are held at a time. Every value
+    is bitwise that of two one-direction nodes joined by row reversals
+    and a concat.
     """
-    xd, Wxd, Whd = x.data, Wx.data, Wh.data
-    T, h = xd.shape[0], Whd.shape[1]
-    pre = xd @ Wxd.T + b.data
+    T, h = x.data.shape[0], fw[1].data.shape[1]
+    projected = [_projection(x, Wx, b, reverse) for (Wx, _, b), reverse in ((fw, False),
+                                                                            (bw, True))]
+    pre = np.stack([p.data for p in projected])
+    Wh = [fw[1].data, bw[1].data]
+    mask = None if recur_masks is None else np.stack(recur_masks)
     acts = np.empty_like(pre)           # sigmoid(i, f, o) and tanh(g)
-    cells = np.empty((T, h))
-    tanh_c = np.empty((T, h))
-    H = np.empty((T, h))
-    H_in = np.zeros((T, h))             # h_{t-1}, masked, as fed to Wh
-    c = np.zeros(h)
+    cells = np.empty((2, T, h))
+    tanh_c = np.empty((2, T, h))
+    H = np.empty((2, T, h))
+    H_in = np.zeros((2, T, h))          # h_{t-1}, masked, as fed to Wh
+    c = np.zeros((2, h))
 
-    def gates(row):
-        return row[:h], row[h:2 * h], row[2 * h:3 * h], row[3 * h:]
+    def gates(block):
+        return block[..., :h], block[..., h:2 * h], block[..., 2 * h:3 * h], block[..., 3 * h:]
 
     for t in range(T):
         if t:
-            H_in[t] = H[t - 1] * recur_mask if recur_mask is not None else H[t - 1]
-        z = pre[t] + Whd @ H_in[t]
-        acts[t] = _expit(z)
-        acts[t, 2 * h:3 * h] = np.tanh(z[2 * h:3 * h])
-        i, f, g, o = gates(acts[t])
-        c = f * c + i * g
-        cells[t] = c
-        tanh_c[t] = np.tanh(c)
-        H[t] = o * tanh_c[t]
+            if mask is None:
+                H_in[:, t] = H[:, t - 1]
+            else:
+                np.multiply(H[:, t - 1], mask, out=H_in[:, t])
+        z = np.empty((2, 4 * h))
+        for d in (0, 1):
+            np.dot(Wh[d], H_in[d, t], out=z[d])
+        z += pre[:, t]
+        _expit(z, out=acts[:, t])
+        np.tanh(z[:, 2 * h:3 * h], out=acts[:, t, 2 * h:3 * h])
+        i, f, g, o = gates(acts[:, t])
+        c = np.multiply(f, c, out=cells[:, t])
+        c += i * g
+        np.tanh(c, out=tanh_c[:, t])
+        np.multiply(o, tanh_c[:, t], out=H[:, t])
+    out = np.concatenate([H[0], H[1, ::-1]], axis=1)
 
-    def vjp(gH):
+    def vjp(gout):
+        # the backward direction's gradient in its own row order, as the
+        # scatter of a row reversal leaves it: 0 + g
+        gH = np.stack([gout[:, :h], np.add(gout[::-1, h:], 0.0)])
         dG = np.empty_like(acts)
-        dh_rec = np.zeros(h)
-        dc = np.zeros(h)
+        # the factors that do not depend on the recurrence, for every step
+        # at once: 1 - i, 1 - f and 1 - o, 1 - g^2 and 1 - tanh(c)^2
+        one_i, one_f, _, one_o = gates(1.0 - acts)
+        g_all = gates(acts)[2]
+        one_g2 = 1.0 - g_all * g_all
+        one_c2 = 1.0 - tanh_c * tanh_c
+        dh_rec = np.zeros((2, h))
+        dc = np.zeros((2, h))
         for t in range(T - 1, -1, -1):
-            i, f, g, o = gates(acts[t])
-            di, df, dg, do = gates(dG[t])
-            dh = gH[t] + dh_rec
-            dc = dh * o * (1.0 - tanh_c[t] * tanh_c[t]) + dc
-            di[:] = dc * g * i * (1.0 - i)
-            df[:] = dc * (cells[t - 1] if t else 0.0) * f * (1.0 - f)
-            dg[:] = dc * i * (1.0 - g * g)
-            do[:] = dh * tanh_c[t] * o * (1.0 - o)
+            i, f, g, o = gates(acts[:, t])
+            di, df, dg, do = gates(dG[:, t])
+            dh = gH[:, t] + dh_rec
+            dc = dh * o * one_c2[:, t] + dc
+            np.multiply(dc * g * i, one_i[:, t], out=di)
+            np.multiply(dc * (cells[:, t - 1] if t else 0.0) * f, one_f[:, t], out=df)
+            np.multiply(dc * i, one_g2[:, t], out=dg)
+            np.multiply(dh * tanh_c[:, t] * o, one_o[:, t], out=do)
             dc = dc * f
-            dh_rec = dG[t] @ Whd
-            if recur_mask is not None:
-                dh_rec *= recur_mask
-        dx = dG @ Wxd if x.requires_grad else None
-        return dx, dG.T @ xd, dG.T @ H_in, dG.sum(axis=0)
+            dh_rec = np.empty((2, h))
+            for d in (0, 1):
+                np.dot(dG[d, t], Wh[d], out=dh_rec[d])
+            if mask is not None:
+                dh_rec *= mask
+        return dG[0], dG[1], dG[0].T @ H_in[0], dG[1].T @ H_in[1]
 
-    return _op(H, (x, Wx, Wh, b), vjp)
+    return _op(out, (*projected, fw[1], bw[1]), vjp)
+
+
+def _projection(x, Wx, b, reverse):
+    """The gate pre-activations rows @ Wx^T + b of one LSTM direction, as
+    one node; ``reverse``: over the rows of ``x`` reversed, with the
+    gradient given back to them as the scatter of a row reversal leaves
+    it (0 + g)."""
+    rows = x.data[::-1].copy() if reverse else x.data
+    Wxd = Wx.data
+
+    def vjp(g):
+        dx = None
+        if x.requires_grad:
+            dx = g @ Wxd
+            if reverse:
+                dx = np.add(dx[::-1], 0.0)
+        return dx, g.T @ rows, g.sum(axis=0)
+
+    return _op(rows @ Wxd.T + b.data, (x, Wx, b), vjp)
 
 
 def leaky_relu(a, slope=0.1):

@@ -163,22 +163,50 @@ def cmd_trace(args):
     engine = args.engine or cfg.inference
     iterations = cfg.iterations if args.iterations is None else args.iterations
     header, steps = trace_sentence(model, sentence, engine, iterations, cfg.logit_clamp)
-    encoder = json.JSONEncoder(sort_keys=True, indent=2)
     with _writing(args.out or "standard output"), (
             open(args.out, "w", encoding="utf-8") if args.out
             else contextlib.nullcontext(sys.stdout)) as fh:
-        # json.dumps' text of the whole trace, a step at a time and each step
-        # chunk by chunk: "steps" sorts after every header key, and a JSON string
-        # holds no raw newline, so every newline in a chunk starts a step's line
-        fh.write(encoder.encode(header)[:-2] + ',\n  "steps": [')
+        # json.dumps' text of the whole trace, a step at a time: "steps" sorts
+        # after every header key
+        fh.write(json.dumps(header, sort_keys=True, indent=2)[:-2] + ',\n  "steps": [')
+        key = "value" if engine == "mf" else "log_odds"
         separator = "\n    "
         for step in steps:  # no enumerate: its cached tuple would keep a step alive
             fh.write(separator)
-            fh.writelines(chunk.replace("\n", "\n    ") for chunk in encoder.iterencode(step))
+            _write_step(fh, step, key)
             separator = ",\n    "
             del step
         fh.write("\n  ]\n}\n")
     return 0
+
+
+# A trace step as json.dumps(..., sort_keys=True, indent=2) lays it out in
+# the top-level "steps" list. Every string of a step is ASCII built from
+# indices, so none needs escaping, and json writes a float as its repr, so
+# a fixed template per message row gives the same text: its keys in sorted
+# order, the value's key ("log_odds" for loopy BP, "value" for mean-field)
+# in its place among them.
+_ROW_HEAD = '\n        {\n          "dst": "%s",\n'
+_ROW_PART = ('          "part": [\n            %d,\n            %d,\n            %d\n'
+             '          ],\n          "src": "%s",\n          "type": "%s"')
+_ROW = {"log_odds": _ROW_HEAD + '          "log_odds": %r,\n' + _ROW_PART + "\n        }",
+        "value": _ROW_HEAD + _ROW_PART + ',\n          "value": %r\n        }'}
+# rows formatted and written at a time, so a step's text is never held whole
+_ROW_BLOCK = 2048
+
+
+def _write_step(fh, step, key):
+    """Write one trace step's text; ``key`` is its rows' value key."""
+    rows, template = step["messages"], _ROW[key]
+    fh.write('{\n      "iteration": %d,\n      "messages": [' % step["iteration"])
+    for start in range(0, len(rows), _ROW_BLOCK):
+        fh.write(("," if start else "") + ",".join(
+            template % ((r["dst"], r[key], *r["part"], r["src"], r["type"]) if key == "log_odds"
+                        else (r["dst"], *r["part"], r["src"], r["type"], r[key]))
+            for r in rows[start:start + _ROW_BLOCK]))
+    q = ",".join('\n        "%s": %r' % item for item in sorted(step["q"].items()))
+    fh.write('%s],\n      "q": {%s}\n    }' % ("\n      " if rows else "",
+                                               q + "\n      " if q else ""))
 
 
 def cmd_oracle_compare(args):

@@ -174,8 +174,13 @@ def part_mask(n, kind):
     """Read-only boolean (n+1)^3 mask of a part type's stored triples
     (sib (i, j, k), cop (i, k, j), gp (i, j, k)) for a length-n sentence."""
     a, b, c = np.ogrid[:n + 1, :n + 1, :n + 1]
-    geometry = {"sib": (b >= 1) & (b < c), "cop": (a < b) & (c >= 1), "gp": (b >= 1) & (c >= 1)}
-    return _read_only(geometry[kind] & (a != b) & (b != c) & (a != c))
+    if kind == "sib":
+        geometry = (b >= 1) & (b < c)
+    elif kind == "cop":
+        geometry = (a < b) & (c >= 1)
+    else:
+        geometry = (b >= 1) & (c >= 1)
+    return _read_only(geometry & (a != b) & (b != c) & (a != c))
 
 
 def kept_edges(edge_set, marginals, threshold):

@@ -59,7 +59,30 @@ message that read it as its reverse) is written into that cavity
 gradient's buffer, and each part type's score gradient is summed in
 place. When the node would not be recorded (``autodiff.records``: under
 ``autodiff.no_grad``, or when no input requires gradients) no logistic
-is kept, and the last grid is a constant too.
+is kept, the message is computed in its cavity's buffer, and the last
+grid is a constant too.
+
+Layout and buffers. Every arithmetic pass over (n+1)^3 arrays runs on
+C-ordered operands: a pass over arrays of different memory orders
+strides through one of them, at two to three times the cost, so a
+change of layout is one explicit copy. A sib or cop message reads its
+reverse through a transposed view, so its cavity copies that view into
+C order first; its kept logistic(c) and the message are C-ordered. Each
+message of the previous sweep is released once the message that reads
+it as its reverse has run, and without ``on_sweep`` the last sweep's
+messages live only until they are summed. The backward takes every
+(n+1)^3 buffer from the ones it has freed before it allocates one. It
+keeps each cavity gradient in the layout whose aligned view is
+C-ordered (a copy for sib and cop), so the next sweep's message
+computes its own gradient in that buffer in place. A layout changes one
+thing, the order in which an axis sum adds: numpy adds pairwise along
+the innermost axis of memory and in index order along any other. The
+order of each cavity gradient's sum over its source axis is fixed by
+the node's reference form (``tests/lbp_reference.py``): pairwise on
+every second sweep from the last, in index order on the others. Each is
+summed from an array laid out so, a copy where its own layout is not,
+and every gradient is bitwise the reference's.
+
 The state (``potentials.InferenceState``) keeps the grid l of each
 iteration and reads the edges' beliefs from l through the edge mask:
 b1 = exp(-softplus(-l)) is the logistic of l. The message arithmetic
@@ -74,9 +97,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import _softplus_and_logistic
 from .errors import ConfigError
-from .potentials import MESSAGES, InferenceState, aligned
+from .potentials import _MIRROR, MESSAGES, InferenceState, aligned
 
 __all__ = ["lbp_run"]
+
+
+# a grid indexed with a unit axis at position 0, 1 or 2 (a view)
+_UNIT = ((None,), (slice(None), None), (slice(None), slice(None), None))
 
 
 def lbp_run(pot, iterations=3, on_sweep=None):
@@ -96,24 +123,30 @@ def lbp_run(pot, iterations=3, on_sweep=None):
     keep = ad.records(parents)
     logistics = []      # per sweep, name -> (logistic(c), guarded cells) if kept
     grid, previous = pot.edge_scores.data, {}
-    for _ in range(iterations):
-        messages, sweep = {}, {}
+    for sweep_index in range(iterations):
+        # the last sweep's messages are read only by its sums, and the hook
+        messages = {} if on_sweep is not None or sweep_index < iterations - 1 else None
+        sweep = {}
         total = pot.edge_scores.data
         for name in names:
             kind, source, target, reverse = MESSAGES[name]
             message, logistic, guarded = message_kernel(
-                np.expand_dims(grid, source),
-                aligned(previous[reverse], kind) if previous else None,
+                grid[_UNIT[source]], aligned(previous[reverse], kind) if previous else None,
                 scores[kind], shifts[kind], keep)
-            messages[name] = message
+            # each message is read as a reverse once: release it
+            previous.pop(reverse, None)
+            if messages is not None:
+                messages[name] = message
             if keep:
                 sweep[name] = logistic, guarded
             total = total + message.sum(axis=target)
+            del message
         logistics.append(sweep)
         state.logits.append(ad.constant(total))
         if on_sweep is not None:
             on_sweep(messages)
-        grid, previous = total, messages
+        # a copy, so that releasing its arrays leaves the hook's dict whole
+        grid, previous = total, {} if messages is None else dict(messages)
     if keep:
         state.logits[-1] = ad.Tensor(total, requires_grad=True, _parents=parents,
                                      _vjp=_unrolled_vjp(names, logistics, shifts))
@@ -125,42 +158,83 @@ def _unrolled_vjp(names, logistics, shifts):
     (edge-score gradient, one gradient per score tensor in ``shifts``
     order). Each message's logistic(c + s) is rebuilt from its kept
     logistic(c) and its type's expm1(s) in the buffer that becomes its
-    score gradient. It writes only into arrays it allocates."""
+    score gradient. It writes only into arrays it allocates, and takes
+    every (n+1)^3 buffer from the ones it has freed before it allocates
+    one."""
     expm1 = {kind: shift[0] for kind, shift in shifts.items()}
 
     def vjp(g):
-        grid_grad, edge_grad, score_grads, carry, scratch = g, g, {}, {}, None
-        for sweep in reversed(logistics):
+        grid_grad, edge_grad, score_grads, carry, spare = g, g, {}, {}, []
+
+        def buffer():
+            return spare.pop() if spare else np.empty(g.shape[:1] * 3)
+
+        def free(array):
+            spare.append(array if array.base is None else array.base)
+
+        for position, sweep in enumerate(reversed(logistics), 1):
             source_grad, cavity_grads = 0.0, {}
+            last = position == len(logistics)
             for name in names:
                 kind, source, target, reverse = MESSAGES[name]
                 logistic, guarded = sweep[name]
-                incoming = np.expand_dims(grid_grad, target)
+                incoming = grid_grad[_UNIT[target]]
+                work = buffer()
+                ds = shifted_logistic(logistic, expm1[kind], guarded, out=buffer(), work=work)
+                free(work)
                 if carry:
                     # less the aligned cavity gradient of the next sweep's
                     # message that read this one as its reverse, in its buffer
                     grad = aligned(carry.pop(reverse), kind)
                     np.subtract(incoming, grad, out=grad)
+                    ds *= grad
+                    grad *= logistic
                 else:
-                    grad = np.array(np.broadcast_to(incoming, expm1[kind].shape))
-                ds = shifted_logistic(logistic, expm1[kind], guarded, out=scratch)
-                ds *= grad
-                grad *= logistic
+                    ds *= incoming
+                    grad = np.multiply(logistic, incoming, out=buffer())
                 # d/dc = d/ds - grad * logistic(c), written over the gradient
                 np.subtract(ds, grad, out=grad)
                 if kind in score_grads:
                     score_grads[kind] += ds
-                    scratch = ds
+                    free(ds)
                 else:
-                    score_grads[kind], scratch = ds, None
-                cavity_grads[name] = grad
-                source_grad = source_grad + grad.sum(axis=source)
+                    score_grads[kind] = ds
+                # kept for the message that reads this one as its reverse in
+                # the layout whose aligned view is C-ordered
+                kept = None if last else grad if kind not in _MIRROR else _copy(
+                    grad, aligned(buffer(), kind))
+                summed = next((a for a in (grad, kept) if a is not None
+                               and _adds_in_order(a, source, position)), None)
+                if summed is None:
+                    summed = _copy(grad, np.moveaxis(
+                        buffer(), 2, source if position % 2 == 0 else target))
+                source_grad = source_grad + summed.sum(axis=source)
+                if summed is not grad and summed is not kept:
+                    free(summed)
+                if grad is not kept:
+                    free(grad)
+                if kept is not None:
+                    cavity_grads[name] = kept
             # every grid is the edge scores plus its sweep's messages
             edge_grad = edge_grad + source_grad
             grid_grad, carry = source_grad, cavity_grads
         return (edge_grad,) + tuple(score_grads[kind] for kind in expm1)
 
     return vjp
+
+
+def _copy(array, out):
+    np.copyto(out, array)
+    return out
+
+
+def _adds_in_order(array, source, position):
+    """Whether ``array``'s sum over the source axis adds in the order the
+    reference form fixes at ``position`` (1 for the last sweep; module
+    docstring): pairwise, which numpy does along the innermost axis of
+    memory, on every second sweep from the last, and in index order,
+    which it does along any other axis, on the others."""
+    return (int(np.argmin(array.strides)) == source) == (position % 2 == 0)
 
 
 def _two_softplus(c, s):
@@ -183,9 +257,9 @@ def message_shift(s):
     of cells where |s| > SHIFT_BOUND, or None when there is none). The
     scores are fixed for a sentence, so every message through them, in
     both directions and every sweep, shares one shift."""
-    wide = np.abs(s) > SHIFT_BOUND
-    if not wide.any():
+    if not (s.max() > SHIFT_BOUND or s.min() < -SHIFT_BOUND):
         return np.expm1(s), None
+    wide = np.abs(s) > SHIFT_BOUND
     return np.expm1(np.where(wide, 0.0, s)), wide
 
 
@@ -200,26 +274,40 @@ def message_kernel(source, reverse, s, shift, keep=False):
     logistic(c), expm1(s) and ``guarded``, with no exponential, so a
     backward pass that keeps logistic(c) computes none. Unless ``keep``,
     logistic(c) and ``guarded`` are None. logistic(c) has the cavity's
-    broadcast shape when no cell is guarded, the message's otherwise.
-    ``guarded`` holds the flat indices, in the message, of the cells that
-    take the two-softplus form (module docstring) and their logistic(c + s)
-    from that form, or is None when no cell is guarded.
+    broadcast shape when no cell is guarded, the message's otherwise; the
+    message and logistic(c) are C-ordered whatever the layout of
+    ``reverse``. ``guarded`` holds the flat indices, in the message, of
+    the cells that take the two-softplus form (module docstring) and
+    their logistic(c + s) from that form, or is None when no cell is
+    guarded.
     """
     expm1_s, wide = shift
     # -c, then e^-c and the logistic of c, in the cavity's one buffer
-    logistic = np.negative(source) if reverse is None else np.subtract(reverse, source)
+    if reverse is None:
+        logistic = np.negative(source)
+    elif reverse.flags.c_contiguous:
+        logistic = np.subtract(reverse, source)
+    else:
+        # a transposed view (sib, cop): copied into C order first
+        logistic = np.array(reverse, order="C")
+        logistic -= source
     with np.errstate(over="ignore"):
         np.exp(logistic, out=logistic)
     logistic += 1.0
     np.reciprocal(logistic, out=logistic)
-    scaled = np.multiply(logistic, expm1_s)
-    out = np.log1p(scaled)
-    guard = scaled < -0.5
-    if wide is not None:
-        guard |= wide
-    del scaled
+    # P = logistic(c) * E, then log1p(P) over it: the message
+    reuse = not keep and logistic.shape == s.shape
+    out = np.multiply(logistic, expm1_s, out=logistic if reuse else None)
+    # a cell is guarded where P < -1/2 (never when the least P is not
+    # below it; NaN builds the mask) or |s| > SHIFT_BOUND
+    guard = None
+    if wide is not None or not out.min() >= -0.5:
+        guard = out < -0.5
+        if wide is not None:
+            guard |= wide
+    np.log1p(out, out=out)
     guarded = None
-    if guard.any():
+    if guard is not None and guard.any():
         flat = np.flatnonzero(guard)
         cells = np.unravel_index(flat, out.shape)
         c = np.broadcast_to(source, out.shape)[cells]
@@ -228,20 +316,21 @@ def message_kernel(source, reverse, s, shift, keep=False):
         out[cells], guarded_logistic, guarded_shifted = _two_softplus(c, s[cells])
         if keep:
             if logistic.shape != out.shape:
-                logistic = np.array(np.broadcast_to(logistic, out.shape))
+                logistic = np.array(np.broadcast_to(logistic, out.shape), order="C")
             logistic[cells] = guarded_logistic
             guarded = flat, guarded_shifted
     return out, (logistic if keep else None), guarded
 
 
-def shifted_logistic(logistic, expm1_s, guarded, out=None):
+def shifted_logistic(logistic, expm1_s, guarded, out=None, work=None):
     """logistic(c + s) of every cell of a message, from what
     ``message_kernel(..., keep=True)`` returned and E = expm1(s), with no
     exponential: (logistic(c) + P) / (1 + P) with P = logistic(c) E, by
     the kernel's own operations, then the guarded cells written over.
-    ``out`` (the message's shape) receives it when given."""
+    ``out`` (the message's shape) receives it, and ``work`` (the same
+    shape) holds 1 + P, when given."""
     shifted = np.multiply(logistic, expm1_s, out=out)
-    scaled = shifted + 1.0
+    scaled = np.add(shifted, 1.0, out=work)
     shifted += logistic
     shifted /= scaled
     if guarded is not None:

@@ -7,10 +7,11 @@ Pipeline for one sentence (root node included as position 0):
     r_0..r_n = BiLSTM(o_0..o_n)                  (identity when layers=0)
     role vectors = single-layer FNNs over r_i, leaky-ReLU activation
 
-Each direction of each BiLSTM layer is one ``autodiff.lstm`` node: the
-input projection of all positions is one matrix product, and the
-backward pass forms every weight gradient with one product, so the tape
-holds no per-token entries.
+Each BiLSTM layer is ``autodiff.bilstm``, whose recurrence node steps
+both directions in one loop: each direction's input projection of all
+positions is one matrix product, and the backward pass forms every
+weight gradient with one product, so the tape holds no per-token
+entries.
 
 Edge existence scores use a full bilinear form with the dependent's
 vector first,
@@ -303,33 +304,28 @@ class ParserModel:
             channels.append(proj)
         return ad.concat(channels, axis=1)
 
-    def _lstm(self, prefix, rows, recur_mask):
-        p = self.params
-        return ad.lstm(rows, p[f"{prefix}_Wx"], p[f"{prefix}_Wh"], p[f"{prefix}_b"], recur_mask)
-
     def encode(self, inputs, rng=None):
         """Bidirectional LSTM over positions 0..n; identity when layers=0.
 
-        Each direction of each layer is one ``autodiff.lstm`` node; the
-        backward direction runs over the rows reversed by ``take``. Given
-        ``rng``, dropout masks are drawn from it per layer in the order:
-        feed-forward mask over the inputs, forward recurrent mask,
+        Each layer is ``autodiff.bilstm``, which steps both directions in
+        one loop; the backward direction runs over the rows reversed.
+        Given ``rng``, dropout masks are drawn from it per layer in the
+        order: feed-forward mask over the inputs, forward recurrent mask,
         backward recurrent mask.
         """
-        cfg = self.config
+        cfg, p = self.config, self.params
         current = inputs
-        reverse = np.arange(inputs.shape[0])[::-1]
         for layer in range(cfg.encoder_layers):
             if rng is not None:
                 current = _dropout(current, cfg.dropout_lstm_ff, rng)
-            fw_mask = bw_mask = None
+            masks = None
             if rng is not None and cfg.dropout_lstm_recur > 0.0:
-                p = cfg.dropout_lstm_recur
-                fw_mask, bw_mask = ((rng.random(cfg.encoder_hidden) >= p) / (1.0 - p)
-                                    for _ in range(2))
-            fw = self._lstm(f"lstm{layer}_fw", current, fw_mask)
-            bw = self._lstm(f"lstm{layer}_bw", ad.take(current, reverse), bw_mask)
-            current = ad.concat([fw, ad.take(bw, reverse)], axis=1)
+                drop = cfg.dropout_lstm_recur
+                masks = [(rng.random(cfg.encoder_hidden) >= drop) / (1.0 - drop)
+                         for _ in range(2)]
+            fw, bw = ([p[f"lstm{layer}_{direction}_{name}"] for name in ("Wx", "Wh", "b")]
+                      for direction in ("fw", "bw"))
+            current = ad.bilstm(current, fw, bw, masks)
         return current
 
     def project_roles(self, context, rng=None):

@@ -34,10 +34,11 @@ __all__ = ["run_inference", "parse_sentence", "trace_sentence", "PAIR_LENGTH_CAP
 # had at n = 90. Each taped sweep keeps four float64 logistics per cell, so
 # the declared bytes per (n+1)^3 cell are a fixed part plus a per-sweep
 # part, T < 3 counted as 3. Traced peaks per cell (n = 30, two sentences in
-# one step; they fall with n) are 185, 250, 346 and 474 bytes at T = 1, 3,
+# one step; they fall with n) are 144, 239, 335 and 463 bytes at T = 1, 3,
 # 6 and 10, against 300, 300, 408 and 552 declared: at T <= 3, n = 154
-# (3.72M cells) peaks below 1.04 GiB. A parse records no tape and peaks at
-# 134-138 bytes for T = 3-30 (n = 45), so it keeps the T = 3 cap at any T.
+# (3.72M cells) peaks below 1.04 GiB. A parse records no tape, releases each
+# message once it is read, and peaks at 93-98 bytes for T = 3-30 (n = 45),
+# so it keeps the T = 3 cap at any T.
 # Mean-field is O(n^2) and uncapped.
 PAIR_MEMORY_BUDGET = 1.05 * 2**30
 PAIR_BYTES_FIXED = 192

@@ -148,15 +148,19 @@ def _part_scores(kind, g1, g2, g3, mask):
     (a, b) and third node c is one (N^2, d) @ (d, N) product of the pair
     factor g1[a] * g2[b] with g3. It is brought into the message layout
     (cop: T[i,j,k] to [i,k,j]) and multiplied by the part ``mask``, and a
-    symmetric type adds its mirror image. The node keeps only the pair
-    factor besides its output; the backward takes the same operations in
-    the same order as the chain of elementwise, matmul and transpose nodes
-    it stands for, so every gradient is bitwise that chain's.
+    symmetric type adds its mirror image. The node keeps nothing but its
+    output and its (N, d) factors: the backward recomputes the pair factor
+    by the forward's own operations, and takes the same operations in the
+    same order as the chain of elementwise, matmul and transpose nodes it
+    stands for, so every gradient is bitwise that chain's.
     """
     N, d = g1.shape
     g1d, g2d, g3d = g1.data, g2.data, g3.data
-    pairs = (g1d.reshape(N, 1, d) * g2d.reshape(1, N, d)).reshape(N * N, d)
-    table = (pairs @ g3d.T).reshape(N, N, N)
+
+    def pair_factor():
+        return (g1d.reshape(N, 1, d) * g2d.reshape(1, N, d)).reshape(N * N, d)
+
+    table = (pair_factor() @ g3d.T).reshape(N, N, N)
     s = (table.transpose(0, 2, 1) if kind == "cop" else table) * mask
     del table
     out = s + aligned(s, kind) if kind in _MIRROR else s
@@ -175,7 +179,7 @@ def _part_scores(kind, g1, g2, g3, mask):
         g = g.reshape(N * N, N)
         dpairs = (g @ g3d).reshape(N, N, d)
         return ((dpairs * g2d.reshape(1, N, d)).sum(axis=1),
-                (dpairs * g1d.reshape(N, 1, d)).sum(axis=0), g.T @ pairs)
+                (dpairs * g1d.reshape(N, 1, d)).sum(axis=0), g.T @ pair_factor())
 
     return Tensor(out, requires_grad=True, _parents=parents, _vjp=vjp)
 

@@ -2,8 +2,10 @@
 kept as a reference for it, and the per-part readout of one sweep's
 message tensors that ``trace`` replaced with its own, run-once readout.
 
-Each message update is its own tape node over ``lbp.message_kernel``,
-and each sweep is ``sweep`` below, a pass over ``potentials.MESSAGES``
+Each message update is its own tape node over the message kernel kept in
+``lbp_reference`` (``lbp``'s before it worked in C order and in place),
+so this reference shares no arithmetic with ``lbp``, and each sweep is
+``sweep`` below, a pass over ``potentials.MESSAGES``
 (dense mean-field runs the same pass in ``mf._dense_field``): the source
 grid reshaped to a unit axis, the reverse tensor aligned by a transpose
 node (``transpose_node``, which permutes any axes; ``autodiff.transpose``
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import lbp_reference
 import sdparse.autodiff as ad
 from sdparse import lbp, mf
 from sdparse.potentials import _MIRROR, FORWARD, MESSAGES, InferenceState, aligned
@@ -38,16 +41,16 @@ def aligned_tensor(tensor, kind):
 def cavity_message(source, reverse, s, shift):
     """The message softplus(c + s) - softplus(c) of the cavity
     c = source - reverse (``reverse`` None: c = source) as one node;
-    ``shift`` is ``lbp.message_shift(s.data)``. The backward reads
+    ``shift`` is ``message_shift(s.data)``. The backward reads
     the kernel's logistic(c) and rebuilds logistic(c + s):
     d/ds = logistic(c + s) and d/dc = logistic(c + s) - logistic(c) =
     -d/dreverse."""
     parents = (source, s) if reverse is None else (source, s, reverse)
-    out, logistic, guarded = lbp.message_kernel(
+    out, logistic, guarded = lbp_reference.message_kernel(
         source.data, None if reverse is None else reverse.data, s.data, shift, keep=True)
 
     def vjp(g):
-        ds = g * lbp.shifted_logistic(logistic, shift[0], guarded)
+        ds = g * lbp_reference.shifted_logistic(logistic, shift[0], guarded)
         dc = g * logistic
         dc = ds - dc
         dsource = ad._unbroadcast(dc, source.data.shape)
@@ -74,7 +77,7 @@ def sweep(pot, grid, message, total):
 def reference_lbp_run(pot, iterations=3, on_sweep=None):
     """``lbp.lbp_run`` with one node per message and sweep."""
     state = InferenceState(pot, [pot.edge_scores])
-    shifts = {kind: lbp.message_shift(s.data) for kind, s in pot.scores.items()}
+    shifts = {kind: lbp_reference.message_shift(s.data) for kind, s in pot.scores.items()}
     previous = {}
 
     def update(kind, reverse, source):

@@ -13,6 +13,7 @@ import sdparse.autodiff as ad
 from sdparse import lbp
 
 from conftest import numeric_grad
+from autodiff_reference import lstm
 from message_reference import cavity_message, transpose_node
 
 
@@ -400,35 +401,79 @@ def test_cavity_message_matches_finite_differences(rng, broadcast, with_reverse)
         np.testing.assert_allclose(g, want, rtol=1e-7, atol=1e-7)
 
 
+def _lstm_weights(rng, in_dim, h):
+    """(Wx, Wh, b) of one direction, then of the other."""
+    return [w for _ in range(2) for w in (rng.normal(size=(4 * h, in_dim)),
+                                          rng.normal(size=(4 * h, h)), rng.normal(size=(4 * h,)))]
+
+
 @pytest.mark.parametrize("steps", [1, 5])
 @pytest.mark.parametrize("masked", [False, True])
 def test_lstm_matches_finite_differences(rng, steps, masked):
+    """``bilstm``: both directions' weights and the input."""
     in_dim, h = 3, 2
     x = rng.normal(size=(steps, in_dim))
-    Wx = rng.normal(size=(4 * h, in_dim))
-    Wh = rng.normal(size=(4 * h, h))
-    b = rng.normal(size=(4 * h,))
-    mask = np.array([2.0, 0.0]) if masked else None
-    _check(lambda *p: ad.lstm(*p, recur_mask=mask), x, Wx, Wh, b)
+    masks = [np.array([2.0, 0.0]), np.array([0.0, 2.0])] if masked else None
+    _check(lambda x, *p: ad.bilstm(x, p[:3], p[3:], masks), x, *_lstm_weights(rng, in_dim, h))
 
 
 def test_lstm_steps_follow_the_gate_equations(rng):
+    """Each half of ``bilstm``'s output is one LSTM direction's states, the
+    backward one over the rows reversed and returned to their positions."""
     in_dim, h, steps = 3, 2, 4
     x = rng.normal(size=(steps, in_dim))
-    Wx, Wh = rng.normal(size=(4 * h, in_dim)), rng.normal(size=(4 * h, h))
-    b = rng.normal(size=(4 * h,))
-    mask = np.array([0.0, 2.0])
-    out = ad.lstm(*(ad.constant(a) for a in (x, Wx, Wh, b)), recur_mask=mask).data
+    weights = _lstm_weights(rng, in_dim, h)
+    masks = [np.array([0.0, 2.0]), np.array([1.5, 0.5])]
+    out = ad.bilstm(ad.constant(x), [ad.constant(w) for w in weights[:3]],
+                    [ad.constant(w) for w in weights[3:]], masks).data
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    hid, cell = np.zeros(h), np.zeros(h)
-    for t in range(steps):
-        z = Wx @ x[t] + Wh @ (hid * mask) + b
-        cell = sig(z[h:2 * h]) * cell + sig(z[:h]) * np.tanh(z[2 * h:3 * h])
-        hid = sig(z[3 * h:]) * np.tanh(cell)
-        np.testing.assert_allclose(out[t], hid, rtol=1e-13, atol=1e-15)
+    for direction, rows, positions in ((0, x, range(steps)),
+                                       (1, x[::-1], range(steps - 1, -1, -1))):
+        Wx, Wh, b = weights[3 * direction:3 * direction + 3]
+        mask = masks[direction]
+        hid, cell = np.zeros(h), np.zeros(h)
+        for row, t in zip(rows, positions):
+            z = Wx @ row + Wh @ (hid * mask) + b
+            cell = sig(z[h:2 * h]) * cell + sig(z[:h]) * np.tanh(z[2 * h:3 * h])
+            hid = sig(z[3 * h:]) * np.tanh(cell)
+            np.testing.assert_allclose(out[t, direction * h:(direction + 1) * h], hid,
+                                       rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("h", [2, 32])
+def test_bilstm_is_bitwise_two_directions_joined_by_reversals(rng, h, masked):
+    """The fused layer against the composition it replaced: one LSTM node
+    per direction (``autodiff_reference.lstm``), the backward one over
+    the rows reversed by ``take``, joined by a ``take`` and a ``concat``;
+    output and every gradient byte for byte."""
+    steps, in_dim = 9, 5
+    x0 = rng.normal(size=(steps, in_dim))
+    weights0 = _lstm_weights(rng, in_dim, h)
+    masks = [(rng.random(h) >= 0.25) / 0.75 for _ in range(2)] if masked else [None, None]
+    upstream = rng.normal(size=(steps, 2 * h))
+
+    def run(layer):
+        x = ad.parameter(x0)
+        hidden = ad.mul(x, ad.constant(np.ones_like(x0)))  # an interior input, as in the model
+        weights = [ad.parameter(w) for w in weights0]
+        out = layer(hidden, weights)
+        ad.backward(out, upstream)
+        return [out.data, x.grad] + [w.grad for w in weights]
+
+    reverse = np.arange(steps)[::-1]
+
+    def composed(hidden, weights):
+        fw = lstm(hidden, *weights[:3], recur_mask=masks[0])
+        bw = lstm(ad.take(hidden, reverse), *weights[3:], recur_mask=masks[1])
+        return ad.concat([fw, ad.take(bw, reverse)], axis=1)
+
+    got = run(lambda hidden, w: ad.bilstm(hidden, w[:3], w[3:], None if not masked else masks))
+    for a, b in zip(got, run(composed), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_logsumexp_extreme_inputs_match_numpy():

@@ -767,6 +767,24 @@ def test_trace_streams_the_text_of_one_json_document(tmp_path, trained, corpus_p
     assert out.read_text(encoding="utf-8") == want
 
 
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_trace_text_is_json_dumps_past_nine_words(tmp_path, trained, engine):
+    """Edge names with two-digit positions ("0->10" sorts before "0->2")
+    and parts with two-digit indices: the written text is still
+    json.dumps' text of the whole trace."""
+    corpus = tmp_path / "twelve.sdp"
+    write_sdp(toy_corpus(np.random.default_rng(8), size=1, min_len=12, max_len=12), corpus)
+    model, cfg, _ = load_checkpoint(trained / "checkpoint.npz")
+    header, steps = pipeline.trace_sentence(model, parse_sdp(corpus)[0][0], engine, 2,
+                                            cfg.logit_clamp)
+    want = json.dumps({**header, "steps": list(steps)}, sort_keys=True, indent=2) + "\n"
+    out = tmp_path / "trace.json"
+    assert cli.main(["trace", "--checkpoint", str(trained / "checkpoint.npz"), "--input",
+                     str(corpus), "--engine", engine, "--iterations", "2",
+                     "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == want
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("engine", ["mf", "lbp"])
 def test_trace_with_non_finite_output_exits_4(tmp_path, trained, corpus_path, capsys, engine):

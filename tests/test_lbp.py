@@ -24,7 +24,8 @@ from sdparse.lbp import lbp_run
 from sdparse.model import ModelConfig, ParserModel
 from sdparse.pipeline import (PAIR_BYTES_FIXED, PAIR_BYTES_PER_SWEEP, parse_sentence,
                               run_inference, sentence_potentials, trace_sentence)
-from sdparse.potentials import from_arrays
+from sdparse.graph import build_candidate_edges, part_mask
+from sdparse.potentials import _MIRROR, LogPotentials, aligned, from_arrays
 from sdparse.sdp_io import build_vocab
 from sdparse.synthetic import random_potentials, toy_corpus, two_edge_instance
 from sdparse.training import (TrainConfig, combined_loss, edge_loss, label_loss, sentence_loss,
@@ -35,6 +36,7 @@ from conftest import (log_marginals, numeric_grad, pair_arrays, pair_list, pair_
 from message_reference import (directed_messages, last_sweep, message_values, reference_lbp_run,
                                run_with_messages, sweep_values)
 from pair_list_reference import reference_sentence_loss
+import lbp_reference
 
 
 def naive_lbp(pot, iterations):
@@ -411,6 +413,95 @@ def test_unrolled_node_matches_the_per_message_reference_on_guarded_cells(monkey
     assert counts["cancel"] and counts["wide"]
 
 
+# part-score scales: the desk model's initial weights, and a trained
+# model's, which reach both message guards
+SCORE_SCALES = {"desk": 1e-4, "trained": 15.0}
+
+
+def _dense_potentials(n, case, seed):
+    """Leaf LogPotentials of a length-n sentence with every part: edge
+    scores of scale 2, and symmetric part scores at a ``case`` of
+    ``SCORE_SCALES``, or for "wide" trained-scale scores with cells at
+    exactly +-SHIFT_BOUND, just inside and beyond it, or for "nan"
+    desk-scale scores with a NaN edge score, so that every message out of
+    that edge has a NaN cavity."""
+    rng = np.random.default_rng(seed)
+    edge_set = build_candidate_edges(n)
+    grid = np.where(edge_set.mask, rng.normal(scale=2.0, size=edge_set.mask.shape), 0.0)
+    if case == "nan":
+        grid[0, 1] = np.nan
+    masks = {kind: part_mask(n, kind) for kind in ("sib", "cop", "gp")} if n > 1 else {}
+    bound = lbp.SHIFT_BOUND
+    edges = [bound, -bound, np.nextafter(bound, 0.0), -np.nextafter(bound, 0.0), bound + 5.0,
+             -bound - 5.0]
+    scores = {}
+    for kind, mask in masks.items():
+        scale = SCORE_SCALES["desk" if case == "nan" else "trained" if case == "wide" else case]
+        dense = np.where(mask, rng.normal(scale=scale, size=mask.shape), 0.0)
+        if case == "wide":
+            cells = rng.choice(np.flatnonzero(mask), size=min(mask.sum(), 24), replace=False)
+            dense.flat[cells] = np.resize(edges, len(cells))
+        scores[kind] = ad.parameter(dense + aligned(dense, kind) if kind in _MIRROR else dense)
+    return LogPotentials(edge_set, ad.parameter(grid), scores, masks)
+
+
+def _run_bits(run, pot, iterations, upstream):
+    """The bytes of every grid, every sweep's messages and, after a
+    backward pass from the last grid seeded with ``upstream``, the
+    gradient of the edge scores and of each score tensor."""
+    sweeps = []
+    state = run(pot, iterations, on_sweep=sweeps.append)
+    out = [grid.data.tobytes() for grid in state.logits]
+    out += [m.tobytes() for messages in sweeps for m in messages.values()]
+    for tensor in (pot.edge_scores, *pot.scores.values()):
+        tensor.grad = None
+    ad.backward(state.logits[-1], upstream)
+    out += [t.grad.tobytes() for t in (pot.edge_scores, *pot.scores.values())]
+    with ad.no_grad():
+        sweeps.clear()
+        state = run(pot, iterations, on_sweep=sweeps.append)
+    out += [grid.data.tobytes() for grid in state.logits]
+    return out + [m.tobytes() for messages in sweeps for m in messages.values()]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", ["desk", "trained", "wide", "nan"])
+@pytest.mark.parametrize("iterations", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 33])
+def test_lbp_run_is_bitwise_the_kept_reference(monkeypatch, n, iterations, case):
+    """``lbp_run`` against the unrolled node it replaced (``lbp_reference``),
+    taped and forward-only, byte for byte: every grid, the messages handed
+    to ``on_sweep`` and the backward pass. The trained-scale and wide
+    cases reach both guards of the message kernel."""
+    pot = _dense_potentials(n, case, seed=10 * n + iterations)
+    upstream = np.random.default_rng(n).normal(size=pot.edge_scores.shape)
+    counts = _guard_counter(monkeypatch)
+    got = _run_bits(lbp_run, pot, iterations, upstream)
+    want = _run_bits(lbp_reference.lbp_run, pot, iterations, upstream)
+    assert len(got) == len(want)
+    assert all(a == b for a, b in zip(got, want))
+    if case in ("trained", "wide") and n > 2:
+        assert counts["cancel"] and counts["wide"]
+
+
+def test_kept_logistics_and_hook_messages_are_c_contiguous(monkeypatch):
+    """Every logistic(c) the unrolled node keeps for its backward, and every
+    message it hands to ``on_sweep``, is C-ordered, also for sib and cop,
+    whose reverse messages are read through a transposed view."""
+    kernel, kept = lbp.message_kernel, []
+
+    def recording(*args):
+        out = kernel(*args)
+        kept.append(out[1])
+        return out
+
+    monkeypatch.setattr(lbp, "message_kernel", recording)
+    sweeps = []
+    lbp_run(_dense_potentials(6, "trained", seed=1), 3, on_sweep=sweeps.append)
+    assert len(kept) == 12 and all(logistic.flags.c_contiguous for logistic in kept)
+    assert all(m.flags.c_contiguous for messages in sweeps for m in messages.values())
+
+
 def test_backward_twice_gives_equal_gradients():
     """The node's backward writes into no array it keeps, so a second
     sweep over the same loss repeats the first bit for bit."""
@@ -616,8 +707,8 @@ def test_one_training_step_peaks_below_the_declared_bytes_per_cell():
 def test_a_training_batch_peaks_below_the_declared_bytes_per_cell():
     """``train`` on two n = 30 sentences in one batch (desk dims): the
     sentence past the first starts its forward with no tape held, so the
-    step peaks near 250 bytes per (n+1)^3 cell at T = 3, and each further
-    sweep keeps four more float64 logistics (346 bytes at T = 6)."""
+    step peaks near 239 bytes per (n+1)^3 cell at T = 3, and each further
+    sweep keeps four more float64 logistics (335 bytes at T = 6)."""
     n = 30
     data = toy_corpus(np.random.default_rng(3), size=2, min_len=n, max_len=n)
     for iterations in (3, 6):
@@ -639,8 +730,8 @@ def test_a_training_batch_peaks_below_the_declared_bytes_per_cell():
 
 def test_one_lbp_parse_peaks_below_200_bytes_per_cell():
     """A parse records no tape, so loopy BP keeps no logistics: one n = 45
-    parse (desk dims, T = 3) peaks near 134 bytes per (n+1)^3 cell, where
-    a taped run of the same forward peaks near 258."""
+    parse (desk dims, T = 3) peaks near 93 bytes per (n+1)^3 cell, where
+    the taped forward of a training step on it peaks near 140."""
     n = 45
     sentence, gold = toy_corpus(np.random.default_rng(3), size=1, min_len=n, max_len=n)[0]
     model = ParserModel(ModelConfig(), build_vocab([(sentence, gold)], min_count=1),
