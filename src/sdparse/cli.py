@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
@@ -162,51 +163,62 @@ def cmd_trace(args):
     sentence, _ = data[args.sentence]
     engine = args.engine or cfg.inference
     iterations = cfg.iterations if args.iterations is None else args.iterations
-    header, steps = trace_sentence(model, sentence, engine, iterations, cfg.logit_clamp)
+    edges, triples, ends, marginals, messages = trace_sentence(model, sentence, engine,
+                                                              iterations, cfg.logit_clamp)
+    names = np.array([f"{head}->{dep}" for head, dep in edges.tolist()])
+    header = {"n": sentence.n, "engine": engine, "iterations": iterations, "edges": names.tolist()}
+    by_name = np.argsort(names)  # a step's marginals, keyed and sorted as json writes them
+    q_text = '],\n      "q": {%s\n      }\n    }' % ",".join(
+        '\n        "%s": %%r' % name for name in names[by_name].tolist())
     with _writing(args.out or "standard output"), (
             open(args.out, "w", encoding="utf-8") if args.out
             else contextlib.nullcontext(sys.stdout)) as fh:
-        # json.dumps' text of the whole trace, a step at a time: "steps" sorts
-        # after every header key
+        # "steps" sorts after every header key
         fh.write(json.dumps(header, sort_keys=True, indent=2)[:-2] + ',\n  "steps": [')
-        key = "value" if engine == "mf" else "log_odds"
-        separator = "\n    "
-        for step in steps:  # no enumerate: its cached tuple would keep a step alive
-            fh.write(separator)
-            _write_step(fh, step, key)
-            separator = ",\n    "
-            del step
+        for t, q in enumerate(marginals):
+            fh.write(("," if t else "")
+                     + '\n    {\n      "iteration": %d,\n      "messages": [' % t)
+            if t and len(ends):
+                _write_rows(fh, names, triples, ends, messages[t - 1], engine)
+                fh.write("\n      ")
+            fh.write(q_text % tuple(q[by_name].tolist()))
         fh.write("\n  ]\n}\n")
     return 0
 
 
-# A trace step as json.dumps(..., sort_keys=True, indent=2) lays it out in
-# the top-level "steps" list. Every string of a step is ASCII built from
-# indices, so none needs escaping, and json writes a float as its repr, so
-# a fixed template per message row gives the same text: its keys in sorted
-# order, the value's key ("log_odds" for loopy BP, "value" for mean-field)
-# in its place among them.
+# The trace is written as the text json.dumps(trace, sort_keys=True,
+# indent=2) gives: the header, then per iteration t = 0..T a step with the
+# message rows of sweep t and the marginals "q" by edge name. Every string
+# is ASCII built from indices, so none needs escaping, and json writes a
+# float as its repr, so a fixed template per message row gives the same
+# text: its keys in sorted order, the value's key (mean-field's "value",
+# loopy BP's "log_odds") in its place among them.
 _ROW_HEAD = '\n        {\n          "dst": "%s",\n'
 _ROW_PART = ('          "part": [\n            %d,\n            %d,\n            %d\n'
              '          ],\n          "src": "%s",\n          "type": "%s"')
-_ROW = {"log_odds": _ROW_HEAD + '          "log_odds": %r,\n' + _ROW_PART + "\n        }",
-        "value": _ROW_HEAD + _ROW_PART + ',\n          "value": %r\n        }'}
-# rows formatted and written at a time, so a step's text is never held whole
-_ROW_BLOCK = 2048
+# per engine, the row template and the place of the value among its arguments
+_ROW = {"lbp": (_ROW_HEAD + '          "log_odds": %r,\n' + _ROW_PART + "\n        }", 1),
+        "mf": (_ROW_HEAD + _ROW_PART + ',\n          "value": %r\n        }', 6)}
+# parts formatted and written at a time, two rows each, so that a step's
+# text is never held whole
+_PART_BLOCK = 1024
 
 
-def _write_step(fh, step, key):
-    """Write one trace step's text; ``key`` is its rows' value key."""
-    rows, template = step["messages"], _ROW[key]
-    fh.write('{\n      "iteration": %d,\n      "messages": [' % step["iteration"])
-    for start in range(0, len(rows), _ROW_BLOCK):
-        fh.write(("," if start else "") + ",".join(
-            template % ((r["dst"], r[key], *r["part"], r["src"], r["type"]) if key == "log_odds"
-                        else (r["dst"], *r["part"], r["src"], r["type"], r[key]))
-            for r in rows[start:start + _ROW_BLOCK]))
-    q = ",".join('\n        "%s": %r' % item for item in sorted(step["q"].items()))
-    fh.write('%s],\n      "q": {%s}\n    }' % ("\n      " if rows else "",
-                                               q + "\n      " if q else ""))
+def _write_rows(fh, names, triples, ends, values, engine):
+    """Write one sweep's message rows, two per part in part order: into
+    the part's first edge, then its second, with its row of ``values``."""
+    template, place = _ROW[engine]
+    start = 0
+    for kind, parts in triples.items():
+        for lo in range(0, len(parts), _PART_BLOCK):
+            at = slice(start + lo, start + lo + _PART_BLOCK)
+            i, j, k = np.repeat(parts[lo:lo + _PART_BLOCK], 2, axis=0).T.tolist()
+            columns = [names[ends[at]].ravel().tolist(), i, j, k,
+                       names[ends[at, ::-1]].ravel().tolist(), itertools.repeat(kind)]
+            columns.insert(place, values[at].ravel().tolist())
+            fh.write(("," if at.start else "") + ",".join(
+                template % row for row in zip(*columns)))
+        start += len(parts)
 
 
 def cmd_oracle_compare(args):

@@ -7,10 +7,11 @@ Loopy BP and ``trace_sentence`` run on the dense (n+1)^3 layout that
 part-shaped is cached between sentences. That path refuses a sentence
 longer than ``PAIR_LENGTH_CAP`` with a CapacityError before it builds any
 (n+1)^3 tensor. Only ``trace_sentence`` reads the parts out of their
-masks, from one run: ``lbp_run`` hands it each sweep's messages, and
-mean-field's are the part scores times the kept marginals. Decoding
-scores labels only for the edges whose final marginal clears the
-threshold (``graph.kept_edges``), and ``graph.decode`` builds their graph.
+masks, from one run (``lbp_run`` hands it each sweep's messages;
+mean-field's are the part scores times the kept marginals), and returns
+the run's arrays, nothing per part or row: ``cli`` writes the text.
+Decoding scores labels only for the edges whose final marginal clears
+the threshold (``graph.kept_edges``); ``graph.decode`` builds their graph.
 
 ``parse_sentence`` and ``trace_sentence`` are forward-only: they run
 under ``autodiff.no_grad``, so no tape is recorded, LBP keeps no
@@ -45,12 +46,12 @@ PAIR_BYTES_FIXED = 192
 PAIR_BYTES_PER_SWEEP = 36
 
 
-# ``trace`` holds one step's rows (two per part; parts per cell rise toward
-# 2) and, per sweep, each part's two values: it peaks at 1,248 / 1,304 bytes
-# per cell at n = 30, T = 1 / 3, and 1,329 / 1,358 at n = 45, T = 1 / 2 (desk
-# dims), and writes 761 (n = 30) and 805 (n = 45) bytes of text per cell and
-# sweep. Memory and text share the budget: 76 / 62 / 45 tokens at T = 1 / 3 / 10.
-TRACE_BYTES_FIXED = 1500
+# ``trace`` holds its run's arrays (per part its triple, two edges and two
+# values per sweep; parts per cell rise toward 2) and one block of rows: it
+# peaks at 189 / 244 / 437 bytes per cell at n = 30, T = 1 / 3 / 10 (178 / 236 /
+# 439 at n = 45, desk dims) and writes 750-855 bytes of text per cell and sweep
+# (n = 30-96). Memory and text share the budget: 96 / 70 / 47 tokens at T = 1 / 3 / 10.
+TRACE_BYTES_FIXED = 250
 TRACE_BYTES_PER_SWEEP = 950
 
 
@@ -123,21 +124,22 @@ def parse_sentence(model, sentence, engine="mf", iterations=3, threshold=0.5,
 @ad.no_grad()
 def trace_sentence(model, sentence, engine="mf", iterations=3,
                    clamp=mf.DEFAULT_CLAMP):
-    """(header, steps) of one forward-only run, JSON-ready: steps yields,
-    per iteration t, the marginals and, in part order, each part's two
-    messages of sweep t, into its first edge and then its second:
-    mean-field's Q^{t-1}(src) * s_part (key ``value``), loopy BP's
-    log m(1) - log m(0) (``log_odds``). Raises CapacityError above the
-    trace cap for T before scoring, and NumericError on a value that is
-    not finite before the first step."""
+    """The arrays of one forward-only run, in edge and part order: each
+    edge's (head, dep), (E, 2); per part type, its stored triples, one row
+    per part; each part's first and second edge position, (P, 2); per
+    iteration t = 0..T the (E,) marginals; and per sweep the (P, 2)
+    messages of every part, into its first edge and into its second:
+    mean-field's Q^{t-1}(src) * s_part, loopy BP's log m(1) - log m(0).
+    Raises CapacityError above the trace cap for T before scoring, and
+    NumericError on a value that is not finite."""
     cap = _length_cap(TRACE_BYTES_FIXED + TRACE_BYTES_PER_SWEEP * max(iterations, 1))
     if sentence.n > cap:
         raise CapacityError(f"{sentence.n}-token sentence exceeds the trace length cap "
                             f"of {cap} at T={iterations}")
     # both engines run on the dense layout, which names every part
     _, pot = sentence_potentials(model, sentence, engine="lbp")
-    first, second = pot.pair_edges()
-    sweeps = []  # per sweep, the (parts, 2) values into each part's first and second edge
+    ends = np.stack(pot.pair_edges(), axis=1)
+    sweeps = []  # per sweep, the (P, 2) values into each part's first and second edge
     if engine == "lbp":
         def read(messages):
             into_first = {k: aligned(messages[MESSAGES[FORWARD[k]][3]], k) for k in pot.scores}
@@ -148,25 +150,10 @@ def trace_sentence(model, sentence, engine="mf", iterations=3,
     else:
         state = run_inference(pot, engine, iterations, clamp)
         scores = pot.gather({kind: s.data for kind, s in pot.scores.items()})
-        sweeps = [np.stack([scores * q[second], scores * q[first]], axis=1)
-                  for q in map(state.q1, range(iterations))]
+        sweeps = [scores[:, None] * q[ends[:, ::-1]] for q in map(state.q1, range(iterations))]
     qs = [state.q1(t) for t in range(iterations + 1)]
     if not all(np.isfinite(values).all() for values in qs + sweeps):
         raise NumericError(f"non-finite marginals or messages from {engine} "
                            f"(T={iterations}) on a {sentence.n}-token sentence")
-    names = [f"{head}->{dep}" for head, dep in pot.edge_set.edges]
-    kinds = [kind for kind, mask in pot._part_order() for _ in range(np.count_nonzero(mask))]
-    triples = np.concatenate([np.zeros((0, 3), np.intp)] + [
-        np.argwhere(mask) for _, mask in pot._part_order()]).tolist()
-    key = "value" if engine == "mf" else "log_odds"
-
-    def steps():
-        for t, q in enumerate(qs):
-            rows = []
-            for a, b, kind, part, (to_a, to_b) in zip(first.tolist(), second.tolist(), kinds,
-                                                      triples, sweeps[t - 1].tolist() if t else ()):
-                rows += ({"src": names[b], "dst": names[a], "type": kind, "part": part, key: to_a},
-                         {"src": names[a], "dst": names[b], "type": kind, "part": part, key: to_b})
-            yield {"iteration": t, "q": dict(zip(names, q.tolist())), "messages": rows}
-
-    return {"n": sentence.n, "engine": engine, "iterations": iterations, "edges": names}, steps()
+    return (np.argwhere(pot.edge_set.mask),
+            {kind: np.argwhere(mask) for kind, mask in pot._part_order()}, ends, qs, sweeps)

@@ -1,6 +1,8 @@
 """The per-message loopy BP that the one-node unrolled sweeps replaced,
-kept as a reference for it, and the per-part readout of one sweep's
-message tensors that ``trace`` replaced with its own, run-once readout.
+kept as a reference for it, the per-part readout of one sweep's message
+tensors that ``trace`` replaced with its own, run-once readout, and the
+trace as the JSON document whose text ``trace`` writes
+(``reference_trace``), built from those readouts of a run per depth.
 
 Each message update is its own tape node over the message kernel kept in
 ``lbp_reference`` (``lbp``'s before it worked in C order and in place),
@@ -140,3 +142,29 @@ def sweep_values(pot, engine, iterations):
     """``message_values`` of the last sweep of a run of ``engine`` with
     ``iterations`` sweeps."""
     return message_values(pot, run_with_messages(pot, engine, iterations)[1])
+
+
+def reference_trace(pot, engine, iterations):
+    """The document ``trace`` writes for ``engine`` run ``iterations``
+    sweeps on a sentence's ``pot`` (default clamp), as a dict: the header
+    keys, then per iteration t = 0..T the marginals by edge name, read
+    from a taped run of depth t, and one row per directed message of that
+    run's last sweep, in ``directed_messages`` order, under the key
+    ``value`` (mean-field) or ``log_odds`` (loopy BP)."""
+    key = "value" if engine == "mf" else "log_odds"
+
+    def name(edge):
+        return f"{edge[0]}->{edge[1]}"
+
+    names = list(map(name, pot.edge_set.edges))
+    steps = []
+    for t in range(iterations + 1):
+        # a one-sweep run holds the grid of depth 0 too
+        state, messages = run_with_messages(pot, engine, max(t, 1))
+        rows = zip(directed_messages(pot), message_values(pot, messages).tolist()) if t else ()
+        steps.append({"iteration": t, "q": dict(zip(names, state.q1(t).tolist())),
+                      "messages": [{"src": name(src), "dst": name(dst), "type": kind,
+                                    "part": list(part), key: value}
+                                   for (src, dst, kind, part), value in rows]})
+    return {"n": pot.edge_set.n, "engine": engine, "iterations": iterations, "edges": names,
+            "steps": steps}

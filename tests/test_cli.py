@@ -6,8 +6,10 @@ artifacts are checked exactly as a shell user would see them.
 
 from __future__ import annotations
 
+import gc
 import json
 import struct
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -18,12 +20,14 @@ import sdparse.autodiff as ad
 import sdparse.cli as cli
 from sdparse import pipeline, training
 from sdparse.checkpoint import load_checkpoint, save_checkpoint
-from sdparse.config import MODEL_STRUCTURE_KEYS, parse_config_file
+from sdparse.config import MODEL_STRUCTURE_KEYS, RunConfig, parse_config_file
 from sdparse.errors import NumericError
-from sdparse.sdp_io import parse_sdp, write_sdp
+from sdparse.model import ParserModel
+from sdparse.sdp_io import build_vocab, parse_sdp, write_sdp
 from sdparse.synthetic import toy_corpus
 
 from conftest import part_rows
+from message_reference import reference_trace
 
 TRAIN_SETS = [
     "--set", "word_dim=4", "--set", "pos_dim=3", "--set", "encoder_layers=0",
@@ -748,41 +752,109 @@ def test_trace_sentence_index_out_of_range_exits_3(trained, corpus_path,
     assert "99" in capsys.readouterr().err
 
 
+def _reference_text(checkpoint, sentence, engine, iterations):
+    """json.dumps' text of the trace document built from taped runs of
+    each depth (``message_reference.reference_trace``), not from
+    ``trace_sentence``."""
+    model, _, _ = load_checkpoint(checkpoint)
+    _, pot = pipeline.sentence_potentials(model, sentence, "lbp")
+    return json.dumps(reference_trace(pot, engine, iterations), sort_keys=True, indent=2) + "\n"
+
+
+def _one_sentence_corpus(tmp_path, n):
+    path = tmp_path / f"n{n}.sdp"
+    write_sdp(toy_corpus(np.random.default_rng(8), size=1, min_len=n, max_len=n), path)
+    return path
+
+
+def _trace_text(tmp_path, checkpoint, corpus, engine, sentence=0):
+    """The --out text of a T = 2 trace of ``engine``."""
+    out = tmp_path / "trace.json"
+    assert cli.main(["trace", "--checkpoint", str(checkpoint), "--input", str(corpus),
+                     "--sentence", str(sentence), "--engine", engine, "--iterations", "2",
+                     "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("engine", ["mf", "lbp"])
 def test_trace_streams_the_text_of_one_json_document(tmp_path, trained, corpus_path, capsys,
                                                      engine):
     """The steps are written one at a time, to --out or stdout, as the text
-    json.dumps gives the whole trace."""
-    model, cfg, _ = load_checkpoint(trained / "checkpoint.npz")
+    json.dumps gives the reference document of the whole trace."""
     sentence, _ = parse_sdp(corpus_path)[3]
-    header, steps = pipeline.trace_sentence(model, sentence, engine, 2, cfg.logit_clamp)
-    want = json.dumps({**header, "steps": list(steps)}, sort_keys=True, indent=2) + "\n"
+    want = _reference_text(trained / "checkpoint.npz", sentence, engine, 2)
     argv = ["trace", "--checkpoint", str(trained / "checkpoint.npz"), "--input", corpus_path,
             "--sentence", "3", "--engine", engine, "--iterations", "2"]
     capsys.readouterr()
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == want
-    out = tmp_path / "trace.json"
-    assert cli.main(argv + ["--out", str(out)]) == 0
-    assert out.read_text(encoding="utf-8") == want
+    assert _trace_text(tmp_path, trained / "checkpoint.npz", corpus_path, engine, 3) == want
 
 
 @pytest.mark.parametrize("engine", ["mf", "lbp"])
 def test_trace_text_is_json_dumps_past_nine_words(tmp_path, trained, engine):
-    """Edge names with two-digit positions ("0->10" sorts before "0->2")
-    and parts with two-digit indices: the written text is still
-    json.dumps' text of the whole trace."""
-    corpus = tmp_path / "twelve.sdp"
-    write_sdp(toy_corpus(np.random.default_rng(8), size=1, min_len=12, max_len=12), corpus)
-    model, cfg, _ = load_checkpoint(trained / "checkpoint.npz")
-    header, steps = pipeline.trace_sentence(model, parse_sdp(corpus)[0][0], engine, 2,
-                                            cfg.logit_clamp)
-    want = json.dumps({**header, "steps": list(steps)}, sort_keys=True, indent=2) + "\n"
+    """Edge names with two-digit positions ("0->10" sorts before "0->2"),
+    parts with two-digit indices and steps of more than 2,048 rows, the
+    block the rows are written in: the written text is still json.dumps'
+    text of the whole trace."""
+    corpus = _one_sentence_corpus(tmp_path, 12)
+    assert 2 * sum(map(len, part_rows(12).values())) > 2048
+    want = _reference_text(trained / "checkpoint.npz", parse_sdp(corpus)[0][0], engine, 2)
+    assert _trace_text(tmp_path, trained / "checkpoint.npz", corpus, engine) == want
+
+
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_trace_of_one_word_has_no_messages(tmp_path, trained, engine):
+    """A one-word sentence has one edge and no part: every step's
+    "messages" is [], as json.dumps writes an empty list."""
+    corpus = _one_sentence_corpus(tmp_path, 1)
+    want = _reference_text(trained / "checkpoint.npz", parse_sdp(corpus)[0][0], engine, 2)
+    assert want.count('"messages": [],') == 3
+    assert _trace_text(tmp_path, trained / "checkpoint.npz", corpus, engine) == want
+
+
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_trace_text_of_a_model_without_cop_parts(tmp_path, corpus_path, engine):
+    """With ``use_cop=false`` there is no cop part: the rows go from sib
+    parts straight to gp parts, and the text is still the reference's."""
+    run = tmp_path / "run"
+    assert cli.main(["train", "--train", corpus_path, "--out", str(run), *TRAIN_SETS,
+                     "--set", "use_cop=false", "--set", "max_steps=2"]) == 0
+    sentence, _ = parse_sdp(corpus_path)[3]
+    want = _reference_text(run / "checkpoint.npz", sentence, engine, 2)
+    assert '"type": "sib"' in want and '"type": "gp"' in want and '"type": "cop"' not in want
+    assert _trace_text(tmp_path, run / "checkpoint.npz", corpus_path, engine, 3) == want
+
+
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+def test_a_streamed_trace_peaks_below_400_bytes_per_cell(tmp_path, engine):
+    """One n = 30 trace at T = 3 (desk dims, written to a file) holds its
+    run's arrays and one block of rows: its traced peak is near 240 bytes
+    per (n+1)^3 cell, and the peak plus the text written stay within the
+    declared bytes per cell that the trace cap is derived from."""
+    n, iterations = 30, 3
+    data = toy_corpus(np.random.default_rng(3), size=1, min_len=n, max_len=n)
+    write_sdp(data, tmp_path / "long.sdp")
+    cfg = RunConfig(min_count=1)
+    model = ParserModel(cfg.model_config(), build_vocab(data, min_count=1),
+                        np.random.default_rng(0))
+    save_checkpoint(tmp_path / "model.npz", model, cfg, model.vocab)
     out = tmp_path / "trace.json"
-    assert cli.main(["trace", "--checkpoint", str(trained / "checkpoint.npz"), "--input",
-                     str(corpus), "--engine", engine, "--iterations", "2",
-                     "--out", str(out)]) == 0
-    assert out.read_text(encoding="utf-8") == want
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rc = cli.main(["trace", "--checkpoint", str(tmp_path / "model.npz"), "--input",
+                       str(tmp_path / "long.sdp"), "--engine", engine, "--iterations",
+                       str(iterations), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    cells = (n + 1) ** 3
+    assert rc == 0
+    assert peak < 400 * cells
+    declared = pipeline.TRACE_BYTES_FIXED + pipeline.TRACE_BYTES_PER_SWEEP * iterations
+    assert peak + out.stat().st_size < declared * cells
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -25,7 +25,9 @@ The cases (``manifest``):
 - ``full/...``: ``ModelConfig.full()`` without the pretrained channel
   at n = 5 and 15, both engines;
 - ``cli/...``: ``train``, ``parse`` (and ``--marginals``), ``trace``,
-  ``eval``, ``oracle-compare`` and ``gradcheck`` on a toy corpus;
+  ``eval``, ``oracle-compare`` and ``gradcheck`` on a toy corpus (``trace``
+  at T = 1-4), and ``trace`` at T = 2 on one 1-token (no part) and one 12-token sentence
+  (``cli/trace/.../n1``, ``n12``);
 - ``env``: the NumPy version, its BLAS and the BLAS thread variables,
   which some digests depend on.
 
@@ -174,6 +176,9 @@ def cli_cases(quick):
     out = {}
     with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
         write_sdp(toy_corpus(np.random.default_rng(42), size=8, min_len=3, max_len=9), "toy.sdp")
+        for n in (1, 12):
+            write_sdp(toy_corpus(np.random.default_rng(n), size=1, min_len=n, max_len=n),
+                      f"n{n}.sdp")
         code, text = _run(["train", "--train", "toy.sdp", "--out", "run",
                            "--set", "min_count=1", "--set", f"max_steps={6 if quick else 20}",
                            "--set", "seed=3", "--set", "batch_token_budget=30",
@@ -187,12 +192,14 @@ def cli_cases(quick):
                             "--marginals", f"marginals-{engine}.jsonl"])
             out[f"cli/parse/{engine}"] = {"code": code, "output": _file(f"parsed-{engine}.sdp"),
                                           "marginals": _file(f"marginals-{engine}.jsonl")}
-            for iterations in (1, 3):
-                trace = f"trace-{engine}-{iterations}.json"
-                code, _ = _run(["trace", "--checkpoint", checkpoint, "--input", "toy.sdp",
-                                "--sentence", "2", "--engine", engine,
+            traces = [(f"T{t}", "toy.sdp", 2, t) for t in (1, 2, 3, 4)]
+            traces += [(f"n{n}", f"n{n}.sdp", 0, 2) for n in (1, 12)]
+            for case, corpus, index, iterations in traces:
+                trace = f"trace-{engine}-{case}.json"
+                code, _ = _run(["trace", "--checkpoint", checkpoint, "--input", corpus,
+                                "--sentence", str(index), "--engine", engine,
                                 "--iterations", str(iterations), "--out", trace])
-                out[f"cli/trace/{engine}/T{iterations}"] = {"code": code, "output": _file(trace)}
+                out[f"cli/trace/{engine}/{case}"] = {"code": code, "output": _file(trace)}
             code, text = _run(["eval", "--pred", f"parsed-{engine}.sdp", "--gold", "toy.sdp",
                                "--json", f"eval-{engine}.json"])
             out[f"cli/eval/{engine}"] = {"code": code, "json": _file(f"eval-{engine}.json"),
