@@ -21,7 +21,11 @@ shuffled per epoch.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -181,14 +185,25 @@ class Optimizer:
     def apply(self):
         """One update from the gradients currently stored on the params.
 
-        Each block of rows is checked for a non-finite gradient just before
-        it is updated, so a step that raises NumericError may already have
-        updated the blocks and parameters before the offending one.
+        The update goes a cache-sized block of rows at a time. The blocks,
+        in parameter order, are cut into contiguous runs of about equal
+        size, one per CPU in the process's affinity mask (``taskset``
+        narrows it; the BLAS thread variables do not), but no run smaller
+        than ``_RUN_MIN`` elements, so a small model updates in one run.
+        The calling thread updates the first run and a thread per other
+        run the rest; every element gets the same arithmetic either way.
+
+        Each block is checked for a non-finite gradient just before it is
+        updated, and a run stops at its first bad block. NumericError
+        names the parameter of the first bad block in update order, but
+        the other runs go on, so blocks on either side of it may already
+        have been updated. Any other error in a run is raised here too.
         """
         c = self.cfg
         lr = self.learning_rate()
         self.step_count += 1
         t = self.step_count
+        blocks = []
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -203,19 +218,68 @@ class Optimizer:
             state = {key: np.atleast_1d(a) for key, a in state.items()}
             w = state["w"]
             rows = max(1, _UPDATE_BLOCK * len(w) // max(w.size, 1))
-            scratch = np.empty((2, rows) + w.shape[1:])
-            finite = np.empty((rows,) + w.shape[1:], dtype=bool)
-            for r in range(0, len(w), rows):
-                block = {key: a[r:r + rows] for key, a in state.items()}
-                k = len(block["w"])
-                if not np.isfinite(block["g"], out=finite[:k]).all():
-                    raise NumericError(
-                        f"non-finite gradient in parameter {name!r} at step {t}")
-                _adam_block(c, lr, t, scratch[0, :k], scratch[1, :k], **block)
+            blocks += [(name, {key: a[r:r + rows] for key, a in state.items()})
+                       for r in range(0, len(w), rows)]
+
+        runs = _runs(blocks)
+        errors = [None] * len(runs)
+
+        def update(i):
+            try:
+                _update_run(c, lr, t, runs[i])
+            except Exception as err:
+                errors[i] = err
+
+        threads = []
+        try:
+            for i in range(1, len(runs)):
+                thread = threading.Thread(target=update, args=(i,))
+                thread.start()
+                threads.append(thread)
+            update(0)
+        finally:
+            for thread in threads:
+                thread.join()
+        # runs are contiguous, so the first run's error is the first in order
+        for err in errors:
+            if err is not None:
+                raise err
 
 
 # elements per block of an optimizer update (256 KiB of float64)
 _UPDATE_BLOCK = 1 << 15
+# the fewest elements a run of blocks gets its own thread for: below it
+# the thread's start and its GIL hand-offs cost more than the run saves
+_RUN_MIN = 16 * _UPDATE_BLOCK
+
+
+def _runs(blocks):
+    """The ``(name, views)`` blocks, in order, cut into contiguous runs of
+    about equal element count: one per usable CPU, each of at least
+    ``_RUN_MIN`` elements, and always at least one run."""
+    ends = list(itertools.accumulate(views["w"].size for _, views in blocks))
+    total = ends[-1] if ends else 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    count = max(1, min(cpus or 1, total // _RUN_MIN))
+    cuts = [0] + [bisect.bisect_left(ends, total * k / count) + 1 for k in range(1, count)]
+    cuts.append(len(blocks))
+    return [blocks[a:b] for a, b in zip(cuts, cuts[1:]) if a < b] or [[]]
+
+
+def _update_run(c, lr, t, run):
+    """``_adam_block`` on each block of a run in order, with one pair of
+    scratch blocks and one finiteness buffer for the whole run; raises
+    NumericError at the first block with a non-finite gradient."""
+    size = max((views["w"].size for _, views in run), default=0)
+    scratch = np.empty((2, size))
+    finite = np.empty(size, dtype=bool)
+    for name, views in run:
+        shape = views["w"].shape
+        k = views["w"].size
+        if not np.isfinite(views["g"], out=finite[:k].reshape(shape)).all():
+            raise NumericError(f"non-finite gradient in parameter {name!r} at step {t}")
+        _adam_block(c, lr, t, scratch[0, :k].reshape(shape), scratch[1, :k].reshape(shape),
+                    **views)
 
 
 def _adam_block(c, lr, t, s, u, w, g, v, m=None, v_max=None):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 import weakref
 from dataclasses import replace
 
@@ -352,18 +353,50 @@ def test_l2_shrinks_parameters_even_with_zero_gradient():
     assert 0.0 < float(params["p0"].data) < 5.0
 
 
-@pytest.mark.parametrize("amsgrad, beta1", [
-    pytest.param(False, 0.3, id="False"), pytest.param(True, 0.3, id="True"),
-    pytest.param(False, 0.0, id="beta1=0-adam"), pytest.param(True, 0.0, id="beta1=0-amsgrad"),
+def _split_updates(monkeypatch, cpus=4, run_min=1000):
+    """Let an update use ``cpus`` runs of at least ``run_min`` elements,
+    whatever the host's CPUs."""
+    monkeypatch.setattr(training, "_RUN_MIN", run_min)
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _recording_threads(monkeypatch):
+    """Record the thread and the block of every ``_adam_block`` call."""
+    threads, adam_block = [], training._adam_block
+
+    def recording(*args, **kwargs):
+        threads.append((threading.get_ident(), kwargs["w"]))
+        adam_block(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_adam_block", recording)
+    return threads
+
+
+# 145,014 elements in 8 blocks (w, b, three of big, three of vec); at four
+# runs they are cut after the second block of big and of vec, so both
+# span a run boundary
+def _textbook_start(rng):
+    return {"w": rng.normal(size=(3, 4)), "b": np.array(0.7),
+            "big": rng.normal(size=(300, 250)), "vec": rng.normal(size=70001)}
+
+
+@pytest.mark.parametrize("amsgrad, beta1, runs", [
+    pytest.param(amsgrad, beta1, runs, id=name + ("" if runs == 1 else f"-{runs}-runs"))
+    for name, amsgrad, beta1 in [("False", False, 0.3), ("True", True, 0.3),
+                                 ("beta1=0-adam", False, 0.0), ("beta1=0-amsgrad", True, 0.0)]
+    for runs in (1, 4)
 ])
-def test_updates_follow_the_textbook_formula(rng, amsgrad, beta1):
+def test_updates_follow_the_textbook_formula(rng, monkeypatch, amsgrad, beta1, runs):
     """Three Adam or AMSGrad steps with l2 on a 0-d parameter, a small
     matrix, and a matrix and a vector that span several update blocks,
     bitwise equal to the plain formula (at beta1 = 0 the optimizer keeps
-    no first moment, and the formula's m is g)."""
+    no first moment, and the formula's m is g), in one run or in four runs
+    whose boundaries fall inside a parameter, each on its own thread."""
+    if runs > 1:
+        _split_updates(monkeypatch, cpus=runs)
+    threads = _recording_threads(monkeypatch)
     cfg = TrainConfig(learning_rate=3e-2, beta1=beta1, beta2=0.9, epsilon=1e-8, l2=0.05)
-    start = {"w": rng.normal(size=(3, 4)), "b": np.array(0.7),
-             "big": rng.normal(size=(300, 250)), "vec": rng.normal(size=70001)}
+    start = _textbook_start(rng)
     params = {k: ad.parameter(v.copy()) for k, v in start.items()}
     opt = Optimizer(params, cfg)
     if amsgrad:
@@ -383,11 +416,82 @@ def test_updates_follow_the_textbook_formula(rng, amsgrad, beta1):
             m_hat = m[k] / (1 - cfg.beta1 ** t)
             v_hat = (v_max[k] if amsgrad else v2[k]) / (1 - cfg.beta2 ** t)
             want[k] = want[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        before = threading.active_count()
+        threads.clear()
         opt.apply()
+        assert threading.active_count() == before
+        assert len(threads) == 8 and len({ident for ident, _ in threads}) == runs
+        # the caller updates the first run
+        assert {ident for ident, w in threads if w.base is params["w"].data} == {
+            threading.get_ident()}
         for k, p in params.items():
             assert isinstance(p.data, np.ndarray) and p.data.shape == start[k].shape
             np.testing.assert_array_equal(p.data, want[k])
             np.testing.assert_array_equal(p.grad, grads[k])   # gradients are not touched
+            np.testing.assert_array_equal(opt.v[k], v2[k])
+            if beta1:
+                np.testing.assert_array_equal(opt.m[k], m[k])
+            if amsgrad:
+                np.testing.assert_array_equal(opt.v_max[k], v_max[k])
+
+
+def test_a_desk_model_updates_in_one_run_on_the_calling_thread(monkeypatch):
+    """At the real run size, a desk-dims model's update starts no thread,
+    however many CPUs the process may use."""
+    _split_updates(monkeypatch, cpus=64, run_min=training._RUN_MIN)
+    threads = _recording_threads(monkeypatch)
+    monkeypatch.setattr(training.threading, "Thread", None)
+    data = toy_corpus(np.random.default_rng(0), size=4)
+    model = ParserModel(ModelConfig(), build_vocab(data, min_count=1), np.random.default_rng(0))
+    assert 30_000 < sum(p.data.size for p in model.params.values()) < training._RUN_MIN
+    for p in model.params.values():
+        p.grad = np.ones_like(p.data)
+    Optimizer(model.params, TrainConfig()).apply()
+    assert threads and {ident for ident, _ in threads} == {threading.get_ident()}
+
+
+def test_non_finite_gradients_in_two_runs_name_the_earlier_parameter(monkeypatch, rng):
+    """At step 2, NaNs in big's last block (run 2 of 4) and vec's first
+    (run 3): the error names big, and the runs before and after the bad
+    blocks have updated their blocks."""
+    _split_updates(monkeypatch)
+    params = {k: ad.parameter(v) for k, v in _textbook_start(rng).items()}
+    opt = Optimizer(params, TrainConfig(l2=0.0))
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    opt.apply()
+    before = {k: p.data.copy() for k, p in params.items()}
+    params["big"].grad[-1, -1] = np.nan
+    params["vec"].grad[0] = np.nan
+    threads = threading.active_count()
+    with pytest.raises(NumericError) as err:
+        opt.apply()
+    assert "'big'" in str(err.value) and "step 2" in str(err.value)
+    assert threading.active_count() == threads
+    assert (params["w"].data != before["w"]).all()                  # run 1
+    assert (params["big"].data[:-38] != before["big"][:-38]).all()   # run 1
+    np.testing.assert_array_equal(params["big"].data[-38:], before["big"][-38:])
+    np.testing.assert_array_equal(params["vec"].data[:65536], before["vec"][:65536])
+    assert (params["vec"].data[65536:] != before["vec"][65536:]).all()  # run 4
+
+
+def test_an_error_in_a_worker_run_reaches_the_caller(monkeypatch, rng):
+    _split_updates(monkeypatch)
+    params = {k: ad.parameter(v) for k, v in _textbook_start(rng).items()}
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    adam_block, caller = training._adam_block, threading.get_ident()
+
+    def failing(*args, **kwargs):
+        if threading.get_ident() != caller:
+            raise RuntimeError("worker failed")
+        adam_block(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_adam_block", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        Optimizer(params, TrainConfig()).apply()
+    assert threading.active_count() == threads
 
 
 def test_zero_beta1_keeps_no_first_moment():

@@ -23,7 +23,9 @@ The cases (``manifest``):
 - ``train-long-lbp/T...``: the 26 sentences (n = 20-45) of the
   benchmark's LBP training workload at T = 1-4, dropout on;
 - ``full/...``: ``ModelConfig.full()`` without the pretrained channel
-  at n = 5 and 15, both engines;
+  at n = 5 and 15, both engines, and (``full/adam/...``) its weights and
+  second moments after two optimizer steps, one per sentence, which
+  covers an update large enough to be split across CPUs;
 - ``cli/...``: ``train``, ``parse`` (and ``--marginals``), ``trace``,
   ``eval``, ``oracle-compare`` and ``gradcheck`` on a toy corpus (``trace``
   at T = 1-4), and ``trace`` at T = 2 on one 1-token (no part) and one 12-token sentence
@@ -55,7 +57,7 @@ from sdparse import cli
 from sdparse.model import ModelConfig, ParserModel
 from sdparse.sdp_io import build_vocab, parse_sdp, write_sdp
 from sdparse.synthetic import toy_corpus
-from sdparse.training import TrainConfig, sentence_loss
+from sdparse.training import Optimizer, TrainConfig, sentence_loss
 
 ROOT = Path(__file__).resolve().parent.parent
 # the dropouts of the paper's settings, for the "dropout on" cases
@@ -154,6 +156,14 @@ def full_dims_cases():
         for engine in ("mf", "lbp"):
             out[f"full/{engine}/n{sentence.n}"] = sentence_step(
                 model, sentence, gold, engine, 3, np.random.default_rng(11))
+    optimizer, rng = Optimizer(model.params, TrainConfig()), np.random.default_rng(12)
+    for sentence, gold in (data[0], data[2]):
+        model.zero_grad()
+        ad.backward(sentence_loss(model, sentence, gold, TrainConfig(), rng=rng), 1.0)
+        optimizer.apply()
+    names = sorted(model.params)
+    out["full/adam/weights"] = digest(*(model.params[k].data for k in names))
+    out["full/adam/v"] = digest(*(optimizer.v[k] for k in names))
     return out
 
 
