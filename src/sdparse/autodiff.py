@@ -22,7 +22,8 @@ clears them, which is what lets a batch sum per-sentence gradients. A leaf
 gradient that ``backward`` itself allocated is accumulated in place; one
 that may share memory with anything else (a view, another node's
 gradient, an array set by the caller) is replaced by a fresh sum first,
-so no array but that leaf's own gradient ever changes.
+so no array but that leaf's own gradient ever changes. A sweep can tell a
+caller of each leaf as soon as its gradient is final (``on_leaf``).
 
 The op set is what the parser needs: elementwise arithmetic with
 broadcasting, a 2-D matmul and ``linear`` (x @ W^T, whose W gradient is
@@ -128,7 +129,7 @@ def _unbroadcast(grad, shape):
     return grad if grad.shape == shape else grad.reshape(shape)
 
 
-def backward(output, seed):
+def backward(output, seed, on_leaf=None):
     """Reverse sweep from ``output`` seeded with ``seed``.
 
     Interior-node gradients are cleared first so a tensor reused across
@@ -147,6 +148,19 @@ def backward(output, seed):
     a gradient the caller sets or clears is never written into. A leaf
     gradient read between sweeps is therefore updated by later sweeps:
     copy it to keep a snapshot.
+
+    ``on_leaf``, when given, is called with each leaf below ``output``
+    that holds a gradient, once, as soon as the vjp of the last node that
+    reads it has run: from then on this sweep neither changes the leaf's
+    gradient nor reads its ``.data``, so the callback may overwrite the
+    data in place (an optimizer step) while the sweep goes on. Two rules
+    of every op and node keep that true:
+
+    - a vjp reads a tensor's ``.data`` only if that tensor is one of its
+      node's parents (a view of a leaf's data, such as a ``transpose``
+      node's, is read only by nodes that run before that node);
+    - no vjp writes into an array that was handed to a leaf as its
+      gradient: it writes only into arrays it allocates.
     """
     topo = []
     visited = set()
@@ -164,40 +178,58 @@ def backward(output, seed):
             if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
 
+    # leaf -> the reads of it by nodes whose vjp has yet to run
+    readers = {}
     for node in topo:
         if node._vjp is not None:
             node.grad = None
+            if on_leaf is not None:
+                for p in node._parents:
+                    if p.requires_grad and p._vjp is None:
+                        readers[p] = readers.get(p, 0) + 1
 
     g = np.broadcast_to(np.asarray(seed, dtype=np.float64), output.data.shape)
     output.grad = np.array(g) if output.grad is None else output.grad + g
 
     for node in reversed(topo):
-        if node.grad is None or node._vjp is None:
+        if node._vjp is None:
             continue
-        pgrads = node._vjp(node.grad)
-        for parent, pgrad in zip(node._parents, pgrads):
-            if pgrad is None or not parent.requires_grad:
-                continue
-            if parent._vjp is not None:
-                parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
-            elif parent.grad is None:
-                parent.grad = pgrad
-                # a numpy scalar is never writeable, so it is never owned
-                fresh = (pgrad.base is None and pgrad.flags.writeable
-                         and pgrad is not node.grad
-                         and sum(other is pgrad for other in pgrads) == 1)
-                parent._owned = weakref.ref(pgrad) if fresh else None
-            elif parent._owned is not None and parent._owned() is parent.grad:
-                parent.grad += pgrad
-            else:
-                parent.grad = np.add(parent.grad, pgrad, out=np.empty(parent.data.shape))
-                parent._owned = weakref.ref(parent.grad)
-        # only now: the ownership test above compares with node.grad
-        if node is not output:
-            node.grad = None
-        # a gradient added into its parent's is dead: not held while the
-        # next node's vjp runs
-        pgrads = pgrad = None
+        if node.grad is not None:
+            _pass_down(node, output)
+        if on_leaf is not None:
+            for p in node._parents:
+                if p in readers:
+                    readers[p] -= 1
+                    if not readers[p] and p.grad is not None:
+                        on_leaf(p)
+
+
+def _pass_down(node, output):
+    """Add ``node``'s vjp of its gradient into its parents' gradients, then
+    free its own unless it is ``output``."""
+    pgrads = node._vjp(node.grad)
+    for parent, pgrad in zip(node._parents, pgrads):
+        if pgrad is None or not parent.requires_grad:
+            continue
+        if parent._vjp is not None:
+            parent.grad = pgrad if parent.grad is None else parent.grad + pgrad
+        elif parent.grad is None:
+            parent.grad = pgrad
+            # a numpy scalar is never writeable, so it is never owned
+            fresh = (pgrad.base is None and pgrad.flags.writeable
+                     and pgrad is not node.grad
+                     and sum(other is pgrad for other in pgrads) == 1)
+            parent._owned = weakref.ref(pgrad) if fresh else None
+        elif parent._owned is not None and parent._owned() is parent.grad:
+            parent.grad += pgrad
+        else:
+            parent.grad = np.add(parent.grad, pgrad, out=np.empty(parent.data.shape))
+            parent._owned = weakref.ref(parent.grad)
+    # only now: the ownership test above compares with node.grad; the
+    # gradients added into the parents' die with this call, so none is
+    # held while the next node's vjp runs
+    if node is not output:
+        node.grad = None
 
 
 # ---------------------------------------------------------------- arithmetic

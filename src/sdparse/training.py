@@ -21,8 +21,6 @@ shuffled per epoch.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import os
 import threading
@@ -159,7 +157,14 @@ def sentence_loss(model, sentence, gold, cfg, rng=None):
 class Optimizer:
     """Adam with bias correction, stepped lr decay, optional AMSGrad mode,
     and L2 regularization added to the raw gradients. At beta1 = 0 the
-    first moment is the regularized gradient itself, so none is stored."""
+    first moment is the regularized gradient itself, so none is stored.
+
+    A step updates a cache-sized block of rows at a time, in the order of
+    one queue. ``queue`` adds a parameter's blocks as soon as its gradient
+    is final: ``train`` passes it to the last backward pass of a batch as
+    ``on_leaf``, so the update starts while that sweep goes on. ``apply``
+    adds the blocks of every parameter not yet queued and ends the step.
+    """
 
     def __init__(self, params, cfg):
         self.params = params
@@ -171,6 +176,11 @@ class Optimizer:
                                                for k, p in params.items()}
         self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
         self.v_max = None
+        self._names = {p: k for k, p in params.items()}
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        self._use_worker = (cpus or 1) > 1 and sum(
+            p.data.size for p in params.values()) >= 2 * _RUN_MIN
+        self._update = None   # the step that queue began, until apply ends it
 
     def switch_to_amsgrad(self):
         """One-way switch; current second moments seed the running max."""
@@ -182,104 +192,159 @@ class Optimizer:
         c = self.cfg
         return c.learning_rate * c.lr_decay ** (self.step_count // c.decay_every_steps)
 
-    def apply(self):
-        """One update from the gradients currently stored on the params.
+    def queue(self, param):
+        """Queue the blocks of ``param`` (a tensor of ``params``; any other
+        is ignored) for this step; its gradient must not change before
+        ``apply`` returns. On a model of at least two ``_RUN_MIN`` runs,
+        with a second CPU in the process's affinity mask when the optimizer
+        was made (``taskset`` narrows it; the BLAS thread variables do
+        not), the first call of a step starts a worker thread that updates
+        the queued blocks as they come. The worker runs at the lowest
+        scheduling priority, so it takes only a CPU that no other thread
+        wants, such as one BLAS is pinned away from."""
+        name = self._names.get(param)
+        if name is None or param.grad is None:
+            return
+        if self._update is None:
+            self._update = _Update(self.cfg, self.learning_rate(), self.step_count + 1)
+        self._update.put(name, self._blocks(name))
+        if self._update.worker is None and self._use_worker:
+            self._update.start_worker()
 
-        The update goes a cache-sized block of rows at a time. The blocks,
-        in parameter order, are cut into contiguous runs of about equal
-        size, one per CPU in the process's affinity mask (``taskset``
-        narrows it; the BLAS thread variables do not), but no run smaller
-        than ``_RUN_MIN`` elements, so a small model updates in one run.
-        The calling thread updates the first run and a thread per other
-        run the rest; every element gets the same arithmetic either way.
+    def apply(self):
+        """End the step: queue the blocks of every parameter with a
+        gradient that ``queue`` has not, update them on the calling thread
+        beside the step's worker, if one started, then join the worker.
+        Every block gets the same arithmetic whichever thread takes it.
 
         Each block is checked for a non-finite gradient just before it is
-        updated, and a run stops at its first bad block. NumericError
-        names the parameter of the first bad block in update order, but
-        the other runs go on, so blocks on either side of it may already
-        have been updated. Any other error in a run is raised here too.
+        updated, and no block is taken after the first bad one. NumericError
+        names the parameter of the bad block earliest in the queue, but
+        blocks after it, and blocks the worker updated while the backward
+        pass ran, may already have been updated. Any other error in the
+        worker is raised here too.
         """
-        c = self.cfg
-        lr = self.learning_rate()
+        update = self._update or _Update(self.cfg, self.learning_rate(), self.step_count + 1)
+        self._update = None
         self.step_count += 1
-        t = self.step_count
-        blocks = []
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            state = {"w": p.data, "g": g, "v": self.v[name]}
-            if self.m is not None:
-                state["m"] = self.m[name]
-            if self.mode == "amsgrad":
-                state["v_max"] = self.v_max[name]
-            # update a block of rows at a time so the intermediate values
-            # stay in cache; atleast_1d views a 0-d parameter as one row
-            state = {key: np.atleast_1d(a) for key, a in state.items()}
-            w = state["w"]
-            rows = max(1, _UPDATE_BLOCK * len(w) // max(w.size, 1))
-            blocks += [(name, {key: a[r:r + rows] for key, a in state.items()})
-                       for r in range(0, len(w), rows)]
-
-        runs = _runs(blocks)
-        errors = [None] * len(runs)
-
-        def update(i):
-            try:
-                _update_run(c, lr, t, runs[i])
-            except Exception as err:
-                errors[i] = err
-
-        threads = []
         try:
-            for i in range(1, len(runs)):
-                thread = threading.Thread(target=update, args=(i,))
-                thread.start()
-                threads.append(thread)
-            update(0)
+            for name, p in self.params.items():
+                if p.grad is not None and name not in update.names:
+                    update.put(name, self._blocks(name))
+            update.drain()
         finally:
-            for thread in threads:
-                thread.join()
-        # runs are contiguous, so the first run's error is the first in order
-        for err in errors:
-            if err is not None:
-                raise err
+            update.close()
+        if update.errors:
+            raise update.errors[min(update.errors)]
+
+    def cancel(self):
+        """Drop a step that ``queue`` began and ``apply`` has not ended: its
+        worker takes no further block and is joined. The blocks already
+        updated stay updated."""
+        update, self._update = self._update, None
+        if update is not None:
+            update.close()
+
+    def _blocks(self, name):
+        """``(name, views)`` for each block of rows of one parameter: its
+        weights, gradient and moments."""
+        p = self.params[name]
+        state = {"w": p.data, "g": p.grad, "v": self.v[name]}
+        if self.m is not None:
+            state["m"] = self.m[name]
+        if self.mode == "amsgrad":
+            state["v_max"] = self.v_max[name]
+        # update a block of rows at a time so the intermediate values stay
+        # in cache; atleast_1d views a 0-d parameter as one row
+        state = {key: np.atleast_1d(a) for key, a in state.items()}
+        w = state["w"]
+        rows = max(1, _UPDATE_BLOCK * len(w) // max(w.size, 1))
+        return [(name, {key: a[r:r + rows] for key, a in state.items()})
+                for r in range(0, len(w), rows)]
 
 
 # elements per block of an optimizer update (256 KiB of float64)
 _UPDATE_BLOCK = 1 << 15
-# the fewest elements a run of blocks gets its own thread for: below it
-# the thread's start and its GIL hand-offs cost more than the run saves
+# a model needs two runs of this many elements for a worker thread: below
+# it the thread's start and its GIL hand-offs cost more than it saves
 _RUN_MIN = 16 * _UPDATE_BLOCK
 
 
-def _runs(blocks):
-    """The ``(name, views)`` blocks, in order, cut into contiguous runs of
-    about equal element count: one per usable CPU, each of at least
-    ``_RUN_MIN`` elements, and always at least one run."""
-    ends = list(itertools.accumulate(views["w"].size for _, views in blocks))
-    total = ends[-1] if ends else 0
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    count = max(1, min(cpus or 1, total // _RUN_MIN))
-    cuts = [0] + [bisect.bisect_left(ends, total * k / count) + 1 for k in range(1, count)]
-    cuts.append(len(blocks))
-    return [blocks[a:b] for a, b in zip(cuts, cuts[1:]) if a < b] or [[]]
+class _Update:
+    """One optimizer step: its ``(name, views)`` blocks in queue order,
+    taken one at a time by the calling thread and at most one worker."""
 
+    def __init__(self, c, lr, t):
+        self.c, self.lr, self.t = c, lr, t
+        self.blocks = []
+        self.names = set()     # the parameters queued
+        self.taken = 0         # the blocks handed out, in order
+        self.errors = {}       # queue position -> error raised there
+        self.closed = False
+        self.worker = None
+        self.cond = threading.Condition()
 
-def _update_run(c, lr, t, run):
-    """``_adam_block`` on each block of a run in order, with one pair of
-    scratch blocks and one finiteness buffer for the whole run; raises
-    NumericError at the first block with a non-finite gradient."""
-    size = max((views["w"].size for _, views in run), default=0)
-    scratch = np.empty((2, size))
-    finite = np.empty(size, dtype=bool)
-    for name, views in run:
-        shape = views["w"].shape
-        k = views["w"].size
-        if not np.isfinite(views["g"], out=finite[:k].reshape(shape)).all():
-            raise NumericError(f"non-finite gradient in parameter {name!r} at step {t}")
-        _adam_block(c, lr, t, scratch[0, :k].reshape(shape), scratch[1, :k].reshape(shape),
-                    **views)
+    def put(self, name, blocks):
+        with self.cond:
+            self.names.add(name)
+            self.blocks += blocks
+            self.cond.notify()
+
+    def start_worker(self):
+        def work():
+            if hasattr(os, "SCHED_IDLE"):
+                try:   # this thread only
+                    os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
+                except OSError:
+                    pass
+            self.drain(wait=True)
+
+        # joined by apply or cancel; a daemon, so that a step neither ends
+        # cannot keep the interpreter from exiting
+        self.worker = threading.Thread(target=work, name="sdparse-adam", daemon=True)
+        self.worker.start()
+
+    def _take(self, wait):
+        """The queue position of the next block, or None once the step is
+        closed, a block has failed, or (without ``wait``) none is left."""
+        with self.cond:
+            while not (self.closed or self.errors):
+                if self.taken < len(self.blocks):
+                    self.taken += 1
+                    return self.taken - 1
+                if not wait:
+                    break
+                self.cond.wait()
+        return None
+
+    def drain(self, wait=False):
+        """``_adam_block`` on each block taken, with one pair of scratch
+        blocks and one finiteness buffer; a non-finite gradient or any
+        other error is recorded at its block's position."""
+        scratch = finite = None
+        while (i := self._take(wait)) is not None:
+            name, views = self.blocks[i]
+            shape = views["w"].shape
+            k = views["w"].size
+            if finite is None or len(finite) < k:
+                scratch, finite = np.empty((2, k)), np.empty(k, dtype=bool)
+            try:
+                if not np.isfinite(views["g"], out=finite[:k].reshape(shape)).all():
+                    raise NumericError(
+                        f"non-finite gradient in parameter {name!r} at step {self.t}")
+                _adam_block(self.c, self.lr, self.t, scratch[0, :k].reshape(shape),
+                            scratch[1, :k].reshape(shape), **views)
+            except Exception as err:
+                with self.cond:
+                    self.errors[i] = err
+
+    def close(self):
+        """Take no further block, and join the worker."""
+        with self.cond:
+            self.closed = True
+            self.cond.notify_all()
+        if self.worker is not None:
+            self.worker.join()
 
 
 def _adam_block(c, lr, t, s, u, w, g, v, m=None, v_max=None):
@@ -396,13 +461,20 @@ def train(model, train_data, dev_data, cfg, log=None):
         for batch in make_batches(usable, cfg.batch_token_budget, batch_rng):
             model.zero_grad()
             seed = 1.0 / len(batch)
-            for sentence, gold in batch:
-                loss = sentence_loss(model, sentence, gold, cfg, rng=dropout_rng)
-                ad.backward(loss, seed)
-                epoch_losses.append(loss.item())
-                # the tape goes before the next sentence's forward
-                del loss
-            optimizer.apply()
+            try:
+                for k, (sentence, gold) in enumerate(batch, 1):
+                    loss = sentence_loss(model, sentence, gold, cfg, rng=dropout_rng)
+                    # the last sentence's sweep queues each gradient it
+                    # finishes; before it, each still has sentences to add
+                    ad.backward(loss, seed, on_leaf=optimizer.queue if k == len(batch) else None)
+                    epoch_losses.append(loss.item())
+                    # the tape goes before the next sentence's forward
+                    del loss
+                optimizer.apply()
+            except BaseException:
+                # a step the backward pass began: its worker ends with it
+                optimizer.cancel()
+                raise
             if optimizer.step_count >= cfg.max_steps:
                 break
 

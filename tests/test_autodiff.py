@@ -595,6 +595,59 @@ def test_an_output_gradient_passed_to_a_leaf_is_not_written_by_a_second_sweep(rn
     np.testing.assert_array_equal(a.grad, first + second)
 
 
+def _hook_graph(rng):
+    """A loss over leaves that cover each way of reaching one: ``a`` read by
+    two nodes, ``w`` through a transpose and a reshape, ``q`` only by a
+    node whose vjp gives it no gradient, ``s`` only below an interior node
+    that gets none, and ``r`` by that node and an ordinary one."""
+    leaves = {name: ad.parameter(rng.normal(size=shape)) for name, shape in [
+        ("a", (3, 4)), ("b", (4, 2)), ("c", (3, 4)), ("w", (2, 6)),
+        ("q", (3, 2)), ("r", (3, 2)), ("s", (3, 2))]}
+    L = leaves
+    hidden = ad.neg(L["s"])
+    # a node built by hand, as lbp and potentials build theirs, whose vjp
+    # passes its gradient to r alone
+    picky = ad.Tensor(L["r"].data + L["q"].data + hidden.data, requires_grad=True,
+                      _parents=(L["r"], L["q"], hidden), _vjp=lambda g: (g, None, None))
+    viewed = ad.reshape(ad.transpose(L["w"]), (3, 4))
+    out = ad.add(ad.mul(L["a"], L["c"]), viewed)
+    out = ad.add(ad.matmul(out, ad.transpose(ad.mul(L["a"], L["a"]))), ad.constant(1.0))
+    out = ad.add(ad.tensor_sum(ad.matmul(out, ad.matmul(L["a"], L["b"]))),
+                 ad.tensor_sum(ad.mul(picky, L["r"])))
+    return leaves, out
+
+
+def test_on_leaf_reports_each_leaf_with_a_gradient_once_when_it_is_final(rng):
+    leaves, out = _hook_graph(rng)
+    names = {id(leaf): name for name, leaf in leaves.items()}
+    for sweep in range(2):
+        reported = []
+        ad.backward(out, rng.normal(), on_leaf=lambda leaf: reported.append(
+            (names[id(leaf)], leaf.grad.copy())))
+        assert sorted(name for name, _ in reported) == ["a", "b", "c", "r", "w"]
+        for name, grad in reported:
+            # a second sweep adds into the first's gradients
+            np.testing.assert_array_equal(grad, leaves[name].grad)
+        assert leaves["q"].grad is None and leaves["s"].grad is None
+
+
+def test_on_leaf_is_called_before_the_sweep_reaches_the_nodes_below(rng):
+    """A head's weight is reported before the encoder below it is swept."""
+    x = ad.parameter(rng.normal(size=(5, 3)))
+    first, second = ad.parameter(rng.normal(size=(4, 3))), ad.parameter(rng.normal(size=(2, 4)))
+    steps = []
+
+    def vjp(g):
+        steps.append("below")
+        return (g,)
+
+    below = ad.Tensor(x.data.copy(), requires_grad=True, _parents=(x,), _vjp=vjp)
+    out = ad.tensor_sum(ad.linear(ad.linear(below, first), second))
+    ad.backward(out, 1.0, on_leaf=lambda leaf: steps.append(
+        {id(x): "x", id(first): "first", id(second): "second"}[id(leaf)]))
+    assert steps == ["second", "first", "below", "x"]
+
+
 def test_backward_with_seed_matrix(rng):
     x = ad.parameter(rng.normal(size=(2, 3)))
     out = ad.mul(x, ad.constant(np.full((2, 3), 2.0)))

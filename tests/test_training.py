@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 import threading
+import time
 import weakref
 from dataclasses import replace
 
@@ -71,6 +73,55 @@ def test_every_parameter_gradient_is_owned_and_summed_in_place(engine):
     for name, p in model.params.items():
         summed, alone = first[name]
         np.testing.assert_array_equal(summed, alone + p.grad)
+
+
+@pytest.mark.parametrize("engine", ["mf", "lbp"])
+@pytest.mark.parametrize("parts", [True, False], ids=["parts-on", "parts-off"])
+@pytest.mark.parametrize("scale", [1.0, 60.0], ids=["init", "trained"])
+def test_a_sweep_never_reads_a_weight_once_its_gradient_is_final(engine, parts, scale):
+    """Overwriting each parameter's weights with NaN as soon as the sweep
+    reports it leaves every gradient bitwise that of a plain sweep, with
+    dropout on, the pretrained channel and a BiLSTM on the tape, and the
+    trilinear weights at their initial scale or scaled until the part
+    scores are a trained model's (loopy BP's message guards taken)."""
+    data = toy_corpus(np.random.default_rng(7), size=1, min_len=7, max_len=7)
+    vocab = build_vocab(data, min_count=1)
+    table = {form: np.full(3, 0.1 * k) for k, form in enumerate(vocab.form2id)}
+    dropouts = {f: getattr(ModelConfig.full(), f) for f in ModelConfig().__dict__
+                if f.startswith("dropout")}
+    cfg = ModelConfig(**dropouts, use_pretrained=True, pretrained_proj_dim=4,
+                      **({} if parts else {"use_sib": False, "use_cop": False, "use_gp": False}))
+    model = ParserModel(cfg, vocab, np.random.default_rng(9), pretrained=(table, 3))
+    for name, p in model.params.items():
+        if name.startswith("tri_"):
+            p.data *= scale
+    kept = {name: p.data.copy() for name, p in model.params.items()}
+    train_cfg = TrainConfig(inference=engine)
+
+    def gradients(on_leaf=None):
+        model.zero_grad()
+        loss = sentence_loss(model, *data[0], train_cfg, rng=np.random.default_rng(3))
+        ad.backward(loss, 1.0, on_leaf=on_leaf)
+        return loss.item(), {name: p.grad for name, p in model.params.items()}
+
+    plain = gradients()
+    poisoned = []
+
+    def poison(leaf):
+        leaf.data[...] = np.nan
+        poisoned.append(leaf)
+
+    try:
+        swept = gradients(poison)
+    finally:
+        for name, p in model.params.items():
+            p.data[...] = kept[name]
+    graded = [p for name, p in model.params.items() if plain[1][name] is not None]
+    assert len(graded) > (30 if parts else 20)
+    assert sorted(map(id, poisoned)) == sorted(map(id, graded))
+    assert swept[0] == plain[0]
+    for name in model.params:
+        np.testing.assert_array_equal(swept[1][name], plain[1][name], err_msg=name)
 
 
 @pytest.mark.parametrize("engine", ["mf", "lbp"])
@@ -353,9 +404,9 @@ def test_l2_shrinks_parameters_even_with_zero_gradient():
     assert 0.0 < float(params["p0"].data) < 5.0
 
 
-def _split_updates(monkeypatch, cpus=4, run_min=1000):
-    """Let an update use ``cpus`` runs of at least ``run_min`` elements,
-    whatever the host's CPUs."""
+def _split_updates(monkeypatch, cpus=2, run_min=1000):
+    """Let an optimizer made after this call start a worker for a model of
+    at least two ``run_min`` runs, as if the process could use ``cpus``."""
     monkeypatch.setattr(training, "_RUN_MIN", run_min)
     monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
@@ -372,28 +423,36 @@ def _recording_threads(monkeypatch):
     return threads
 
 
-# 145,014 elements in 8 blocks (w, b, three of big, three of vec); at four
-# runs they are cut after the second block of big and of vec, so both
-# span a run boundary
+def _wait_for(condition):
+    for _ in range(1000):
+        if condition():
+            return
+        time.sleep(0.01)
+    raise AssertionError("the worker took no block in 10 s")
+
+
+# 145,014 elements in 8 blocks: w, b, three of big (131, 131 and 38 rows)
+# and three of vec
 def _textbook_start(rng):
     return {"w": rng.normal(size=(3, 4)), "b": np.array(0.7),
             "big": rng.normal(size=(300, 250)), "vec": rng.normal(size=70001)}
 
 
-@pytest.mark.parametrize("amsgrad, beta1, runs", [
-    pytest.param(amsgrad, beta1, runs, id=name + ("" if runs == 1 else f"-{runs}-runs"))
+@pytest.mark.parametrize("amsgrad, beta1, worker", [
+    pytest.param(amsgrad, beta1, worker, id=name + ("-worker" if worker else ""))
     for name, amsgrad, beta1 in [("False", False, 0.3), ("True", True, 0.3),
                                  ("beta1=0-adam", False, 0.0), ("beta1=0-amsgrad", True, 0.0)]
-    for runs in (1, 4)
+    for worker in (False, True)
 ])
-def test_updates_follow_the_textbook_formula(rng, monkeypatch, amsgrad, beta1, runs):
+def test_updates_follow_the_textbook_formula(rng, monkeypatch, amsgrad, beta1, worker):
     """Three Adam or AMSGrad steps with l2 on a 0-d parameter, a small
     matrix, and a matrix and a vector that span several update blocks,
     bitwise equal to the plain formula (at beta1 = 0 the optimizer keeps
-    no first moment, and the formula's m is g), in one run or in four runs
-    whose boundaries fall inside a parameter, each on its own thread."""
-    if runs > 1:
-        _split_updates(monkeypatch, cpus=runs)
+    no first moment, and the formula's m is g): all applied on the calling
+    thread, or vec, big and w queued first and updated by the worker
+    while the caller waits, then b applied."""
+    if worker:
+        _split_updates(monkeypatch)
     threads = _recording_threads(monkeypatch)
     cfg = TrainConfig(learning_rate=3e-2, beta1=beta1, beta2=0.9, epsilon=1e-8, l2=0.05)
     start = _textbook_start(rng)
@@ -418,12 +477,16 @@ def test_updates_follow_the_textbook_formula(rng, monkeypatch, amsgrad, beta1, r
             want[k] = want[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
         before = threading.active_count()
         threads.clear()
+        if worker:
+            for k in ("vec", "big", "w"):
+                opt.queue(params[k])
+            _wait_for(lambda: len(threads) == 7)
+            assert len({ident for ident, _ in threads}) == 1
+            assert threads[0][0] != threading.get_ident()
         opt.apply()
         assert threading.active_count() == before
-        assert len(threads) == 8 and len({ident for ident, _ in threads}) == runs
-        # the caller updates the first run
-        assert {ident for ident, w in threads if w.base is params["w"].data} == {
-            threading.get_ident()}
+        assert len(threads) == 8 and {ident for ident, _ in threads} <= {
+            threads[0][0], threading.get_ident()}
         for k, p in params.items():
             assert isinstance(p.data, np.ndarray) and p.data.shape == start[k].shape
             np.testing.assert_array_equal(p.data, want[k])
@@ -435,26 +498,104 @@ def test_updates_follow_the_textbook_formula(rng, monkeypatch, amsgrad, beta1, r
                 np.testing.assert_array_equal(opt.v_max[k], v_max[k])
 
 
+@pytest.mark.parametrize("amsgrad", [False, True], ids=["adam", "amsgrad"])
+@pytest.mark.parametrize("beta1", [0.0, 0.3])
+def test_a_step_queued_during_the_backward_is_bitwise_an_applied_one(monkeypatch, amsgrad,
+                                                                     beta1):
+    """Three batches of two sentences, whose last backward pass queues
+    each finished gradient for the worker, end at the weights and moments
+    of the same batches each applied after its backward pass."""
+    _split_updates(monkeypatch)
+    data = toy_corpus(np.random.default_rng(2), size=6, min_len=4, max_len=7)
+    cfg = TrainConfig(beta1=beta1)
+    started = []
+    start_worker = training._Update.start_worker
+    monkeypatch.setattr(training._Update, "start_worker",
+                        lambda update: started.append(start_worker(update)))
+    runs = []
+    for hooked in (False, True):
+        model = ParserModel(ModelConfig(), build_vocab(data, min_count=1),
+                            np.random.default_rng(0))
+        opt = Optimizer(model.params, cfg)
+        if amsgrad:
+            opt.switch_to_amsgrad()
+        for k in range(0, 6, 2):
+            model.zero_grad()
+            for i in (k, k + 1):
+                loss = sentence_loss(model, *data[i], cfg)
+                ad.backward(loss, 0.5, on_leaf=opt.queue if hooked and i > k else None)
+            opt.apply()
+        runs.append((model, opt))
+    assert len(started) == 3
+    (plain, plain_opt), (hooked, hooked_opt) = runs
+    for name in plain.params:
+        np.testing.assert_array_equal(hooked.params[name].data, plain.params[name].data)
+        for moments in ("m", "v", "v_max"):
+            if getattr(plain_opt, moments) is not None:
+                np.testing.assert_array_equal(getattr(hooked_opt, moments)[name],
+                                              getattr(plain_opt, moments)[name])
+
+
+def test_blocks_queued_while_the_worker_takes_them_are_each_updated_once(monkeypatch, rng):
+    """300 one-block parameters queued one at a time while the worker
+    takes them, with the interpreter switching threads every microsecond:
+    each block is updated once, by one of the two threads, and the weights
+    and moments are bitwise those of a step applied on the calling thread."""
+    _split_updates(monkeypatch, run_min=100)
+    start = {f"p{i:03d}": rng.normal(size=50) for i in range(300)}
+    grads = {k: rng.normal(size=50) for k in start}
+    threads, runs = _recording_threads(monkeypatch), []
+    for queued in (False, True):
+        params = {k: ad.parameter(v.copy()) for k, v in start.items()}
+        for k, p in params.items():
+            p.grad = grads[k]
+        opt = Optimizer(params, TrainConfig())
+        threads.clear()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            if queued:
+                for p in params.values():
+                    opt.queue(p)
+            opt.apply()
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(id(w.base) for _, w in threads) == sorted(
+            id(p.data) for p in params.values())
+        runs.append((params, opt))
+    for k in start:
+        np.testing.assert_array_equal(runs[1][0][k].data, runs[0][0][k].data)
+        np.testing.assert_array_equal(runs[1][1].v[k], runs[0][1].v[k])
+
+
 def test_a_desk_model_updates_in_one_run_on_the_calling_thread(monkeypatch):
     """At the real run size, a desk-dims model's update starts no thread,
-    however many CPUs the process may use."""
+    however many CPUs the process may use, also when its backward pass
+    queues the gradients."""
     _split_updates(monkeypatch, cpus=64, run_min=training._RUN_MIN)
     threads = _recording_threads(monkeypatch)
     monkeypatch.setattr(training.threading, "Thread", None)
     data = toy_corpus(np.random.default_rng(0), size=4)
     model = ParserModel(ModelConfig(), build_vocab(data, min_count=1), np.random.default_rng(0))
-    assert 30_000 < sum(p.data.size for p in model.params.values()) < training._RUN_MIN
+    assert 30_000 < sum(p.data.size for p in model.params.values()) < 2 * training._RUN_MIN
+    opt = Optimizer(model.params, TrainConfig())
     for p in model.params.values():
         p.grad = np.ones_like(p.data)
-    Optimizer(model.params, TrainConfig()).apply()
+    opt.apply()
+    ad.backward(sentence_loss(model, *data[0], TrainConfig()), 1.0, on_leaf=opt.queue)
+    opt.apply()
     assert threads and {ident for ident, _ in threads} == {threading.get_ident()}
 
 
-def test_non_finite_gradients_in_two_runs_name_the_earlier_parameter(monkeypatch, rng):
-    """At step 2, NaNs in big's last block (run 2 of 4) and vec's first
-    (run 3): the error names big, and the runs before and after the bad
-    blocks have updated their blocks."""
-    _split_updates(monkeypatch)
+@pytest.mark.parametrize("worker", [False, True], ids=["caller", "worker"])
+def test_non_finite_gradients_name_the_earliest_queued_parameter(
+        monkeypatch, rng, worker):
+    """At step 2, NaNs in big's last block and vec's first, with vec
+    queued before big: the error names vec, which comes after big in
+    parameter order, and no thread is left. On the calling thread alone
+    the first block is the bad one, so no weight moves."""
+    if worker:
+        _split_updates(monkeypatch)
     params = {k: ad.parameter(v) for k, v in _textbook_start(rng).items()}
     opt = Optimizer(params, TrainConfig(l2=0.0))
     for p in params.values():
@@ -464,33 +605,73 @@ def test_non_finite_gradients_in_two_runs_name_the_earlier_parameter(monkeypatch
     params["big"].grad[-1, -1] = np.nan
     params["vec"].grad[0] = np.nan
     threads = threading.active_count()
+    opt.queue(params["vec"])
+    opt.queue(params["big"])
     with pytest.raises(NumericError) as err:
         opt.apply()
-    assert "'big'" in str(err.value) and "step 2" in str(err.value)
+    assert "'vec'" in str(err.value) and "step 2" in str(err.value)
     assert threading.active_count() == threads
-    assert (params["w"].data != before["w"]).all()                  # run 1
-    assert (params["big"].data[:-38] != before["big"][:-38]).all()   # run 1
-    np.testing.assert_array_equal(params["big"].data[-38:], before["big"][-38:])
-    np.testing.assert_array_equal(params["vec"].data[:65536], before["vec"][:65536])
-    assert (params["vec"].data[65536:] != before["vec"][65536:]).all()  # run 4
+    if not worker:
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, before[k])
 
 
 def test_an_error_in_a_worker_run_reaches_the_caller(monkeypatch, rng):
+    """The worker fails on big's first block after the calling thread has
+    failed on its second: the error raised is the worker's, the earlier
+    in the queue."""
     _split_updates(monkeypatch)
     params = {k: ad.parameter(v) for k, v in _textbook_start(rng).items()}
     for p in params.values():
         p.grad = np.ones_like(p.data)
-    adam_block, caller = training._adam_block, threading.get_ident()
+    caller, entered, caller_failed = threading.get_ident(), threading.Event(), threading.Event()
 
     def failing(*args, **kwargs):
-        if threading.get_ident() != caller:
-            raise RuntimeError("worker failed")
-        adam_block(*args, **kwargs)
+        if threading.get_ident() == caller:
+            caller_failed.set()
+            raise RuntimeError("caller failed")
+        entered.set()
+        caller_failed.wait(10)
+        raise RuntimeError("worker failed")
 
     monkeypatch.setattr(training, "_adam_block", failing)
     threads = threading.active_count()
+    opt = Optimizer(params, TrainConfig())
+    opt.queue(params["big"])
+    assert entered.wait(10)
     with pytest.raises(RuntimeError, match="worker failed"):
-        Optimizer(params, TrainConfig()).apply()
+        opt.apply()
+    assert caller_failed.is_set()
+    assert threading.active_count() == threads
+
+
+def test_an_error_in_the_backward_pass_after_the_worker_started_leaves_no_thread(monkeypatch):
+    """train's last backward pass of a batch raises after it has queued
+    three gradients for a worker it started: the worker is joined before
+    the error leaves train."""
+    _split_updates(monkeypatch)
+    data = toy_corpus(np.random.default_rng(0), size=4, min_len=4, max_len=6)
+    started, reported = [], []
+    start_worker = training._Update.start_worker
+    monkeypatch.setattr(training._Update, "start_worker",
+                        lambda update: started.append(start_worker(update)))
+    backward = ad.backward
+
+    def failing(loss, seed, on_leaf=None):
+        def hook(leaf):
+            on_leaf(leaf)
+            reported.append(leaf)
+            if len(reported) == 3:
+                raise RuntimeError("backward failed")
+
+        backward(loss, seed, on_leaf=None if on_leaf is None else hook)
+
+    monkeypatch.setattr(ad, "backward", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="backward failed"):
+        train(ParserModel(ModelConfig(), build_vocab(data, min_count=1),
+                          np.random.default_rng(0)), data, None, TrainConfig(max_steps=2))
+    assert len(started) == 1 and len(reported) == 3
     assert threading.active_count() == threads
 
 

@@ -23,9 +23,12 @@ The cases (``manifest``):
 - ``train-long-lbp/T...``: the 26 sentences (n = 20-45) of the
   benchmark's LBP training workload at T = 1-4, dropout on;
 - ``full/...``: ``ModelConfig.full()`` without the pretrained channel
-  at n = 5 and 15, both engines, and (``full/adam/...``) its weights and
-  second moments after two optimizer steps, one per sentence, which
-  covers an update large enough to be split across CPUs;
+  at n = 5 and 15, both engines; (``full/adam/...``) its weights and
+  second moments after two optimizer steps, one per sentence, each
+  applied after its backward pass; and (``full/train/...``) the same
+  after ``training.train`` over a two-sentence and a one-sentence batch,
+  whose updates start during each batch's last backward pass, on a
+  worker thread where a second CPU is usable;
 - ``cli/...``: ``train``, ``parse`` (and ``--marginals``), ``trace``,
   ``eval``, ``oracle-compare`` and ``gradcheck`` on a toy corpus (``trace``
   at T = 1-4), and ``trace`` at T = 2 on one 1-token (no part) and one 12-token sentence
@@ -53,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 import sdparse.autodiff as ad
-from sdparse import cli
+from sdparse import cli, training
 from sdparse.model import ModelConfig, ParserModel
 from sdparse.sdp_io import build_vocab, parse_sdp, write_sdp
 from sdparse.synthetic import toy_corpus
@@ -164,6 +167,25 @@ def full_dims_cases():
     names = sorted(model.params)
     out["full/adam/weights"] = digest(*(model.params[k].data for k in names))
     out["full/adam/v"] = digest(*(optimizer.v[k] for k in names))
+    del model, optimizer
+    model = ParserModel(dataclasses.replace(ModelConfig.full(), use_pretrained=False), vocab,
+                        np.random.default_rng(3))
+    # the n = 5 pair is one batch and the n = 15 sentence another
+    cfg = TrainConfig(batch_token_budget=10, max_steps=2, seed=13)
+    made = []
+
+    class Recorded(Optimizer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    training.Optimizer = Recorded
+    try:
+        training.train(model, data, None, cfg)
+    finally:
+        training.Optimizer = Optimizer
+    out["full/train/weights"] = digest(*(model.params[k].data for k in names))
+    out["full/train/v"] = digest(*(made[0].v[k] for k in names))
     return out
 
 
